@@ -49,10 +49,19 @@ std::vector<double> normal_records(std::size_t n) {
 /// One measured operation: state is pre-populated with n-1 records; the
 /// timed region observes the n-th record (marking the state dirty) and
 /// derives an allocation (forcing the rebuild).
+///
+/// With `window` > 1 the timed region runs that many consecutive observe +
+/// predict cycles and reports the time per cycle (`s_per_alloc`). The first
+/// timed add lands right after the warm-up's bulk merge, whose arrays have
+/// no spare capacity, so that one cycle also copies the whole run; under a
+/// record stream the arrays grow geometrically and that copy is rare. A
+/// window spreads it out, closer to what a running allocator pays per
+/// allocation.
 template <typename MakePolicy>
-void run_state_recompute(benchmark::State& state, MakePolicy make) {
+void run_state_recompute(benchmark::State& state, MakePolicy make,
+                         std::size_t window = 1) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto values = normal_records(n);
+  const auto values = normal_records(n + window - 1);
   for (auto _ : state) {
     state.PauseTiming();
     auto policy = make();
@@ -64,10 +73,20 @@ void run_state_recompute(benchmark::State& state, MakePolicy make) {
     benchmark::DoNotOptimize(policy->predict());
     state.ResumeTiming();
 
-    policy->observe(values[n - 1], static_cast<double>(n));
-    benchmark::DoNotOptimize(policy->predict());
+    for (std::size_t i = n - 1; i + 1 < n + window; ++i) {
+      policy->observe(values[i], static_cast<double>(i) + 1.0);
+      benchmark::DoNotOptimize(policy->predict());
+    }
   }
-  state.SetLabel(std::to_string(n) + " records");
+  if (window == 1) {
+    state.SetLabel(std::to_string(n) + " records");
+    return;
+  }
+  state.counters["s_per_alloc"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * window),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(std::to_string(n) + ".." + std::to_string(n + window - 1) +
+                 " records");
 }
 
 void BM_GreedyBucketing_Faithful(benchmark::State& state) {
@@ -87,6 +106,11 @@ void BM_GreedyBucketing_PrefixSum(benchmark::State& state) {
 void BM_ExhaustiveBucketing(benchmark::State& state) {
   run_state_recompute(state,
                       [] { return std::make_unique<ExhaustiveBucketing>(Rng(7)); });
+}
+
+void BM_ExhaustiveBucketing_Window(benchmark::State& state) {
+  run_state_recompute(
+      state, [] { return std::make_unique<ExhaustiveBucketing>(Rng(7)); }, 16);
 }
 
 /// Amortized column: the same observe + predict cycle under an epoch
@@ -124,6 +148,7 @@ void apply_sizes(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_GreedyBucketing_Faithful)->Apply(apply_sizes);
 BENCHMARK(BM_GreedyBucketing_PrefixSum)->Apply(apply_sizes);
 BENCHMARK(BM_ExhaustiveBucketing)->Apply(apply_sizes);
+BENCHMARK(BM_ExhaustiveBucketing_Window)->Apply(apply_sizes);
 BENCHMARK(BM_GreedyBucketing_Scheduled)->Apply(apply_sizes);
 
 }  // namespace

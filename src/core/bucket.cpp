@@ -15,45 +15,37 @@ BucketSet BucketSet::from_break_indices(std::span<const Record> sorted,
     }
   }
 
-  // Forward sequential sum, the reference order every total-significance
-  // computation in the library must reproduce bit-for-bit.
-  double total_sig = 0.0;
-  for (const Record& r : sorted) total_sig += r.significance;
-
-  std::vector<double> values;
-  std::vector<double> sigs;
-  values.reserve(sorted.size());
-  sigs.reserve(sorted.size());
-  for (const Record& r : sorted) {
-    values.push_back(r.value);
-    sigs.push_back(r.significance);
+  const std::size_t n = sorted.size();
+  std::vector<double> values(n);
+  std::vector<double> sigs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    values[i] = sorted[i].value;
+    sigs[i] = sorted[i].significance;
   }
-  return build(values, sigs, ends, total_sig);
+  std::vector<double> sig_prefix(n + 1, 0.0);
+  std::vector<double> vsig_prefix(n + 1, 0.0);
+  extend_prefix_sums(values, sigs, sig_prefix, vsig_prefix, 0);
+  return from_sorted({values, sigs, sig_prefix, vsig_prefix}, ends);
 }
 
-BucketSet BucketSet::from_sorted(std::span<const double> values,
-                                 std::span<const double> significances,
-                                 std::span<const std::size_t> ends,
-                                 double total_sig) {
-  assert(values.size() == significances.size());
+BucketSet BucketSet::from_sorted(const SortedRecords& sorted,
+                                 std::span<const std::size_t> ends) {
+  const std::size_t n = sorted.size();
+  assert(sorted.significances.size() == n);
+  assert(sorted.sig_prefix.size() == n + 1);
+  assert(sorted.vsig_prefix.size() == n + 1);
 #ifndef NDEBUG
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    assert(!(values[i] < values[i - 1]) &&
+  for (std::size_t i = 1; i < n; ++i) {
+    assert(!(sorted.values[i] < sorted.values[i - 1]) &&
            "BucketSet::from_sorted: records must be value-sorted");
   }
 #endif
-  return build(values, significances, ends, total_sig);
-}
-
-BucketSet BucketSet::build(std::span<const double> values,
-                           std::span<const double> significances,
-                           std::span<const std::size_t> ends,
-                           double total_sig) {
-  if (values.empty()) throw std::invalid_argument("BucketSet: no records");
-  if (ends.empty() || ends.back() != values.size() - 1) {
+  if (n == 0) throw std::invalid_argument("BucketSet: no records");
+  if (ends.empty() || ends.back() != n - 1) {
     throw std::invalid_argument(
         "BucketSet: break list must end at the last record index");
   }
+  const double total_sig = sorted.sig_prefix[n];
   if (!(total_sig > 0.0)) {
     throw std::invalid_argument("BucketSet: total significance must be > 0");
   }
@@ -61,30 +53,23 @@ BucketSet BucketSet::build(std::span<const double> values,
   BucketSet set;
   set.buckets_.reserve(ends.size());
   std::size_t begin = 0;
-  std::size_t prev_end = 0;
-  bool first = true;
   for (std::size_t end : ends) {
-    if (!first && end <= prev_end) {
+    if (end < begin) {
       throw std::invalid_argument("BucketSet: ends must be strictly increasing");
     }
-    if (end >= values.size()) {
+    if (end >= n) {
       throw std::invalid_argument("BucketSet: end index out of range");
     }
     Bucket b;
     b.begin = begin;
     b.end = end;
-    double vsig = 0.0;
-    for (std::size_t i = begin; i <= end; ++i) {
-      b.sig_sum += significances[i];
-      vsig += values[i] * significances[i];
-    }
-    b.rep = values[end];  // records are sorted, so the end is the max
+    b.sig_sum = sorted.sig_prefix[end + 1] - sorted.sig_prefix[begin];
+    const double vsig = sorted.vsig_prefix[end + 1] - sorted.vsig_prefix[begin];
+    b.rep = sorted.values[end];  // records are sorted, so the end is the max
     b.prob = b.sig_sum / total_sig;
-    b.weighted_mean = b.sig_sum > 0.0 ? vsig / b.sig_sum : values[end];
+    b.weighted_mean = b.sig_sum > 0.0 ? vsig / b.sig_sum : b.rep;
     set.buckets_.push_back(b);
     begin = end + 1;
-    prev_end = end;
-    first = false;
   }
   set.finalize();
   return set;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/record.hpp"
+#include "core/record_store.hpp"
 #include "util/rng.hpp"
 
 namespace tora::core {
@@ -45,19 +46,27 @@ class BucketSet {
 
   /// Builds buckets from a value-sorted record list and a strictly
   /// increasing list of bucket END indices whose last element must be
-  /// `sorted.size() - 1`. Throws std::invalid_argument on malformed input.
+  /// `sorted.size() - 1`. Throws std::invalid_argument on malformed input,
+  /// including unsorted records. Computes the prefix sums with
+  /// extend_prefix_sums (the RecordStore recurrence) and hands them to
+  /// from_sorted, so a set built here equals the one a policy builds from
+  /// its store bit for bit.
   static BucketSet from_break_indices(std::span<const Record> sorted,
                                       std::span<const std::size_t> ends);
 
-  /// SoA fast path for the incremental engine: `values`/`significances` are
-  /// the parallel sorted arrays and `total_sig` their significance sum (the
-  /// caller maintains it as a running prefix). Break-structure errors still
-  /// throw, but the O(n) sortedness check is a debug-only assertion — the
-  /// RecordStore merge guarantees order, so Release builds skip the scan.
-  static BucketSet from_sorted(std::span<const double> values,
-                               std::span<const double> significances,
-                               std::span<const std::size_t> ends,
-                               double total_sig);
+  /// Builds buckets from a sorted view with its maintained prefix sums.
+  /// Each bucket's significance and value·significance sums are prefix
+  /// differences, so construction costs O(B²) in the bucket count B (the
+  /// sample_above rows), independent of the record count. Break-
+  /// structure errors still throw, but the O(n) sortedness check is a
+  /// debug-only assertion: the RecordStore merge guarantees order.
+  ///
+  /// With integer significances whose sums stay below 2^53 (task ids, or
+  /// 1.0) the differences are exact, so sig_sum and prob equal a per-bucket
+  /// forward scan bit for bit; weighted_mean may differ from such a scan in
+  /// its last bits.
+  static BucketSet from_sorted(const SortedRecords& sorted,
+                               std::span<const std::size_t> ends);
 
   const std::vector<Bucket>& buckets() const noexcept { return buckets_; }
   bool empty() const noexcept { return buckets_.empty(); }
@@ -95,9 +104,6 @@ class BucketSet {
   static constexpr std::size_t kSampleTableMaxBuckets = 64;
 
  private:
-  static BucketSet build(std::span<const double> values,
-                         std::span<const double> significances,
-                         std::span<const std::size_t> ends, double total_sig);
   void finalize();
 
   std::vector<Bucket> buckets_;

@@ -17,12 +17,7 @@ std::size_t BucketingPolicy::RebuildSchedule::epoch_for(
 }
 
 void BucketingPolicy::observe(double peak_value, double significance) {
-  if (peak_value < 0.0) {
-    throw std::invalid_argument("BucketingPolicy: negative resource value");
-  }
-  if (significance < 0.0) {
-    throw std::invalid_argument("BucketingPolicy: negative significance");
-  }
+  check_observation("BucketingPolicy", peak_value, significance);
   store_.add(peak_value, significance);
   ++observed_since_rebuild_;
   if (observed_since_rebuild_ >= schedule_.epoch_for(store_.size())) {
@@ -38,9 +33,7 @@ void BucketingPolicy::rebuild_now() {
         "TaskAllocator's exploratory mode must cover the cold start");
   }
   const SortedRecords sorted = store_.sorted();
-  const auto ends = compute_break_indices(sorted);
-  buckets_ = BucketSet::from_sorted(sorted.values, sorted.significances, ends,
-                                    store_.total_significance());
+  buckets_ = BucketSet::from_sorted(sorted, compute_break_indices(sorted));
   rebuild_due_ = false;
   built_ = true;
   built_size_ = store_.size();

@@ -121,6 +121,7 @@ void ChangeAwarePolicy::restore_sampler_state(std::string_view state) {
 }
 
 void ChangeAwarePolicy::observe(double peak_value, double significance) {
+  check_observation("ChangeAwarePolicy", peak_value, significance);
   ++total_observed_;
   since_change_.push_back({peak_value, significance});
   if (detector_.add(peak_value)) {

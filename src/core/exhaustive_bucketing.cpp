@@ -46,16 +46,12 @@ std::vector<std::size_t> ExhaustiveBucketing::even_spacing_ends(
 std::vector<std::size_t> ExhaustiveBucketing::compute_break_indices(
     const SortedRecords& sorted) {
   const std::size_t n = sorted.size();
-  const double total_sig = sorted.sig_prefix.back();
   double best_cost = std::numeric_limits<double>::infinity();
   std::vector<std::size_t> best_ends{n - 1};
   const std::size_t limit = std::min(max_buckets_, n);
   for (std::size_t b = 1; b <= limit; ++b) {
     auto ends = even_spacing_ends(sorted.values, b);
-    const auto set =
-        BucketSet::from_sorted(sorted.values, sorted.significances, ends,
-                               total_sig);
-    const double cost = expected_waste(set);
+    const double cost = expected_waste(BucketSet::from_sorted(sorted, ends));
     if (cost < best_cost) {
       best_cost = cost;
       best_ends = std::move(ends);

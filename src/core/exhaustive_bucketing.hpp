@@ -18,10 +18,13 @@ namespace tora::core {
 /// T[i][j] cost table (expected_waste in bucket.hpp) and the cheapest
 /// configuration wins.
 ///
-/// Complexity: O(max_buckets · (n + max_buckets²)) per rebuild — the linear
-/// growth Table I reports for EB. Candidate sets are built through the
-/// unchecked SoA constructor with the store-maintained total significance,
-/// so each candidate costs one aggregation pass instead of three.
+/// Complexity: O(B² log n + B⁴) per rebuild for B = max_buckets and n
+/// records. Each candidate's breaks are B binary searches over the sorted
+/// values, its BucketSet takes every bucket's sums as differences of the
+/// store-maintained prefix sums, and its T[i][j] table costs O(B³). The
+/// break computation never scans the history, so its cost is nearly
+/// independent of n, unlike the linear growth Table I reports for the
+/// paper's EB.
 class ExhaustiveBucketing final : public BucketingPolicy {
  public:
   /// `max_buckets` bounds the configurations searched; the paper restricts

@@ -63,25 +63,15 @@ double two_bucket_cost(double rep_lo, double rep_hi, const RangeAgg& whole,
 
 }  // namespace
 
-double GreedyBucketing::candidate_cost(std::size_t lo, std::size_t brk,
-                                       std::size_t hi) const {
-  if (cost_model_ == CostModel::Faithful) {
-    const RangeAgg whole =
-        aggregate_scan(current_.values, current_.significances, lo, hi);
-    if (brk == hi) return current_.values[hi] - whole.mean;
-    return two_bucket_cost(
-        current_.values[brk], current_.values[hi], whole,
-        aggregate_scan(current_.values, current_.significances, lo, brk),
-        aggregate_scan(current_.values, current_.significances, brk + 1, hi));
-  }
+double GreedyBucketing::faithful_cost(std::size_t lo, std::size_t brk,
+                                      std::size_t hi) const {
   const RangeAgg whole =
-      aggregate_prefix(current_.sig_prefix, current_.vsig_prefix, lo, hi);
+      aggregate_scan(current_.values, current_.significances, lo, hi);
   if (brk == hi) return current_.values[hi] - whole.mean;
   return two_bucket_cost(
       current_.values[brk], current_.values[hi], whole,
-      aggregate_prefix(current_.sig_prefix, current_.vsig_prefix, lo, brk),
-      aggregate_prefix(current_.sig_prefix, current_.vsig_prefix, brk + 1,
-                       hi));
+      aggregate_scan(current_.values, current_.significances, lo, brk),
+      aggregate_scan(current_.values, current_.significances, brk + 1, hi));
 }
 
 double GreedyBucketing::split_cost(std::span<const Record> sorted,
@@ -110,12 +100,34 @@ void GreedyBucketing::solve(std::size_t lo, std::size_t hi,
   }
   double min_cost = std::numeric_limits<double>::infinity();
   std::size_t best = hi;
-  for (std::size_t i = lo; i <= hi; ++i) {
-    const double c = candidate_cost(lo, i, hi);
-    if (c < min_cost) {
-      min_cost = c;
-      best = i;
+  if (cost_model_ == CostModel::Faithful) {
+    for (std::size_t i = lo; i <= hi; ++i) {
+      const double c = faithful_cost(lo, i, hi);
+      if (c < min_cost) {
+        min_cost = c;
+        best = i;
+      }
     }
+  } else {
+    // The same arithmetic as faithful_cost, with every range sum a prefix
+    // difference and the whole-range aggregate taken once per node.
+    const auto values = current_.values;
+    const auto sig_prefix = current_.sig_prefix;
+    const auto vsig_prefix = current_.vsig_prefix;
+    const RangeAgg whole = aggregate_prefix(sig_prefix, vsig_prefix, lo, hi);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double c = two_bucket_cost(
+          values[i], values[hi], whole,
+          aggregate_prefix(sig_prefix, vsig_prefix, lo, i),
+          aggregate_prefix(sig_prefix, vsig_prefix, i + 1, hi));
+      if (c < min_cost) {
+        min_cost = c;
+        best = i;
+      }
+    }
+    // Not splitting is the last candidate, so an earlier equal-cost split
+    // still wins the tie.
+    if (values[hi] - whole.mean < min_cost) best = hi;
   }
   if (best == hi) {
     // Keeping one bucket over [lo, hi] beats every split.

@@ -55,7 +55,8 @@ class GreedyBucketing final : public BucketingPolicy {
  private:
   void solve(std::size_t lo, std::size_t hi,
              std::vector<std::size_t>& ends) const;
-  double candidate_cost(std::size_t lo, std::size_t brk, std::size_t hi) const;
+  /// split_cost over current_, one range scan per aggregate.
+  double faithful_cost(std::size_t lo, std::size_t brk, std::size_t hi) const;
 
   CostModel cost_model_;
   // The SortedRecords view of the compute call in progress (values, sigs,

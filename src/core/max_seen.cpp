@@ -12,10 +12,8 @@ MaxSeenPolicy::MaxSeenPolicy(double bucket_width) : width_(bucket_width) {
   }
 }
 
-void MaxSeenPolicy::observe(double peak_value, double /*significance*/) {
-  if (peak_value < 0.0) {
-    throw std::invalid_argument("MaxSeenPolicy: negative resource value");
-  }
+void MaxSeenPolicy::observe(double peak_value, double significance) {
+  check_observation("MaxSeenPolicy", peak_value, significance);
   max_ = std::max(max_, peak_value);
   ++count_;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
@@ -7,6 +8,29 @@
 #include <string_view>
 
 namespace tora::core {
+
+/// True for a number a completed task may report as a resource peak or
+/// carry as its significance: finite and non-negative. A NaN passes a bare
+/// `< 0` check, and would then break the strict ordering the sorted record
+/// history and every binary search over it assume.
+inline bool valid_observation(double x) noexcept {
+  return std::isfinite(x) && x >= 0.0;
+}
+
+/// The admission check at the top of every observe(): throws
+/// std::invalid_argument, prefixed with `who`, unless both numbers pass
+/// valid_observation. Nothing is recorded when it throws.
+inline void check_observation(const char* who, double peak_value,
+                              double significance) {
+  if (!valid_observation(peak_value)) {
+    throw std::invalid_argument(
+        std::string(who) + ": resource value must be finite and non-negative");
+  }
+  if (!valid_observation(significance)) {
+    throw std::invalid_argument(
+        std::string(who) + ": significance must be finite and non-negative");
+  }
+}
 
 /// Per-resource, per-category allocation policy.
 ///
@@ -18,7 +42,9 @@ namespace tora::core {
 ///
 /// Contract:
 ///  * observe() is called once per successful task completion with the
-///    task's peak consumption of this resource and its significance.
+///    task's peak consumption of this resource and its significance, both
+///    finite and non-negative; implementations reject anything else with
+///    check_observation before recording.
 ///  * predict() returns the first allocation for a fresh task. It may
 ///    rebuild internal state (the cost the paper's Table I measures).
 ///  * retry() returns the next allocation after an execution was killed for

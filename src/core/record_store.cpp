@@ -1,69 +1,69 @@
 #include "core/record_store.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/bytes.hpp"
 
 namespace tora::core {
 
+void extend_prefix_sums(std::span<const double> values,
+                        std::span<const double> significances,
+                        std::span<double> sig_prefix,
+                        std::span<double> vsig_prefix, std::size_t from) {
+  for (std::size_t p = from; p < values.size(); ++p) {
+    sig_prefix[p + 1] = sig_prefix[p] + significances[p];
+    vsig_prefix[p + 1] = vsig_prefix[p] + values[p] * significances[p];
+  }
+}
+
 void RecordStore::add(double value, double significance) {
-  stage_values_.push_back(value);
-  stage_sigs_.push_back(significance);
+  staged_.push_back({value, significance});
 }
 
 void RecordStore::flush() {
-  const std::size_t s = stage_values_.size();
+  const std::size_t s = staged_.size();
   if (s == 0) return;
   const std::size_t n = values_.size();
 
-  // Sort the staged records by value, keeping arrival order on ties (stable
-  // through the index permutation).
-  stage_order_.resize(s);
-  std::iota(stage_order_.begin(), stage_order_.end(), std::size_t{0});
-  std::stable_sort(stage_order_.begin(), stage_order_.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return stage_values_[a] < stage_values_[b];
-                   });
-
-  // Merge. On value ties the main run goes first, so a staged record lands
-  // after every previously observed equal value — the same position a
-  // per-observe upper_bound insert would have chosen.
-  scratch_values_.clear();
-  scratch_sigs_.clear();
-  scratch_values_.reserve(n + s);
-  scratch_sigs_.reserve(n + s);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t first_changed = n;  // merge position of the first staged record
-  while (i < n || j < s) {
-    const bool take_staged =
-        i == n || (j < s && stage_values_[stage_order_[j]] < values_[i]);
-    if (take_staged) {
-      first_changed = std::min(first_changed, scratch_values_.size());
-      scratch_values_.push_back(stage_values_[stage_order_[j]]);
-      scratch_sigs_.push_back(stage_sigs_[stage_order_[j]]);
-      ++j;
-    } else {
-      scratch_values_.push_back(values_[i]);
-      scratch_sigs_.push_back(sigs_[i]);
-      ++i;
-    }
+  // Sort the staged records by value, keeping arrival order on ties.
+  if (s > 1) {
+    std::stable_sort(staged_.begin(), staged_.end(),
+                     [](const Record& a, const Record& b) {
+                       return a.value < b.value;
+                     });
   }
-  values_.swap(scratch_values_);
-  sigs_.swap(scratch_sigs_);
-  stage_values_.clear();
-  stage_sigs_.clear();
 
-  // Extend the prefix sums from the first changed position. Entries before
-  // it are untouched because the merge preserved that prefix of the run, so
-  // the recurrence continues exactly as a full forward recompute would.
+  // Merge in place from the back, largest staged record first. The merged
+  // records strictly above it move up as one block, and it lands just below
+  // them: after every previously observed equal value, the position a
+  // per-observe upper_bound insert would have chosen. Once every staged
+  // record is placed, the run below the last landing slot is untouched.
+  values_.resize(n + s);
+  sigs_.resize(n + s);
+  double* const vals = values_.data();
+  double* const sigs = sigs_.data();
+  std::size_t i = n;        // merged records not yet moved: [0, i)
+  std::size_t out = n + s;  // slots [out, n + s) are final
+  for (std::size_t j = s; j > 0; --j) {
+    const Record& next = staged_[j - 1];
+    const auto lo = static_cast<std::size_t>(
+        std::upper_bound(vals, vals + i, next.value) - vals);
+    std::move_backward(vals + lo, vals + i, vals + out);
+    std::move_backward(sigs + lo, sigs + i, sigs + out);
+    out -= i - lo + 1;
+    i = lo;
+    vals[out] = next.value;
+    sigs[out] = next.significance;
+  }
+  staged_.clear();
+
+  // Extend the prefix sums from the smallest staged record's slot (`out`).
+  // Entries before it are untouched because the merge preserved that prefix
+  // of the run, so the recurrence continues exactly as a full forward
+  // recompute would.
   sig_prefix_.resize(n + s + 1);
   vsig_prefix_.resize(n + s + 1);
-  for (std::size_t p = first_changed; p < n + s; ++p) {
-    sig_prefix_[p + 1] = sig_prefix_[p] + sigs_[p];
-    vsig_prefix_[p + 1] = vsig_prefix_[p] + values_[p] * sigs_[p];
-  }
+  extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, out);
 }
 
 void RecordStore::save(util::ByteWriter& w) const {
@@ -72,18 +72,17 @@ void RecordStore::save(util::ByteWriter& w) const {
     w.f64(values_[i]);
     w.f64(sigs_[i]);
   }
-  w.u64(stage_values_.size());
-  for (std::size_t i = 0; i < stage_values_.size(); ++i) {
-    w.f64(stage_values_[i]);
-    w.f64(stage_sigs_[i]);
+  w.u64(staged_.size());
+  for (const Record& r : staged_) {
+    w.f64(r.value);
+    w.f64(r.significance);
   }
 }
 
 void RecordStore::load(util::ByteReader& r) {
   values_.clear();
   sigs_.clear();
-  stage_values_.clear();
-  stage_sigs_.clear();
+  staged_.clear();
   const std::uint64_t n = r.u64();
   values_.reserve(n);
   sigs_.reserve(n);
@@ -92,20 +91,14 @@ void RecordStore::load(util::ByteReader& r) {
     sigs_.push_back(r.f64());
   }
   const std::uint64_t s = r.u64();
-  stage_values_.reserve(s);
-  stage_sigs_.reserve(s);
+  staged_.reserve(s);
   for (std::uint64_t i = 0; i < s; ++i) {
-    stage_values_.push_back(r.f64());
-    stage_sigs_.push_back(r.f64());
+    const double value = r.f64();
+    staged_.push_back({value, r.f64()});
   }
-  sig_prefix_.assign(1, 0.0);
-  vsig_prefix_.assign(1, 0.0);
-  sig_prefix_.reserve(values_.size() + 1);
-  vsig_prefix_.reserve(values_.size() + 1);
-  for (std::size_t p = 0; p < values_.size(); ++p) {
-    sig_prefix_.push_back(sig_prefix_[p] + sigs_[p]);
-    vsig_prefix_.push_back(vsig_prefix_[p] + values_[p] * sigs_[p]);
-  }
+  sig_prefix_.assign(values_.size() + 1, 0.0);
+  vsig_prefix_.assign(values_.size() + 1, 0.0);
+  extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, 0);
 }
 
 }  // namespace tora::core

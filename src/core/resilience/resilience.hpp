@@ -88,8 +88,8 @@ struct ResilienceConfig {
 };
 
 /// Per-category attempt wall-time records on top of core::RecordStore's
-/// SoA sorted run (amortized O(1) observe, O(n) merge on first quantile
-/// query after a batch). The same machinery the paper builds for resource
+/// SoA sorted run (amortized O(1) observe, an in-place merge on the first
+/// quantile query after a batch). The same machinery the paper builds for resource
 /// footprints, pointed at time.
 class RuntimeHistogram {
  public:

@@ -177,8 +177,23 @@ ResourceVector TaskAllocator::allocate_retry(CategoryId category,
 void TaskAllocator::record_completion(CategoryId category,
                                       const ResourceVector& peak,
                                       std::optional<double> significance) {
-  auto& st = state_for(category);
+  // Check every managed dimension before any policy records the task (or is
+  // created for it), so a rejected completion changes nothing.
   const double sig = significance.value_or(next_significance_);
+  if (!valid_observation(sig)) {
+    throw std::invalid_argument(
+        "TaskAllocator::record_completion: significance must be finite and "
+        "non-negative");
+  }
+  for (ResourceKind k : config_.managed) {
+    if (!valid_observation(peak[k])) {
+      throw std::invalid_argument(
+          std::string("TaskAllocator::record_completion: ") +
+          std::string(to_string(k)) +
+          " peak must be finite and non-negative");
+    }
+  }
+  auto& st = state_for(category);
   if (!significance.has_value()) next_significance_ += 1.0;
   for (std::size_t i = 0; i < config_.managed.size(); ++i) {
     st.policies[i]->observe(peak[config_.managed[i]], sig);

@@ -117,7 +117,10 @@ class TaskAllocator {
     return allocate_retry(intern(category), failed_alloc, exceeded_mask);
   }
 
-  /// Feed back a successful execution's peak consumption.
+  /// Feed back a successful execution's peak consumption. Throws
+  /// std::invalid_argument, before any policy observes anything, when the
+  /// significance or the peak of any managed dimension is negative, NaN or
+  /// infinite.
   void record_completion(CategoryId category, const ResourceVector& peak,
                          std::optional<double> significance = std::nullopt);
   void record_completion(const std::string& category,

@@ -1,7 +1,7 @@
 #include "core/tovar.hpp"
 
-#include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace tora::core {
@@ -13,35 +13,32 @@ std::string TovarPolicy::name() const {
                                                 : "max_throughput";
 }
 
-void TovarPolicy::observe(double peak_value, double /*significance*/) {
-  if (peak_value < 0.0) {
-    throw std::invalid_argument("TovarPolicy: negative resource value");
-  }
-  values_.insert(
-      std::upper_bound(values_.begin(), values_.end(), peak_value),
-      peak_value);
+void TovarPolicy::observe(double peak_value, double significance) {
+  check_observation("TovarPolicy", peak_value, significance);
+  // Every record weighs 1: v * 1.0 == v, so the store's vsig_prefix is the
+  // plain value prefix sum the objectives need.
+  store_.add(peak_value, 1.0);
   dirty_ = true;
 }
 
-double TovarPolicy::max_value() const noexcept {
-  return values_.empty() ? 0.0 : values_.back();
+double TovarPolicy::max_value() {
+  store_.flush();
+  return store_.empty() ? 0.0 : store_.values().back();
 }
 
 void TovarPolicy::rebuild_if_dirty() {
   if (!dirty_) return;
-  if (values_.empty()) {
+  if (store_.empty()) {
     throw std::logic_error(
         "TovarPolicy: predict() before any record; exploration must cover "
         "the cold start");
   }
-  const std::size_t n = values_.size();
-  const double v_max = values_.back();
-
-  // Prefix sums: value_prefix[i] = sum of values [0, i).
-  std::vector<double> value_prefix(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    value_prefix[i + 1] = value_prefix[i] + values_[i];
-  }
+  store_.flush();
+  const std::span<const double> values = store_.values();
+  // value_prefix[i] = sum of values [0, i).
+  const std::span<const double> value_prefix = store_.sorted().vsig_prefix;
+  const std::size_t n = values.size();
+  const double v_max = values.back();
   const double total = value_prefix[n];
 
   double best_score = std::numeric_limits<double>::infinity();
@@ -50,10 +47,10 @@ void TovarPolicy::rebuild_if_dirty() {
 
   // Candidate first allocations are the observed peak values; for each,
   // evaluate the objective in O(1) using the prefix sums. `i` is the last
-  // index covered by candidate a = values_[i].
+  // index covered by candidate a = values[i].
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n && values_[i + 1] == values_[i]) continue;  // dedupe
-    const double a = values_[i];
+    if (i + 1 < n && values[i + 1] == values[i]) continue;  // dedupe
+    const double a = values[i];
     const double covered = static_cast<double>(i + 1);
     const double uncovered = static_cast<double>(n - i - 1);
     if (objective_ == TovarObjective::MinWaste) {

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/policy.hpp"
+#include "core/record_store.hpp"
 
 namespace tora::core {
 
@@ -20,8 +20,10 @@ enum class TovarObjective {
 /// Tovar et al., "A Job Sizing Strategy for High-Throughput Scientific
 /// Workflows" (IEEE TPDS 29(2), 2018), as used in the paper's §V.
 ///
-/// Both maintain the empirical distribution of observed peaks, pick a first
-/// allocation among the observed values by optimizing their objective, and
+/// Both maintain the empirical distribution of observed peaks (in the same
+/// RecordStore the bucketing family uses, every record at significance 1),
+/// pick a first allocation among the observed values by optimizing their
+/// objective in one O(n) pass over the store's value prefix sums, and
 /// follow the AT-MOST-ONCE retry rule: a task that exhausts its first
 /// allocation is retried directly at the maximum value seen (the paper's
 /// bucketing algorithms generalize exactly this policy into a bounded chain
@@ -35,10 +37,13 @@ class TovarPolicy final : public ResourcePolicy {
   double retry(double failed_alloc) override;
 
   std::string name() const override;
-  std::size_t record_count() const override { return values_.size(); }
+  std::size_t record_count() const override { return store_.size(); }
+
+  void flush_observations() override { store_.flush(); }
 
   TovarObjective objective() const noexcept { return objective_; }
-  double max_value() const noexcept;
+  /// Largest observed value, 0 before any record. Merges staged records.
+  double max_value();
 
   /// The currently optimal first allocation (rebuilds if needed). Exposed
   /// for tests; equals what predict() returns.
@@ -48,7 +53,7 @@ class TovarPolicy final : public ResourcePolicy {
   void rebuild_if_dirty();
 
   TovarObjective objective_;
-  std::vector<double> values_;  // kept sorted ascending
+  RecordStore store_;
   bool dirty_ = true;
   double choice_ = 0.0;
 };

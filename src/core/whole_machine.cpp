@@ -10,10 +10,8 @@ WholeMachinePolicy::WholeMachinePolicy(double capacity) : capacity_(capacity) {
   }
 }
 
-void WholeMachinePolicy::observe(double peak_value, double /*significance*/) {
-  if (peak_value < 0.0) {
-    throw std::invalid_argument("WholeMachinePolicy: negative resource value");
-  }
+void WholeMachinePolicy::observe(double peak_value, double significance) {
+  check_observation("WholeMachinePolicy", peak_value, significance);
   ++count_;
 }
 

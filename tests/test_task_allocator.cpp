@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "core/bucketing_policy.hpp"
 #include "core/registry.hpp"
@@ -263,6 +265,80 @@ TEST(TaskAllocator, HistoryReservedFromExpectedTasks) {
                   tora::core::make_policy_factory(tora::core::kMaxSeen, 1),
                   off);
   EXPECT_EQ(b.history().capacity(), 0u);
+}
+
+// A completion with a NaN, infinite or negative number anywhere is rejected
+// before any policy observes it: the call throws and every policy's record
+// count, the completed count, the history and the revision stay as they
+// were after the one good completion.
+constexpr double kBadNumbers[] = {std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -1.0};
+constexpr ResourceKind kManaged[] = {ResourceKind::Cores,
+                                     ResourceKind::MemoryMB,
+                                     ResourceKind::DiskMB};
+
+void expect_one_completion(TaskAllocator& a) {
+  EXPECT_EQ(a.records_for("c"), 1u);
+  EXPECT_EQ(a.history().size(), 1u);
+  EXPECT_EQ(a.revision(), 1u);
+  for (ResourceKind k : kManaged) {
+    EXPECT_EQ(a.policy("c", k).record_count(), 1u) << to_string(k);
+  }
+}
+
+TEST(TaskAllocator, RejectsNonFinitePeakInAnyDimensionBeforeObserving) {
+  for (const auto& name : tora::core::all_policy_names()) {
+    for (ResourceKind bad_kind : kManaged) {
+      for (double bad : kBadNumbers) {
+        SCOPED_TRACE(name + " " + std::string(to_string(bad_kind)) + " " +
+                     std::to_string(bad));
+        auto a = make_allocator(name, 3);
+        a.record_completion("c", {1.0, 500.0, 100.0});
+        ResourceVector peak{1.0, 500.0, 100.0, 0.0};
+        peak[bad_kind] = bad;
+        EXPECT_THROW(a.record_completion("c", peak), std::invalid_argument);
+        expect_one_completion(a);
+      }
+    }
+  }
+}
+
+TEST(TaskAllocator, RejectsNonFiniteSignificanceBeforeObserving) {
+  for (const auto& name : tora::core::all_policy_names()) {
+    for (double bad : kBadNumbers) {
+      SCOPED_TRACE(name + " " + std::to_string(bad));
+      auto a = make_allocator(name, 3);
+      a.record_completion("c", {1.0, 500.0, 100.0});
+      EXPECT_THROW(a.record_completion("c", {1.0, 500.0, 100.0}, bad),
+                   std::invalid_argument);
+      expect_one_completion(a);
+    }
+  }
+}
+
+TEST(TaskAllocator, RejectedFirstCompletionCreatesNoPolicies) {
+  auto a = make_allocator(tora::core::kExhaustiveBucketing, 3);
+  const auto id = a.intern("fresh");
+  EXPECT_THROW(a.record_completion(id, {std::nan(""), 1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_FALSE(a.policies_created(id));
+  EXPECT_EQ(a.records_for(id), 0u);
+}
+
+TEST(TaskAllocator, EveryPolicyRejectsNonFiniteObservations) {
+  const AllocatorConfig cfg;
+  for (const auto& name : tora::core::all_policy_names()) {
+    const auto factory = tora::core::make_policy_factory(name, 3);
+    for (double bad : kBadNumbers) {
+      SCOPED_TRACE(name + " " + std::to_string(bad));
+      auto policy = factory(ResourceKind::MemoryMB, cfg);
+      policy->observe(100.0, 1.0);
+      EXPECT_THROW(policy->observe(bad, 2.0), std::invalid_argument);
+      EXPECT_THROW(policy->observe(100.0, bad), std::invalid_argument);
+      EXPECT_EQ(policy->record_count(), 1u);
+    }
+  }
 }
 
 TEST(TaskAllocator, ExplorationDefaultClampedToCapacity) {
