@@ -24,7 +24,9 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,30 +108,46 @@ int main(int argc, char** argv) {
     ok = false;
   };
 
+  // A round whose runtime throws (e.g. a stall it gives up on) is a
+  // violation of that round's seed, not an abort of the soak.
+  const auto guarded = [&](std::uint64_t seed, const auto& body) {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      violation(seed, std::string("uncaught exception: ") + e.what());
+    }
+  };
+
   std::size_t total_faults = 0;
   for (std::size_t round = 0; round < rounds; ++round) {
     const std::uint64_t seed = base_seed + round;
     auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
-    TcpProtocolRuntime runtime(tasks, alloc, 2, kCapacity, chaos_tcp(seed),
-                               wide_liveness(), hostile_wire());
-    const auto r = runtime.run();
-    if (r.tasks_completed != kTasks) {
-      violation(seed, "completed " + std::to_string(r.tasks_completed) +
-                          " of " + std::to_string(kTasks) + " tasks");
+    std::optional<TcpProtocolRuntime> runtime;
+    guarded(seed, [&] {
+      runtime.emplace(tasks, alloc, 2, kCapacity, chaos_tcp(seed),
+                      wide_liveness(), hostile_wire());
+      const auto r = runtime->run();
+      if (r.tasks_completed != kTasks) {
+        violation(seed, "completed " + std::to_string(r.tasks_completed) +
+                            " of " + std::to_string(kTasks) + " tasks");
+      }
+      if (r.tasks_fatal != 0) {
+        violation(seed, std::to_string(r.tasks_fatal) + " tasks went fatal");
+      }
+      const std::size_t faults =
+          runtime->proxy() ? runtime->proxy()->faults_injected() : 0;
+      std::cout << "round " << round << " [seed " << seed << "]: completed "
+                << r.tasks_completed << "/" << kTasks << ", reconnects "
+                << r.transport.reconnects << ", resumes "
+                << r.transport.sessions_resumed << ", replayed "
+                << r.transport.frames_replayed << ", stale/dup absorbed "
+                << r.chaos.stale_or_duplicate_results << ", faults " << faults
+                << "\n";
+    });
+    // Counted outside the guard, so the faults of a round that threw count.
+    if (runtime && runtime->proxy()) {
+      total_faults += runtime->proxy()->faults_injected();
     }
-    if (r.tasks_fatal != 0) {
-      violation(seed, std::to_string(r.tasks_fatal) + " tasks went fatal");
-    }
-    const std::size_t faults =
-        runtime.proxy() ? runtime.proxy()->faults_injected() : 0;
-    total_faults += faults;
-    std::cout << "round " << round << " [seed " << seed << "]: completed "
-              << r.tasks_completed << "/" << kTasks << ", reconnects "
-              << r.transport.reconnects << ", resumes "
-              << r.transport.sessions_resumed << ", replayed "
-              << r.transport.frames_replayed << ", stale/dup absorbed "
-              << r.chaos.stale_or_duplicate_results << ", faults " << faults
-              << "\n";
   }
   if (total_faults == 0) {
     violation(base_seed, "the fault plan never fired in any round — the "
@@ -139,14 +157,16 @@ int main(int argc, char** argv) {
   // Calm determinism leg: same seed, same bytes, twice.
   std::string fingerprints[2];
   for (int leg = 0; leg < 2; ++leg) {
-    auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
-    TcpProtocolRuntime runtime(tasks, alloc, 2, kCapacity,
-                               chaos_tcp(base_seed));
-    const auto r = runtime.run();
-    if (r.tasks_completed != kTasks) {
-      violation(base_seed, "calm leg failed to complete");
-    }
-    fingerprints[leg] = r.state_fingerprint;
+    guarded(base_seed, [&] {
+      auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
+      TcpProtocolRuntime runtime(tasks, alloc, 2, kCapacity,
+                                 chaos_tcp(base_seed));
+      const auto r = runtime.run();
+      if (r.tasks_completed != kTasks) {
+        violation(base_seed, "calm leg failed to complete");
+      }
+      fingerprints[leg] = r.state_fingerprint;
+    });
   }
   if (fingerprints[0] != fingerprints[1]) {
     violation(base_seed,

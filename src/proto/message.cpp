@@ -1,156 +1,198 @@
 #include "proto/message.hpp"
 
+#include <array>
 #include <charconv>
-#include <cstdio>
-#include <map>
-#include <sstream>
-#include <vector>
+#include <cmath>
+#include <cstring>
 
-#include "util/rng.hpp"
+#include "proto/checksum.hpp"
 
 namespace tora::proto {
 
 namespace {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (c == ' ' || c == '=' || c == '%' || c == '\n' || c == '\r') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
+bool needs_escape(unsigned char c) noexcept {
+  return c == ' ' || c == '=' || c == '%' || c == '\n' || c == '\r';
 }
 
-std::optional<std::string> unescape(std::string_view s) {
-  std::string out;
+std::size_t escaped_size(std::string_view s) noexcept {
+  std::size_t n = s.size();
+  for (unsigned char c : s) n += needs_escape(c) ? 2 : 0;
+  return n;
+}
+
+/// Writes `s` to `out` (escaped_size(s) bytes) with every special byte as
+/// `%XX` in uppercase hex.
+void escape_into(char* out, std::string_view s) noexcept {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  for (unsigned char c : s) {
+    if (needs_escape(c)) {
+      *out++ = '%';
+      *out++ = kHex[c >> 4];
+      *out++ = kHex[c & 0xFu];
+    } else {
+      *out++ = static_cast<char>(c);
+    }
+  }
+}
+
+bool unescape_into(std::string_view s, std::string& out) {
+  const auto hex = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%') {
-      if (i + 2 >= s.size()) return std::nullopt;
-      unsigned value = 0;
-      const auto hex = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        return -1;
-      };
-      const int hi = hex(s[i + 1]);
-      const int lo = hex(s[i + 2]);
-      if (hi < 0 || lo < 0) return std::nullopt;
-      value = static_cast<unsigned>(hi * 16 + lo);
-      out += static_cast<char>(value);
-      i += 2;
-    } else {
+    if (s[i] != '%') {
       out += s[i];
+      continue;
     }
+    if (i + 2 >= s.size()) return false;
+    const int hi = hex(s[i + 1]);
+    const int lo = hex(s[i + 2]);
+    if (hi < 0 || lo < 0) return false;
+    out += static_cast<char>(hi * 16 + lo);
+    i += 2;
   }
-  return out;
+  return true;
 }
 
-void put(std::ostringstream& oss, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  oss << ' ' << key << '=' << buf;
-}
+/// Longest decimal u64 (`18446744073709551615`) and longest `%.17g` double
+/// (`-2.2250738585072014e-308`).
+constexpr std::size_t kMaxUintChars = 20;
+constexpr std::size_t kMaxRealChars = 24;
+/// The longest ` key=value` text encode() writes besides the category: a
+/// result's fields at those widths take 287 bytes.
+constexpr std::size_t kMaxFieldText = 320;
 
-void put(std::ostringstream& oss, const char* key, std::uint64_t v) {
-  oss << ' ' << key << '=' << v;
-}
+/// Formats ` key=value` fields into a fixed buffer.
+class FieldWriter {
+ public:
+  std::string_view view() const noexcept { return {buf_, n_}; }
 
-struct Fields {
-  std::map<std::string, std::string, std::less<>> kv;
-
-  std::optional<double> number(std::string_view key) const {
-    const auto it = kv.find(key);
-    if (it == kv.end()) return std::nullopt;
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(it->second, &pos);
-      if (pos != it->second.size()) return std::nullopt;
-      return v;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+  void key(std::string_view k) noexcept {
+    buf_[n_++] = ' ';
+    std::memcpy(buf_ + n_, k.data(), k.size());
+    n_ += k.size();
+    buf_[n_++] = '=';
+  }
+  void text(std::string_view k, std::string_view v) noexcept {
+    key(k);
+    std::memcpy(buf_ + n_, v.data(), v.size());
+    n_ += v.size();
+  }
+  void uint(std::string_view k, std::uint64_t v) noexcept {
+    key(k);
+    char* at = buf_ + n_;
+    const auto r = std::to_chars(at, at + kMaxUintChars, v);
+    n_ += static_cast<std::size_t>(r.ptr - at);
+  }
+  /// Seventeen significant digits in general format, which std::to_chars
+  /// defines as printf's `%.17g` in the "C" locale: the wire format's
+  /// spelling, with enough digits for every double to round-trip exactly.
+  void real(std::string_view k, double v) noexcept {
+    key(k);
+    char* at = buf_ + n_;
+    const auto r = std::to_chars(at, at + kMaxRealChars, v,
+                                 std::chars_format::general, 17);
+    n_ += static_cast<std::size_t>(r.ptr - at);
+  }
+  void resources(const core::ResourceVector& r) noexcept {
+    real("cores", r.cores());
+    real("memory", r.memory_mb());
+    real("disk", r.disk_mb());
+    real("time", r.time_s());
   }
 
-  std::optional<std::uint64_t> uint(std::string_view key) const {
-    const auto v = number(key);
-    if (!v || *v < 0.0) return std::nullopt;
-    return static_cast<std::uint64_t>(*v);
-  }
+ private:
+  char buf_[kMaxFieldText];
+  std::size_t n_ = 0;
 };
 
-std::optional<Fields> parse_fields(std::string_view rest) {
-  Fields f;
-  std::size_t pos = 0;
-  while (pos < rest.size()) {
-    while (pos < rest.size() && rest[pos] == ' ') ++pos;
-    if (pos >= rest.size()) break;
-    const std::size_t end = rest.find(' ', pos);
-    const std::string_view token =
-        rest.substr(pos, end == std::string_view::npos ? rest.size() - pos
-                                                       : end - pos);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos || eq == 0) return std::nullopt;
-    f.kv.emplace(std::string(token.substr(0, eq)),
-                 std::string(token.substr(eq + 1)));
-    if (end == std::string_view::npos) break;
-    pos = end + 1;
+/// Keys decode() reads; every other key is ignored.
+enum Key : std::size_t {
+  kWorker, kTask, kAttempt, kCategory, kOutcome, kRuntime, kExceeded,
+  kCores, kMemory, kDisk, kTime, kKeyCount
+};
+constexpr std::array<std::string_view, kKeyCount> kKeyNames = {
+    "worker",   "task",  "attempt", "category", "outcome", "runtime",
+    "exceeded", "cores", "memory",  "disk",     "time"};
+
+/// The value of each known key at its first occurrence, as a view into the
+/// line.
+class Fields {
+ public:
+  /// Scans the space-separated `key=value` tokens once. A token without `=`
+  /// or with an empty key rejects the line.
+  bool scan(std::string_view rest) noexcept {
+    std::size_t pos = 0;
+    while (pos < rest.size()) {
+      while (pos < rest.size() && rest[pos] == ' ') ++pos;
+      if (pos >= rest.size()) break;
+      std::size_t end = rest.find(' ', pos);
+      if (end == std::string_view::npos) end = rest.size();
+      const std::string_view token = rest.substr(pos, end - pos);
+      pos = end;
+      const std::size_t eq = token.find('=');
+      if (eq == std::string_view::npos || eq == 0) return false;
+      const std::string_view key = token.substr(0, eq);
+      for (std::size_t k = 0; k < kKeyCount; ++k) {
+        if (key != kKeyNames[k]) continue;
+        if (!value_[k]) value_[k] = token.substr(eq + 1);
+        break;
+      }
+    }
+    return true;
   }
-  return f;
-}
 
-std::optional<core::ResourceVector> parse_resources(const Fields& f) {
-  const auto cores = f.number("cores");
-  const auto mem = f.number("memory");
-  const auto disk = f.number("disk");
-  const auto time = f.number("time");
-  if (!cores || !mem || !disk || !time) return std::nullopt;
-  return core::ResourceVector{*cores, *mem, *disk, *time};
-}
+  const std::optional<std::string_view>& text(Key k) const noexcept {
+    return value_[k];
+  }
 
-void put_resources(std::ostringstream& oss, const core::ResourceVector& r) {
-  put(oss, "cores", r.cores());
-  put(oss, "memory", r.memory_mb());
-  put(oss, "disk", r.disk_mb());
-  put(oss, "time", r.time_s());
-}
+  /// A decimal integer that is the whole value: no sign, point, exponent
+  /// or rounding.
+  std::optional<std::uint64_t> uint(Key k) const noexcept {
+    if (!value_[k]) return std::nullopt;
+    const std::string_view v = *value_[k];
+    std::uint64_t out = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || end != v.data() + v.size()) return std::nullopt;
+    return out;
+  }
 
-constexpr std::string_view kCrcToken = " crc=";
-constexpr std::size_t kCrcHexDigits = 16;
+  /// A finite, non-negative double (-0 included) that is the whole value.
+  std::optional<double> amount(Key k) const noexcept {
+    if (!value_[k]) return std::nullopt;
+    const std::string_view v = *value_[k];
+    double out = 0.0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || end != v.data() + v.size()) return std::nullopt;
+    if (!std::isfinite(out) || out < 0.0) return std::nullopt;
+    return out;
+  }
 
-/// Verifies the mandatory integrity checksum. The canonical wire position
-/// is directly after the verb, but any position is accepted as long as the
-/// FNV-1a hash of the line with the `crc` token spliced out matches — which
-/// is exactly what encode() produced. A line without the token is rejected
-/// outright: if absence were tolerated, a mutation hitting the token's key
-/// (e.g. `crc=` -> `Xrc=`) would disable verification while other
-/// mutations alter the payload, smuggling a different-but-valid message
-/// through as an "unchecksummed" line.
-bool crc_ok(std::string_view line) {
-  const std::size_t pos = line.find(kCrcToken);
-  if (pos == std::string_view::npos) return false;
-  const std::size_t value_at = pos + kCrcToken.size();
-  std::string_view hex = line.substr(value_at);
-  const std::size_t sp = hex.find(' ');
-  if (sp != std::string_view::npos) hex = hex.substr(0, sp);
-  if (hex.size() != kCrcHexDigits) return false;
-  std::uint64_t want = 0;
-  const auto [end, ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), want, 16);
-  if (ec != std::errc{} || end != hex.data() + hex.size()) return false;
-  std::string content;
-  content.reserve(line.size());
-  content.append(line.substr(0, pos));
-  content.append(line.substr(value_at + hex.size()));
-  return util::hash64(content) == want;
-}
+  std::optional<core::ResourceVector> resources() const noexcept {
+    const auto cores = amount(kCores);
+    const auto mem = amount(kMemory);
+    const auto disk = amount(kDisk);
+    const auto time = amount(kTime);
+    if (!cores || !mem || !disk || !time) return std::nullopt;
+    return core::ResourceVector{*cores, *mem, *disk, *time};
+  }
+
+  /// An absent attempt reads as 0; a present one must parse.
+  std::optional<std::uint64_t> attempt() const noexcept {
+    return value_[kAttempt] ? uint(kAttempt) : std::optional<std::uint64_t>(0);
+  }
+
+ private:
+  std::array<std::optional<std::string_view>, kKeyCount> value_{};
+};
+
+/// `exceeded` may name only the four resource dimensions.
+constexpr std::uint64_t kMaxExceededMask = 0xF;
 
 }  // namespace
 
@@ -175,54 +217,64 @@ std::string_view to_string(Outcome outcome) noexcept {
 }
 
 std::string encode(const Message& msg) {
-  std::ostringstream oss;  // the key=value fields, each preceded by a space
-  put(oss, "worker", msg.worker_id);
+  // The fields go to a stack buffer first, so the line is allocated once at
+  // its exact size. The escaped category (empty unless a dispatch) goes in
+  // at `split`.
+  FieldWriter w;
+  std::string_view category;
+  std::size_t split = 0;
+  w.uint("worker", msg.worker_id);
   switch (msg.type) {
     case MsgType::WorkerReady:
     case MsgType::Heartbeat:
-      put_resources(oss, msg.resources);
+      w.resources(msg.resources);
       break;
     case MsgType::TaskDispatch:
-      put(oss, "task", msg.task_id);
-      put(oss, "attempt", msg.attempt);
-      oss << " category=" << escape(msg.category);
-      put_resources(oss, msg.resources);
+      w.uint("task", msg.task_id);
+      w.uint("attempt", msg.attempt);
+      w.key("category");
+      category = msg.category;
+      split = w.view().size();
+      w.resources(msg.resources);
       break;
     case MsgType::TaskResult:
-      put(oss, "task", msg.task_id);
-      put(oss, "attempt", msg.attempt);
-      oss << " outcome=" << to_string(msg.outcome);
-      put(oss, "runtime", msg.runtime_s);
-      put(oss, "exceeded", static_cast<std::uint64_t>(msg.exceeded_mask));
-      put_resources(oss, msg.resources);
+      w.uint("task", msg.task_id);
+      w.uint("attempt", msg.attempt);
+      w.text("outcome", to_string(msg.outcome));
+      w.real("runtime", msg.runtime_s);
+      w.uint("exceeded", msg.exceeded_mask);
+      w.resources(msg.resources);
       break;
     case MsgType::Evict:
-      put(oss, "task", msg.task_id);
+      w.uint("task", msg.task_id);
       break;
     case MsgType::Shutdown:
       break;
   }
-  const std::string fields = oss.str();
-  std::string line(to_string(msg.type));
-  // Checksum over verb + fields, spliced in directly after the verb so any
-  // corruption or truncation of the variable-length tail breaks it.
-  char crc[kCrcHexDigits + 1];
-  std::snprintf(crc, sizeof(crc), "%016llx",
-                static_cast<unsigned long long>(util::hash64(line + fields)));
-  line.append(kCrcToken);
-  line.append(crc);
-  line.append(fields);
+
+  const std::string_view verb = to_string(msg.type);
+  const std::string_view fields = w.view();
+  const std::size_t escaped = escaped_size(category);
+  std::string line;
+  line.reserve(verb.size() + kCrcTokenSize + fields.size() + escaped);
+  open_line(line, verb);
+  line.append(fields.substr(0, split));
+  const std::size_t at = line.size();
+  line.resize(at + escaped);
+  escape_into(line.data() + at, category);
+  line.append(fields.substr(split));
+  seal_line(line, verb.size());
   return line;
 }
 
 std::optional<Message> decode(std::string_view line) {
-  if (!crc_ok(line)) return std::nullopt;
+  if (!checksum_ok(line)) return std::nullopt;
   const std::size_t sp = line.find(' ');
   const std::string_view verb = line.substr(0, sp);
   const std::string_view rest =
       sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
-  const auto fields = parse_fields(rest);
-  if (!fields) return std::nullopt;
+  Fields f;
+  if (!f.scan(rest)) return std::nullopt;
 
   Message m;
   if (verb == "ready") m.type = MsgType::WorkerReady;
@@ -233,56 +285,53 @@ std::optional<Message> decode(std::string_view line) {
   else if (verb == "heartbeat") m.type = MsgType::Heartbeat;
   else return std::nullopt;
 
-  const auto worker = fields->uint("worker");
+  const auto worker = f.uint(kWorker);
   if (!worker) return std::nullopt;
   m.worker_id = *worker;
 
   switch (m.type) {
     case MsgType::WorkerReady:
     case MsgType::Heartbeat: {
-      const auto res = parse_resources(*fields);
+      const auto res = f.resources();
       if (!res) return std::nullopt;
       m.resources = *res;
       break;
     }
     case MsgType::TaskDispatch: {
-      const auto task = fields->uint("task");
-      const auto res = parse_resources(*fields);
-      const auto cat = fields->kv.find("category");
-      if (!task || !res || cat == fields->kv.end()) return std::nullopt;
-      const auto unescaped = unescape(cat->second);
-      if (!unescaped) return std::nullopt;
+      const auto task = f.uint(kTask);
+      const auto attempt = f.attempt();
+      const auto res = f.resources();
+      const auto& cat = f.text(kCategory);
+      if (!task || !attempt || !res || !cat) return std::nullopt;
+      if (!unescape_into(*cat, m.category)) return std::nullopt;
       m.task_id = *task;
-      m.attempt = fields->uint("attempt").value_or(0);
+      m.attempt = *attempt;
       m.resources = *res;
-      m.category = *unescaped;
       break;
     }
     case MsgType::TaskResult: {
-      const auto task = fields->uint("task");
-      const auto res = parse_resources(*fields);
-      const auto runtime = fields->number("runtime");
-      const auto exceeded = fields->uint("exceeded");
-      const auto outcome = fields->kv.find("outcome");
-      if (!task || !res || !runtime || !exceeded ||
-          outcome == fields->kv.end()) {
+      const auto task = f.uint(kTask);
+      const auto attempt = f.attempt();
+      const auto res = f.resources();
+      const auto runtime = f.amount(kRuntime);
+      const auto exceeded = f.uint(kExceeded);
+      const auto& outcome = f.text(kOutcome);
+      if (!task || !attempt || !res || !runtime || !exceeded ||
+          *exceeded > kMaxExceededMask || !outcome) {
         return std::nullopt;
       }
-      if (outcome->second == "success") m.outcome = Outcome::Success;
-      else if (outcome->second == "exhausted") {
-        m.outcome = Outcome::ResourceExhausted;
-      } else {
-        return std::nullopt;
-      }
+      if (*outcome == "success") m.outcome = Outcome::Success;
+      else if (*outcome == "exhausted") m.outcome = Outcome::ResourceExhausted;
+      else return std::nullopt;
       m.task_id = *task;
-      m.attempt = fields->uint("attempt").value_or(0);
+      m.attempt = *attempt;
       m.resources = *res;
       m.runtime_s = *runtime;
       m.exceeded_mask = static_cast<unsigned>(*exceeded);
       break;
     }
     case MsgType::Evict: {
-      const auto task = fields->uint("task");
+      const auto task = f.uint(kTask);
       if (!task) return std::nullopt;
       m.task_id = *task;
       break;

@@ -1,10 +1,10 @@
 #include "proto/net/session.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <span>
 #include <stdexcept>
 
+#include "proto/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace tora::proto::net {
@@ -15,49 +15,10 @@ constexpr std::string_view kControlPrefix = "tora!";
 constexpr std::string_view kHelloVerb = "tora!hello";
 constexpr std::string_view kWelcomeVerb = "tora!welcome";
 constexpr std::string_view kAckVerb = "tora!ack";
-constexpr std::string_view kCrcToken = " crc=";
-constexpr std::size_t kCrcHexDigits = 16;
 
 // Heartbeat application frames start with the heartbeat verb; the session
 // queue only needs to classify them, never parse them.
 constexpr std::string_view kHeartbeatVerb = "heartbeat ";
-
-/// Same checksum discipline as proto::decode: the `crc` token is spliced
-/// out and the FNV-1a hash of the remainder must match. Mandatory — a
-/// control frame without a checksum is a violation, not a legacy peer.
-bool crc_ok(std::string_view line) {
-  const std::size_t pos = line.find(kCrcToken);
-  if (pos == std::string_view::npos) return false;
-  const std::size_t value_at = pos + kCrcToken.size();
-  std::string_view hex = line.substr(value_at);
-  const std::size_t sp = hex.find(' ');
-  if (sp != std::string_view::npos) hex = hex.substr(0, sp);
-  if (hex.size() != kCrcHexDigits) return false;
-  std::uint64_t want = 0;
-  const auto [end, ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), want, 16);
-  if (ec != std::errc{} || end != hex.data() + hex.size()) return false;
-  std::string content;
-  content.reserve(line.size());
-  content.append(line.substr(0, pos));
-  content.append(line.substr(value_at + hex.size()));
-  return util::hash64(content) == want;
-}
-
-/// Splices ` crc=<16hex>` in directly after the verb, mirroring
-/// proto::encode so one corruption model covers both layers.
-std::string seal(std::string_view verb, const std::string& fields) {
-  std::string content(verb);
-  content += fields;
-  char crc[kCrcHexDigits + 1];
-  std::snprintf(crc, sizeof(crc), "%016llx",
-                static_cast<unsigned long long>(util::hash64(content)));
-  std::string line(verb);
-  line.append(kCrcToken);
-  line.append(crc);
-  line.append(fields);
-  return line;
-}
 
 void put_u64(std::string& out, const char* key, std::uint64_t v) {
   out.push_back(' ');
@@ -70,7 +31,7 @@ void put_u64(std::string& out, const char* key, std::uint64_t v) {
 }
 
 /// Minimal strict field scanner for control frames: every token after the
-/// verb must be `key=<decimal u64>` (the crc token is skipped — crc_ok
+/// verb must be `key=<decimal u64>` (the crc token is skipped — checksum_ok
 /// already validated it). Returns false on any other shape.
 struct ControlFields {
   struct Slot {
@@ -81,7 +42,7 @@ struct ControlFields {
 
   static bool parse(std::string_view line, std::string_view verb,
                     std::span<Slot> slots) {
-    if (!crc_ok(line)) return false;
+    if (!checksum_ok(line)) return false;
     if (line.substr(0, verb.size()) != verb) return false;
     std::string_view rest = line.substr(verb.size());
     std::size_t pos = 0;
@@ -147,27 +108,33 @@ bool is_control_frame(std::string_view frame) noexcept {
 }
 
 std::string encode_hello(const HelloFrame& h) {
-  std::string fields;
-  put_u64(fields, "v", h.version);
-  put_u64(fields, "worker", h.worker_id);
-  put_u64(fields, "token", h.token);
-  put_u64(fields, "rx", h.rx_seq);
-  return seal(kHelloVerb, fields);
+  std::string line;
+  open_line(line, kHelloVerb);
+  put_u64(line, "v", h.version);
+  put_u64(line, "worker", h.worker_id);
+  put_u64(line, "token", h.token);
+  put_u64(line, "rx", h.rx_seq);
+  seal_line(line, kHelloVerb.size());
+  return line;
 }
 
 std::string encode_welcome(const WelcomeFrame& w) {
-  std::string fields;
-  put_u64(fields, "v", w.version);
-  put_u64(fields, "token", w.token);
-  put_u64(fields, "rx", w.rx_seq);
-  put_u64(fields, "resume", w.resumed ? 1 : 0);
-  return seal(kWelcomeVerb, fields);
+  std::string line;
+  open_line(line, kWelcomeVerb);
+  put_u64(line, "v", w.version);
+  put_u64(line, "token", w.token);
+  put_u64(line, "rx", w.rx_seq);
+  put_u64(line, "resume", w.resumed ? 1 : 0);
+  seal_line(line, kWelcomeVerb.size());
+  return line;
 }
 
 std::string encode_ack(const AckFrame& a) {
-  std::string fields;
-  put_u64(fields, "rx", a.rx_seq);
-  return seal(kAckVerb, fields);
+  std::string line;
+  open_line(line, kAckVerb);
+  put_u64(line, "rx", a.rx_seq);
+  seal_line(line, kAckVerb.size());
+  return line;
 }
 
 std::optional<HelloFrame> decode_hello(std::string_view frame) {

@@ -9,41 +9,66 @@ namespace tora::util {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: table 0 is the classic bytewise table; table k maps
+/// a byte to its CRC contribution k bytes further down the stream, so eight
+/// lookups advance the CRC by eight bytes.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+/// Little-endian load with explicit shifts: independent of host byte order.
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view data, std::uint32_t seed) noexcept {
-  static constexpr auto kTable = make_crc_table();
+  static constexpr CrcTables kT = make_crc_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    c = kTable[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kT[7][lo & 0xFFu] ^ kT[6][(lo >> 8) & 0xFFu] ^
+        kT[5][(lo >> 16) & 0xFFu] ^ kT[4][lo >> 24] ^ kT[3][hi & 0xFFu] ^
+        kT[2][(hi >> 8) & 0xFFu] ^ kT[1][(hi >> 16) & 0xFFu] ^ kT[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = kT[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
 void ByteWriter::u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  out_.append(b, sizeof(b));
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  out_.append(b, sizeof(b));
 }
 
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }

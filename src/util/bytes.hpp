@@ -9,9 +9,11 @@ namespace tora::util {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
 /// continuing from `seed` (pass the previous result to checksum a stream in
-/// pieces). Used by the recovery journal to detect torn or corrupted
-/// records; the protocol's per-line FNV hash stays separate (different
-/// failure model: wire corruption vs. partial disk writes).
+/// pieces). Computed eight bytes at a time (slicing-by-8); the values are
+/// those of the bytewise definition on every host. Used by the recovery
+/// journal to detect torn or corrupted records; the protocol's per-line FNV
+/// hash stays separate (different failure model: wire corruption vs.
+/// partial disk writes).
 std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0) noexcept;
 
 /// Little-endian binary encoder for the recovery snapshot/journal formats.

@@ -13,8 +13,8 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t hash64(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t hash64(std::string_view s, std::uint64_t seed) noexcept {
+  std::uint64_t h = seed;
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ull;

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "proto/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -252,6 +256,94 @@ TEST(ProtoMessageFuzz, MutatedLinesNeverThrowOrHalfParse) {
     EXPECT_NO_THROW(decoded = decode(line)) << line;
     if (decoded) EXPECT_EQ(*decoded, orig) << line;
   }
+}
+
+// A line with a valid checksum around arbitrary fields, so the tests below
+// reach the field rules rather than the integrity check.
+std::string sealed(std::string_view verb, std::string_view fields) {
+  std::string line;
+  tora::proto::open_line(line, verb);
+  line.append(fields);
+  tora::proto::seal_line(line, verb.size());
+  return line;
+}
+
+TEST(ProtoMessageStrict, SealedBaselinesDecode) {
+  // The unmodified versions of the lines below decode, so each rejection
+  // there is down to the one field it changes.
+  EXPECT_TRUE(decode(sealed("evict", " worker=1 task=2")));
+  EXPECT_TRUE(decode(
+      sealed("ready", " worker=1 cores=1 memory=1 disk=1 time=0")));
+  EXPECT_TRUE(decode(sealed(
+      "result", " worker=1 task=2 attempt=1 outcome=success runtime=1 "
+                "exceeded=15 cores=1 memory=1 disk=1 time=0")));
+}
+
+TEST(ProtoMessageStrict, IntegerFieldsParseExactly) {
+  EXPECT_FALSE(decode(sealed("evict", " worker=1 task=nan")));
+  EXPECT_FALSE(decode(sealed("evict", " worker=1 task=1e300")));
+  EXPECT_FALSE(decode(sealed("evict", " worker=1 task=2.7")));
+  EXPECT_FALSE(decode(sealed("evict", " worker=1 task=18446744073709551616")));
+  EXPECT_FALSE(
+      decode(sealed("ready", " worker=+1 cores=1 memory=1 disk=1 time=0")));
+  EXPECT_FALSE(decode(sealed(
+      "dispatch", " worker=1 task=2 attempt=x category=c cores=1 memory=1 "
+                  "disk=1 time=0")));
+}
+
+TEST(ProtoMessageStrict, AmountsMustBeFiniteAndNonNegative) {
+  EXPECT_FALSE(
+      decode(sealed("ready", " worker=1 cores=nan memory=1 disk=1 time=0")));
+  EXPECT_FALSE(
+      decode(sealed("ready", " worker=1 cores=1 memory=-5 disk=1 time=0")));
+  EXPECT_FALSE(decode(
+      sealed("heartbeat", " worker=1 cores=1 memory=1 disk=inf time=0")));
+  EXPECT_FALSE(decode(sealed(
+      "result", " worker=1 task=2 attempt=1 outcome=success runtime=-1 "
+                "exceeded=0 cores=1 memory=1 disk=1 time=0")));
+
+  // The same rules hold for a message this codec encoded itself.
+  Message m = result_msg();
+  m.resources = ResourceVector{std::nan(""), 512.0, 306.0, 0.0};
+  EXPECT_FALSE(decode(encode(m)));
+  m = result_msg();
+  m.runtime_s = -INFINITY;
+  EXPECT_FALSE(decode(encode(m)));
+}
+
+TEST(ProtoMessageStrict, ExceededNamesOnlyResourceBits) {
+  EXPECT_FALSE(decode(sealed(
+      "result", " worker=1 task=2 attempt=1 outcome=success runtime=1 "
+                "exceeded=16 cores=1 memory=1 disk=1 time=0")));
+  Message m = result_msg();
+  m.exceeded_mask = 16;
+  EXPECT_FALSE(decode(encode(m)));
+}
+
+TEST(ProtoMessageStrict, LargeIdsAndSubnormalsRoundTripExactly) {
+  Message m = result_msg();
+  m.task_id = (std::uint64_t{1} << 53) + 1;  // not exact as a double
+  m.worker_id = ~std::uint64_t{0};
+  m.attempt = (std::uint64_t{1} << 63) + 7;
+  m.resources = ResourceVector{4.9406564584124654e-324, 512.0, 306.0, 0.0};
+  m.runtime_s = 2.2250738585072009e-308;  // the largest subnormal
+  const std::string line = encode(m);
+  EXPECT_NE(line.find(" cores=4.9406564584124654e-324"), std::string::npos);
+  const auto d = decode(line);
+  ASSERT_TRUE(d) << line;
+  EXPECT_EQ(*d, m);
+  EXPECT_EQ(d->task_id, 9007199254740993u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d->resources.cores()), 1u);
+}
+
+TEST(ProtoMessageStrict, NegativeZeroIsAllowed) {
+  Message m = result_msg();
+  m.resources = ResourceVector{-0.0, 512.0, 306.0, -0.0};
+  m.runtime_s = -0.0;
+  const auto d = decode(encode(m));
+  ASSERT_TRUE(d);
+  EXPECT_TRUE(std::signbit(d->resources.cores()));
+  EXPECT_TRUE(std::signbit(d->runtime_s));
 }
 
 }  // namespace

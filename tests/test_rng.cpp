@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -146,6 +148,20 @@ TEST(Rng, Hash64StableAndDistinct) {
   EXPECT_EQ(tora::util::hash64("abc"), tora::util::hash64("abc"));
   EXPECT_NE(tora::util::hash64("abc"), tora::util::hash64("abd"));
   EXPECT_NE(tora::util::hash64(""), tora::util::hash64("a"));
+}
+
+TEST(Rng, Hash64ContinuesAcrossPieces) {
+  using tora::util::hash64;
+  EXPECT_EQ(hash64("abc"), hash64("abc", tora::util::kHash64Seed));
+  EXPECT_EQ(hash64(""), tora::util::kHash64Seed);
+  tora::util::Rng rng(77);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string s(rng.uniform_int(0, 64), '\0');
+    for (char& c : s) c = static_cast<char>(rng.uniform_int(0, 255));
+    const std::size_t cut = rng.uniform_int(0, s.size());
+    const std::string_view v(s);
+    EXPECT_EQ(hash64(v.substr(cut), hash64(v.substr(0, cut))), hash64(v));
+  }
 }
 
 TEST(Rng, SplitMix64Advances) {

@@ -188,6 +188,17 @@ TEST(SessionCodec, WelcomeAndAckRoundTrip) {
   EXPECT_EQ(ab->rx_seq, 17u);
 }
 
+// Handshake frames are a wire format peers of other versions read: their
+// bytes, checksum included, must not change.
+TEST(SessionCodec, HandshakeBytesArePinned) {
+  EXPECT_EQ(encode_hello(HelloFrame{1, 3, 12345, 6}),
+            "tora!hello crc=f11423fa06fdd70e v=1 worker=3 token=12345 rx=6");
+  EXPECT_EQ(encode_welcome(WelcomeFrame{1, 0x9f00000000000002ull, 17, true}),
+            "tora!welcome crc=3dd15d646f4acc57 v=1 "
+            "token=11457157452030541826 rx=17 resume=1");
+  EXPECT_EQ(encode_ack(AckFrame{42}), "tora!ack crc=20334a2fd8e500ce rx=42");
+}
+
 TEST(SessionCodec, EveryTruncationOfAValidHelloIsRejected) {
   const std::string wire = encode_hello(HelloFrame{1, 3, 12345, 6});
   for (std::size_t len = 0; len < wire.size(); ++len) {
