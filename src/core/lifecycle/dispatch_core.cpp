@@ -83,14 +83,18 @@ std::size_t DispatchCore::dispatch_pass(const PlaceFn& place,
                                         const DeferFn& defer,
                                         std::size_t max_placements) {
   // One pass suffices: placements only shrink the free space, so a task
-  // that did not fit now will not fit later in the same pass.
-  std::deque<std::uint64_t> waiting;
+  // that did not fit now will not fit later in the same pass. The queue is
+  // compacted in place: tasks that stay (deferred or unplaced) are written
+  // back to its front in scan order, and the tasks never scanned (placement
+  // quota reached) follow them.
+  const std::size_t queued = ready_.size();
+  std::size_t scanned = 0;
+  std::size_t kept = 0;
   std::size_t placed = 0;
-  while (!ready_.empty() && placed < max_placements) {
-    const std::uint64_t task_id = ready_.front();
-    ready_.pop_front();
+  while (scanned < queued && placed < max_placements) {
+    const std::uint64_t task_id = ready_[scanned++];
     if (defer && defer(task_id)) {
-      waiting.push_back(task_id);
+      ready_[kept++] = task_id;
       continue;
     }
     ensure_allocation(task_id);
@@ -109,16 +113,11 @@ std::size_t DispatchCore::dispatch_pass(const PlaceFn& place,
       commit(task_id, *worker, e.alloc);
       ++placed;
     } else {
-      waiting.push_back(task_id);
+      ready_[kept++] = task_id;
     }
   }
-  // Tasks never scanned (placement quota reached) keep their order behind
-  // the scanned-but-unplaced ones.
-  while (!ready_.empty()) {
-    waiting.push_back(ready_.front());
-    ready_.pop_front();
-  }
-  ready_ = std::move(waiting);
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(kept),
+               ready_.begin() + static_cast<std::ptrdiff_t>(scanned));
   return placed;
 }
 
@@ -261,8 +260,15 @@ void DispatchCore::load_state(util::ByteReader& r) {
     throw std::runtime_error(
         "DispatchCore: snapshot task count does not match the workload");
   }
+  // Bytes per serialized AttemptLog (five f64s) and per ready-queue id.
+  constexpr std::size_t kAttemptBytes = 8 * (kResourceCount + 1);
+  constexpr std::size_t kIdBytes = 8;
   for (TaskEntry& e : entries_) {
-    e.phase = static_cast<TaskPhase>(r.u8());
+    const std::uint8_t phase = r.u8();
+    if (phase > static_cast<std::uint8_t>(TaskPhase::Fatal)) {
+      throw std::runtime_error("DispatchCore: snapshot phase out of range");
+    }
+    e.phase = static_cast<TaskPhase>(phase);
     e.submitted = r.u8() != 0;
     e.has_alloc = r.u8() != 0;
     e.is_retry = r.u8() != 0;
@@ -271,7 +277,12 @@ void DispatchCore::load_state(util::ByteReader& r) {
     e.running_on = r.u64();
     for (ResourceKind k : kAllResources) e.alloc[k] = r.f64();
     e.deps_remaining = r.u64();
-    e.failed_attempts.resize(r.u64());
+    const std::uint64_t failed = r.u64();
+    if (failed > r.remaining() / kAttemptBytes) {
+      throw std::runtime_error(
+          "DispatchCore: snapshot failed_attempts count exceeds the payload");
+    }
+    e.failed_attempts.resize(failed);
     for (AttemptLog& a : e.failed_attempts) {
       for (ResourceKind k : kAllResources) a.alloc[k] = r.f64();
       a.runtime_s = r.f64();
@@ -279,7 +290,22 @@ void DispatchCore::load_state(util::ByteReader& r) {
   }
   ready_.clear();
   const std::uint64_t queued = r.u64();
-  for (std::uint64_t i = 0; i < queued; ++i) ready_.push_back(r.u64());
+  if (queued > r.remaining() / kIdBytes) {
+    throw std::runtime_error(
+        "DispatchCore: snapshot ready-queue count exceeds the payload");
+  }
+  std::vector<char> listed(entries_.size(), 0);
+  for (std::uint64_t i = 0; i < queued; ++i) {
+    const std::uint64_t id = r.u64();
+    if (id >= entries_.size() || listed[id] ||
+        entries_[id].phase != TaskPhase::Queued) {
+      throw std::runtime_error(
+          "DispatchCore: snapshot ready-queue id must name a Queued task "
+          "once");
+    }
+    listed[id] = 1;
+    ready_.push_back(id);
+  }
   accounting_.load(r);
   for (ResourceKind k : kAllResources) evicted_alloc_[k] = r.f64();
   evictions_ = r.u64();

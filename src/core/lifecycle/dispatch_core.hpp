@@ -128,6 +128,11 @@ class RuntimeHooks {
 /// is entirely CategoryId-indexed.
 class DispatchCore {
  public:
+  // The three dispatch_pass callbacks run while the pass compacts the
+  // ready queue in place: like RuntimeHooks, they must not re-enter the
+  // core (no complete, fail_attempt, requeue_front, mark_submitted or
+  // dispatch_pass from inside one).
+
   /// Returns the chosen worker for (task, alloc), or nullopt if nothing
   /// fits right now. Must not commit resources (commit does).
   using PlaceFn = std::function<std::optional<std::uint64_t>(
@@ -258,7 +263,10 @@ class DispatchCore {
   /// dependency graph, interned category ids, config) is NOT serialized —
   /// load_state requires a core freshly constructed over the same workload
   /// and config, and restores it to bit-identical mutable state. Hooks do
-  /// not fire during load (the events already happened).
+  /// not fire during load (the events already happened). load_state throws
+  /// std::runtime_error, naming the field, for a phase byte above Fatal, a
+  /// failed-attempt or ready-queue count larger than the bytes left, or a
+  /// ready-queue id that is out of range, repeated, or not Queued.
   void save_state(util::ByteWriter& w) const;
   void load_state(util::ByteReader& r);
 

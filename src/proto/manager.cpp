@@ -1,6 +1,7 @@
 #include "proto/manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,9 @@ using core::recovery::ManagerCrashPoint;
 using core::recovery::RecordType;
 
 namespace {
+
+/// Relative slack of the snapshot check on a worker's commitment.
+constexpr double kCommitDust = 1e-9;
 
 core::lifecycle::DispatchConfig dispatch_config(const LivenessConfig& cfg) {
   core::lifecycle::DispatchConfig dc;
@@ -85,6 +89,7 @@ ProtocolManager::ProtocolManager(
   for (const auto& link : links_) {
     if (!link) throw std::invalid_argument("ProtocolManager: null link");
   }
+  index_.reset(links_.size());
 }
 
 void ProtocolManager::start() {
@@ -236,7 +241,34 @@ void ProtocolManager::on_heartbeat(const Message& msg) {
   ws.capacity = msg.resources;
   ws.link = links_[msg.worker_id];
   ws.last_seen_tick = tick_;
-  workers_[msg.worker_id] = std::move(ws);
+  add_worker(msg.worker_id, std::move(ws));
+}
+
+void ProtocolManager::add_worker(std::uint64_t wid, WorkerState ws) {
+  WorkerState& slot = workers_[wid];
+  slot = std::move(ws);
+  refresh(wid, slot);
+}
+
+ProtocolManager::WorkerState& ProtocolManager::commit(
+    std::uint64_t wid, const ResourceVector& alloc) {
+  WorkerState& ws = workers_.at(wid);
+  ws.committed += alloc;
+  refresh(wid, ws);
+  return ws;
+}
+
+ProtocolManager::WorkerState* ProtocolManager::release(
+    std::uint64_t wid, const ResourceVector& alloc) {
+  const auto it = workers_.find(wid);
+  if (it == workers_.end()) return nullptr;
+  it->second.committed -= alloc;
+  refresh(wid, it->second);
+  return &it->second;
+}
+
+void ProtocolManager::refresh(std::uint64_t wid, const WorkerState& ws) {
+  index_.set(wid, ws.capacity - ws.committed);
 }
 
 void ProtocolManager::handle(const Message& msg) {
@@ -254,6 +286,7 @@ void ProtocolManager::handle(const Message& msg) {
         // manager would over-admit against the phantom free capacity.
         it->second.capacity = msg.resources;
         it->second.last_seen_tick = tick_;
+        refresh(msg.worker_id, it->second);
         break;
       }
       if (cfg_.resilience.reliability &&
@@ -265,7 +298,7 @@ void ProtocolManager::handle(const Message& msg) {
       ws.capacity = msg.resources;
       ws.link = links_[msg.worker_id];
       ws.last_seen_tick = tick_;
-      workers_[msg.worker_id] = std::move(ws);
+      add_worker(msg.worker_id, std::move(ws));
       break;
     }
     case MsgType::TaskResult:
@@ -287,8 +320,7 @@ void ProtocolManager::handle(const Message& msg) {
           cancel_speculation(msg.task_id);
           break;
         }
-        auto it = workers_.find(entry.running_on);
-        if (it != workers_.end()) it->second.committed -= entry.alloc;
+        release(entry.running_on, entry.alloc);
         ++chaos_.protocol_evictions;
         ++chaos_.redispatches;
         core_.charge_eviction(msg.task_id, 1.0);
@@ -340,8 +372,7 @@ void ProtocolManager::on_result(const Message& msg) {
     // primary attempt is speculative waste (never the eviction ledger —
     // nothing was evicted), and its late result will fail the gate above
     // once the duplicate is promoted below.
-    auto pit = workers_.find(entry.running_on);
-    if (pit != workers_.end()) pit->second.committed -= entry.alloc;
+    release(entry.running_on, entry.alloc);
     core_.charge_speculation(msg.task_id, 1.0);
     promote_speculation(msg.task_id);
   } else if (st.spec_active) {
@@ -349,10 +380,8 @@ void ProtocolManager::on_result(const Message& msg) {
     // capacity frees now; its late result will be stale).
     cancel_speculation(msg.task_id);
   }
-  auto wit = workers_.find(msg.worker_id);
-  if (wit != workers_.end()) {
-    wit->second.committed -= entry.alloc;
-    wit->second.consecutive_failures = 0;
+  if (WorkerState* ws = release(msg.worker_id, entry.alloc)) {
+    ws->consecutive_failures = 0;
   }
   st.infra_failures = 0;
   if (cfg_.resilience.reliability) reliability_.on_success(msg.worker_id);
@@ -443,8 +472,7 @@ void ProtocolManager::check_liveness() {
     ++chaos_.attempt_timeouts;
     if (adaptive) ++res_counters_.adaptive_deadlines_used;
     const std::uint64_t wid = entry.running_on;
-    auto it = workers_.find(wid);
-    if (it != workers_.end()) it->second.committed -= entry.alloc;
+    WorkerState* ws = release(wid, entry.alloc);
     if (cfg_.resilience.reliability) reliability_.on_offense(wid);
     if (st.spec_active && !spec_timed_out &&
         workers_.count(st.spec_worker) != 0) {
@@ -457,8 +485,7 @@ void ProtocolManager::check_liveness() {
       cancel_speculation(t);
       requeue_infra(t);
     }
-    if (it != workers_.end() &&
-        ++it->second.consecutive_failures >= cfg_.worker_failure_limit) {
+    if (ws && ++ws->consecutive_failures >= cfg_.worker_failure_limit) {
       util::log_info("manager: worker ", wid, " hit ",
                      cfg_.worker_failure_limit,
                      " consecutive attempt timeouts, quarantining");
@@ -528,7 +555,9 @@ void ProtocolManager::remove_worker(std::uint64_t worker_id, bool quarantine) {
       st.spec_active = false;
     }
   }
-  workers_.erase(worker_id);
+  if (workers_.erase(worker_id) != 0) {
+    index_.set(worker_id, core::lifecycle::PlacementIndex::kAbsent);
+  }
   if (quarantine && worker_id < quarantined_.size()) {
     ++chaos_.workers_quarantined;
     if (cfg_.resilience.reliability) {
@@ -575,31 +604,32 @@ bool ProtocolManager::transport_overloaded() const noexcept {
 std::optional<std::uint64_t> ProtocolManager::place_worker(
     const ResourceVector& alloc, std::optional<std::uint64_t> exclude,
     bool* bp_blocked) const {
-  const auto pushed_back = [this, bp_blocked](std::uint64_t wid) {
-    if (wid >= bp_sample_.size() || !bp_sample_[wid]) return false;
-    if (bp_blocked) *bp_blocked = true;
+  // The index prunes on capacity - committed, the very limit fits_within
+  // compares against, so it visits every fitting worker in id order; the
+  // checks below still decide at each one.
+  const auto fits = [&](std::uint64_t wid) {
+    if (exclude && wid == *exclude) return false;
+    const WorkerState& ws = workers_.at(wid);
+    if (!alloc.fits_within(ws.capacity - ws.committed)) return false;
+    if (wid < bp_sample_.size() && bp_sample_[wid]) {
+      if (bp_blocked) *bp_blocked = true;
+      return false;
+    }
     return true;
   };
   if (!cfg_.resilience.reliability) {
     // First-fit against announced capacities (the legacy policy).
-    for (const auto& [wid, ws] : workers_) {
-      if (exclude && wid == *exclude) continue;
-      if (!alloc.fits_within(ws.capacity - ws.committed)) continue;
-      if (pushed_back(wid)) continue;
-      return wid;
-    }
+    if (const auto wid = index_.first_fit(alloc, fits)) return *wid;
     return std::nullopt;
   }
   // Reliability-aware: the most reliable non-probationary fit, ties to the
-  // lowest id (the map order); probationary workers only as a last resort.
+  // lowest id; probationary workers only as a last resort.
   std::optional<std::uint64_t> pick;
   double pick_score = -1.0;
   bool pick_probationary = true;
   const double now = static_cast<double>(tick_);
-  for (const auto& [wid, ws] : workers_) {
-    if (exclude && wid == *exclude) continue;
-    if (!alloc.fits_within(ws.capacity - ws.committed)) continue;
-    if (pushed_back(wid)) continue;
+  index_.for_each_fit(alloc, [&](std::uint64_t wid) {
+    if (!fits(wid)) return;
     const bool probationary = reliability_.probationary(wid, now);
     const double score = reliability_.score(wid);
     const bool better = !pick || (pick_probationary && !probationary) ||
@@ -610,7 +640,7 @@ std::optional<std::uint64_t> ProtocolManager::place_worker(
       pick_score = score;
       pick_probationary = probationary;
     }
-  }
+  });
   return pick;
 }
 
@@ -657,8 +687,7 @@ void ProtocolManager::dispatch_queued() {
       // machine already stamped the attempt id (entry.attempts).
       [this, &inflight](std::uint64_t task_id, std::uint64_t wid,
                         const ResourceVector& alloc) {
-        WorkerState& ws = workers_.at(wid);
-        ws.committed += alloc;
+        WorkerState& ws = commit(wid, alloc);
         proto_states_[task_id].dispatch_tick = tick_;
         ++inflight;
         if (!replaying_) {
@@ -705,8 +734,7 @@ void ProtocolManager::maybe_speculate() {
     if (static_cast<double>(tick_ - st.dispatch_tick) <= *threshold) continue;
     const auto wid = place_worker(entry.alloc, entry.running_on);
     if (!wid) continue;
-    WorkerState& ws = workers_.at(*wid);
-    ws.committed += entry.alloc;
+    WorkerState& ws = commit(*wid, entry.alloc);
     st.spec_active = true;
     st.spec_worker = *wid;
     st.spec_tick = tick_;
@@ -729,10 +757,7 @@ void ProtocolManager::maybe_speculate() {
 void ProtocolManager::cancel_speculation(std::uint64_t task_id) {
   ProtoTaskState& st = proto_states_[task_id];
   if (!st.spec_active) return;
-  auto it = workers_.find(st.spec_worker);
-  if (it != workers_.end()) {
-    it->second.committed -= core_.entry(task_id).alloc;
-  }
+  release(st.spec_worker, core_.entry(task_id).alloc);
   core_.charge_speculation(task_id, 1.0);
   ++res_counters_.speculations_cancelled;
   st.spec_active = false;
@@ -969,6 +994,7 @@ void ProtocolManager::restore_state(util::ByteReader& r) {
   dispatches_ = r.u64();
   started_ = r.u8() != 0;
   workers_.clear();
+  index_.reset(links_.size());
   const std::uint64_t worker_count = r.u64();
   for (std::uint64_t i = 0; i < worker_count; ++i) {
     const std::uint64_t wid = r.u64();
@@ -977,15 +1003,37 @@ void ProtocolManager::restore_state(util::ByteReader& r) {
           "recovery snapshot: worker id beyond the link table (snapshot from "
           "a different deployment?)");
     }
+    if (!workers_.empty() && wid <= workers_.rbegin()->first) {
+      throw std::runtime_error(
+          "recovery snapshot: worker ids must ascend strictly");
+    }
     WorkerState ws;
     for (ResourceKind k : core::kAllResources) ws.capacity[k] = r.f64();
     for (ResourceKind k : core::kAllResources) ws.committed[k] = r.f64();
+    for (ResourceKind k : core::kManagedResources) {
+      // >= 0, not > 0: the wire lets a worker announce a zero dimension,
+      // and a restore must accept every registry the live manager holds.
+      const double cap = ws.capacity[k];
+      if (!std::isfinite(cap) || !(cap >= 0.0)) {
+        throw std::runtime_error(
+            "recovery snapshot: worker capacity must be finite and >= 0");
+      }
+      // Releases subtract without clamping, so a fully released worker can
+      // keep a few ulps of dust on either side of zero. The check is
+      // negated so that NaN fails too.
+      if (!(ws.committed[k] >= -cap * kCommitDust &&
+            ws.committed[k] <= cap * (1.0 + kCommitDust))) {
+        throw std::runtime_error(
+            "recovery snapshot: worker committed must be finite and within "
+            "[0, capacity]");
+      }
+    }
     ws.last_seen_tick = r.u64();
     ws.consecutive_failures = r.u64();
     // Links are rebound by position: worker ids equal link indices, and the
     // links (with their in-flight messages) survive the manager crash.
     ws.link = links_[wid];
-    workers_[wid] = std::move(ws);
+    add_worker(wid, std::move(ws));
   }
   if (r.u64() != proto_states_.size()) {
     throw std::runtime_error(

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/lifecycle/dispatch_core.hpp"
+#include "core/lifecycle/placement_index.hpp"
 #include "core/metrics.hpp"
 #include "core/recovery/crash.hpp"
 #include "core/recovery/recovery_log.hpp"
@@ -64,6 +65,10 @@ namespace tora::proto {
 /// with sends enabled. An attached CrashMonitor injects deterministic
 /// ManagerCrash exceptions at the named pump/snapshot boundaries.
 class ProtocolManager : private core::lifecycle::RuntimeHooks {
+  /// Drives the worker registry and place_worker directly: the differential
+  /// placement test (tests/test_placement_index.cpp).
+  friend struct PlacementTestPeer;
+
  public:
   /// Single-tenant with the pass-through arbiter — byte-identical wire and
   /// snapshot behavior to the pre-tenancy manager.
@@ -232,6 +237,19 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
     std::size_t consecutive_failures = 0;
   };
 
+  // Worker registry. Every change to a worker's free capacity goes through
+  // these, which keep the placement index (slot = worker id = link index)
+  // exact: each leaf is capacity - committed, the limit fits_within
+  // compares against.
+  /// Registers worker `wid` (replacing any earlier entry).
+  void add_worker(std::uint64_t wid, WorkerState ws);
+  /// Binds `alloc` on registered worker `wid`; returns it.
+  WorkerState& commit(std::uint64_t wid, const core::ResourceVector& alloc);
+  /// Frees `alloc` on worker `wid`; returns it, or null if it is gone.
+  WorkerState* release(std::uint64_t wid, const core::ResourceVector& alloc);
+  /// Re-derives worker `wid`'s leaf after its capacity or commitment moved.
+  void refresh(std::uint64_t wid, const WorkerState& ws);
+
   void handle(const Message& msg);
   void on_heartbeat(const Message& msg);
   void on_result(const Message& msg);
@@ -294,7 +312,9 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// normally; with reliability scoring, the most reliable
   /// non-probationary fit (ties to the lowest id), probationary workers as
   /// last resort. `bp_blocked` (nullable) is set when at least one worker
-  /// fit but was skipped only for backpressure.
+  /// fit but was skipped only for backpressure. Both searches run over the
+  /// placement index, which visits exactly the fitting workers in id
+  /// order.
   std::optional<std::uint64_t> place_worker(const core::ResourceVector& alloc,
                                             std::optional<std::uint64_t>
                                                 exclude,
@@ -327,6 +347,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// composed copy otherwise).
   std::span<const core::TaskSpec> tasks_;
   std::map<std::uint64_t, WorkerState> workers_;
+  /// Derived from workers_ (never serialized): one slot per link.
+  core::lifecycle::PlacementIndex index_;
   std::vector<ProtoTaskState> proto_states_;
   core::ChaosCounters chaos_;
   std::vector<char> quarantined_;

@@ -416,7 +416,7 @@ void Simulation::dispatch() {
       [this](std::uint64_t task_id, std::uint64_t worker_id,
              const ResourceVector& alloc) {
         const core::TaskSpec& spec = tasks_[task_id];
-        pool_.worker(worker_id).start(task_id, alloc);
+        pool_.start(worker_id, task_id, alloc);
         if (observer_) {
           observer_->on_attempt_started(now_, task_id, worker_id, alloc);
         }
@@ -465,7 +465,7 @@ void Simulation::schedule_resilience_events(std::uint64_t task_id) {
 void Simulation::cancel_speculation(std::uint64_t task_id) {
   SpecState& sp = spec_[task_id];
   if (!sp.active || sp.promoted) return;
-  pool_.worker(sp.worker).finish(task_id, core_.entry(task_id).alloc);
+  pool_.finish(sp.worker, task_id, core_.entry(task_id).alloc);
   core_.charge_speculation(task_id, now_ - sp.start);
   ++res_counters_.speculations_cancelled;
   sp.active = false;
@@ -495,7 +495,7 @@ void Simulation::on_spec_check(const Event& e) {
   const auto worker =
       pool_.find_worker_for(entry.alloc, config_.placement, entry.running_on);
   if (!worker) return;
-  pool_.worker(*worker).start(task_id, entry.alloc);
+  pool_.start(*worker, task_id, entry.alloc);
   sp.active = true;
   sp.promoted = false;
   sp.worker = *worker;
@@ -523,7 +523,7 @@ void Simulation::on_spec_finish(const Event& e) {
   if (entry.phase != TaskPhase::Running || entry.running_on != sp.worker) {
     return;
   }
-  pool_.worker(sp.worker).finish(task_id, entry.alloc);
+  pool_.finish(sp.worker, task_id, entry.alloc);
   sp.active = false;
   sp.promoted = false;
   ++sp.token;
@@ -561,7 +561,7 @@ void Simulation::on_deadline_kill(const Event& e) {
   // eviction ledger. Each strike doubles the task's next deadline so a task
   // genuinely longer than its category's quantile still terminates.
   cancel_speculation(task_id);
-  pool_.worker(entry.running_on).finish(task_id, entry.alloc);
+  pool_.finish(entry.running_on, task_id, entry.alloc);
   ++timing_[task_id].epoch;
   ++deadline_strikes_[task_id];
   ++res_counters_.adaptive_deadlines_used;
@@ -594,7 +594,7 @@ void Simulation::on_attempt_finish(const Event& e) {
   }
   // The primary delivered first: the duplicate (if any) lost the race.
   cancel_speculation(task_id);
-  pool_.worker(e.b).finish(task_id, entry.alloc);
+  pool_.finish(e.b, task_id, entry.alloc);
   const core::TaskSpec& spec = tasks_[task_id];
   if (spec.demand.fits_within(entry.alloc, core_.managed())) {
     complete_task(task_id);

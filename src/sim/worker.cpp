@@ -1,5 +1,6 @@
 #include "sim/worker.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
@@ -8,6 +9,14 @@ namespace tora::sim {
 
 using core::ResourceKind;
 using core::ResourceVector;
+
+namespace {
+
+// A small relative epsilon absorbs accumulated floating-point error from
+// repeated commit/release cycles.
+constexpr double kEps = 1e-9;
+
+}  // namespace
 
 Worker::Worker(std::uint64_t id, const ResourceVector& capacity)
     : id_(id), capacity_(capacity) {
@@ -23,13 +32,33 @@ ResourceVector Worker::free() const noexcept {
 }
 
 bool Worker::can_fit(const ResourceVector& alloc) const noexcept {
-  // A small relative epsilon absorbs accumulated floating-point error from
-  // repeated commit/release cycles.
-  constexpr double kEps = 1e-9;
   for (ResourceKind k : core::kManagedResources) {
     if (committed_[k] + alloc[k] > capacity_[k] * (1.0 + kEps)) return false;
   }
   return true;
+}
+
+// can_fit accepts `a` iff fl(c + a) <= L on every dimension, where c is the
+// commitment and L = fl(capacity·(1 + kEps)). fit_bound returns
+// fl(fl(L - c) + m) with m = capacity·2^-40, which is >= every accepted `a`.
+// Let u be the gap from L to the next double up: doubles in [0, L] are at
+// most u apart and doubles in [0, 2L] at most 2u apart, so rounding a value
+// in those ranges moves it by at most u/2 and u. With a >= 0 and
+// 0 <= c <= L (start commits only what can_fit accepted, finish clamps
+// release dust at 0, load_state checks both):
+//  1. fl(c + a) <= L and rounding is monotone, so c + a <= L + u/2.
+//  2. L - c is in [0, L], so x = fl(L - c) >= L - c - u/2; by 1, a <= x + u.
+//  3. x + m is in [0, 2L], so fl(x + m) >= x + m - u >= x + u >= a, since
+//     m >= 2u: u <= L·2^-52 and L < 2·capacity.
+// The margin scales with the capacity, never with the headroom: near zero
+// headroom an ulp of L, not of L - c, decides can_fit's comparison.
+ResourceVector Worker::fit_bound() const noexcept {
+  ResourceVector bound;
+  for (ResourceKind k : core::kManagedResources) {
+    bound[k] = (capacity_[k] * (1.0 + kEps) - committed_[k]) +
+               capacity_[k] * 0x1p-40;
+  }
+  return bound;
 }
 
 void Worker::start(std::uint64_t task_id, const ResourceVector& alloc) {
@@ -69,8 +98,23 @@ Worker Worker::load_state(util::ByteReader& r) {
   const std::uint64_t id = r.u64();
   ResourceVector capacity;
   for (ResourceKind k : core::kAllResources) capacity[k] = r.f64();
+  for (ResourceKind k : core::kManagedResources) {
+    if (!std::isfinite(capacity[k]) || !(capacity[k] > 0.0)) {
+      throw std::runtime_error(
+          "Worker: snapshot capacity must be finite and > 0");
+    }
+  }
   Worker w(id, capacity);
   for (ResourceKind k : core::kAllResources) w.committed_[k] = r.f64();
+  for (ResourceKind k : core::kManagedResources) {
+    // Negated so that NaN fails too: every comparison with NaN is false.
+    if (!(w.committed_[k] >= 0.0 &&
+          w.committed_[k] <= capacity[k] * (1.0 + kEps))) {
+      throw std::runtime_error(
+          "Worker: snapshot committed must be finite and within "
+          "[0, capacity]");
+    }
+  }
   const std::uint64_t running = r.u64();
   for (std::uint64_t i = 0; i < running; ++i) w.running_.insert(r.u64());
   w.draining_ = r.u8() != 0;

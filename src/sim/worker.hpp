@@ -30,6 +30,11 @@ class Worker {
   /// True iff an allocation of `alloc` fits in the current free resources.
   bool can_fit(const core::ResourceVector& alloc) const noexcept;
 
+  /// Per managed dimension, an upper bound on every allocation can_fit
+  /// accepts: the worker's leaf in the pool's placement index
+  /// (core/lifecycle/placement_index.hpp). Slightly loose, never tight.
+  core::ResourceVector fit_bound() const noexcept;
+
   /// Commits `alloc` to task `task_id`. Throws std::logic_error if it does
   /// not fit or the task is already running here.
   void start(std::uint64_t task_id, const core::ResourceVector& alloc);
@@ -47,7 +52,9 @@ class Worker {
   void set_draining(bool d) noexcept { draining_ = d; }
 
   /// Snapshot/restore for simulation resume (id, capacity, commitments,
-  /// running set, draining flag).
+  /// running set, draining flag). load_state throws std::runtime_error
+  /// unless the capacity is finite and > 0 and the commitment finite and
+  /// within [0, capacity·(1 + 1e-9)] on every managed dimension.
   void save_state(util::ByteWriter& w) const;
   static Worker load_state(util::ByteReader& r);
 

@@ -1,42 +1,95 @@
 #include "sim/worker_pool.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
 
 namespace tora::sim {
 
+using core::lifecycle::PlacementIndex;
+
+namespace {
+
+/// Slots a compaction leaves room for at the least.
+constexpr std::size_t kMinSlots = 16;
+
+core::ResourceVector leaf_bound(const Worker& w) {
+  return w.draining() ? PlacementIndex::kAbsent : w.fit_bound();
+}
+
+}  // namespace
+
 std::uint64_t WorkerPool::add_worker() { return add_worker(capacity_); }
 
 std::uint64_t WorkerPool::add_worker(const core::ResourceVector& capacity) {
   const std::uint64_t id = next_id_++;
-  workers_.emplace(id, Worker(id, capacity));
+  Worker& w = workers_.emplace(id, Worker(id, capacity)).first->second;
   capacity_sum_ += capacity;
+  if (slots_.size() == index_.slots()) compact();
+  slots_.push_back({id, &w});
+  refresh(slots_.size() - 1);
   return id;
 }
 
 std::vector<std::uint64_t> WorkerPool::remove_worker(std::uint64_t id) {
-  const auto it = workers_.find(id);
-  if (it == workers_.end()) {
-    throw std::logic_error("WorkerPool: removing unknown worker");
-  }
-  std::vector<std::uint64_t> tasks(it->second.running_tasks().begin(),
-                                   it->second.running_tasks().end());
-  capacity_sum_ -= it->second.capacity();
-  workers_.erase(it);
+  const auto [w, slot] = locate(id);
+  std::vector<std::uint64_t> tasks(w->running_tasks().begin(),
+                                   w->running_tasks().end());
+  running_ -= w->running_count();
+  capacity_sum_ -= w->capacity();
+  slots_[slot].worker = nullptr;
+  index_.set(slot, PlacementIndex::kAbsent);
+  workers_.erase(id);
   return tasks;
 }
 
-Worker& WorkerPool::worker(std::uint64_t id) {
-  const auto it = workers_.find(id);
-  if (it == workers_.end()) throw std::logic_error("WorkerPool: unknown worker");
-  return it->second;
+const Worker& WorkerPool::worker(std::uint64_t id) const {
+  return *locate(id).first;
 }
 
-const Worker& WorkerPool::worker(std::uint64_t id) const {
-  const auto it = workers_.find(id);
-  if (it == workers_.end()) throw std::logic_error("WorkerPool: unknown worker");
-  return it->second;
+void WorkerPool::start(std::uint64_t id, std::uint64_t task_id,
+                       const core::ResourceVector& alloc) {
+  const auto [w, slot] = locate(id);
+  w->start(task_id, alloc);
+  ++running_;
+  refresh(slot);
+}
+
+void WorkerPool::finish(std::uint64_t id, std::uint64_t task_id,
+                        const core::ResourceVector& alloc) {
+  const auto [w, slot] = locate(id);
+  w->finish(task_id, alloc);
+  --running_;
+  refresh(slot);
+}
+
+void WorkerPool::set_draining(std::uint64_t id, bool draining) {
+  const auto [w, slot] = locate(id);
+  w->set_draining(draining);
+  refresh(slot);
+}
+
+std::pair<Worker*, std::size_t> WorkerPool::locate(std::uint64_t id) const {
+  const auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), id,
+      [](const Slot& s, std::uint64_t v) { return s.id < v; });
+  if (it == slots_.end() || it->id != id || it->worker == nullptr) {
+    throw std::logic_error("WorkerPool: unknown worker");
+  }
+  return {it->worker, static_cast<std::size_t>(it - slots_.begin())};
+}
+
+void WorkerPool::refresh(std::size_t slot) {
+  index_.set(slot, leaf_bound(*slots_[slot].worker));
+}
+
+void WorkerPool::compact() {
+  std::erase_if(slots_, [](const Slot& s) { return s.worker == nullptr; });
+  std::vector<core::ResourceVector> bounds;
+  bounds.reserve(slots_.size());
+  for (const Slot& s : slots_) bounds.push_back(leaf_bound(*s.worker));
+  index_.reset(std::max(kMinSlots, 2 * slots_.size()), bounds);
 }
 
 namespace {
@@ -60,27 +113,30 @@ double slack_after(const Worker& w, const core::ResourceVector& alloc) {
 std::optional<std::uint64_t> WorkerPool::find_worker_for(
     const core::ResourceVector& alloc, Placement placement,
     std::optional<std::uint64_t> exclude) const {
+  // The index prunes; can_fit decides at every leaf it admits.
+  const auto fits = [&](std::size_t slot) {
+    const Worker& w = *slots_[slot].worker;
+    return !(exclude && w.id() == *exclude) && !w.draining() &&
+           w.can_fit(alloc);
+  };
+  if (placement == Placement::FirstFit) {
+    const auto slot = index_.first_fit(alloc, fits);
+    if (!slot) return std::nullopt;
+    return slots_[*slot].id;
+  }
   std::optional<std::uint64_t> best;
   double best_slack = 0.0;
-  for (const auto& [id, w] : workers_) {
-    if (exclude && id == *exclude) continue;
-    if (w.draining() || !w.can_fit(alloc)) continue;
-    if (placement == Placement::FirstFit) return id;
-    const double slack = slack_after(w, alloc);
+  index_.for_each_fit(alloc, [&](std::size_t slot) {
+    if (!fits(slot)) return;
+    const double slack = slack_after(*slots_[slot].worker, alloc);
     const bool better = placement == Placement::BestFit ? slack < best_slack
                                                         : slack > best_slack;
     if (!best || better) {
-      best = id;
+      best = slots_[slot].id;
       best_slack = slack;
     }
-  }
+  });
   return best;
-}
-
-std::size_t WorkerPool::running_attempts() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [id, w] : workers_) n += w.running_count();
-  return n;
 }
 
 void WorkerPool::save_state(util::ByteWriter& w) const {
@@ -95,17 +151,27 @@ void WorkerPool::save_state(util::ByteWriter& w) const {
 }
 
 void WorkerPool::load_state(util::ByteReader& r) {
+  workers_.clear();
+  slots_.clear();
+  index_.reset(0);
+  running_ = 0;
   next_id_ = r.u64();
   const std::uint64_t n = r.u64();
-  workers_.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
     Worker worker = Worker::load_state(r);
     if (worker.id() >= next_id_) {
       throw std::runtime_error("WorkerPool: snapshot worker id out of range");
     }
-    workers_.emplace(worker.id(), std::move(worker));
+    if (!workers_.empty() && worker.id() <= workers_.rbegin()->first) {
+      throw std::runtime_error(
+          "WorkerPool: snapshot worker ids must ascend strictly");
+    }
+    running_ += worker.running_count();
+    workers_.emplace_hint(workers_.end(), worker.id(), std::move(worker));
   }
   for (core::ResourceKind k : core::kAllResources) capacity_sum_[k] = r.f64();
+  for (auto& [id, worker] : workers_) slots_.push_back({id, &worker});
+  compact();
 }
 
 }  // namespace tora::sim

@@ -3,8 +3,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "core/lifecycle/placement_index.hpp"
 #include "core/resources.hpp"
 #include "sim/worker.hpp"
 
@@ -50,11 +52,20 @@ enum class Placement {
 
 /// Container for the alive workers; placement queries are deterministic.
 /// Workers may be heterogeneous: add_worker takes an optional per-worker
-/// capacity (defaulting to the pool's base capacity).
+/// capacity (defaulting to the pool's base capacity). Every change to a
+/// worker's free capacity goes through the pool (start, finish,
+/// set_draining), which keeps the placement index exact.
 class WorkerPool {
  public:
   explicit WorkerPool(core::ResourceVector worker_capacity)
       : capacity_(worker_capacity) {}
+
+  // The slots point into workers_: a copy would alias the original's
+  // workers. Moves keep the map's nodes, so they stay valid.
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+  WorkerPool(WorkerPool&&) = default;
+  WorkerPool& operator=(WorkerPool&&) = default;
 
   const core::ResourceVector& worker_capacity() const noexcept {
     return capacity_;
@@ -72,21 +83,35 @@ class WorkerPool {
   std::vector<std::uint64_t> remove_worker(std::uint64_t id);
 
   bool alive(std::uint64_t id) const noexcept { return workers_.count(id) > 0; }
-  Worker& worker(std::uint64_t id);
+  /// Throws std::logic_error for an id that is not alive.
   const Worker& worker(std::uint64_t id) const;
+
+  /// Worker::start / Worker::finish on worker `id`, keeping the placement
+  /// index and the running-attempt count in step. Throw std::logic_error
+  /// for an id that is not alive and whatever the Worker call throws.
+  void start(std::uint64_t id, std::uint64_t task_id,
+             const core::ResourceVector& alloc);
+  void finish(std::uint64_t id, std::uint64_t task_id,
+              const core::ResourceVector& alloc);
+
+  /// Worker::set_draining on worker `id`: a draining worker leaves the
+  /// placement index until the flag is cleared.
+  void set_draining(std::uint64_t id, bool draining);
 
   std::size_t size() const noexcept { return workers_.size(); }
 
   /// A non-draining worker that fits `alloc`, chosen per `placement`.
   /// `exclude` is skipped (speculative duplicates must not land on the
-  /// worker already running the primary attempt).
+  /// worker already running the primary attempt). A probe no worker can
+  /// hold is refused at the index root in O(1); a first fit descends to
+  /// the lowest-id worker that fits in O(log W).
   std::optional<std::uint64_t> find_worker_for(
       const core::ResourceVector& alloc,
       Placement placement = Placement::FirstFit,
       std::optional<std::uint64_t> exclude = std::nullopt) const;
 
-  /// Sum of running attempts across alive workers.
-  std::size_t running_attempts() const noexcept;
+  /// Sum of running attempts across alive workers, kept by start/finish.
+  std::size_t running_attempts() const noexcept { return running_; }
 
   /// Sum of alive workers' capacities, maintained incrementally on
   /// join/leave (an O(1) read where summing the map is O(workers)). The
@@ -102,15 +127,38 @@ class WorkerPool {
   }
 
   /// Snapshot/restore for simulation resume: the alive-worker map (each
-  /// worker's full state) and the never-reused id counter.
+  /// worker's full state) and the never-reused id counter. The placement
+  /// index is derived state: load_state rebuilds it. load_state throws
+  /// std::runtime_error unless worker ids ascend strictly below the id
+  /// counter and every worker passes Worker::load_state.
   void save_state(util::ByteWriter& w) const;
   void load_state(util::ByteReader& r);
 
  private:
+  /// One placement-index leaf. Ids ascend with the slot and are never
+  /// reused; a worker that left keeps its slot as a tombstone (null) until
+  /// the next compaction.
+  struct Slot {
+    std::uint64_t id;
+    Worker* worker;
+  };
+
+  /// The alive worker `id` and its slot. Throws std::logic_error if `id` is
+  /// not alive.
+  std::pair<Worker*, std::size_t> locate(std::uint64_t id) const;
+  /// Re-derives slot `slot`'s leaf from its worker.
+  void refresh(std::size_t slot);
+  /// Rebuilds the slots from the alive workers in id order, with room for
+  /// as many joins again before the next compaction.
+  void compact();
+
   core::ResourceVector capacity_;
   core::ResourceVector capacity_sum_;
   std::map<std::uint64_t, Worker> workers_;
+  std::vector<Slot> slots_;
+  core::lifecycle::PlacementIndex index_;
   std::uint64_t next_id_ = 0;
+  std::size_t running_ = 0;
 };
 
 }  // namespace tora::sim

@@ -24,7 +24,7 @@ TEST(Placement, BestFitPicksTightestWorker) {
   const auto id1 = pool.add_worker();
   (void)id0;
   // Load worker 1 so it has less slack.
-  pool.worker(id1).start(1, ResourceVector{12.0, 50000.0, 50000.0});
+  pool.start(id1, 1, ResourceVector{12.0, 50000.0, 50000.0});
   const ResourceVector alloc{2.0, 1000.0, 1000.0};
   EXPECT_EQ(*pool.find_worker_for(alloc, Placement::BestFit), id1);
   EXPECT_EQ(*pool.find_worker_for(alloc, Placement::WorstFit), id0);
@@ -35,7 +35,7 @@ TEST(Placement, BestFitSkipsWorkersThatCannotFit) {
   WorkerPool pool(kCap);
   const auto id0 = pool.add_worker();
   const auto id1 = pool.add_worker();
-  pool.worker(id0).start(1, ResourceVector{15.5, 100.0, 100.0});
+  pool.start(id0, 1, ResourceVector{15.5, 100.0, 100.0});
   // id0 is tighter but cannot fit 2 cores.
   const ResourceVector alloc{2.0, 100.0, 100.0};
   EXPECT_EQ(*pool.find_worker_for(alloc, Placement::BestFit), id1);

@@ -96,8 +96,8 @@ TEST(WorkerPool, IdsNeverReused) {
 TEST(WorkerPool, RemoveReturnsRunningTasks) {
   WorkerPool pool(kCap);
   const auto id = pool.add_worker();
-  pool.worker(id).start(5, ResourceVector{1.0, 1.0, 1.0});
-  pool.worker(id).start(6, ResourceVector{1.0, 1.0, 1.0});
+  pool.start(id, 5, ResourceVector{1.0, 1.0, 1.0});
+  pool.start(id, 6, ResourceVector{1.0, 1.0, 1.0});
   const auto victims = pool.remove_worker(id);
   EXPECT_EQ(victims.size(), 2u);
 }
@@ -116,7 +116,7 @@ TEST(WorkerPool, FirstFitSkipsFullWorkers) {
   WorkerPool pool(kCap);
   const auto id0 = pool.add_worker();
   const auto id1 = pool.add_worker();
-  pool.worker(id0).start(1, kCap);
+  pool.start(id0, 1, kCap);
   const auto chosen = pool.find_worker_for(ResourceVector{1.0, 1.0, 1.0});
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(*chosen, id1);
@@ -126,7 +126,7 @@ TEST(WorkerPool, FirstFitSkipsDraining) {
   WorkerPool pool(kCap);
   const auto id0 = pool.add_worker();
   const auto id1 = pool.add_worker();
-  pool.worker(id0).set_draining(true);
+  pool.set_draining(id0, true);
   const auto chosen = pool.find_worker_for(ResourceVector{1.0, 1.0, 1.0});
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(*chosen, id1);
@@ -136,7 +136,7 @@ TEST(WorkerPool, NoFitReturnsNullopt) {
   WorkerPool pool(kCap);
   EXPECT_FALSE(pool.find_worker_for(ResourceVector{1.0, 1.0, 1.0}).has_value());
   const auto id = pool.add_worker();
-  pool.worker(id).start(1, kCap);
+  pool.start(id, 1, kCap);
   EXPECT_FALSE(pool.find_worker_for(ResourceVector{1.0, 1.0, 1.0}).has_value());
 }
 
@@ -144,9 +144,9 @@ TEST(WorkerPool, RunningAttemptsAggregates) {
   WorkerPool pool(kCap);
   const auto id0 = pool.add_worker();
   const auto id1 = pool.add_worker();
-  pool.worker(id0).start(1, ResourceVector{1.0, 1.0, 1.0});
-  pool.worker(id1).start(2, ResourceVector{1.0, 1.0, 1.0});
-  pool.worker(id1).start(3, ResourceVector{1.0, 1.0, 1.0});
+  pool.start(id0, 1, ResourceVector{1.0, 1.0, 1.0});
+  pool.start(id1, 2, ResourceVector{1.0, 1.0, 1.0});
+  pool.start(id1, 3, ResourceVector{1.0, 1.0, 1.0});
   EXPECT_EQ(pool.running_attempts(), 3u);
 }
 
