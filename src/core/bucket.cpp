@@ -28,8 +28,9 @@ BucketSet BucketSet::from_break_indices(std::span<const Record> sorted,
   return from_sorted({values, sigs, sig_prefix, vsig_prefix}, ends);
 }
 
-BucketSet BucketSet::from_sorted(const SortedRecords& sorted,
-                                 std::span<const std::size_t> ends) {
+void fill_buckets(const SortedRecords& sorted,
+                  std::span<const std::size_t> ends,
+                  std::vector<Bucket>& out) {
   const std::size_t n = sorted.size();
   assert(sorted.significances.size() == n);
   assert(sorted.sig_prefix.size() == n + 1);
@@ -37,7 +38,7 @@ BucketSet BucketSet::from_sorted(const SortedRecords& sorted,
 #ifndef NDEBUG
   for (std::size_t i = 1; i < n; ++i) {
     assert(!(sorted.values[i] < sorted.values[i - 1]) &&
-           "BucketSet::from_sorted: records must be value-sorted");
+           "fill_buckets: records must be value-sorted");
   }
 #endif
   if (n == 0) throw std::invalid_argument("BucketSet: no records");
@@ -50,8 +51,8 @@ BucketSet BucketSet::from_sorted(const SortedRecords& sorted,
     throw std::invalid_argument("BucketSet: total significance must be > 0");
   }
 
-  BucketSet set;
-  set.buckets_.reserve(ends.size());
+  out.clear();
+  out.reserve(ends.size());
   std::size_t begin = 0;
   for (std::size_t end : ends) {
     if (end < begin) {
@@ -68,9 +69,15 @@ BucketSet BucketSet::from_sorted(const SortedRecords& sorted,
     b.rep = sorted.values[end];  // records are sorted, so the end is the max
     b.prob = b.sig_sum / total_sig;
     b.weighted_mean = b.sig_sum > 0.0 ? vsig / b.sig_sum : b.rep;
-    set.buckets_.push_back(b);
+    out.push_back(b);
     begin = end + 1;
   }
+}
+
+BucketSet BucketSet::from_sorted(const SortedRecords& sorted,
+                                 std::span<const std::size_t> ends) {
+  BucketSet set;
+  fill_buckets(sorted, ends, set.buckets_);
   set.finalize();
   return set;
 }
@@ -176,8 +183,8 @@ double BucketSet::max_rep() const {
   return buckets_.back().rep;
 }
 
-double expected_waste(const BucketSet& set) {
-  const auto& b = set.buckets();
+double expected_waste(std::span<const Bucket> b,
+                      std::vector<double>& scratch) {
   const std::size_t n = b.size();
   if (n == 0) throw std::invalid_argument("expected_waste: empty bucket set");
 
@@ -187,37 +194,42 @@ double expected_waste(const BucketSet& set) {
   //   i >  j: rep_j is exhausted entirely (failed allocation), then a higher
   //           bucket k > j is chosen with renormalized probability.
   // Rows are independent; each row is filled right-to-left because T[i][j]
-  // for j < i depends on T[i][k] with k > j.
-  std::vector<std::vector<double>> t(n, std::vector<double>(n, 0.0));
-
+  // for j < i depends on T[i][k] with k > j. The weighted sum adds row i's
+  // terms as soon as the row is done, in the same (i, j) order a full table
+  // would be summed in, so one row of scratch is enough.
+  scratch.resize(2 * n + 1);
+  double* const row = scratch.data();
   // Suffix probability sums: suffix[j] = sum_{m >= j} prob_m.
-  std::vector<double> suffix(n + 1, 0.0);
+  double* const suffix = row + n;
+  suffix[n] = 0.0;
   for (std::size_t j = n; j-- > 0;) suffix[j] = suffix[j + 1] + b[j].prob;
 
+  double w = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t jj = n; jj-- > 0;) {
       if (i <= jj) {
-        t[i][jj] = b[jj].rep - b[i].weighted_mean;
+        row[jj] = b[jj].rep - b[i].weighted_mean;
       } else {
         double escalated = 0.0;
         const double denom = suffix[jj + 1];
         if (denom > 0.0) {
           for (std::size_t k = jj + 1; k < n; ++k) {
-            escalated += (b[k].prob / denom) * t[i][k];
+            escalated += (b[k].prob / denom) * row[k];
           }
         }
-        t[i][jj] = b[jj].rep + escalated;
+        row[jj] = b[jj].rep + escalated;
       }
     }
-  }
-
-  double w = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      w += b[i].prob * b[j].prob * t[i][j];
+      w += b[i].prob * b[j].prob * row[j];
     }
   }
   return w;
+}
+
+double expected_waste(const BucketSet& set) {
+  std::vector<double> scratch;
+  return expected_waste(set.buckets(), scratch);
 }
 
 }  // namespace tora::core

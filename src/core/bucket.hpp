@@ -54,17 +54,9 @@ class BucketSet {
   static BucketSet from_break_indices(std::span<const Record> sorted,
                                       std::span<const std::size_t> ends);
 
-  /// Builds buckets from a sorted view with its maintained prefix sums.
-  /// Each bucket's significance and value·significance sums are prefix
-  /// differences, so construction costs O(B²) in the bucket count B (the
-  /// sample_above rows), independent of the record count. Break-
-  /// structure errors still throw, but the O(n) sortedness check is a
-  /// debug-only assertion: the RecordStore merge guarantees order.
-  ///
-  /// With integer significances whose sums stay below 2^53 (task ids, or
-  /// 1.0) the differences are exact, so sig_sum and prob equal a per-bucket
-  /// forward scan bit for bit; weighted_mean may differ from such a scan in
-  /// its last bits.
+  /// Builds buckets from a sorted view with its maintained prefix sums:
+  /// fill_buckets() for the statistics, then the sampling tables, which
+  /// cost O(B²) in the bucket count B, independent of the record count.
   static BucketSet from_sorted(const SortedRecords& sorted,
                                std::span<const std::size_t> ends);
 
@@ -122,11 +114,32 @@ class BucketSet {
   std::vector<std::size_t> tri_row_offsets_;
 };
 
+/// The per-bucket statistics behind every BucketSet: replaces `out` with
+/// one Bucket per END index in `ends` (strictly increasing, the last one
+/// `sorted.size() - 1`). Each bucket's significance and value·significance
+/// sums are prefix differences, so the cost is O(B) in the bucket count B,
+/// independent of the record count. Throws std::invalid_argument on a
+/// malformed break list or a total significance that is not > 0. The O(n)
+/// sortedness check is a debug-only assertion: the RecordStore merge
+/// guarantees order.
+///
+/// With integer significances whose sums stay below 2^53 (task ids, or
+/// 1.0) the differences are exact, so sig_sum and prob equal a per-bucket
+/// forward scan bit for bit; weighted_mean may differ from such a scan in
+/// its last bits.
+void fill_buckets(const SortedRecords& sorted,
+                  std::span<const std::size_t> ends, std::vector<Bucket>& out);
+
 /// Sig-weighted expected waste of a bucket configuration under the paper's
 /// retry model, computed with the Exhaustive Bucketing cost table T[i][j]
-/// (§IV-C). This is exposed at namespace scope because Exhaustive Bucketing
-/// evaluates it for many candidate configurations and tests verify it
-/// directly. Requires a non-empty configuration.
+/// (§IV-C), one row at a time in `scratch` (resized to 2B + 1 doubles), so
+/// a caller scoring many configurations reuses one buffer. Exhaustive
+/// Bucketing scores its candidates with it. Requires a non-empty
+/// configuration.
+double expected_waste(std::span<const Bucket> buckets,
+                      std::vector<double>& scratch);
+
+/// The same cost for a built set (tests and the Monte-Carlo oracle).
 double expected_waste(const BucketSet& set);
 
 }  // namespace tora::core

@@ -14,11 +14,12 @@ ExhaustiveBucketing::ExhaustiveBucketing(util::Rng rng,
   }
 }
 
-std::vector<std::size_t> ExhaustiveBucketing::even_spacing_ends(
-    std::span<const double> values, std::size_t num_buckets) {
+void ExhaustiveBucketing::even_spacing_ends(std::span<const double> values,
+                                            std::size_t num_buckets,
+                                            std::vector<std::size_t>& ends) {
   const std::size_t n = values.size();
   const double v_max = values.back();
-  std::vector<std::size_t> ends;
+  ends.clear();
   for (std::size_t i = 1; i < num_buckets; ++i) {
     const double cut =
         v_max * static_cast<double>(i) / static_cast<double>(num_buckets);
@@ -32,7 +33,6 @@ std::vector<std::size_t> ExhaustiveBucketing::even_spacing_ends(
   ends.push_back(n - 1);
   std::sort(ends.begin(), ends.end());
   ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
-  return ends;
 }
 
 std::vector<std::size_t> ExhaustiveBucketing::even_spacing_ends(
@@ -40,24 +40,29 @@ std::vector<std::size_t> ExhaustiveBucketing::even_spacing_ends(
   std::vector<double> values;
   values.reserve(sorted.size());
   for (const Record& r : sorted) values.push_back(r.value);
-  return even_spacing_ends(std::span<const double>(values), num_buckets);
+  std::vector<std::size_t> ends;
+  even_spacing_ends(values, num_buckets, ends);
+  return ends;
 }
 
 std::vector<std::size_t> ExhaustiveBucketing::compute_break_indices(
     const SortedRecords& sorted) {
   const std::size_t n = sorted.size();
   double best_cost = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> best_ends{n - 1};
+  best_ends_.assign(1, n - 1);
   const std::size_t limit = std::min(max_buckets_, n);
   for (std::size_t b = 1; b <= limit; ++b) {
-    auto ends = even_spacing_ends(sorted.values, b);
-    const double cost = expected_waste(BucketSet::from_sorted(sorted, ends));
+    // Score the candidate in the policy's scratch buffers; only the winner's
+    // BucketSet is built, once, by the caller.
+    even_spacing_ends(sorted.values, b, candidate_ends_);
+    fill_buckets(sorted, candidate_ends_, candidate_buckets_);
+    const double cost = expected_waste(candidate_buckets_, waste_scratch_);
     if (cost < best_cost) {
       best_cost = cost;
-      best_ends = std::move(ends);
+      best_ends_.assign(candidate_ends_.begin(), candidate_ends_.end());
     }
   }
-  return best_ends;
+  return best_ends_;
 }
 
 }  // namespace tora::core

@@ -20,11 +20,12 @@ namespace tora::core {
 ///
 /// Complexity: O(B² log n + B⁴) per rebuild for B = max_buckets and n
 /// records. Each candidate's breaks are B binary searches over the sorted
-/// values, its BucketSet takes every bucket's sums as differences of the
-/// store-maintained prefix sums, and its T[i][j] table costs O(B³). The
-/// break computation never scans the history, so its cost is nearly
-/// independent of n, unlike the linear growth Table I reports for the
-/// paper's EB.
+/// values, its bucket statistics (fill_buckets) take every bucket's sums as
+/// differences of the store-maintained prefix sums, and its T[i][j] table
+/// costs O(B³). Candidates are scored in scratch buffers kept on the
+/// policy, so scoring allocates nothing once they have grown. The break
+/// computation never scans the history, so its cost is nearly independent
+/// of n, unlike the linear growth Table I reports for the paper's EB.
 class ExhaustiveBucketing final : public BucketingPolicy {
  public:
   /// `max_buckets` bounds the configurations searched; the paper restricts
@@ -41,9 +42,11 @@ class ExhaustiveBucketing final : public BucketingPolicy {
   static std::vector<std::size_t> even_spacing_ends(
       std::span<const Record> sorted, std::size_t num_buckets);
 
-  /// SoA overload over the sorted value array (the engine's hot path).
-  static std::vector<std::size_t> even_spacing_ends(
-      std::span<const double> values, std::size_t num_buckets);
+  /// SoA overload over the sorted value array, written into `ends` (the
+  /// engine's hot path reuses one buffer).
+  static void even_spacing_ends(std::span<const double> values,
+                                std::size_t num_buckets,
+                                std::vector<std::size_t>& ends);
 
  protected:
   std::vector<std::size_t> compute_break_indices(
@@ -51,6 +54,11 @@ class ExhaustiveBucketing final : public BucketingPolicy {
 
  private:
   std::size_t max_buckets_;
+  // Scratch reused by every candidate of every rebuild.
+  std::vector<std::size_t> candidate_ends_;
+  std::vector<std::size_t> best_ends_;
+  std::vector<Bucket> candidate_buckets_;
+  std::vector<double> waste_scratch_;
 };
 
 }  // namespace tora::core

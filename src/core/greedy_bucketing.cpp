@@ -1,5 +1,6 @@
 #include "core/greedy_bucketing.hpp"
 
+#include <cstring>
 #include <limits>
 
 namespace tora::core {
@@ -61,6 +62,19 @@ double two_bucket_cost(double rep_lo, double rep_hi, const RangeAgg& whole,
   return w_lo_lo + w_lo_hi + w_hi_lo + w_hi_hi;
 }
 
+/// Two doubles in one 16-byte register (a GCC/Clang vector extension: SSE2
+/// on baseline x86-64, no intrinsics or target flags needed). Arithmetic
+/// is lane-wise IEEE, so a lane computes exactly what the scalar code does.
+using Lanes = double __attribute__((vector_size(16)));
+
+Lanes broadcast(double x) { return Lanes{x, x}; }
+
+Lanes load_lanes(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 }  // namespace
 
 double GreedyBucketing::faithful_cost(std::size_t lo, std::size_t brk,
@@ -84,6 +98,55 @@ double GreedyBucketing::split_cost(std::span<const Record> sorted,
                          aggregate_scan(sorted, brk + 1, hi));
 }
 
+void GreedyBucketing::prefix_split_costs(const SortedRecords& sorted,
+                                         std::size_t lo, std::size_t hi,
+                                         std::vector<double>& cost) {
+  // Candidates i and i + 1 share one pass through the kernel. Each lane
+  // repeats two_bucket_cost's operations in its order; where the scalar
+  // code picks 0.0 for a range without significance, the lane divides
+  // anyway and a select discards the result (no FP traps are enabled). An
+  // odd last candidate takes the scalar path.
+  const std::span<const double> values = sorted.values;
+  const std::span<const double> sig_prefix = sorted.sig_prefix;
+  const std::span<const double> vsig_prefix = sorted.vsig_prefix;
+  const RangeAgg whole = aggregate_prefix(sig_prefix, vsig_prefix, lo, hi);
+  cost.resize(hi - lo);
+  const Lanes zero = broadcast(0.0);
+  const Lanes one = broadcast(1.0);
+  const Lanes sig_lo = broadcast(sig_prefix[lo]);
+  const Lanes vsig_lo = broadcast(vsig_prefix[lo]);
+  const Lanes sig_end = broadcast(sig_prefix[hi + 1]);
+  const Lanes vsig_end = broadcast(vsig_prefix[hi + 1]);
+  const Lanes whole_sig = broadcast(whole.sig);
+  const bool whole_weighed = whole.sig > 0.0;
+  const Lanes rep_hi = broadcast(values[hi]);
+  std::size_t i = lo;
+  for (; i + 1 < hi; i += 2) {
+    const Lanes sig_mid = load_lanes(&sig_prefix[i + 1]);
+    const Lanes vsig_mid = load_lanes(&vsig_prefix[i + 1]);
+    const Lanes rep_lo = load_lanes(&values[i]);
+    const Lanes low_sig = sig_mid - sig_lo;
+    const Lanes low_vsig = vsig_mid - vsig_lo;
+    const Lanes high_sig = sig_end - sig_mid;
+    const Lanes high_vsig = vsig_end - vsig_mid;
+    const Lanes v_lo = low_sig > zero ? low_vsig / low_sig : zero;
+    const Lanes v_hi = high_sig > zero ? high_vsig / high_sig : zero;
+    const Lanes p_lo = whole_weighed ? low_sig / whole_sig : zero;
+    const Lanes p_hi = one - p_lo;
+    const Lanes c = p_lo * p_lo * (rep_lo - v_lo) +
+                    p_lo * p_hi * (rep_hi - v_lo) +
+                    p_hi * p_lo * (rep_lo + rep_hi - v_hi) +
+                    p_hi * p_hi * (rep_hi - v_hi);
+    std::memcpy(&cost[i - lo], &c, sizeof c);
+  }
+  if (i < hi) {
+    cost[i - lo] = two_bucket_cost(
+        values[i], values[hi], whole,
+        aggregate_prefix(sig_prefix, vsig_prefix, lo, i),
+        aggregate_prefix(sig_prefix, vsig_prefix, i + 1, hi));
+  }
+}
+
 std::vector<std::size_t> GreedyBucketing::compute_break_indices(
     const SortedRecords& sorted) {
   current_ = sorted;
@@ -93,7 +156,7 @@ std::vector<std::size_t> GreedyBucketing::compute_break_indices(
 }
 
 void GreedyBucketing::solve(std::size_t lo, std::size_t hi,
-                            std::vector<std::size_t>& ends) const {
+                            std::vector<std::size_t>& ends) {
   if (lo == hi) {
     ends.push_back(lo);
     return;
@@ -110,24 +173,20 @@ void GreedyBucketing::solve(std::size_t lo, std::size_t hi,
     }
   } else {
     // The same arithmetic as faithful_cost, with every range sum a prefix
-    // difference and the whole-range aggregate taken once per node.
-    const auto values = current_.values;
-    const auto sig_prefix = current_.sig_prefix;
-    const auto vsig_prefix = current_.vsig_prefix;
-    const RangeAgg whole = aggregate_prefix(sig_prefix, vsig_prefix, lo, hi);
+    // difference. Every split is costed first, then the first minimum is
+    // taken in index order, as a compare-as-you-go scan would.
+    prefix_split_costs(current_, lo, hi, split_costs_);
     for (std::size_t i = lo; i < hi; ++i) {
-      const double c = two_bucket_cost(
-          values[i], values[hi], whole,
-          aggregate_prefix(sig_prefix, vsig_prefix, lo, i),
-          aggregate_prefix(sig_prefix, vsig_prefix, i + 1, hi));
-      if (c < min_cost) {
-        min_cost = c;
+      if (split_costs_[i - lo] < min_cost) {
+        min_cost = split_costs_[i - lo];
         best = i;
       }
     }
     // Not splitting is the last candidate, so an earlier equal-cost split
     // still wins the tie.
-    if (values[hi] - whole.mean < min_cost) best = hi;
+    const RangeAgg whole = aggregate_prefix(current_.sig_prefix,
+                                            current_.vsig_prefix, lo, hi);
+    if (current_.values[hi] - whole.mean < min_cost) best = hi;
   }
   if (best == hi) {
     // Keeping one bucket over [lo, hi] beats every split.

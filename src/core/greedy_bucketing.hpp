@@ -25,8 +25,10 @@ namespace tora::core {
 /// every candidate O(1) and a rebuild O(n · buckets) — identical break
 /// points, orders of magnitude cheaper. The prefix sums arrive precomputed
 /// in the SortedRecords view (maintained incrementally by the RecordStore),
-/// so a rebuild no longer re-scans the history to build them. The Table I
-/// benchmark measures both cost models.
+/// so a rebuild no longer re-scans the history to build them. Each node
+/// costs its splits two at a time in a branch-free two-lane kernel (the
+/// three divisions per split bound the scan) and then takes the first
+/// minimum in index order. The Table I benchmark measures both cost models.
 class GreedyBucketing final : public BucketingPolicy {
  public:
   enum class CostModel {
@@ -48,13 +50,22 @@ class GreedyBucketing final : public BucketingPolicy {
   static double split_cost(std::span<const Record> sorted, std::size_t lo,
                            std::size_t brk, std::size_t hi);
 
+  /// The PrefixSum cost model's kernel: resizes `cost` to hi - lo and sets
+  /// cost[i - lo] to the cost of splitting [lo..hi] after i, for every i in
+  /// [lo, hi), from the view's prefix sums. Two candidates share each step
+  /// of a two-lane vector kernel (the three divisions per candidate bound
+  /// the scan), and every lane repeats the scalar arithmetic in its order,
+  /// so each cost is bit-identical to a one-candidate-at-a-time scan.
+  /// Exposed for the differential test.
+  static void prefix_split_costs(const SortedRecords& sorted, std::size_t lo,
+                                 std::size_t hi, std::vector<double>& cost);
+
  protected:
   std::vector<std::size_t> compute_break_indices(
       const SortedRecords& sorted) override;
 
  private:
-  void solve(std::size_t lo, std::size_t hi,
-             std::vector<std::size_t>& ends) const;
+  void solve(std::size_t lo, std::size_t hi, std::vector<std::size_t>& ends);
   /// split_cost over current_, one range scan per aggregate.
   double faithful_cost(std::size_t lo, std::size_t brk, std::size_t hi) const;
 
@@ -62,6 +73,8 @@ class GreedyBucketing final : public BucketingPolicy {
   // The SortedRecords view of the compute call in progress (values, sigs,
   // and the store-maintained prefix sums the PrefixSum model reads).
   SortedRecords current_;
+  // PrefixSum split costs of the recursion node in progress, reused.
+  std::vector<double> split_costs_;
 };
 
 }  // namespace tora::core

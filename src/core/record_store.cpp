@@ -1,7 +1,9 @@
 #include "core/record_store.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "core/policy.hpp"
 #include "util/bytes.hpp"
 
 namespace tora::core {
@@ -10,9 +12,19 @@ void extend_prefix_sums(std::span<const double> values,
                         std::span<const double> significances,
                         std::span<double> sig_prefix,
                         std::span<double> vsig_prefix, std::size_t from) {
-  for (std::size_t p = from; p < values.size(); ++p) {
-    sig_prefix[p + 1] = sig_prefix[p] + significances[p];
-    vsig_prefix[p + 1] = vsig_prefix[p] + values[p] * significances[p];
+  const std::size_t n = values.size();
+  if (from >= n) return;
+  // The running sums live in locals. Read back from the prefix arrays, each
+  // step would wait on the store before it: the four spans may alias, so
+  // the compiler reloads sig_prefix[p] right after the previous step
+  // stored it.
+  double sig = sig_prefix[from];
+  double vsig = vsig_prefix[from];
+  for (std::size_t p = from; p < n; ++p) {
+    sig = sig + significances[p];
+    vsig = vsig + values[p] * significances[p];
+    sig_prefix[p + 1] = sig;
+    vsig_prefix[p + 1] = vsig;
   }
 }
 
@@ -80,22 +92,56 @@ void RecordStore::save(util::ByteWriter& w) const {
 }
 
 void RecordStore::load(util::ByteReader& r) {
-  values_.clear();
-  sigs_.clear();
-  staged_.clear();
+  // Every count is checked against the bytes left before anything is
+  // allocated, every record must be one observe() could have accepted, and
+  // the merged run must be sorted: flush() binary-searches it.
+  constexpr std::size_t kRecordBytes = 16;
+  const auto read_record = [&r] {
+    const double value = r.f64();
+    const double significance = r.f64();
+    if (!valid_observation(value)) {
+      throw std::runtime_error(
+          "RecordStore: snapshot record value must be finite and "
+          "non-negative");
+    }
+    if (!valid_observation(significance)) {
+      throw std::runtime_error(
+          "RecordStore: snapshot record significance must be finite and "
+          "non-negative");
+    }
+    return Record{value, significance};
+  };
+
   const std::uint64_t n = r.u64();
-  values_.reserve(n);
-  sigs_.reserve(n);
+  if (n > r.remaining() / kRecordBytes) {
+    throw std::runtime_error(
+        "RecordStore: snapshot merged record count exceeds the payload");
+  }
+  std::vector<double> values;
+  std::vector<double> sigs;
+  values.reserve(n);
+  sigs.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    values_.push_back(r.f64());
-    sigs_.push_back(r.f64());
+    const Record rec = read_record();
+    if (!values.empty() && rec.value < values.back()) {
+      throw std::runtime_error(
+          "RecordStore: snapshot merged run must be sorted by value");
+    }
+    values.push_back(rec.value);
+    sigs.push_back(rec.significance);
   }
   const std::uint64_t s = r.u64();
-  staged_.reserve(s);
-  for (std::uint64_t i = 0; i < s; ++i) {
-    const double value = r.f64();
-    staged_.push_back({value, r.f64()});
+  if (s > r.remaining() / kRecordBytes) {
+    throw std::runtime_error(
+        "RecordStore: snapshot staged record count exceeds the payload");
   }
+  std::vector<Record> staged;
+  staged.reserve(s);
+  for (std::uint64_t i = 0; i < s; ++i) staged.push_back(read_record());
+
+  values_ = std::move(values);
+  sigs_ = std::move(sigs);
+  staged_ = std::move(staged);
   sig_prefix_.assign(values_.size() + 1, 0.0);
   vsig_prefix_.assign(values_.size() + 1, 0.0);
   extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, 0);

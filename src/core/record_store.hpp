@@ -36,7 +36,9 @@ struct SortedRecords {
 /// for p in [from, values.size()). Both prefix spans hold values.size() + 1
 /// entries, and entries [0, from] must already cover the untouched prefix.
 /// Any other summation order (blocked, pairwise, reversed) would move the
-/// last bits of the sums and with them the bucket statistics.
+/// last bits of the sums and with them the bucket statistics. The two
+/// running sums are carried in registers, so a step costs one add's
+/// latency, not a store-to-load round trip through the prefix arrays.
 void extend_prefix_sums(std::span<const double> values,
                         std::span<const double> significances,
                         std::span<double> sig_prefix,
@@ -82,7 +84,9 @@ class RecordStore {
   /// Bit-exact serialization: merged run then staging buffer (in arrival
   /// order), each as a u64 count followed by (value, significance) f64
   /// pairs. load() rebuilds the prefix sums with extend_prefix_sums from 0,
-  /// the same recurrence flush() extends.
+  /// the same recurrence flush() extends. It throws std::runtime_error,
+  /// naming the field, on a count beyond the remaining payload, a value or
+  /// significance that observe() would refuse, or an unsorted merged run.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 

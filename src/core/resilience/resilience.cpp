@@ -71,8 +71,16 @@ void RuntimeHistogram::save(util::ByteWriter& w) const {
 }
 
 void RuntimeHistogram::load(util::ByteReader& r) {
-  per_category_.assign(r.u64(), RecordStore{});
-  for (RecordStore& store : per_category_) store.load(r);
+  // A saved store is at least its two u64 counts.
+  constexpr std::size_t kMinStoreBytes = 16;
+  const std::uint64_t categories = r.u64();
+  if (categories > r.remaining() / kMinStoreBytes) {
+    throw std::runtime_error(
+        "RuntimeHistogram: snapshot category count exceeds the payload");
+  }
+  std::vector<RecordStore> stores(categories);
+  for (RecordStore& store : stores) store.load(r);
+  per_category_ = std::move(stores);
 }
 
 // ---------------------------------------------------------------------------

@@ -105,6 +105,9 @@ class RuntimeHistogram {
   std::optional<double> quantile(CategoryId category, double q);
 
   /// Bit-exact serialization (merged run + staged buffer per category).
+  /// load() throws std::runtime_error, naming the field, on a category
+  /// count beyond the remaining payload or a store RecordStore::load
+  /// refuses.
   void save(util::ByteWriter& w) const;
   void load(util::ByteReader& r);
 

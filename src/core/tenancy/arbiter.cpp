@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -76,7 +77,12 @@ class ArbiterBase : public Arbiter {
   }
 
   void load(util::ByteReader& r) override {
-    total_granted_.resize(r.u64());
+    const std::uint64_t tenants = r.u64();
+    if (tenants > r.remaining() / 8) {
+      throw std::runtime_error(
+          "Arbiter: snapshot grant counter count exceeds the payload");
+    }
+    total_granted_.resize(tenants);
     for (std::uint64_t& g : total_granted_) g = r.u64();
   }
 
@@ -212,8 +218,19 @@ class KarmaArbiter final : public ArbiterBase {
 
   void load(util::ByteReader& r) override {
     ArbiterBase::load(r);
-    credits_.resize(r.u64());
-    for (double& c : credits_) c = r.f64();
+    const std::uint64_t tenants = r.u64();
+    if (tenants > r.remaining() / 8) {
+      throw std::runtime_error(
+          "KarmaArbiter: snapshot credit count exceeds the payload");
+    }
+    credits_.resize(tenants);
+    for (double& c : credits_) {
+      c = r.f64();
+      if (!std::isfinite(c)) {
+        throw std::runtime_error(
+            "KarmaArbiter: snapshot credit must be finite");
+      }
+    }
   }
 
   double credit(TenantId t) const noexcept override {

@@ -73,7 +73,8 @@ class Arbiter {
 
   /// Cross-pass state for snapshots. The facade frames these with the
   /// arbiter name, so load() may assume the bytes were written by the same
-  /// implementation.
+  /// implementation. It still throws std::runtime_error, naming the field,
+  /// on a count beyond the remaining payload or a non-finite credit.
   virtual void save(util::ByteWriter& w) const = 0;
   virtual void load(util::ByteReader& r) = 0;
 

@@ -18,12 +18,10 @@ void TovarPolicy::observe(double peak_value, double significance) {
   // Every record weighs 1: v * 1.0 == v, so the store's vsig_prefix is the
   // plain value prefix sum the objectives need.
   store_.add(peak_value, 1.0);
+  // `>=`, not `>`: the merge keeps equal values in arrival order, so the
+  // sorted run ends with the latest of them (-0.0 and 0.0 included).
+  if (peak_value >= max_value_) max_value_ = peak_value;
   dirty_ = true;
-}
-
-double TovarPolicy::max_value() {
-  store_.flush();
-  return store_.empty() ? 0.0 : store_.values().back();
 }
 
 void TovarPolicy::rebuild_if_dirty() {

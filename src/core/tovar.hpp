@@ -42,8 +42,10 @@ class TovarPolicy final : public ResourcePolicy {
   void flush_observations() override { store_.flush(); }
 
   TovarObjective objective() const noexcept { return objective_; }
-  /// Largest observed value, 0 before any record. Merges staged records.
-  double max_value();
+  /// Largest observed value, 0 before any record: the value the sorted run
+  /// would end with after a flush (among equal values, the last observed).
+  /// Kept by observe(), so retry() never merges the store.
+  double max_value() const noexcept { return max_value_; }
 
   /// The currently optimal first allocation (rebuilds if needed). Exposed
   /// for tests; equals what predict() returns.
@@ -56,6 +58,7 @@ class TovarPolicy final : public ResourcePolicy {
   RecordStore store_;
   bool dirty_ = true;
   double choice_ = 0.0;
+  double max_value_ = 0.0;
 };
 
 }  // namespace tora::core

@@ -1,8 +1,10 @@
-// Snapshot sections the dispatch pass and the placement index are rebuilt
-// from must be refused, with a std::runtime_error naming the field, when a
-// field is out of range: the DispatchCore body, the simulator's worker pool
-// and the protocol manager's worker registry. Each case starts from a valid
-// body and rewrites one field.
+// Snapshot sections must be refused, with a std::runtime_error naming the
+// field, when a field is out of range: the DispatchCore body, the
+// simulator's worker pool and the protocol manager's worker registry (which
+// the dispatch pass and the placement index are rebuilt from), the record
+// stores and runtime histogram behind every deadline tracker, and the
+// tenancy arbiters. A count is refused before anything is allocated for
+// it. Each case starts from a valid body and rewrites one field.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,10 @@
 #include <vector>
 
 #include "core/lifecycle/dispatch_core.hpp"
+#include "core/record_store.hpp"
 #include "core/registry.hpp"
+#include "core/resilience/resilience.hpp"
+#include "core/tenancy/arbiter.hpp"
 #include "proto/manager.hpp"
 #include "proto/worker_agent.hpp"
 #include "sim/worker_pool.hpp"
@@ -333,6 +338,194 @@ TEST_F(RegistryBody, RefusesCommitmentAboveCapacity) {
   std::string body = body_;
   put_f64(body, at(2, kCommitted + 16), 40002.5 * 1.001);
   expect_refused([&] { load(body); }, "committed");
+}
+
+// ------------------------------------------------------ RecordStore
+
+/// A merged run of three records and one staged record. The merged count
+/// sits at 0, merged record i at kMerged + 16 i (value, then
+/// significance), the staged count at kStagedCount and the staged record
+/// after it.
+class StoreBody : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kMerged = 8;
+  static constexpr std::size_t kStagedCount = kMerged + 3 * 16;
+  static constexpr std::size_t kStaged = kStagedCount + 8;
+
+  StoreBody() {
+    tora::core::RecordStore store;
+    store.add(2.0, 1.0);
+    store.add(1.0, 3.0);
+    store.add(4.0, 2.0);
+    store.flush();
+    store.add(3.0, 1.0);
+    ByteWriter w;
+    store.save(w);
+    body_ = w.take();
+  }
+
+  static void load(const std::string& body) {
+    tora::core::RecordStore store;
+    ByteReader r(body);
+    store.load(r);
+  }
+
+  std::string body_;
+};
+
+TEST_F(StoreBody, ValidBodyLoads) {
+  ASSERT_EQ(get_u64(body_, 0), 3u);
+  ASSERT_EQ(get_u64(body_, kStagedCount), 1u);
+  tora::core::RecordStore store;
+  ByteReader r(body_);
+  store.load(r);
+  ByteWriter w;
+  store.save(w);
+  EXPECT_EQ(w.bytes(), body_);
+}
+
+TEST_F(StoreBody, RefusesMergedCountBeyondPayload) {
+  for (std::uint64_t n : {std::uint64_t{1} << 24, std::uint64_t{1} << 40}) {
+    std::string body = body_;
+    put_u64(body, 0, n);
+    expect_refused([&] { load(body); }, "merged record count");
+  }
+}
+
+TEST_F(StoreBody, RefusesStagedCountBeyondPayload) {
+  std::string body = body_;
+  put_u64(body, kStagedCount, std::uint64_t{1} << 40);
+  expect_refused([&] { load(body); }, "staged record count");
+}
+
+TEST_F(StoreBody, RefusesNaNValue) {
+  std::string body = body_;
+  put_f64(body, kMerged + 16, kNaN);
+  expect_refused([&] { load(body); }, "record value");
+}
+
+TEST_F(StoreBody, RefusesNegativeStagedValue) {
+  std::string body = body_;
+  put_f64(body, kStaged, -1.0);
+  expect_refused([&] { load(body); }, "record value");
+}
+
+TEST_F(StoreBody, RefusesInfiniteSignificance) {
+  std::string body = body_;
+  put_f64(body, kMerged + 8, kInf);
+  expect_refused([&] { load(body); }, "record significance");
+}
+
+TEST_F(StoreBody, RefusesNegativeStagedSignificance) {
+  std::string body = body_;
+  put_f64(body, kStaged + 8, -0.5);
+  expect_refused([&] { load(body); }, "record significance");
+}
+
+TEST_F(StoreBody, RefusesUnsortedMergedRun) {
+  std::string body = body_;
+  put_f64(body, kMerged + 32, 1.5);  // 1, 2, 1.5
+  expect_refused([&] { load(body); }, "sorted");
+}
+
+// ------------------------------------------------------ RuntimeHistogram
+
+TEST(HistogramBody, RefusesCategoryCountBeyondPayload) {
+  tora::core::resilience::RuntimeHistogram hist;
+  hist.observe(0, 5.0);
+  hist.observe(1, 7.0);
+  ByteWriter w;
+  hist.save(w);
+  const std::string valid = w.take();
+  {
+    tora::core::resilience::RuntimeHistogram fresh;
+    ByteReader r(valid);
+    EXPECT_NO_THROW(fresh.load(r));
+    EXPECT_EQ(fresh.records(1), 1u);
+  }
+  for (std::uint64_t n : {std::uint64_t{1} << 24, std::uint64_t{1} << 40}) {
+    std::string body = valid;
+    put_u64(body, 0, n);
+    expect_refused(
+        [&] {
+          tora::core::resilience::RuntimeHistogram fresh;
+          ByteReader r(body);
+          fresh.load(r);
+        },
+        "category count");
+  }
+  // A bad record inside one category's store is the store's refusal.
+  // Category 0's store holds no merged record and one staged record.
+  ASSERT_EQ(get_u64(valid, 8), 0u);
+  ASSERT_EQ(get_u64(valid, 16), 1u);
+  std::string body = valid;
+  put_f64(body, 24, kNaN);
+  expect_refused(
+      [&] {
+        tora::core::resilience::RuntimeHistogram fresh;
+        ByteReader r(body);
+        fresh.load(r);
+      },
+      "record value");
+}
+
+// ------------------------------------------------------ Arbiters
+
+/// Each arbiter after one pass over two tenants, one grant each. The base
+/// body is a grant-counter count and one u64 per tenant; Karma appends a
+/// credit count and one f64 credit per tenant.
+std::string arbiter_body(std::string_view name) {
+  auto arbiter = tora::core::tenancy::make_arbiter(name);
+  std::vector<tora::core::tenancy::TenantView> views(2);
+  views[0].id = 0;
+  views[0].backlog = 3;
+  views[1].id = 1;
+  views[1].weight = 3.0;
+  views[1].backlog = 3;
+  arbiter->begin(views, kCap);
+  for (int i = 0; i < 2; ++i) {
+    const auto t = arbiter->next();
+    EXPECT_TRUE(t.has_value());
+    arbiter->feedback(*t, 1, ResourceVector{2.0, 1000.0, 1000.0});
+  }
+  arbiter->settle();
+  ByteWriter w;
+  arbiter->save(w);
+  return w.take();
+}
+
+void load_arbiter(std::string_view name, const std::string& body) {
+  auto arbiter = tora::core::tenancy::make_arbiter(name);
+  ByteReader r(body);
+  arbiter->load(r);
+}
+
+TEST(ArbiterBody, RefusesGrantCounterCountBeyondPayload) {
+  for (const std::string& name : tora::core::tenancy::arbiter_names()) {
+    const std::string valid = arbiter_body(name);
+    ASSERT_EQ(get_u64(valid, 0), 2u) << name;
+    EXPECT_NO_THROW(load_arbiter(name, valid)) << name;
+    std::string body = valid;
+    put_u64(body, 0, std::uint64_t{1} << 40);
+    expect_refused([&] { load_arbiter(name, body); }, "grant counter count");
+  }
+}
+
+TEST(ArbiterBody, RefusesKarmaCreditCountBeyondPayload) {
+  constexpr std::size_t kCredits = 8 + 2 * 8;
+  std::string body = arbiter_body("karma");
+  ASSERT_EQ(get_u64(body, kCredits), 2u);
+  put_u64(body, kCredits, std::uint64_t{1} << 40);
+  expect_refused([&] { load_arbiter("karma", body); }, "credit count");
+}
+
+TEST(ArbiterBody, RefusesNonFiniteKarmaCredit) {
+  constexpr std::size_t kCredits = 8 + 2 * 8;
+  for (double bad : {kNaN, kInf, -kInf}) {
+    std::string body = arbiter_body("karma");
+    put_f64(body, kCredits + 8 + 8, bad);
+    expect_refused([&] { load_arbiter("karma", body); }, "credit");
+  }
 }
 
 }  // namespace

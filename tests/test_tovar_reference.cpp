@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/record_store.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -141,6 +142,63 @@ TEST(TovarReference, MinWasteMatchesSortedVectorHistory) {
 TEST(TovarReference, MaxThroughputMatchesSortedVectorHistory) {
   for (std::uint64_t seed : {4u, 5u, 6u}) {
     run_differential(TovarObjective::MaxThroughput, seed);
+  }
+}
+
+// retry() reads a running maximum kept by observe() instead of merging the
+// store. The reference merges a RecordStore before every read: its sorted
+// run ends with the last observed of the equal largest values, -0.0 and
+// 0.0 included, and the running maximum must return exactly that value.
+TEST(TovarReference, RetryReadsTheRunningMaximum) {
+  std::uint64_t seed = 21;
+  for (TovarObjective objective :
+       {TovarObjective::MinWaste, TovarObjective::MaxThroughput}) {
+    TovarPolicy policy(objective);
+    ReferenceTovar ref(objective);
+    tora::core::RecordStore store;
+    Rng ops(seed++);
+    std::vector<double> seen;
+    EXPECT_EQ(bits(policy.max_value()), bits(0.0));
+    for (int step = 0; step < 3000; ++step) {
+      const double roll = ops.uniform01();
+      if (seen.empty() || roll < 0.45) {
+        const double kind = ops.uniform01();
+        double v = static_cast<double>(static_cast<int>(ops.uniform(0.0, 5.0)));
+        if (step < 200) {
+          v = kind < 0.5 ? 0.0 : -0.0;  // the maximum is a signed zero
+        } else if (kind < 0.2) {
+          v = 0.0;
+        } else if (kind < 0.4) {
+          v = -0.0;
+        } else if (!seen.empty() && kind < 0.6) {
+          v = seen[static_cast<std::size_t>(ops.uniform(
+                       0.0, static_cast<double>(seen.size()))) %
+                   seen.size()];
+        } else if (step > 1500 && kind < 0.7) {
+          v = ops.uniform(0.0, 8.0);
+        }
+        policy.observe(v, 1.0);
+        ref.observe(v);
+        store.add(v, 1.0);
+        seen.push_back(v);
+      } else if (roll < 0.8) {
+        store.flush();
+        const double vmax = store.values().back();
+        const double kind = ops.uniform01();
+        const double failed = kind < 0.2   ? 0.0
+                              : kind < 0.3 ? -0.0
+                              : kind < 0.6 ? vmax
+                                           : ops.uniform(0.0, 10.0);
+        const double expected =
+            vmax > failed ? vmax : (failed > 0.0 ? failed * 2.0 : 1.0);
+        ASSERT_EQ(bits(policy.max_value()), bits(vmax)) << "step " << step;
+        ASSERT_EQ(bits(policy.retry(failed)), bits(expected))
+            << "step " << step;
+      } else {
+        ASSERT_EQ(bits(policy.current_choice()), bits(ref.predict()))
+            << "step " << step;
+      }
+    }
   }
 }
 
