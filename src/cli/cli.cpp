@@ -350,7 +350,7 @@ void write_counters_json(const std::string& path,
 
 // The allocator factory crash recovery and replication both need: every
 // call returns a freshly built allocator with identical policy/seed/config.
-proto::RecoverableProtocolRuntime::AllocatorFactory allocator_factory(
+proto::AllocatorFactory allocator_factory(
     const Options& opts, const exp::ExperimentConfig& cfg) {
   const std::string policy = opts.policy;
   const std::uint64_t seed = cfg.policy_seed;
@@ -649,16 +649,12 @@ int cmd_proto_standby(const Options& opts, std::ostream& out) {
   // What a promotion would serve: the same cold crash-recovery rebuild the
   // failover runtime uses as its three-way-fingerprint oracle.
   core::recovery::RecoveryLog log(mirror, nullptr, nullptr);
-  const auto scan = log.scan();
-  auto allocator = allocator_factory(opts, cfg)();
-  std::vector<proto::DuplexLinkPtr> links =
-      proto::build_chaos_links(opts.workers, {});
-  proto::ProtocolManager rebuilt(workload.tasks, *allocator, links,
-                                 proto::LivenessConfig{});
-  rebuilt.recover(scan);
-  out << "rebuilt " << rebuilt.ticks() << " ticks from the mirror; standby "
-      << "state fingerprint " << util::hash64(rebuilt.snapshot_body())
-      << "\n";
+  const proto::RebuiltManager rebuilt = proto::rebuild_from_log(
+      log, workload.tasks, allocator_factory(opts, cfg),
+      proto::build_chaos_links(opts.workers, {}), proto::LivenessConfig{});
+  out << "rebuilt " << rebuilt.manager->ticks()
+      << " ticks from the mirror; standby state fingerprint "
+      << util::hash64(rebuilt.manager->snapshot_body()) << "\n";
   if (!opts.counters_json_path.empty()) {
     exp::CounterSections s;
     s.replication = &rc;

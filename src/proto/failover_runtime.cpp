@@ -1,12 +1,10 @@
 #include "proto/failover_runtime.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "core/lifecycle/dispatch_core.hpp"
-#include "core/recovery/faulty_storage.hpp"
 
 namespace tora::proto {
 
@@ -36,41 +34,36 @@ class ManagerApplier final : public core::replication::StandbyApplier {
   }
 
   void apply_record(const core::recovery::JournalRecord& rec) override {
-    if (manager_) manager_->replay_record(rec);
+    if (warm_.manager) warm_.manager->replay_record(rec);
   }
 
   std::optional<std::string> warm_body() override {
-    if (!manager_) return std::nullopt;
-    return manager_->snapshot_body();
+    if (!warm_.manager) return std::nullopt;
+    return warm_.manager->snapshot_body();
   }
 
   void rebase(const std::string& body) override { rebuild(body); }
 
-  bool seeded() const noexcept { return manager_ != nullptr; }
-  ProtocolManager& manager() { return *manager_; }
+  bool seeded() const noexcept { return warm_.manager != nullptr; }
+  ProtocolManager& manager() { return *warm_.manager; }
 
   /// Promotion handoff: the warm pair leaves the applier (which is about to
   /// die with its generation) and becomes the runtime's live manager.
-  std::pair<std::unique_ptr<ProtocolManager>,
-            std::unique_ptr<core::TaskAllocator>>
-  take() {
-    return {std::move(manager_), std::move(allocator_)};
-  }
+  ManagerSlot take() { return std::move(warm_); }
 
  private:
   void rebuild(const std::optional<std::string>& snapshot) {
-    allocator_ = factory_();
-    manager_ = std::make_unique<ProtocolManager>(tasks_, *allocator_, links_,
-                                                 liveness_);
-    manager_->begin_replay(snapshot);
+    warm_.allocator = factory_();
+    warm_.manager = std::make_unique<ProtocolManager>(
+        tasks_, *warm_.allocator, links_, liveness_);
+    warm_.manager->begin_replay(snapshot);
   }
 
   std::span<const core::TaskSpec> tasks_;
   const FailoverProtocolRuntime::AllocatorFactory& factory_;
   const std::vector<DuplexLinkPtr>& links_;
   LivenessConfig liveness_;
-  std::unique_ptr<core::TaskAllocator> allocator_;
-  std::unique_ptr<ProtocolManager> manager_;
+  ManagerSlot warm_;
 };
 
 }  // namespace
@@ -97,47 +90,13 @@ FailoverProtocolRuntime::FailoverProtocolRuntime(
     core::replication::ReplicationConfig replication,
     core::recovery::RecoveryConfig recovery,
     core::recovery::CrashSchedule crashes)
-    : tasks_(tasks),
-      make_allocator_(std::move(make_allocator)),
-      liveness_(chaos.liveness),
+    : CrashPolicy(tasks, std::move(make_allocator), chaos.liveness,
+                  primary_storage, recovery, std::move(crashes)),
       rep_cfg_(replication),
-      recovery_cfg_(recovery),
-      links_(build_chaos_links(num_workers, chaos)),
-      storage_(&primary_storage),
-      monitor_(std::move(crashes), &counters_),
-      stall_limit_(chaos_stall_limit(chaos)) {
-  if (num_workers == 0) {
-    throw std::invalid_argument(
-        "FailoverProtocolRuntime: need at least one worker");
-  }
-  if (!make_allocator_) {
-    throw std::invalid_argument(
-        "FailoverProtocolRuntime: null allocator factory");
-  }
-  allocator_ = make_allocator_();
-  if (!allocator_) {
-    throw std::invalid_argument(
-        "FailoverProtocolRuntime: allocator factory returned null");
-  }
-  agents_.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    const WorkerFaultConfig faults = i < chaos.worker_faults.size()
-                                         ? chaos.worker_faults[i]
-                                         : WorkerFaultConfig{};
-    agents_.emplace_back(i, worker_capacity, tasks_, links_[i], faults);
-  }
-  log_ = std::make_unique<core::recovery::RecoveryLog>(*storage_, &counters_,
-                                                       &monitor_);
-  manager_ =
-      std::make_unique<ProtocolManager>(tasks_, *allocator_, links_, liveness_);
-  manager_->attach_recovery(log_.get(), &monitor_, recovery_cfg_, &counters_);
+      transport_(num_workers, chaos),
+      drive_(transport_, this, first_manager(transport_.links()),
+             worker_capacity, chaos) {
   acked_completed_.assign(tasks_.size(), 0);
-  if (monitor_.pending() > 0) {
-    stall_limit_ = std::max(
-        stall_limit_, std::size_t{64} * (liveness_.silence_ticks +
-                                         liveness_.attempt_timeout_ticks +
-                                         liveness_.backoff_cap_ticks + 4));
-  }
   spawn_standby(/*genesis=*/true);
 }
 
@@ -146,8 +105,8 @@ void FailoverProtocolRuntime::spawn_standby(bool genesis) {
   mirrors_.push_back(std::make_unique<core::recovery::MemStorage>());
   gen->mirror = mirrors_.back().get();
   gen->link = std::make_shared<DuplexLink>();
-  gen->applier = std::make_unique<ManagerApplier>(tasks_, make_allocator_,
-                                                  links_, liveness_, genesis);
+  gen->applier = std::make_unique<ManagerApplier>(
+      tasks_, make_allocator_, transport_.links(), liveness_, genesis);
   DuplexLink* link = gen->link.get();
   gen->replica = std::make_unique<core::replication::StandbyReplica>(
       *gen->mirror,
@@ -164,7 +123,7 @@ void FailoverProtocolRuntime::spawn_standby(bool genesis) {
   // A Fence on the ack channel deposes the manager that owns this shipper —
   // the manager current at spawn time, which IS the zombie by the time the
   // promoted standby sends one.
-  ProtocolManager* owner = manager_.get();
+  ProtocolManager* owner = &drive_.manager();
   gen->shipper->set_on_fenced([owner](std::uint64_t) { owner->fence(); });
   standby_ = std::move(gen);
   log_->set_observer(standby_->shipper.get());
@@ -177,17 +136,16 @@ std::string FailoverProtocolRuntime::cold_rebuild_body(
   // finishing phases may emit sends, which must not leak into the live
   // deployment's channels.
   core::recovery::RecoveryLog log(mirror, nullptr, nullptr);
-  const auto scan = log.scan();
-  auto allocator = make_allocator_();
-  std::vector<DuplexLinkPtr> links = build_chaos_links(links_.size(), {});
-  ProtocolManager rebuilt(tasks_, *allocator, links, liveness_);
-  rebuilt.recover(scan);
-  return rebuilt.snapshot_body();
+  return rebuild_from_log(log, tasks_, make_allocator_,
+                          build_chaos_links(transport_.links().size(), {}),
+                          liveness_)
+      .manager->snapshot_body();
 }
 
-void FailoverProtocolRuntime::note_acknowledged_completions() {
+void FailoverProtocolRuntime::note_acknowledged_completions(
+    const ProtocolManager& live) {
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    if (manager_->tenants().entry(t).phase ==
+    if (live.tenants().entry(t).phase ==
         core::lifecycle::TaskPhase::Done) {
       acked_completed_[t] = 1;
     }
@@ -200,9 +158,9 @@ std::size_t FailoverProtocolRuntime::failover(
   monitor_.disarm();
 
   // The dying primary's last words, for the full-tick leg of the oracle.
-  const std::string crashed_body = manager_->snapshot_body();
-  const bool crashed_degraded =
-      manager_->storage_health().degraded_entries > 0;
+  const ProtocolManager& zombie = drive_.manager();
+  const std::string crashed_body = zombie.snapshot_body();
+  const bool crashed_degraded = zombie.storage_health().degraded_entries > 0;
   const bool shipper_lost = standby_->shipper->standby_lost();
 
   // Final drain: everything the primary shipped before dying is sitting in
@@ -260,7 +218,7 @@ std::size_t FailoverProtocolRuntime::failover(
   const std::uint64_t new_term = promoted.term() + 1;
   standby_->replica->send_fence(new_term);
   standby_->shipper->poll_acks();
-  if (!manager_->fenced()) {
+  if (!zombie.fenced()) {
     throw std::runtime_error(
         "FailoverProtocolRuntime: fence did not depose the old primary");
   }
@@ -279,33 +237,29 @@ std::size_t FailoverProtocolRuntime::failover(
   // the live pair, the old generation (and the zombie) are discarded.
   const std::uint64_t epoch = standby_->replica->log().epoch();
   core::recovery::MemStorage* mirror = standby_->mirror;
-  auto [new_manager, new_allocator] = standby_->applier->take();
+  ManagerSlot warm = standby_->applier->take();
   standby_.reset();
-  manager_ = std::move(new_manager);
-  allocator_ = std::move(new_allocator);
+  drive_.replace(std::move(warm));
+  ProtocolManager& live = drive_.manager();
   storage_ = mirror;
   log_ = std::make_unique<core::recovery::RecoveryLog>(*storage_, &counters_,
                                                        &monitor_);
   log_->adopt_epoch(epoch);
-  manager_->attach_recovery(log_.get(), &monitor_, recovery_cfg_, &counters_);
+  live.attach_recovery(log_.get(), &monitor_, recovery_cfg_, &counters_);
 
   // Spawn the next standby BEFORE the takeover rotation: the rotation then
   // both compacts the new primary's disk and ships the seeding snapshot.
   spawn_standby(/*genesis=*/false);
-  try {
-    log_->rotate(manager_->snapshot_body(), manager_->ticks());
-  } catch (const core::recovery::StorageError&) {
-    manager_->note_storage_failure();
-  }
+  seal(live);
   // The term bump is journaled AFTER the rotation sealed the promoted body:
   // the fresh journal replays TermBump, so a crash-recovery of the new
   // primary lands on the same term (and the new standby follows along).
-  manager_->bump_term();
-  if (manager_->term() != new_term) {
+  live.bump_term();
+  if (live.term() != new_term) {
     throw std::runtime_error(
         "FailoverProtocolRuntime: promoted term does not match the fence");
   }
-  if (!manager_->started()) manager_->start();
+  if (!live.started()) live.start();
   monitor_.arm();
 
   ++failovers_;
@@ -316,89 +270,29 @@ std::size_t FailoverProtocolRuntime::failover(
   return handled;
 }
 
-FailoverRunResult FailoverProtocolRuntime::run(std::size_t max_rounds) {
-  try {
-    log_->open_fresh();
-  } catch (const core::recovery::StorageError&) {
-    manager_->note_storage_failure();
-  }
-  for (auto& agent : agents_) agent.announce();
-  manager_->start();
-  FailoverRunResult result;
-  std::size_t stalled = 0;
-  for (result.rounds = 0; result.rounds < max_rounds; ++result.rounds) {
-    std::size_t progress = 0;
-    bool do_pump = true;
-    while (do_pump) {
-      try {
-        progress = manager_->pump();
-        do_pump = false;
-      } catch (const core::recovery::ManagerCrash& crash) {
-        progress = failover(crash.point());
-        // PumpBegin died before the tick touched anything; the promoted
-        // manager re-runs the whole pump. Every other point died mid- or
-        // post-tick and finish_replay() already finished that tick.
-        do_pump =
-            crash.point() == core::recovery::ManagerCrashPoint::PumpBegin;
-      }
-    }
-    // Keep the standby current even between durability barriers (async
-    // mode never blocks inside them while under the lag cap).
-    standby_->replica->pump();
-    standby_->shipper->poll_acks();
-    if (standby_->shipper->acked() == standby_->shipper->shipped() &&
-        !standby_->shipper->standby_lost()) {
-      note_acknowledged_completions();
-    }
-    for (auto& agent : agents_) progress += agent.pump();
-    if (manager_->done()) break;
-    if (progress == 0) {
-      if (++stalled > stall_limit_) {
-        throw std::runtime_error(
-            "FailoverProtocolRuntime: no progress with unfinished tasks "
-            "(allocation larger than every worker, or all workers lost?)");
-      }
-    } else {
-      stalled = 0;
-    }
-  }
-  if (!manager_->done()) {
-    throw std::runtime_error("FailoverProtocolRuntime: round limit exceeded");
-  }
-  manager_->shutdown_workers();
-  for (auto& agent : agents_) agent.pump();
+std::size_t FailoverProtocolRuntime::recover(
+    core::recovery::ManagerCrashPoint point, ProtocolDrive&) {
+  return failover(point);
+}
 
-  result.accounting = manager_->accounting();
-  result.tasks_completed = manager_->tasks_completed();
-  result.tasks_fatal = manager_->tasks_fatal();
-  result.chaos.merge(manager_->chaos());
-  result.evicted_alloc = manager_->evicted_alloc();
-  for (const auto& agent : agents_) result.chaos.merge(agent.chaos());
-  for (const auto& link : links_) {
-    result.messages +=
-        link->to_worker.messages_sent() + link->to_manager.messages_sent();
-    result.bytes +=
-        link->to_worker.bytes_sent() + link->to_manager.bytes_sent();
-    if (const auto* fc =
-            dynamic_cast<const FaultyChannel*>(&link->to_worker)) {
-      result.chaos.merge(fc->chaos());
-    }
-    if (const auto* fc =
-            dynamic_cast<const FaultyChannel*>(&link->to_manager)) {
-      result.chaos.merge(fc->chaos());
-    }
+void FailoverProtocolRuntime::after_pump(ProtocolManager& live) {
+  // Keep the standby current even between durability barriers (async
+  // mode never blocks inside them while under the lag cap).
+  standby_->replica->pump();
+  standby_->shipper->poll_acks();
+  if (standby_->shipper->acked() == standby_->shipper->shipped() &&
+      !standby_->shipper->standby_lost()) {
+    note_acknowledged_completions(live);
   }
-  result.recovery = counters_;
+}
+
+FailoverRunResult FailoverProtocolRuntime::run(std::size_t max_rounds) {
+  FailoverRunResult result;
+  drive_.run(max_rounds, result);
+  harvest(drive_.manager(), result);
   result.replication = rep_counters_;
-  result.resilience = manager_->resilience();
-  result.state_fingerprint = manager_->snapshot_body();
-  result.storage = manager_->storage_health();
-  if (const auto* faulty =
-          dynamic_cast<const core::recovery::FaultyStorage*>(storage_)) {
-    result.storage_faults = faulty->counters();
-  }
   result.failovers = failovers_;
-  result.final_term = manager_->term();
+  result.final_term = drive_.manager().term();
   result.rto_us = rto_us_;
   result.cold_rebuild_us = cold_rebuild_us_;
   return result;

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -15,19 +14,16 @@
 #include "core/replication/replication.hpp"
 #include "core/task.hpp"
 #include "core/task_allocator.hpp"
+#include "proto/drive.hpp"
 #include "proto/manager.hpp"
 #include "proto/recovery_runtime.hpp"
 
 namespace tora::proto {
 
-/// Outcome of a hot-standby replicated protocol run.
-struct FailoverRunResult : ProtocolRunResult {
-  core::RecoveryCounters recovery;
+/// Outcome of a hot-standby replicated protocol run. The journaled fields
+/// describe the final (possibly promoted) manager.
+struct FailoverRunResult : RecoveryRunResult {
   core::ReplicationCounters replication;
-  /// The final (possibly promoted) manager's snapshot_body().
-  std::string state_fingerprint;
-  core::StorageHealth storage;
-  core::StorageFaultCounters storage_faults;
   /// Primary deaths survived by promoting the standby.
   std::size_t failovers = 0;
   /// The final manager's leadership term (== failovers when every promotion
@@ -63,9 +59,11 @@ struct FailoverRunResult : ProtocolRunResult {
 ///    last fully-acknowledged durability barrier is still Completed on the
 ///    promoted manager.
 ///  - the fenced zombie must report fenced() (its pump() is a no-op).
-class FailoverProtocolRuntime {
+///
+/// The runtime is the ProtocolDrive's crash policy: promote the standby.
+class FailoverProtocolRuntime : private CrashPolicy {
  public:
-  using AllocatorFactory = RecoverableProtocolRuntime::AllocatorFactory;
+  using AllocatorFactory = proto::AllocatorFactory;
 
   /// `primary_storage` backs the FIRST primary's journal (fault-decorated
   /// in the chaos harness; it dies with the primary). Standby mirrors are
@@ -81,7 +79,7 @@ class FailoverProtocolRuntime {
                           core::recovery::CrashSchedule crashes = {});
   ~FailoverProtocolRuntime();  ///< out-of-line: StandbyGeneration is opaque
 
-  /// Runs to completion (stall contract as ProtocolRuntime::run).
+  /// Runs to completion (see ProtocolDrive for the stall rule).
   FailoverRunResult run(std::size_t max_rounds = 1000000);
 
   const core::ReplicationCounters& replication_counters() const noexcept {
@@ -90,6 +88,11 @@ class FailoverProtocolRuntime {
 
  private:
   struct StandbyGeneration;
+
+  // CrashPolicy: fail over, and keep the standby current after each pump.
+  std::size_t recover(core::recovery::ManagerCrashPoint point,
+                      ProtocolDrive& drive) override;
+  void after_pump(ProtocolManager& live) override;
 
   /// Wires a fresh standby generation (mirror storage, replication link,
   /// warm applier, replica, shipper) to the CURRENT primary log. `genesis`
@@ -108,23 +111,12 @@ class FailoverProtocolRuntime {
 
   /// Remember which tasks were Completed while the standby was fully
   /// caught up (acked == shipped): the zero-lost-acks oracle's watermark.
-  void note_acknowledged_completions();
+  void note_acknowledged_completions(const ProtocolManager& live);
 
-  std::span<const core::TaskSpec> tasks_;
-  AllocatorFactory make_allocator_;
-  LivenessConfig liveness_;
+  // The primary's storage and log (CrashPolicy) change at each failover.
   core::replication::ReplicationConfig rep_cfg_;
-  core::recovery::RecoveryConfig recovery_cfg_;
-  std::vector<DuplexLinkPtr> links_;
-  std::vector<WorkerAgent> agents_;
-
-  // Current-primary state (replaced wholesale on failover).
-  core::recovery::Storage* storage_;  ///< current primary's storage
-  core::RecoveryCounters counters_;
-  core::recovery::CrashMonitor monitor_;
-  std::unique_ptr<core::recovery::RecoveryLog> log_;
-  std::unique_ptr<core::TaskAllocator> allocator_;
-  std::unique_ptr<ProtocolManager> manager_;
+  LinkTransport transport_;
+  ProtocolDrive drive_;  ///< the agents and the live manager
 
   // Standby generation (replaced on failover; old mirror becomes the new
   // primary's storage).
@@ -136,7 +128,6 @@ class FailoverProtocolRuntime {
   std::size_t failovers_ = 0;
   std::vector<double> rto_us_;
   std::vector<double> cold_rebuild_us_;
-  std::size_t stall_limit_;
 };
 
 }  // namespace tora::proto

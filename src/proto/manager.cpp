@@ -10,7 +10,6 @@
 #include "core/lifecycle/drain.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
-#include "util/rng.hpp"
 
 namespace tora::proto {
 
@@ -577,6 +576,17 @@ bool ProtocolManager::is_quarantined(std::uint64_t worker_id) const {
   if (worker_id < quarantined_.size() && quarantined_[worker_id]) return true;
   return cfg_.resilience.reliability &&
          reliability_.quarantined(worker_id, static_cast<double>(tick_));
+}
+
+std::size_t ProtocolManager::workers_quarantined() const {
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < links_.size(); ++w) n += is_quarantined(w);
+  return n;
+}
+
+std::size_t ProtocolManager::workers_backpressured() const noexcept {
+  return static_cast<std::size_t>(
+      std::count(bp_sample_.begin(), bp_sample_.end(), 1));
 }
 
 bool ProtocolManager::churn_evidence() const noexcept {
@@ -1226,154 +1236,53 @@ void ProtocolManager::shutdown_workers() {
   }
 }
 
+RebuiltManager rebuild_from_log(core::recovery::RecoveryLog& log,
+                                std::span<const core::TaskSpec> tasks,
+                                const AllocatorFactory& make_allocator,
+                                const std::vector<DuplexLinkPtr>& links,
+                                const LivenessConfig& liveness,
+                                core::recovery::CrashMonitor* crashes,
+                                core::recovery::RecoveryConfig recovery,
+                                core::RecoveryCounters* counters) {
+  const core::recovery::RecoveryLog::ScanResult scan = log.scan();
+  RebuiltManager rebuilt;
+  rebuilt.allocator = make_allocator();
+  rebuilt.manager = std::make_unique<ProtocolManager>(
+      tasks, *rebuilt.allocator, links, liveness);
+  rebuilt.manager->attach_recovery(&log, crashes, recovery, counters);
+  rebuilt.handled = rebuilt.manager->recover(scan);
+  log.adopt_epoch(scan.epoch);
+  return rebuilt;
+}
+
 // ---------------------------------------------------------------- runtime
-
-std::vector<DuplexLinkPtr> build_chaos_links(std::size_t num_workers,
-                                             const ChaosConfig& chaos) {
-  std::vector<DuplexLinkPtr> links;
-  links.reserve(num_workers);
-  util::Rng rng(chaos.seed);
-  std::vector<char> severed(num_workers, 0);
-  if (chaos.sever_workers > 0 && num_workers > 1) {
-    // Cap at n-1 so at least one worker keeps both directions; the run
-    // stays completable no matter how unlucky the draw.
-    util::Rng pick = rng.split("sever");
-    const std::size_t want = std::min(chaos.sever_workers, num_workers - 1);
-    std::size_t chosen = 0;
-    while (chosen < want) {
-      const auto w = pick.uniform_int(0, num_workers - 1);
-      if (!severed[w]) {
-        severed[w] = 1;
-        ++chosen;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    FaultPlan to_worker = chaos.to_worker;
-    FaultPlan to_manager = chaos.to_manager;
-    if (severed[i]) {
-      to_worker.sever_after_messages = chaos.sever_after_messages;
-      to_manager.sever_after_messages = chaos.sever_after_messages;
-    }
-    if (to_worker.enabled() || to_manager.enabled()) {
-      // Labeled splits: each channel gets a stream derived from (seed,
-      // direction, worker), independent of construction order.
-      const std::string tag = std::to_string(i);
-      links.push_back(std::make_shared<DuplexLink>(
-          std::make_unique<FaultyChannel>(to_worker,
-                                          rng.split("to_worker/" + tag)),
-          std::make_unique<FaultyChannel>(to_manager,
-                                          rng.split("to_manager/" + tag))));
-    } else {
-      links.push_back(std::make_shared<DuplexLink>());
-    }
-  }
-  return links;
-}
-
-std::size_t chaos_stall_limit(const ChaosConfig& chaos) {
-  if (!chaos.enabled()) return 0;  // fault-free runs fail fast, as before
-  // Under chaos, quiet rounds are legitimate: backoff windows, timeout
-  // windows and silence windows all pass without countable progress. Allow
-  // a generous multiple of the longest detection chain before giving up.
-  const LivenessConfig& lv = chaos.liveness;
-  return 64 * (lv.silence_ticks + lv.attempt_timeout_ticks +
-               lv.backoff_cap_ticks + 4);
-}
-
-ProtocolRuntime::ProtocolRuntime(std::span<const core::TaskSpec> tasks,
-                                 core::TaskAllocator& allocator,
-                                 std::size_t num_workers,
-                                 core::ResourceVector worker_capacity)
-    : ProtocolRuntime(tasks, allocator, num_workers, worker_capacity,
-                      ChaosConfig{}) {}
 
 ProtocolRuntime::ProtocolRuntime(std::span<const core::TaskSpec> tasks,
                                  core::TaskAllocator& allocator,
                                  std::size_t num_workers,
                                  core::ResourceVector worker_capacity,
                                  const ChaosConfig& chaos)
-    : links_(build_chaos_links(num_workers, chaos)),
-      manager_(tasks, allocator, links_, chaos.liveness),
-      stall_limit_(chaos_stall_limit(chaos)) {
-  if (num_workers == 0) {
-    throw std::invalid_argument("ProtocolRuntime: need at least one worker");
-  }
-  agents_.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    const WorkerFaultConfig faults = i < chaos.worker_faults.size()
-                                         ? chaos.worker_faults[i]
-                                         : WorkerFaultConfig{};
-    agents_.emplace_back(i, worker_capacity, manager_.tenants().tasks(),
-                         links_[i], faults);
-  }
-}
+    : transport_(num_workers, chaos),
+      drive_(transport_, nullptr,
+             {nullptr, std::make_unique<ProtocolManager>(
+                           tasks, allocator, transport_.links(),
+                           chaos.liveness)},
+             worker_capacity, chaos) {}
 
 ProtocolRuntime::ProtocolRuntime(
     std::vector<core::tenancy::TenantInput> tenants,
     std::unique_ptr<core::tenancy::Arbiter> arbiter, std::size_t num_workers,
     core::ResourceVector worker_capacity, const ChaosConfig& chaos)
-    : links_(build_chaos_links(num_workers, chaos)),
-      manager_(std::move(tenants), links_, chaos.liveness, std::move(arbiter)),
-      stall_limit_(chaos_stall_limit(chaos)) {
-  if (num_workers == 0) {
-    throw std::invalid_argument("ProtocolRuntime: need at least one worker");
-  }
-  agents_.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    const WorkerFaultConfig faults = i < chaos.worker_faults.size()
-                                         ? chaos.worker_faults[i]
-                                         : WorkerFaultConfig{};
-    // Agents execute against the facade's composed global task table.
-    agents_.emplace_back(i, worker_capacity, manager_.tenants().tasks(),
-                         links_[i], faults);
-  }
-}
+    : transport_(num_workers, chaos),
+      drive_(transport_, nullptr,
+             {nullptr, std::make_unique<ProtocolManager>(
+                           std::move(tenants), transport_.links(),
+                           chaos.liveness, std::move(arbiter))},
+             worker_capacity, chaos) {}
 
 ProtocolRunResult ProtocolRuntime::run(std::size_t max_rounds) {
-  for (auto& agent : agents_) agent.announce();
-  manager_.start();
   ProtocolRunResult result;
-  std::size_t stalled = 0;
-  for (result.rounds = 0; result.rounds < max_rounds; ++result.rounds) {
-    std::size_t progress = manager_.pump();
-    for (auto& agent : agents_) progress += agent.pump();
-    if (manager_.done()) break;
-    if (progress == 0) {
-      if (++stalled > stall_limit_) {
-        throw std::runtime_error(
-            "ProtocolRuntime: no progress with unfinished tasks (allocation "
-            "larger than every worker, or all workers lost?)");
-      }
-    } else {
-      stalled = 0;
-    }
-  }
-  if (!manager_.done()) {
-    throw std::runtime_error("ProtocolRuntime: round limit exceeded");
-  }
-  manager_.shutdown_workers();
-  for (auto& agent : agents_) agent.pump();
-
-  result.accounting = manager_.accounting();
-  result.tasks_completed = manager_.tasks_completed();
-  result.tasks_fatal = manager_.tasks_fatal();
-  result.chaos.merge(manager_.chaos());
-  result.evicted_alloc = manager_.evicted_alloc();
-  result.resilience = manager_.resilience();
-  for (const auto& agent : agents_) result.chaos.merge(agent.chaos());
-  for (const auto& link : links_) {
-    result.messages +=
-        link->to_worker.messages_sent() + link->to_manager.messages_sent();
-    result.bytes += link->to_worker.bytes_sent() + link->to_manager.bytes_sent();
-    if (const auto* fc = dynamic_cast<const FaultyChannel*>(&link->to_worker)) {
-      result.chaos.merge(fc->chaos());
-    }
-    if (const auto* fc =
-            dynamic_cast<const FaultyChannel*>(&link->to_manager)) {
-      result.chaos.merge(fc->chaos());
-    }
-  }
+  drive_.run(max_rounds, result);
   return result;
 }
 

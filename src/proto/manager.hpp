@@ -16,6 +16,7 @@
 #include "core/task_allocator.hpp"
 #include "core/tenancy/multi_tenant_core.hpp"
 #include "proto/channel.hpp"
+#include "proto/drive.hpp"
 #include "proto/fault.hpp"
 #include "proto/message.hpp"
 #include "proto/worker_agent.hpp"
@@ -109,6 +110,10 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   std::size_t tasks_fatal() const noexcept { return core_.fatal(); }
   std::size_t dispatches_sent() const noexcept { return dispatches_; }
   std::size_t workers_known() const noexcept { return workers_.size(); }
+  /// Workers quarantined or serving a probation sentence.
+  std::size_t workers_quarantined() const;
+  /// Workers whose links pushed back in the last tick's sample.
+  std::size_t workers_backpressured() const noexcept;
   std::size_t ticks() const noexcept { return tick_; }
   /// Anomaly counters: malformed lines, stale/duplicate results, timeouts,
   /// deaths, quarantines, evictions.
@@ -396,48 +401,37 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   core::ResilienceCounters res_counters_;
 };
 
-/// Builds the in-process duplex links for `num_workers`, wrapping each in
-/// seeded FaultyChannels when `chaos` enables faults (labeled RNG splits per
-/// direction × worker; severed links capped at n-1 so a run stays
-/// completable). Shared by ProtocolRuntime and RecoverableProtocolRuntime.
-std::vector<DuplexLinkPtr> build_chaos_links(std::size_t num_workers,
-                                             const ChaosConfig& chaos);
-
-/// Stall tolerance for pump loops under `chaos`: 0 (fail fast) without
-/// faults, else a generous multiple of the longest detection chain.
-std::size_t chaos_stall_limit(const ChaosConfig& chaos);
-
-/// Aggregate outcome of a full protocol run.
-struct ProtocolRunResult {
-  core::WasteAccounting accounting;
-  std::size_t tasks_completed = 0;
-  std::size_t tasks_fatal = 0;
-  std::size_t messages = 0;
-  std::size_t bytes = 0;
-  std::size_t rounds = 0;
-  /// Aggregated anomaly counters from channels, manager and agents.
-  core::ChaosCounters chaos;
-  /// Protocol-level eviction cost (see ProtocolManager::evicted_alloc).
-  core::ResourceVector evicted_alloc;
-  /// Resilience-layer activity (see ProtocolManager::resilience).
-  core::ResilienceCounters resilience;
+/// A manager rebuilt from durable storage, with the allocator it owns.
+struct RebuiltManager : ManagerSlot {
+  std::size_t handled = 0;  ///< recover()'s result
 };
 
+/// The one rebuild-from-log sequence (crash recovery, the failover oracle's
+/// cold rebuild, `tora proto --standby-serve`): scan `log`, build a fresh
+/// allocator and manager over `links`, attach `log` with `crashes`,
+/// `recovery` and `counters`, recover() from the scan, and adopt the
+/// scanned epoch on `log`.
+RebuiltManager rebuild_from_log(core::recovery::RecoveryLog& log,
+                                std::span<const core::TaskSpec> tasks,
+                                const AllocatorFactory& make_allocator,
+                                const std::vector<DuplexLinkPtr>& links,
+                                const LivenessConfig& liveness,
+                                core::recovery::CrashMonitor* crashes = nullptr,
+                                core::recovery::RecoveryConfig recovery = {},
+                                core::RecoveryCounters* counters = nullptr);
+
 /// Convenience harness: builds `num_workers` WorkerAgents of the given
-/// capacity wired to a ProtocolManager over in-process links and pumps the
-/// whole system to completion. The chaos overload wraps every link in
-/// seeded FaultyChannels and injects the configured worker crashes.
+/// capacity wired to a ProtocolManager over in-process links and drives the
+/// whole system to completion (ProtocolDrive, no crash policy). `chaos`
+/// wraps every link in seeded FaultyChannels and injects the configured
+/// worker crashes.
 class ProtocolRuntime {
  public:
   ProtocolRuntime(std::span<const core::TaskSpec> tasks,
                   core::TaskAllocator& allocator, std::size_t num_workers,
-                  core::ResourceVector worker_capacity = {
-                      16.0, 64.0 * 1024.0, 64.0 * 1024.0, 0.0});
-
-  ProtocolRuntime(std::span<const core::TaskSpec> tasks,
-                  core::TaskAllocator& allocator, std::size_t num_workers,
-                  core::ResourceVector worker_capacity,
-                  const ChaosConfig& chaos);
+                  core::ResourceVector worker_capacity = {16.0, 64.0 * 1024.0,
+                                                          64.0 * 1024.0, 0.0},
+                  const ChaosConfig& chaos = {});
 
   /// Multi-tenant harness: the tenants' composed workflow shares the
   /// `num_workers` agents through `arbiter`.
@@ -449,19 +443,16 @@ class ProtocolRuntime {
                   const ChaosConfig& chaos = {});
 
   /// The manager under test (tenant diagnostics and parity checks).
-  const ProtocolManager& manager() const noexcept { return manager_; }
+  const ProtocolManager& manager() const noexcept { return drive_.manager(); }
 
-  /// Runs to completion; throws std::runtime_error if the system stops
-  /// making progress before every task finishes. Under chaos, "no
-  /// progress" tolerates the failure-detection windows (timeouts and
-  /// backoff legitimately produce quiet rounds) before giving up.
+  /// Runs to completion; throws StallError if the system stops making
+  /// progress before every task finishes (see ProtocolDrive for the stall
+  /// rule).
   ProtocolRunResult run(std::size_t max_rounds = 1000000);
 
  private:
-  std::vector<DuplexLinkPtr> links_;
-  ProtocolManager manager_;
-  std::vector<WorkerAgent> agents_;
-  std::size_t stall_limit_;
+  LinkTransport transport_;
+  ProtocolDrive drive_;
 };
 
 }  // namespace tora::proto

@@ -175,6 +175,10 @@ class WorkerEndpoint {
   bool pump_io(double now, int timeout_ms = 0);
 
   bool established() const noexcept { return state_ == State::Established; }
+  /// Waiting out a reconnect backoff.
+  bool in_backoff() const noexcept { return state_ == State::Backoff; }
+  /// Consecutive failed connect attempts (0 once a handshake completes).
+  std::size_t failed_connects() const noexcept { return attempt_; }
   /// No connection-level work outstanding (see ManagerEndpoint::quiesced).
   bool quiesced() const noexcept;
 

@@ -40,17 +40,15 @@ bool FaultProxy::pump_io(int timeout_ms) {
   // Accept new downstream connections and dial the upstream for each.
   while (auto down = listener_.accept()) {
     progress = true;
-    if (refuse_) {
-      ++faults_;
-      continue;  // slam shut: worker sees an immediate close
-    }
     Fd up = connect_start(host_, upstream_port_);
     if (!up.valid()) continue;  // upstream gone; downstream just closes
     poller_.add(down->get());
     poller_.add(up.get(), /*want_write=*/true);
+    // Each connection's fault stream is keyed by its accept order, so a
+    // reconnect draws fresh faults instead of replaying its predecessor's.
     pairs_.push_back(std::make_unique<Pair>(
         std::move(*down), std::move(up),
-        rng_.split("conn/" + std::to_string(pairs_.size()))));
+        rng_.split("conn/" + std::to_string(accepted_++))));
   }
   // epoll wakes the blocking CLI/soak callers; the lockstep harness calls
   // with timeout 0 and we simply sweep every pair (level-triggered reads
@@ -169,14 +167,6 @@ void FaultProxy::close_pair(std::size_t index, bool rst) {
     if (rst) reset_close(p.upstream);
   }
   pairs_.erase(pairs_.begin() + static_cast<std::ptrdiff_t>(index));
-}
-
-void FaultProxy::rst_all() {
-  while (!pairs_.empty()) close_pair(0, /*rst=*/true);
-}
-
-void FaultProxy::close_all() {
-  while (!pairs_.empty()) close_pair(0, /*rst=*/false);
 }
 
 }  // namespace tora::proto::net

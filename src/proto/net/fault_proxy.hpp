@@ -37,8 +37,8 @@ struct WireFaultPlan {
 /// dials the real manager for every inbound connection, and forwards bytes
 /// both ways through a seeded WireFaultPlan. Workers connect to
 /// `proxy.port()` instead of the manager and experience latency, byte
-/// corruption, mid-frame truncation, RSTs and accept-refusal — while the
-/// manager sees ordinary (if hostile) TCP.
+/// corruption, mid-frame truncation and RSTs — while the manager sees
+/// ordinary (if hostile) TCP.
 ///
 /// Single-threaded and pump-driven like the endpoints: each pump_io() is
 /// one "step" of the latency clock. All randomness comes from the seed, so
@@ -54,17 +54,6 @@ class FaultProxy {
   /// on any byte moved.
   bool pump_io(int timeout_ms = 0);
 
-  /// While true, inbound connections are accepted and immediately closed
-  /// (connection refused, as seen from the worker).
-  void refuse_accepts(bool refuse) noexcept { refuse_ = refuse; }
-
-  /// Tears down every proxied connection with an RST on both legs.
-  void rst_all();
-
-  /// Severs every proxied connection with an orderly FIN.
-  void close_all();
-
-  std::size_t connections() const noexcept { return pairs_.size(); }
   std::size_t faults_injected() const noexcept { return faults_; }
 
  private:
@@ -107,8 +96,8 @@ class FaultProxy {
   util::Rng rng_;
   std::vector<std::unique_ptr<Pair>> pairs_;
   std::size_t step_ = 0;
+  std::size_t accepted_ = 0;  ///< connections proxied so far
   std::size_t faults_ = 0;
-  bool refuse_ = false;
 };
 
 }  // namespace tora::proto::net

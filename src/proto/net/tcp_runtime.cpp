@@ -16,61 +16,17 @@ constexpr std::size_t kSettleLimit = 200000;
 /// backoff deadlines and proxy latency gates expire inside a barrier
 /// without meaningfully advancing keepalive windows on calm runs.
 constexpr double kSettleDt = 0.01;
-/// IO pumps interleaved per round in paced (chaos) mode.
-constexpr std::size_t kPacedPumps = 8;
-
-std::size_t tcp_stall_limit(const ChaosConfig& chaos,
-                            const TcpTransportConfig& tcp, bool paced) {
-  std::size_t limit = chaos_stall_limit(chaos);
-  if (paced) {
-    // Wire faults add reconnect round-trips on top of the liveness
-    // windows; give each detection chain the backoff ceiling as slack.
-    const LivenessConfig& lv = chaos.liveness;
-    limit = std::max(limit,
-                     std::size_t{64} *
-                         (lv.silence_ticks + lv.attempt_timeout_ticks +
-                          lv.backoff_cap_ticks +
-                          static_cast<std::size_t>(tcp.backoff_cap) + 4));
-  }
-  return limit;
-}
-
-void fill_result(TcpRunResult& result, const ProtocolManager& manager,
-                 const std::vector<WorkerAgent>& agents,
-                 const ManagerEndpoint& mgr_ep,
-                 const std::vector<std::unique_ptr<WorkerEndpoint>>& eps) {
-  result.accounting = manager.accounting();
-  result.tasks_completed = manager.tasks_completed();
-  result.tasks_fatal = manager.tasks_fatal();
-  result.chaos.merge(manager.chaos());
-  result.evicted_alloc = manager.evicted_alloc();
-  result.resilience = manager.resilience();
-  for (const auto& agent : agents) result.chaos.merge(agent.chaos());
-  result.transport.merge(mgr_ep.counters());
-  for (const auto& ep : eps) result.transport.merge(ep->counters());
-  // On sockets, "messages/bytes" are what actually crossed the wire —
-  // application frames plus handshake and ack traffic.
-  result.messages = result.transport.frames_sent;
-  result.bytes = result.transport.bytes_sent;
-  result.state_fingerprint = manager.snapshot_body();
-}
 
 }  // namespace
 
-TcpProtocolRuntime::TcpProtocolRuntime(
-    std::span<const core::TaskSpec> tasks, core::TaskAllocator& allocator,
-    std::size_t num_workers, core::ResourceVector worker_capacity,
-    TcpTransportConfig tcp, ChaosConfig chaos,
-    std::optional<WireFaultPlan> proxy_plan, bool lockstep)
-    : tasks_(tasks),
-      allocator_(allocator),
-      tcp_(std::move(tcp)),
-      lockstep_(lockstep && !(proxy_plan && proxy_plan->active())),
-      stall_limit_(tcp_stall_limit(chaos, tcp_, !lockstep_)) {
-  if (num_workers == 0) {
-    throw std::invalid_argument("TcpProtocolRuntime: need at least one worker");
-  }
-  mgr_ep_ = std::make_unique<ManagerEndpoint>(num_workers, tcp_);
+SocketTransport::SocketTransport(std::size_t num_workers,
+                                 TcpTransportConfig tcp,
+                                 std::optional<WireFaultPlan> proxy_plan,
+                                 bool drop_connections_on_crash)
+    : tcp_(std::move(tcp)),
+      paced_(proxy_plan && proxy_plan->active()),
+      drop_on_crash_(drop_connections_on_crash),
+      mgr_ep_(std::make_unique<ManagerEndpoint>(num_workers, tcp_)) {
   std::uint16_t connect_port = mgr_ep_->port();
   if (proxy_plan) {
     proxy_ = std::make_unique<FaultProxy>(tcp_.host, connect_port,
@@ -78,41 +34,37 @@ TcpProtocolRuntime::TcpProtocolRuntime(
     connect_port = proxy_->port();
   }
   worker_eps_.reserve(num_workers);
-  agents_.reserve(num_workers);
   for (std::size_t i = 0; i < num_workers; ++i) {
     TcpTransportConfig wcfg = tcp_;
     wcfg.port = connect_port;
     worker_eps_.push_back(std::make_unique<WorkerEndpoint>(i, wcfg));
-    const WorkerFaultConfig faults = i < chaos.worker_faults.size()
-                                         ? chaos.worker_faults[i]
-                                         : WorkerFaultConfig{};
-    agents_.emplace_back(i, worker_capacity, tasks_, worker_eps_[i]->link(),
-                         faults);
   }
-  manager_ = std::make_unique<ProtocolManager>(tasks_, allocator_,
-                                               mgr_ep_->links(),
-                                               chaos.liveness);
 }
 
-bool TcpProtocolRuntime::pump_network(int timeout_ms) {
+bool SocketTransport::pump_network(int timeout_ms) {
   bool progress = mgr_ep_->pump_io(now_, timeout_ms);
   if (proxy_) progress |= proxy_->pump_io(0);
   for (auto& ep : worker_eps_) progress |= ep->pump_io(now_, 0);
   return progress;
 }
 
-bool TcpProtocolRuntime::network_quiesced() const {
-  if (!mgr_ep_->quiesced()) return false;
-  for (const auto& ep : worker_eps_) {
-    if (!ep->quiesced()) return false;
+void SocketTransport::advance(std::size_t paced_pumps) {
+  if (paced_) {
+    for (std::size_t i = 0; i < paced_pumps; ++i) pump_network(0);
+  } else {
+    settle();
   }
-  return true;
 }
 
-void TcpProtocolRuntime::settle() {
+void SocketTransport::settle() {
+  const auto quiesced = [this] {
+    return mgr_ep_->quiesced() &&
+           std::all_of(worker_eps_.begin(), worker_eps_.end(),
+                       [](const auto& ep) { return ep->quiesced(); });
+  };
   for (std::size_t i = 0; i < kSettleLimit; ++i) {
     const bool progress = pump_network(0);
-    if (network_quiesced()) return;
+    if (quiesced()) return;
     now_ += kSettleDt;
     if (!progress) {
       // Give the kernel a moment to move loopback bytes between fds.
@@ -120,56 +72,61 @@ void TcpProtocolRuntime::settle() {
     }
   }
   throw std::runtime_error(
-      "TcpProtocolRuntime: network failed to settle (frames stuck in "
-      "flight, or a worker cannot reconnect)");
+      "SocketTransport: network failed to settle (frames stuck in flight, "
+      "or a worker cannot reconnect)");
 }
 
-TcpRunResult TcpProtocolRuntime::run(std::size_t max_rounds) {
-  for (auto& agent : agents_) agent.announce();
-  if (lockstep_) {
-    settle();  // connect, handshake, deliver every announcement
-  } else {
-    for (std::size_t i = 0; i < 4 * kPacedPumps; ++i) pump_network(0);
-  }
-  manager_->start();
-  TcpRunResult result;
-  std::size_t stalled = 0;
-  for (result.rounds = 0; result.rounds < max_rounds; ++result.rounds) {
-    now_ = static_cast<double>(result.rounds + 1);
-    std::size_t progress = manager_->pump();
-    if (lockstep_) {
-      settle();
-    } else {
-      for (std::size_t i = 0; i < kPacedPumps; ++i) pump_network(0);
-    }
-    for (auto& agent : agents_) progress += agent.pump();
-    if (lockstep_) {
-      settle();
-    } else {
-      for (std::size_t i = 0; i < kPacedPumps; ++i) pump_network(0);
-    }
-    if (manager_->done()) break;
-    if (progress == 0) {
-      if (++stalled > std::max<std::size_t>(stall_limit_, 1)) {
-        throw std::runtime_error(
-            "TcpProtocolRuntime: no progress with unfinished tasks");
-      }
-    } else {
-      stalled = 0;
-    }
-  }
-  if (!manager_->done()) {
-    throw std::runtime_error("TcpProtocolRuntime: round limit exceeded");
-  }
-  manager_->shutdown_workers();
-  if (lockstep_) {
-    settle();
-  } else {
-    for (std::size_t i = 0; i < 4 * kPacedPumps; ++i) pump_network(0);
-  }
-  for (auto& agent : agents_) agent.pump();
+void SocketTransport::manager_crashed() {
+  // The manager host died: its TCP stack RSTs every connection. Sessions
+  // stay (they live in the endpoint, which models the substrate), so the
+  // reconnecting workers resume and replay their unacked frames.
+  if (drop_on_crash_) mgr_ep_->drop_all_connections();
+}
 
-  fill_result(result, *manager_, agents_, *mgr_ep_, worker_eps_);
+core::TransportCounters SocketTransport::counters() const {
+  core::TransportCounters merged = mgr_ep_->counters();
+  for (const auto& ep : worker_eps_) merged.merge(ep->counters());
+  return merged;
+}
+
+void SocketTransport::harvest(ProtocolRunResult& result) const {
+  // On sockets, "messages/bytes" are what actually crossed the wire —
+  // application frames plus handshake and ack traffic.
+  const core::TransportCounters t = counters();
+  result.messages = t.frames_sent;
+  result.bytes = t.bytes_sent;
+}
+
+void SocketTransport::describe(StallReport& report) const {
+  report.sockets = true;
+  for (const auto& ep : worker_eps_) {
+    report.endpoints_established += ep->established();
+    if (ep->in_backoff()) {
+      report.backoff_failed_connects.push_back(ep->failed_connects());
+    }
+  }
+}
+
+// ======================================================= TcpProtocolRuntime
+
+TcpProtocolRuntime::TcpProtocolRuntime(
+    std::span<const core::TaskSpec> tasks, core::TaskAllocator& allocator,
+    std::size_t num_workers, core::ResourceVector worker_capacity,
+    TcpTransportConfig tcp, ChaosConfig chaos,
+    std::optional<WireFaultPlan> proxy_plan)
+    : transport_(num_workers, std::move(tcp), proxy_plan,
+                 /*drop_connections_on_crash=*/false),
+      drive_(transport_, nullptr,
+             {nullptr,
+              std::make_unique<ProtocolManager>(
+                  tasks, allocator, transport_.links(), chaos.liveness)},
+             worker_capacity, chaos) {}
+
+TcpRunResult TcpProtocolRuntime::run(std::size_t max_rounds) {
+  TcpRunResult result;
+  drive_.run(max_rounds, result);
+  result.transport = transport_.counters();
+  result.state_fingerprint = drive_.manager().snapshot_body();
   return result;
 }
 
@@ -181,133 +138,19 @@ RecoverableTcpRuntime::RecoverableTcpRuntime(
     TcpTransportConfig tcp, ChaosConfig chaos,
     core::recovery::Storage& storage, core::recovery::RecoveryConfig recovery,
     core::recovery::CrashSchedule crashes, bool drop_connections_on_crash)
-    : tasks_(tasks),
-      make_allocator_(std::move(make_allocator)),
-      liveness_(chaos.liveness),
-      tcp_(std::move(tcp)),
-      drop_on_crash_(drop_connections_on_crash),
-      stall_limit_(tcp_stall_limit(chaos, tcp_, /*paced=*/true)),
-      storage_(storage),
-      monitor_(std::move(crashes), &counters_),
-      log_(storage_, &counters_, &monitor_),
-      recovery_cfg_(recovery) {
-  if (num_workers == 0) {
-    throw std::invalid_argument(
-        "RecoverableTcpRuntime: need at least one worker");
-  }
-  if (!make_allocator_) {
-    throw std::invalid_argument("RecoverableTcpRuntime: null allocator factory");
-  }
-  allocator_ = make_allocator_();
-  mgr_ep_ = std::make_unique<ManagerEndpoint>(num_workers, tcp_);
-  worker_eps_.reserve(num_workers);
-  agents_.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    TcpTransportConfig wcfg = tcp_;
-    wcfg.port = mgr_ep_->port();
-    worker_eps_.push_back(std::make_unique<WorkerEndpoint>(i, wcfg));
-    const WorkerFaultConfig faults = i < chaos.worker_faults.size()
-                                         ? chaos.worker_faults[i]
-                                         : WorkerFaultConfig{};
-    agents_.emplace_back(i, worker_capacity, tasks_, worker_eps_[i]->link(),
-                         faults);
-  }
-  manager_ = std::make_unique<ProtocolManager>(tasks_, *allocator_,
-                                               mgr_ep_->links(), liveness_);
-  manager_->attach_recovery(&log_, &monitor_, recovery_cfg_, &counters_);
-}
-
-bool RecoverableTcpRuntime::pump_network(int timeout_ms) {
-  bool progress = mgr_ep_->pump_io(now_, timeout_ms);
-  for (auto& ep : worker_eps_) progress |= ep->pump_io(now_, 0);
-  return progress;
-}
-
-bool RecoverableTcpRuntime::network_quiesced() const {
-  if (!mgr_ep_->quiesced()) return false;
-  for (const auto& ep : worker_eps_) {
-    if (!ep->quiesced()) return false;
-  }
-  return true;
-}
-
-void RecoverableTcpRuntime::settle() {
-  for (std::size_t i = 0; i < kSettleLimit; ++i) {
-    const bool progress = pump_network(0);
-    if (network_quiesced()) return;
-    now_ += kSettleDt;
-    if (!progress) pump_network(1);
-  }
-  throw std::runtime_error("RecoverableTcpRuntime: network failed to settle");
-}
-
-std::size_t RecoverableTcpRuntime::recover() {
-  monitor_.disarm();
-  log_.close();
-  storage_.on_crash();
-  if (drop_on_crash_) {
-    // The manager host died: its TCP stack RSTs every connection. Sessions
-    // stay (they live in the endpoint, which models the substrate), so the
-    // reconnecting workers resume and replay their unacked frames.
-    mgr_ep_->drop_all_connections();
-  }
-  const core::recovery::RecoveryLog::ScanResult scan = log_.scan();
-  allocator_ = make_allocator_();
-  manager_ = std::make_unique<ProtocolManager>(tasks_, *allocator_,
-                                               mgr_ep_->links(), liveness_);
-  manager_->attach_recovery(&log_, &monitor_, recovery_cfg_, &counters_);
-  const std::size_t handled = manager_->recover(scan);
-  log_.adopt_epoch(scan.epoch);
-  log_.rotate(manager_->snapshot_body(), manager_->ticks());
-  monitor_.arm();
-  ++counters_.recoveries;
-  return handled;
-}
+    : transport_(num_workers, std::move(tcp), std::nullopt,
+                 drop_connections_on_crash),
+      rebuild_(tasks, std::move(make_allocator), chaos.liveness, storage,
+               recovery, std::move(crashes)),
+      drive_(transport_, &rebuild_, rebuild_.first_manager(transport_.links()),
+             worker_capacity, chaos) {}
 
 RecoverableTcpRuntime::Result RecoverableTcpRuntime::run(
     std::size_t max_rounds) {
-  log_.open_fresh();
-  for (auto& agent : agents_) agent.announce();
-  settle();
-  manager_->start();
   Result result;
-  std::size_t stalled = 0;
-  for (result.rounds = 0; result.rounds < max_rounds; ++result.rounds) {
-    now_ = static_cast<double>(result.rounds + 1);
-    std::size_t progress = 0;
-    bool do_pump = true;
-    while (do_pump) {
-      try {
-        progress = manager_->pump();
-        do_pump = false;
-      } catch (const core::recovery::ManagerCrash& crash) {
-        progress = recover();
-        do_pump =
-            crash.point() == core::recovery::ManagerCrashPoint::PumpBegin;
-      }
-    }
-    settle();
-    for (auto& agent : agents_) progress += agent.pump();
-    settle();
-    if (manager_->done()) break;
-    if (progress == 0) {
-      if (++stalled > std::max<std::size_t>(stall_limit_, 1)) {
-        throw std::runtime_error(
-            "RecoverableTcpRuntime: no progress with unfinished tasks");
-      }
-    } else {
-      stalled = 0;
-    }
-  }
-  if (!manager_->done()) {
-    throw std::runtime_error("RecoverableTcpRuntime: round limit exceeded");
-  }
-  manager_->shutdown_workers();
-  settle();
-  for (auto& agent : agents_) agent.pump();
-
-  fill_result(result, *manager_, agents_, *mgr_ep_, worker_eps_);
-  result.recovery = counters_;
+  drive_.run(max_rounds, result);
+  result.transport = transport_.counters();
+  rebuild_.harvest(drive_.manager(), result);
   return result;
 }
 

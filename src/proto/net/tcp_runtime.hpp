@@ -12,6 +12,7 @@
 #include "core/recovery/storage.hpp"
 #include "core/task.hpp"
 #include "core/task_allocator.hpp"
+#include "proto/drive.hpp"
 #include "proto/manager.hpp"
 #include "proto/net/endpoint.hpp"
 #include "proto/net/fault_proxy.hpp"
@@ -27,78 +28,104 @@ struct TcpRunResult : ProtocolRunResult {
   std::string state_fingerprint;      ///< ProtocolManager::snapshot_body()
 };
 
+/// The socket transport: a ManagerEndpoint, one WorkerEndpoint per worker
+/// and, given a WireFaultPlan, a FaultProxy between them that injects
+/// byte-level faults (latency, corruption, mid-frame truncation, RST). The
+/// endpoints model the network substrate, so they outlive a manager crash:
+/// the reborn manager receives the same links.
+///
+/// The pacing follows from the plan. LOCKSTEP (no active plan): every
+/// transport step settles the network to empty — every send queue drained
+/// and acked, every byte delivered, a count-based barrier rather than a
+/// timed one — so message arrival ORDER is identical to the in-process
+/// runtime and the final snapshot_body() matches it byte for byte. PACED
+/// (an active plan): every step is a bounded burst of IO pumps, the network
+/// may be mid-flight, late, or on fire, and assertions target completion
+/// and exactly-once accounting, not fingerprints.
+class SocketTransport final : public Transport {
+ public:
+  /// `drop_connections_on_crash`: see RecoverableTcpRuntime.
+  SocketTransport(std::size_t num_workers, TcpTransportConfig tcp,
+                  std::optional<WireFaultPlan> proxy_plan,
+                  bool drop_connections_on_crash);
+
+  const std::vector<DuplexLinkPtr>& links() const override {
+    return mgr_ep_->links();
+  }
+  const DuplexLinkPtr& worker_link(std::size_t i) const override {
+    return worker_eps_[i]->link();
+  }
+  void flush() override { advance(4 * kPacedPumps); }
+  void begin_round(std::size_t round) override {
+    now_ = static_cast<double>(round + 1);
+  }
+  void step() override { advance(kPacedPumps); }
+  void manager_crashed() override;
+  void harvest(ProtocolRunResult& result) const override;
+  void describe(StallReport& report) const override;
+  std::size_t reconnect_backoff_cap() const override {
+    return static_cast<std::size_t>(tcp_.backoff_cap);
+  }
+
+  /// The manager's and every worker's transport counters, merged.
+  core::TransportCounters counters() const;
+  /// Non-null when a proxy plan was given.
+  FaultProxy* proxy() noexcept { return proxy_.get(); }
+
+ private:
+  /// IO pumps per paced transport step.
+  static constexpr std::size_t kPacedPumps = 8;
+
+  bool pump_network(int timeout_ms = 0);
+  /// `paced_pumps` IO pumps when paced, else settle().
+  void advance(std::size_t paced_pumps);
+  /// Pumps IO until the whole network is empty (lockstep barrier); the
+  /// sub-round clock advances a fraction per iteration so backoff and
+  /// latency gates keep moving. Throws if the network never drains.
+  void settle();
+
+  TcpTransportConfig tcp_;
+  bool paced_;
+  bool drop_on_crash_;
+  std::unique_ptr<ManagerEndpoint> mgr_ep_;
+  std::unique_ptr<FaultProxy> proxy_;
+  std::vector<std::unique_ptr<WorkerEndpoint>> worker_eps_;
+  double now_ = 0.0;
+};
+
 /// ProtocolRuntime's socket sibling: the same manager and WorkerAgents,
 /// but every message crosses a real loopback TCP connection through the
-/// session layer (handshake, sequence numbers, acks, reconnect, resume).
-///
-/// Two pacing modes:
-///
-///  - LOCKSTEP (default, no wire faults): each round runs exactly the
-///    in-process round structure — manager.pump(), network settled to
-///    empty, agents pump, settled again — so message arrival ORDER is
-///    identical to the in-process runtime and the final snapshot_body()
-///    matches it byte for byte. The settle barrier is count-based (every
-///    send queue drained, acked, and every byte delivered), not
-///    time-based, which is what makes real sockets deterministic here.
-///
-///  - PACED (chaos): with a FaultProxy plan or lockstep=false, each round
-///    interleaves a bounded burst of IO pumps instead of a barrier — the
-///    network is allowed to be mid-flight, late, or on fire. Assertions
-///    then target completion and exactly-once accounting, not
-///    fingerprints.
-///
-/// The optional WireFaultPlan routes every worker through an in-process
-/// FaultProxy injecting byte-level faults (latency, corruption, mid-frame
-/// truncation, RST, accept-refusal).
+/// session layer (handshake, sequence numbers, acks, reconnect, resume) —
+/// a SocketTransport, optionally through a FaultProxy.
 class TcpProtocolRuntime {
  public:
   TcpProtocolRuntime(std::span<const core::TaskSpec> tasks,
                      core::TaskAllocator& allocator, std::size_t num_workers,
                      core::ResourceVector worker_capacity,
                      TcpTransportConfig tcp = {}, ChaosConfig chaos = {},
-                     std::optional<WireFaultPlan> proxy_plan = std::nullopt,
-                     bool lockstep = true);
+                     std::optional<WireFaultPlan> proxy_plan = std::nullopt);
 
   TcpRunResult run(std::size_t max_rounds = 100000);
 
-  ManagerEndpoint& manager_endpoint() noexcept { return *mgr_ep_; }
-  WorkerEndpoint& worker_endpoint(std::size_t i) { return *worker_eps_.at(i); }
   /// Non-null when a proxy plan was given.
-  FaultProxy* proxy() noexcept { return proxy_.get(); }
+  FaultProxy* proxy() noexcept { return transport_.proxy(); }
 
  private:
-  bool pump_network(int timeout_ms = 0);
-  /// Pumps IO until the whole network is empty (lockstep barrier); the
-  /// sub-round clock advances a fraction per iteration so backoff and
-  /// latency gates keep moving. Throws if the network never drains.
-  void settle();
-  bool network_quiesced() const;
-
-  std::span<const core::TaskSpec> tasks_;
-  core::TaskAllocator& allocator_;
-  TcpTransportConfig tcp_;
-  bool lockstep_;
-  std::size_t stall_limit_;
-  std::unique_ptr<ManagerEndpoint> mgr_ep_;
-  std::unique_ptr<FaultProxy> proxy_;
-  std::vector<std::unique_ptr<WorkerEndpoint>> worker_eps_;
-  std::vector<WorkerAgent> agents_;
-  std::unique_ptr<ProtocolManager> manager_;
-  double now_ = 0.0;
+  SocketTransport transport_;
+  ProtocolDrive drive_;
 };
 
 /// RecoverableProtocolRuntime's socket sibling: the manager journals and
-/// crashes exactly as in the in-process harness, but the transport is the
-/// real ManagerEndpoint, which — like the network it models — SURVIVES the
-/// manager process dying: the reborn manager receives the same links, and
-/// in-flight frames are still in the endpoint's channels and send queues.
-/// With `drop_connections_on_crash` the crash also RSTs every worker
-/// connection (the manager host's network stack dying with it); workers
-/// then reconnect with backoff and RESUME their sessions, replaying
-/// unacked results into the recovered manager's idempotency gate.
+/// crashes exactly as in the in-process harness (the RebuildFromLog crash
+/// policy), but the transport is a lockstep SocketTransport, which — like
+/// the network it models — SURVIVES the manager process dying: in-flight
+/// frames are still in the endpoint's channels and send queues. With
+/// `drop_connections_on_crash` the crash also RSTs every worker connection;
+/// workers then reconnect with backoff and RESUME their sessions,
+/// replaying unacked results into the recovered manager's idempotency gate.
 class RecoverableTcpRuntime {
  public:
-  using AllocatorFactory = RecoverableProtocolRuntime::AllocatorFactory;
+  using AllocatorFactory = proto::AllocatorFactory;
 
   RecoverableTcpRuntime(std::span<const core::TaskSpec> tasks,
                         AllocatorFactory make_allocator,
@@ -110,35 +137,18 @@ class RecoverableTcpRuntime {
                         core::recovery::CrashSchedule crashes = {},
                         bool drop_connections_on_crash = true);
 
-  struct Result : TcpRunResult {
+  struct Result : TcpRunResult {  ///< journaled fields as RecoveryRunResult
     core::RecoveryCounters recovery;
+    core::StorageHealth storage;
+    core::StorageFaultCounters storage_faults;
   };
 
   Result run(std::size_t max_rounds = 100000);
 
  private:
-  std::size_t recover();
-  bool pump_network(int timeout_ms = 0);
-  void settle();
-  bool network_quiesced() const;
-
-  std::span<const core::TaskSpec> tasks_;
-  AllocatorFactory make_allocator_;
-  LivenessConfig liveness_;
-  TcpTransportConfig tcp_;
-  bool drop_on_crash_;
-  std::size_t stall_limit_;
-  std::unique_ptr<core::TaskAllocator> allocator_;
-  std::unique_ptr<ManagerEndpoint> mgr_ep_;
-  std::vector<std::unique_ptr<WorkerEndpoint>> worker_eps_;
-  std::vector<WorkerAgent> agents_;
-  core::recovery::Storage& storage_;
-  core::RecoveryCounters counters_;
-  core::recovery::CrashMonitor monitor_;
-  core::recovery::RecoveryLog log_;
-  core::recovery::RecoveryConfig recovery_cfg_;
-  std::unique_ptr<ProtocolManager> manager_;
-  double now_ = 0.0;
+  SocketTransport transport_;
+  RebuildFromLog rebuild_;
+  ProtocolDrive drive_;
 };
 
 }  // namespace tora::proto::net

@@ -1,12 +1,78 @@
 #include "proto/recovery_runtime.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "core/recovery/faulty_storage.hpp"
-
 namespace tora::proto {
+
+CrashPolicy::CrashPolicy(std::span<const core::TaskSpec> tasks,
+                         AllocatorFactory make_allocator,
+                         LivenessConfig liveness,
+                         core::recovery::Storage& storage,
+                         core::recovery::RecoveryConfig recovery,
+                         core::recovery::CrashSchedule crashes)
+    : tasks_(tasks),
+      make_allocator_(std::move(make_allocator)),
+      liveness_(liveness),
+      recovery_cfg_(recovery),
+      storage_(&storage),
+      monitor_(std::move(crashes), &counters_),
+      log_(std::make_unique<core::recovery::RecoveryLog>(*storage_, &counters_,
+                                                         &monitor_)) {}
+
+ManagerSlot CrashPolicy::first_manager(
+    const std::vector<DuplexLinkPtr>& links) {
+  ManagerSlot slot;
+  if (make_allocator_) slot.allocator = make_allocator_();
+  if (!slot.allocator) {
+    throw std::invalid_argument("CrashPolicy: the allocator factory is null");
+  }
+  slot.manager = std::make_unique<ProtocolManager>(tasks_, *slot.allocator,
+                                                   links, liveness_);
+  slot.manager->attach_recovery(log_.get(), &monitor_, recovery_cfg_,
+                                &counters_);
+  return slot;
+}
+
+void CrashPolicy::open(ProtocolManager& live) {
+  try {
+    log_->open_fresh();
+  } catch (const core::recovery::StorageError&) {
+    live.note_storage_failure();
+  }
+}
+
+void CrashPolicy::seal(ProtocolManager& live) {
+  try {
+    log_->rotate(live.snapshot_body(), live.ticks());
+  } catch (const core::recovery::StorageError&) {
+    live.note_storage_failure();
+  }
+}
+
+std::size_t RebuildFromLog::recover(core::recovery::ManagerCrashPoint,
+                                    ProtocolDrive& drive) {
+  monitor_.disarm();
+  log_->close();
+  storage_->on_crash();
+  RebuiltManager rebuilt =
+      rebuild_from_log(*log_, tasks_, make_allocator_, drive.links(),
+                       liveness_, &monitor_, recovery_cfg_, &counters_);
+  ProtocolManager& live = *rebuilt.manager;
+  const std::size_t handled = rebuilt.handled;
+  drive.replace(std::move(rebuilt));
+
+  // Compact immediately: the old journal cannot be appended to (and the
+  // interrupted tick's finish above was not journaled).
+  seal(live);
+  // A lying fsync can durably lose even the Started record; a manager
+  // recovered to its pre-start state would otherwise idle forever (the
+  // drive loop starts the manager only once).
+  if (!live.started()) live.start();
+  monitor_.arm();
+  ++counters_.recoveries;
+  return handled;
+}
 
 RecoverableProtocolRuntime::RecoverableProtocolRuntime(
     std::span<const core::TaskSpec> tasks, AllocatorFactory make_allocator,
@@ -14,158 +80,16 @@ RecoverableProtocolRuntime::RecoverableProtocolRuntime(
     const ChaosConfig& chaos, core::recovery::Storage& storage,
     core::recovery::RecoveryConfig recovery,
     core::recovery::CrashSchedule crashes)
-    : tasks_(tasks),
-      make_allocator_(std::move(make_allocator)),
-      liveness_(chaos.liveness),
-      links_(build_chaos_links(num_workers, chaos)),
-      storage_(storage),
-      monitor_(std::move(crashes), &counters_),
-      log_(storage_, &counters_, &monitor_),
-      recovery_cfg_(recovery),
-      stall_limit_(chaos_stall_limit(chaos)) {
-  if (num_workers == 0) {
-    throw std::invalid_argument(
-        "RecoverableProtocolRuntime: need at least one worker");
-  }
-  if (!make_allocator_) {
-    throw std::invalid_argument(
-        "RecoverableProtocolRuntime: null allocator factory");
-  }
-  allocator_ = make_allocator_();
-  if (!allocator_) {
-    throw std::invalid_argument(
-        "RecoverableProtocolRuntime: allocator factory returned null");
-  }
-  agents_.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    const WorkerFaultConfig faults = i < chaos.worker_faults.size()
-                                         ? chaos.worker_faults[i]
-                                         : WorkerFaultConfig{};
-    agents_.emplace_back(i, worker_capacity, tasks_, links_[i], faults);
-  }
-  manager_ =
-      std::make_unique<ProtocolManager>(tasks_, *allocator_, links_, liveness_);
-  manager_->attach_recovery(&log_, &monitor_, recovery_cfg_, &counters_);
-  // Crash-by-crash quiet rounds (lost results -> timeout windows) need the
-  // same tolerance channel chaos does, even on otherwise clean links.
-  if (monitor_.pending() > 0) {
-    stall_limit_ = std::max(
-        stall_limit_, std::size_t{64} * (liveness_.silence_ticks +
-                                         liveness_.attempt_timeout_ticks +
-                                         liveness_.backoff_cap_ticks + 4));
-  }
-}
-
-std::size_t RecoverableProtocolRuntime::recover() {
-  monitor_.disarm();
-  log_.close();
-  storage_.on_crash();
-  const core::recovery::RecoveryLog::ScanResult scan = log_.scan();
-
-  // The allocator dies with the manager: both are in-memory state of the
-  // crashed process. The factory rebuilds it fresh (same policy, seed,
-  // config); recover() then restores it bit-exact from the snapshot.
-  allocator_ = make_allocator_();
-  manager_ =
-      std::make_unique<ProtocolManager>(tasks_, *allocator_, links_, liveness_);
-  manager_->attach_recovery(&log_, &monitor_, recovery_cfg_, &counters_);
-  const std::size_t handled = manager_->recover(scan);
-
-  // Compact immediately: the old journal cannot be appended to (and the
-  // interrupted tick's finish above was not journaled), so the recovered
-  // state becomes the next epoch's snapshot before anything else happens.
-  // If the disk is STILL failing, come back up degraded (admissions held,
-  // capped-backoff retries) instead of dying on the spot.
-  log_.adopt_epoch(scan.epoch);
-  try {
-    log_.rotate(manager_->snapshot_body(), manager_->ticks());
-  } catch (const core::recovery::StorageError&) {
-    manager_->note_storage_failure();
-  }
-  // A lying fsync can durably lose even the Started record; a manager
-  // recovered to its pre-start state would otherwise idle forever (this
-  // runtime only starts it once, before the round loop).
-  if (!manager_->started()) manager_->start();
-  monitor_.arm();
-  ++counters_.recoveries;
-  return handled;
-}
+    : transport_(num_workers, chaos),
+      rebuild_(tasks, std::move(make_allocator), chaos.liveness, storage,
+               recovery, std::move(crashes)),
+      drive_(transport_, &rebuild_, rebuild_.first_manager(transport_.links()),
+             worker_capacity, chaos) {}
 
 RecoveryRunResult RecoverableProtocolRuntime::run(std::size_t max_rounds) {
-  // A disk that fails on the very first journal open starts the run in
-  // storage_degraded mode instead of killing it before it begins.
-  try {
-    log_.open_fresh();
-  } catch (const core::recovery::StorageError&) {
-    manager_->note_storage_failure();
-  }
-  for (auto& agent : agents_) agent.announce();
-  manager_->start();
   RecoveryRunResult result;
-  std::size_t stalled = 0;
-  for (result.rounds = 0; result.rounds < max_rounds; ++result.rounds) {
-    std::size_t progress = 0;
-    bool do_pump = true;
-    while (do_pump) {
-      try {
-        progress = manager_->pump();
-        do_pump = false;
-      } catch (const core::recovery::ManagerCrash& crash) {
-        progress = recover();
-        // A PumpBegin crash died before the tick touched anything — the
-        // recovered manager re-runs the whole pump. Every other point died
-        // mid- or post-tick; recover() already finished that tick.
-        do_pump =
-            crash.point() == core::recovery::ManagerCrashPoint::PumpBegin;
-      }
-    }
-    for (auto& agent : agents_) progress += agent.pump();
-    if (manager_->done()) break;
-    if (progress == 0) {
-      if (++stalled > stall_limit_) {
-        throw std::runtime_error(
-            "RecoverableProtocolRuntime: no progress with unfinished tasks "
-            "(allocation larger than every worker, or all workers lost?)");
-      }
-    } else {
-      stalled = 0;
-    }
-  }
-  if (!manager_->done()) {
-    throw std::runtime_error(
-        "RecoverableProtocolRuntime: round limit exceeded");
-  }
-  manager_->shutdown_workers();
-  for (auto& agent : agents_) agent.pump();
-
-  result.accounting = manager_->accounting();
-  result.tasks_completed = manager_->tasks_completed();
-  result.tasks_fatal = manager_->tasks_fatal();
-  result.chaos.merge(manager_->chaos());
-  result.evicted_alloc = manager_->evicted_alloc();
-  for (const auto& agent : agents_) result.chaos.merge(agent.chaos());
-  for (const auto& link : links_) {
-    result.messages +=
-        link->to_worker.messages_sent() + link->to_manager.messages_sent();
-    result.bytes +=
-        link->to_worker.bytes_sent() + link->to_manager.bytes_sent();
-    if (const auto* fc =
-            dynamic_cast<const FaultyChannel*>(&link->to_worker)) {
-      result.chaos.merge(fc->chaos());
-    }
-    if (const auto* fc =
-            dynamic_cast<const FaultyChannel*>(&link->to_manager)) {
-      result.chaos.merge(fc->chaos());
-    }
-  }
-  result.recovery = counters_;
-  result.resilience = manager_->resilience();
-  result.state_fingerprint = manager_->snapshot_body();
-  result.storage = manager_->storage_health();
-  if (const auto* faulty =
-          dynamic_cast<const core::recovery::FaultyStorage*>(&storage_)) {
-    result.storage_faults = faulty->counters();
-  }
+  drive_.run(max_rounds, result);
+  rebuild_.harvest(drive_.manager(), result);
   return result;
 }
 

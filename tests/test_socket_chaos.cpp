@@ -4,7 +4,8 @@
 // reconnect-during-in-flight-result window with exactly-once accounting,
 // handshake fuzzing (no manager state mutation on garbage hellos), and
 // manager crash + connection loss + session resume through
-// RecoverableTcpRuntime.
+// RecoverableTcpRuntime, and the storage-failure guards both journaled
+// runtimes share.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/recovery/crash.hpp"
+#include "core/recovery/faulty_storage.hpp"
 #include "core/recovery/storage.hpp"
 #include "core/registry.hpp"
 #include "core/task.hpp"
@@ -25,6 +27,7 @@
 #include "proto/net/session.hpp"
 #include "proto/net/socket.hpp"
 #include "proto/net/tcp_runtime.hpp"
+#include "proto/recovery_runtime.hpp"
 #include "proto/worker_agent.hpp"
 #include "util/io.hpp"
 
@@ -33,13 +36,18 @@ namespace {
 using tora::core::ResourceVector;
 using tora::core::TaskSpec;
 using tora::core::recovery::CrashSchedule;
+using tora::core::recovery::FaultyStorage;
 using tora::core::recovery::ManagerCrashPoint;
 using tora::core::recovery::MemStorage;
 using tora::core::recovery::RecoveryConfig;
 using tora::core::recovery::ScheduledCrash;
+using tora::core::recovery::Storage;
+using tora::core::recovery::StorageFaultPlan;
 using tora::proto::ChaosConfig;
 using tora::proto::LivenessConfig;
 using tora::proto::ProtocolManager;
+using tora::proto::RecoverableProtocolRuntime;
+using tora::proto::RecoveryRunResult;
 using tora::proto::WorkerAgent;
 using tora::proto::net::connect_start;
 using tora::proto::net::Fd;
@@ -88,15 +96,19 @@ ChaosConfig wide_liveness() {
 
 // ------------------------------------------------------------ proxy runs
 
-void expect_chaos_run_completes(const WireFaultPlan& plan,
-                                std::uint64_t seed) {
-  const auto tasks = mixed_tasks(18);
+/// Runs `task_count` mixed tasks on 2 workers through the proxy and returns
+/// the number of faults it injected.
+std::size_t expect_chaos_run_completes(const WireFaultPlan& plan,
+                                       std::uint64_t seed,
+                                       std::size_t task_count = 18) {
+  const auto tasks = mixed_tasks(task_count);
   auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
   TcpProtocolRuntime runtime(tasks, alloc, 2, kCapacity, chaos_tcp(seed),
                              wide_liveness(), plan);
   const auto result = runtime.run();
   EXPECT_EQ(result.tasks_completed, tasks.size());
   EXPECT_EQ(result.tasks_fatal, 0u);
+  return runtime.proxy()->faults_injected();
 }
 
 TEST(TcpChaos, PureLatencyStillCompletes) {
@@ -139,6 +151,24 @@ TEST(TcpChaos, EverythingAtOnceIsSurvived) {
   ASSERT_NE(runtime.proxy(), nullptr);
   EXPECT_GT(runtime.proxy()->faults_injected(), 0u)
       << "the plan must actually have fired for this run to mean anything";
+}
+
+// The transport soak's exact configuration (bench/transport_chaos) on the
+// seeds that once stalled: the proxy labeled each connection's fault stream
+// by the number of live pairs, so every reconnect replayed its
+// predecessor's stream and died the same way. Streams keyed by accept
+// order let these runs complete.
+TEST(TcpChaos, SoakSeedsWithReconnectStormsComplete) {
+  WireFaultPlan plan;
+  plan.latency_steps = 2;
+  plan.corrupt_chunk_prob = 0.05;
+  plan.truncate_prob = 0.02;
+  plan.rst_prob = 0.01;
+  for (std::uint64_t seed : {2, 15, 37, 39, 61, 127}) {
+    SCOPED_TRACE(seed);
+    EXPECT_GT(expect_chaos_run_completes(plan, seed, 24), 0u)
+        << "the plan must actually have fired for this run to mean anything";
+  }
 }
 
 TEST(TcpChaos, SameSeedSameFaultTrajectory) {
@@ -530,8 +560,7 @@ TEST(TcpChaos, AcceptRefusalDelaysButDoesNotKillTheRun) {
 
 RecoverableTcpRuntime::Result run_recoverable(
     const std::vector<TaskSpec>& tasks, CrashSchedule crashes,
-    bool drop_connections) {
-  MemStorage storage;
+    bool drop_connections, Storage& storage) {
   RecoveryConfig recovery;
   recovery.snapshot_every_ticks = 4;
   auto factory = [] {
@@ -541,6 +570,30 @@ RecoverableTcpRuntime::Result run_recoverable(
   RecoverableTcpRuntime runtime(tasks, factory, 2, kCapacity, chaos_tcp(41),
                                 wide_liveness(), storage, recovery,
                                 std::move(crashes), drop_connections);
+  return runtime.run();
+}
+
+RecoverableTcpRuntime::Result run_recoverable(
+    const std::vector<TaskSpec>& tasks, CrashSchedule crashes,
+    bool drop_connections) {
+  MemStorage storage;
+  return run_recoverable(tasks, std::move(crashes), drop_connections, storage);
+}
+
+/// run_recoverable's in-process twin: the same tasks, policy, journal
+/// cadence and liveness through RecoverableProtocolRuntime.
+RecoveryRunResult run_recoverable_in_process(
+    const std::vector<TaskSpec>& tasks, CrashSchedule crashes,
+    Storage& storage) {
+  RecoveryConfig recovery;
+  recovery.snapshot_every_ticks = 4;
+  auto factory = [] {
+    return std::make_unique<tora::core::TaskAllocator>(
+        tora::core::make_allocator("greedy_bucketing", 7, kCapacity));
+  };
+  RecoverableProtocolRuntime runtime(tasks, factory, 2, kCapacity,
+                                     wide_liveness(), storage, recovery,
+                                     std::move(crashes));
   return runtime.run();
 }
 
@@ -571,6 +624,66 @@ TEST(TcpRecovery, CrashDroppingConnectionsForcesResumeAndStillCompletes) {
   // The manager host "died": every worker reconnected and resumed.
   EXPECT_GE(result.transport.reconnects, 2u);
   EXPECT_GE(result.transport.sessions_resumed, 2u);
+}
+
+// ------------------------- storage faults under both journaled runtimes
+
+/// A disk that is full at first and clears after three ENOSPC hits.
+StorageFaultPlan enospc_that_clears() {
+  StorageFaultPlan plan;
+  plan.capacity_bytes = 1;
+  plan.enospc_clears_after = 3;
+  return plan;
+}
+
+// The first journal open hits ENOSPC: the run starts storage-degraded,
+// holds dispatches through quiet rounds until a disk retry succeeds, and
+// completes. Both runtimes share the guard through RebuildFromLog.
+TEST(JournaledStorage, EnospcThatClearsCompletesInProcess) {
+  const auto tasks = mixed_tasks(12);
+  MemStorage mem;
+  FaultyStorage storage(mem, enospc_that_clears());
+  const auto result = run_recoverable_in_process(tasks, CrashSchedule{},
+                                                 storage);
+  EXPECT_EQ(result.tasks_completed, tasks.size());
+  EXPECT_GE(result.storage.degraded_entries, 1u);
+}
+
+TEST(JournaledStorage, EnospcThatClearsCompletesOverTcp) {
+  const auto tasks = mixed_tasks(12);
+  MemStorage mem;
+  FaultyStorage storage(mem, enospc_that_clears());
+  const auto result = run_recoverable(tasks, CrashSchedule{}, true, storage);
+  EXPECT_EQ(result.tasks_completed, tasks.size());
+  EXPECT_GE(result.storage.degraded_entries, 1u);
+}
+
+// EIO on appends plus a manager crash: the rebuilt manager's first rotate
+// can fail too, and the run must come back degraded rather than die.
+TEST(JournaledStorage, EioWithACrashRecoversOverTcp) {
+  const auto tasks = mixed_tasks(12);
+  StorageFaultPlan plan;
+  plan.seed = 3;
+  plan.write_eio_prob = 0.3;
+  MemStorage mem;
+  FaultyStorage storage(mem, plan);
+  const auto result = run_recoverable(
+      tasks, CrashSchedule({{2, ManagerCrashPoint::PumpEnd}}), true, storage);
+  EXPECT_EQ(result.tasks_completed, tasks.size());
+  EXPECT_EQ(result.recovery.recoveries, 1u);
+}
+
+TEST(JournaledStorage, EioWithACrashRecoversInProcess) {
+  const auto tasks = mixed_tasks(12);
+  StorageFaultPlan plan;
+  plan.seed = 3;
+  plan.write_eio_prob = 0.3;
+  MemStorage mem;
+  FaultyStorage storage(mem, plan);
+  const auto result = run_recoverable_in_process(
+      tasks, CrashSchedule({{2, ManagerCrashPoint::PumpEnd}}), storage);
+  EXPECT_EQ(result.tasks_completed, tasks.size());
+  EXPECT_EQ(result.recovery.recoveries, 1u);
 }
 
 }  // namespace
