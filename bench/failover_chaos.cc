@@ -34,7 +34,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,8 @@
 #include "proto/failover_runtime.hpp"
 #include "util/bytes.hpp"
 #include "workloads/workload.hpp"
+
+#include "guard.hpp"
 
 namespace {
 
@@ -119,18 +120,6 @@ double mean(const std::vector<double>& v) {
   double s = 0.0;
   for (double x : v) s += x;
   return s / static_cast<double>(v.size());
-}
-
-double parse_key(const std::string& path, const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
 }
 
 }  // namespace
@@ -229,7 +218,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nreplication counters of the last run:\n";
-  tora::exp::replication_table(sample.replication).print(std::cout);
+  tora::exp::counter_table(sample.replication).print(std::cout);
 
   // ------------------------------------------------------------ seeded soak
   // Clean channels isolate the failover machinery itself: with loss-free
@@ -317,13 +306,15 @@ int main(int argc, char** argv) {
   // replay, a lost warm image or a busy-wait in the promotion path blows
   // straight past it.
   if (!baseline_path.empty()) {
-    const double base_rto = parse_key(baseline_path, "guard_rto_us_mean");
-    if (base_rto > 0.0 && rto_mean > 3.0 * base_rto) {
+    const double base_rto =
+        tora::bench::read_guard(baseline_path, "guard_rto_us_mean");
+    if (!tora::bench::within_guard(rto_mean, base_rto,
+                                   tora::bench::Better::Lower)) {
       std::cerr << "regression: mean RTO " << rto_mean
                 << " us exceeds 3x the committed baseline (" << base_rto
                 << " us)\n";
       ok = false;
-    } else if (base_rto > 0.0) {
+    } else {
       std::cout << "regression guard: RTO " << tora::exp::fmt(rto_mean, 1)
                 << " us vs baseline " << tora::exp::fmt(base_rto, 1)
                 << " us (limit 3x)\n";

@@ -32,7 +32,6 @@
 #include <iostream>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,6 +40,8 @@
 #include "core/record.hpp"
 #include "core/record_store.hpp"
 #include "util/rng.hpp"
+
+#include "guard.hpp"
 
 namespace {
 
@@ -177,18 +178,6 @@ struct SizeRow {
   SeriesResult legacy, k1, sched;
 };
 
-double parse_guard(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const std::string key = "\"guard_ns_per_cycle\":";
-  const auto pos = text.find(key);
-  if (pos == std::string::npos) return 0.0;
-  return std::stod(text.substr(pos + key.size()));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -297,8 +286,9 @@ int main(int argc, char** argv) {
   if (!all_match) return 1;
 
   if (!baseline_path.empty()) {
-    const double base = parse_guard(baseline_path);
-    if (base > 0.0 && guard > 3.0 * base) {
+    const double base =
+        tora::bench::read_guard(baseline_path, "guard_ns_per_cycle");
+    if (!tora::bench::within_guard(guard, base, tora::bench::Better::Lower)) {
       std::cerr << "perf regression: scheduled engine " << guard
                 << " ns/cycle at " << top.history
                 << " records exceeds 3x the committed baseline (" << base

@@ -189,7 +189,7 @@ int main() {
   table.print(std::cout);
 
   std::cout << "\nrecovery counters of the last run:\n";
-  tora::exp::recovery_table(sample.recovery).print(std::cout);
+  tora::exp::counter_table(sample.recovery).print(std::cout);
 
   // ------------------------------------------------------ latency vs length
   // One crash at PumpBegin on tick T with NO snapshots: recovery replays the

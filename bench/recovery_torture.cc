@@ -54,6 +54,8 @@
 #include "util/rng.hpp"
 #include "workloads/workload.hpp"
 
+#include "guard.hpp"
+
 namespace {
 
 using tora::core::ResourceVector;
@@ -915,18 +917,13 @@ int main(int argc, char** argv) {
 
   // 3x regression guard against the committed baseline.
   if (!baseline_path.empty()) {
-    std::ifstream base(baseline_path);
-    std::string text((std::istreambuf_iterator<char>(base)),
-                     std::istreambuf_iterator<char>());
-    const auto key = text.find("\"schedules_per_s\":");
-    if (key != std::string::npos) {
-      const double baseline_per_s =
-          std::strtod(text.c_str() + key + 18, nullptr);
-      if (baseline_per_s > 0 && per_s < baseline_per_s / 3.0) {
-        std::cerr << "VIOLATION: schedules/s regressed more than 3x ("
-                  << per_s << " vs baseline " << baseline_per_s << ")\n";
-        ok = false;
-      }
+    const double baseline_per_s =
+        tora::bench::read_guard(baseline_path, "schedules_per_s");
+    if (!tora::bench::within_guard(per_s, baseline_per_s,
+                                   tora::bench::Better::Higher)) {
+      std::cerr << "VIOLATION: schedules/s regressed more than 3x (" << per_s
+                << " vs baseline " << baseline_per_s << ")\n";
+      ok = false;
     }
   }
 

@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,8 @@
 #include "exp/report.hpp"
 #include "sim/simulation.hpp"
 #include "util/bytes.hpp"
+
+#include "guard.hpp"
 
 namespace {
 
@@ -132,18 +133,6 @@ double spec_waste(const tora::sim::SimResult& r) {
     total += r.accounting.breakdown(k).speculative;
   }
   return total;
-}
-
-double parse_guard(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const std::string key = "\"guard_makespan_s\":";
-  const auto pos = text.find(key);
-  if (pos == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + pos + key.size(), nullptr);
 }
 
 }  // namespace
@@ -249,7 +238,7 @@ int main(int argc, char** argv) {
   std::cout << "\nresilience counters (bursty, summed over replicates):\n";
   for (const Row& row : rows) {
     if (row.name == "bursty") {
-      tora::exp::resilience_table(row.counters).print(std::cout);
+      tora::exp::counter_table(row.counters).print(std::cout);
     }
   }
 
@@ -283,13 +272,15 @@ int main(int argc, char** argv) {
   // deterministic at the default seed, so a 3x blow-up means the layer's
   // scheduling regressed, not that the machine was busy.
   if (!baseline_path.empty()) {
-    const double base = parse_guard(baseline_path);
-    if (base > 0.0 && guard_makespan > 3.0 * base) {
+    const double base =
+        tora::bench::read_guard(baseline_path, "guard_makespan_s");
+    if (!tora::bench::within_guard(guard_makespan, base,
+                                   tora::bench::Better::Lower)) {
       std::cerr << "regression: bursty resilience-on makespan "
                 << guard_makespan << " s exceeds 3x the committed baseline ("
                 << base << " s)\n";
       ok = false;
-    } else if (base > 0.0) {
+    } else {
       std::cout << "\nregression guard: bursty makespan " << guard_makespan
                 << " s vs baseline " << base << " s (limit 3x)\n";
     }

@@ -123,7 +123,7 @@ int main() {
 
   std::cout << "\nanomaly counters of the last run (deterministic replay "
                "verified for every cell):\n";
-  tora::exp::chaos_table(sample.chaos).print(std::cout);
+  tora::exp::counter_table(sample.chaos).print(std::cout);
 
   std::cout << (ok ? "\nall chaos invariants held: every policy completed "
                      "under faults with replayable\ncounters and no "

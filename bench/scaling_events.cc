@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +38,8 @@
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "workloads/workload.hpp"
+
+#include "guard.hpp"
 
 namespace {
 
@@ -166,18 +167,6 @@ SimSection run_sim_section(std::size_t workers) {
   return out;
 }
 
-double parse_guard(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const std::string key = "\"guard_events_per_s\":";
-  const auto pos = text.find(key);
-  if (pos == std::string::npos) return 0.0;
-  return std::stod(text.substr(pos + key.size()));
-}
-
 struct ScaleRow {
   StormShape shape;
   StormResult heap, calendar;
@@ -282,8 +271,9 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    const double base = parse_guard(baseline_path);
-    if (base > 0.0 && guard < base / 3.0) {
+    const double base =
+        tora::bench::read_guard(baseline_path, "guard_events_per_s");
+    if (!tora::bench::within_guard(guard, base, tora::bench::Better::Higher)) {
       std::cerr << "perf regression: calendar engine " << guard
                 << " events/s at full scale is below 1/3 of the committed "
                 << "baseline (" << base << " events/s)\n";

@@ -26,7 +26,6 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,8 @@
 #include "exp/report.hpp"
 #include "sim/simulation.hpp"
 #include "workloads/multi_tenant.hpp"
+
+#include "guard.hpp"
 
 namespace {
 
@@ -86,18 +87,6 @@ bool all_done(const RunOutcome& r) {
     if (t.completed + t.fatal != t.tasks) return false;
   }
   return true;
-}
-
-double parse_guard(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const std::string key = "\"guard_makespan_s\":";
-  const auto pos = text.find(key);
-  if (pos == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + pos + key.size(), nullptr);
 }
 
 }  // namespace
@@ -272,12 +261,14 @@ int main(int argc, char** argv) {
   // deterministic at the default seed, so a 3x blow-up means the arbiter's
   // scheduling regressed, not that the machine was busy.
   if (!baseline_path.empty()) {
-    const double base = parse_guard(baseline_path);
-    if (base > 0.0 && guard_makespan > 3.0 * base) {
+    const double base =
+        tora::bench::read_guard(baseline_path, "guard_makespan_s");
+    if (!tora::bench::within_guard(guard_makespan, base,
+                                   tora::bench::Better::Lower)) {
       std::cerr << "regression: drf standard-mix makespan " << guard_makespan
                 << " s exceeds 3x the committed baseline (" << base << " s)\n";
       ok = false;
-    } else if (base > 0.0) {
+    } else {
       std::cout << "regression guard: drf makespan " << guard_makespan
                 << " s vs baseline " << base << " s (limit 3x)\n";
     }

@@ -17,10 +17,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,6 +28,8 @@
 #include "proto/manager.hpp"
 #include "proto/net/endpoint.hpp"
 #include "proto/net/tcp_runtime.hpp"
+
+#include "guard.hpp"
 
 namespace {
 
@@ -133,18 +133,6 @@ DispatchResult run_tcp(const std::vector<TaskSpec>& tasks) {
   return d;
 }
 
-double parse_key(const std::string& path, const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,22 +184,24 @@ int main(int argc, char** argv) {
   // busy-wait, sleep, or per-frame allocation storm blows straight past it.
   bool ok = true;
   if (!baseline_path.empty()) {
-    const double base_rtt = parse_key(baseline_path, "guard_echo_rtt_us");
+    using tora::bench::Better;
+    const double base_rtt =
+        tora::bench::read_guard(baseline_path, "guard_echo_rtt_us");
     const double base_dispatch =
-        parse_key(baseline_path, "guard_tcp_dispatch_s");
-    if (base_rtt > 0.0 && rtt_us > 3.0 * base_rtt) {
+        tora::bench::read_guard(baseline_path, "guard_tcp_dispatch_s");
+    if (!tora::bench::within_guard(rtt_us, base_rtt, Better::Lower)) {
       std::cerr << "regression: echo RTT " << rtt_us
                 << " us exceeds 3x the committed baseline (" << base_rtt
                 << " us)\n";
       ok = false;
     }
-    if (base_dispatch > 0.0 && tcp.wall_s > 3.0 * base_dispatch) {
+    if (!tora::bench::within_guard(tcp.wall_s, base_dispatch, Better::Lower)) {
       std::cerr << "regression: tcp dispatch " << tcp.wall_s
                 << " s exceeds 3x the committed baseline (" << base_dispatch
                 << " s)\n";
       ok = false;
     }
-    if (ok && (base_rtt > 0.0 || base_dispatch > 0.0)) {
+    if (ok) {
       std::cout << "regression guard: rtt " << tora::exp::fmt(rtt_us, 2)
                 << " us vs " << tora::exp::fmt(base_rtt, 2)
                 << " us, dispatch " << tora::exp::fmt(tcp.wall_s, 3)

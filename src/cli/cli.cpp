@@ -448,17 +448,7 @@ int cmd_run(const Options& opts, std::ostream& out) {
 
   out << "workflow " << workload.name << " (" << workload.tasks.size()
       << " tasks) under " << opts.policy << "\n\n";
-  exp::TextTable table({"resource", "AWE", "consumption", "allocation",
-                        "fragmentation", "failed"});
-  for (core::ResourceKind k : core::kManagedResources) {
-    const auto& b = r.accounting.breakdown(k);
-    table.add_row({std::string(core::to_string(k)),
-                   exp::fmt_pct(r.accounting.awe(k)), exp::fmt(b.consumption, 0),
-                   exp::fmt(b.allocation, 0),
-                   exp::fmt(b.internal_fragmentation, 0),
-                   exp::fmt(b.failed_allocation, 0)});
-  }
-  table.print(out);
+  exp::waste_table(r.accounting).print(out);
   out << "\ntasks completed " << r.tasks_completed << ", fatal "
       << r.tasks_fatal << ", mean attempts "
       << exp::fmt(r.accounting.mean_attempts(), 2) << ", evictions "
@@ -476,7 +466,7 @@ int cmd_run(const Options& opts, std::ostream& out) {
     }
     out << "\nresilience (speculative waste " << exp::fmt(speculative, 0)
         << ", outside AWE):\n";
-    exp::resilience_table(r.resilience).print(out);
+    exp::counter_table(r.resilience).print(out);
   }
 
   if (!opts.output_path.empty()) {
@@ -518,17 +508,7 @@ void print_proto_report(const Options& opts, const std::string& workflow_name,
                         std::ostream& out) {
   out << "workflow " << workflow_name << " (" << num_tasks << " tasks) under "
       << opts.policy << " over " << opts.transport << " transport\n\n";
-  exp::TextTable table({"resource", "AWE", "consumption", "allocation",
-                        "fragmentation", "failed"});
-  for (core::ResourceKind k : core::kManagedResources) {
-    const auto& b = r.accounting.breakdown(k);
-    table.add_row({std::string(core::to_string(k)),
-                   exp::fmt_pct(r.accounting.awe(k)), exp::fmt(b.consumption, 0),
-                   exp::fmt(b.allocation, 0),
-                   exp::fmt(b.internal_fragmentation, 0),
-                   exp::fmt(b.failed_allocation, 0)});
-  }
-  table.print(out);
+  exp::waste_table(r.accounting).print(out);
   out << "\ntasks completed " << r.tasks_completed << ", fatal "
       << r.tasks_fatal << ", rounds " << r.rounds << ", messages "
       << r.messages << ", bytes " << r.bytes << "\n";

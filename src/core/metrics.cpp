@@ -213,138 +213,6 @@ void WasteAccounting::load(util::ByteReader& r) {
   }
 }
 
-void ChaosCounters::merge(const ChaosCounters& other) noexcept {
-  messages_dropped += other.messages_dropped;
-  messages_duplicated += other.messages_duplicated;
-  messages_corrupted += other.messages_corrupted;
-  messages_severed += other.messages_severed;
-  links_severed += other.links_severed;
-  malformed_lines += other.malformed_lines;
-  stale_or_duplicate_results += other.stale_or_duplicate_results;
-  attempt_timeouts += other.attempt_timeouts;
-  redispatches += other.redispatches;
-  workers_declared_dead += other.workers_declared_dead;
-  workers_quarantined += other.workers_quarantined;
-  protocol_evictions += other.protocol_evictions;
-  heartbeats += other.heartbeats;
-  duplicate_dispatches += other.duplicate_dispatches;
-  misaddressed_messages += other.misaddressed_messages;
-  worker_crashes += other.worker_crashes;
-  dispatches_deferred_backpressure += other.dispatches_deferred_backpressure;
-}
-
-void TransportCounters::merge(const TransportCounters& other) noexcept {
-  connections_accepted += other.connections_accepted;
-  connections_opened += other.connections_opened;
-  connections_closed += other.connections_closed;
-  connect_failures += other.connect_failures;
-  keepalive_closes += other.keepalive_closes;
-  reconnects += other.reconnects;
-  handshakes_ok += other.handshakes_ok;
-  handshakes_rejected += other.handshakes_rejected;
-  sessions_resumed += other.sessions_resumed;
-  frames_replayed += other.frames_replayed;
-  frames_sent += other.frames_sent;
-  frames_received += other.frames_received;
-  bytes_sent += other.bytes_sent;
-  bytes_received += other.bytes_received;
-  partial_writes += other.partial_writes;
-  oversized_frames += other.oversized_frames;
-  corrupt_control_frames += other.corrupt_control_frames;
-  backpressure_events += other.backpressure_events;
-  heartbeats_coalesced += other.heartbeats_coalesced;
-  heartbeats_shed += other.heartbeats_shed;
-  send_queue_overflows += other.send_queue_overflows;
-}
-
-void ReplicationCounters::merge(const ReplicationCounters& other) noexcept {
-  records_shipped += other.records_shipped;
-  bytes_shipped += other.bytes_shipped;
-  barriers_shipped += other.barriers_shipped;
-  acks_received += other.acks_received;
-  rotations_shipped += other.rotations_shipped;
-  sync_waits += other.sync_waits;
-  wait_rounds += other.wait_rounds;
-  standby_losses += other.standby_losses;
-  fences_received += other.fences_received;
-  records_applied += other.records_applied;
-  barriers_acked += other.barriers_acked;
-  rotations_applied += other.rotations_applied;
-  rotate_mismatches += other.rotate_mismatches;
-  corrupt_frames += other.corrupt_frames;
-  promotions += other.promotions;
-  records_behind_at_promotion += other.records_behind_at_promotion;
-  fences_sent += other.fences_sent;
-  if (other.max_observed_lag > max_observed_lag) {
-    max_observed_lag = other.max_observed_lag;
-  }
-}
-
-void RecoveryCounters::merge(const RecoveryCounters& other) noexcept {
-  journal_records += other.journal_records;
-  journal_bytes += other.journal_bytes;
-  journal_syncs += other.journal_syncs;
-  snapshots_written += other.snapshots_written;
-  crashes_injected += other.crashes_injected;
-  recoveries += other.recoveries;
-  torn_records_truncated += other.torn_records_truncated;
-  torn_snapshots_discarded += other.torn_snapshots_discarded;
-  records_replayed += other.records_replayed;
-  ticks_replayed += other.ticks_replayed;
-  inputs_replayed += other.inputs_replayed;
-  generation_fallbacks += other.generation_fallbacks;
-  journals_chained += other.journals_chained;
-  tmp_files_swept += other.tmp_files_swept;
-  salvage_refusals += other.salvage_refusals;
-}
-
-void StorageFaultCounters::merge(const StorageFaultCounters& other) noexcept {
-  short_writes += other.short_writes;
-  write_errors += other.write_errors;
-  sync_errors += other.sync_errors;
-  fsync_lies += other.fsync_lies;
-  read_errors += other.read_errors;
-  objects_rotted += other.objects_rotted;
-  enospc_hits += other.enospc_hits;
-}
-
-void ResilienceCounters::merge(const ResilienceCounters& other) noexcept {
-  speculations_launched += other.speculations_launched;
-  speculations_promoted += other.speculations_promoted;
-  speculations_cancelled += other.speculations_cancelled;
-  adaptive_deadlines_used += other.adaptive_deadlines_used;
-  storms_entered += other.storms_entered;
-  storms_exited += other.storms_exited;
-  dispatches_held += other.dispatches_held;
-  probation_admissions += other.probation_admissions;
-  requarantines += other.requarantines;
-  quarantine_amnesties += other.quarantine_amnesties;
-}
-
-void ResilienceCounters::save(util::ByteWriter& w) const {
-  w.u64(speculations_launched);
-  w.u64(speculations_promoted);
-  w.u64(speculations_cancelled);
-  w.u64(adaptive_deadlines_used);
-  w.u64(storms_entered);
-  w.u64(storms_exited);
-  w.u64(dispatches_held);
-  w.u64(probation_admissions);
-  w.u64(requarantines);
-}
-
-void ResilienceCounters::load(util::ByteReader& r) {
-  speculations_launched = r.u64();
-  speculations_promoted = r.u64();
-  speculations_cancelled = r.u64();
-  adaptive_deadlines_used = r.u64();
-  storms_entered = r.u64();
-  storms_exited = r.u64();
-  dispatches_held = r.u64();
-  probation_admissions = r.u64();
-  requarantines = r.u64();
-}
-
 double jain_index(std::span<const double> values) {
   double sum = 0.0;
   double sum_sq = 0.0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <map>
@@ -149,13 +150,74 @@ class WasteAccounting {
   std::vector<BreakdownArray> by_category_;     ///< indexed by CategoryId
 };
 
+/// One line of a counter family's field list. Each family below lists every
+/// member once, in declaration order, in its static `fields()`, and that list
+/// alone drives merge_counters, save_counters/load_counters,
+/// exp::counter_table and exp::counters_json: adding a counter is one member
+/// plus one list line. The two flags are the per-field exceptions.
+template <typename T>
+struct CounterField {
+  const char* name;  ///< the key every table and JSON section prints
+  std::size_t T::*member;
+  bool merge_max = false;  ///< merges by max instead of by sum
+  bool persisted = true;   ///< written to snapshots by save_counters
+};
+
+/// True when `T::fields()` names every `std::size_t` member of `T` exactly
+/// once, given `state_words` words of other state (StorageHealth's flag).
+/// Each family static_asserts it, so a member left out of the list fails to
+/// compile.
+template <typename T>
+constexpr bool lists_every_member(std::size_t state_words = 0) {
+  constexpr auto fields = T::fields();
+  if (sizeof(T) != (fields.size() + state_words) * sizeof(std::size_t)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    for (std::size_t j = i + 1; j < fields.size(); ++j) {
+      if (fields[i].member == fields[j].member) return false;
+    }
+  }
+  return true;
+}
+
+/// Field-wise sum of `from` into `into` (max for merge_max fields), for
+/// aggregating the slices of one run.
+template <typename T>
+void merge_counters(T& into, const T& from) noexcept {
+  for (const CounterField<T>& f : T::fields()) {
+    std::size_t& v = into.*f.member;
+    v = f.merge_max ? std::max(v, from.*f.member) : v + from.*f.member;
+  }
+}
+
+/// Snapshot frame of a family: its persisted fields as u64s, in list order.
+/// `Writer` is util::ByteWriter (a parameter so this header stays free of it).
+template <typename T, typename Writer>
+void save_counters(Writer& w, const T& c) {
+  for (const CounterField<T>& f : T::fields()) {
+    if (f.persisted) w.u64(c.*f.member);
+  }
+}
+
+/// Reads what save_counters wrote; fields that are not persisted keep their
+/// value.
+template <typename T, typename Reader>
+void load_counters(Reader& r, T& c) {
+  for (const CounterField<T>& f : T::fields()) {
+    if (f.persisted) c.*f.member = r.u64();
+  }
+}
+
 /// Counters for every anomaly the fault-tolerant protocol runtime injects,
 /// detects, or swallows (proto/fault.hpp): channel-level injected faults,
 /// manager-level detections and recoveries, and worker-level idempotency
 /// hits. Aggregated across channels, manager and agents by
-/// proto::ProtocolRuntime and rendered by exp::chaos_table. Eviction costs
+/// proto::ProtocolRuntime and rendered by exp::counter_table. Eviction costs
 /// counted here stay OUT of WasteAccounting — the paper's waste metric
-/// charges only allocation-induced failures to the algorithm.
+/// charges only allocation-induced failures to the algorithm. The manager's
+/// snapshot carries all of them; the field list order is that frame's byte
+/// layout.
 struct ChaosCounters {
   // Channel level (injected by FaultyChannel).
   std::size_t messages_dropped = 0;
@@ -184,16 +246,43 @@ struct ChaosCounters {
   /// dispatching into a congested link would only time out on the wire.
   std::size_t dispatches_deferred_backpressure = 0;
 
+  static constexpr auto fields() {
+    using C = ChaosCounters;
+    return std::to_array<CounterField<C>>({
+        {"messages_dropped", &C::messages_dropped},
+        {"messages_duplicated", &C::messages_duplicated},
+        {"messages_corrupted", &C::messages_corrupted},
+        {"messages_severed", &C::messages_severed},
+        {"links_severed", &C::links_severed},
+        {"malformed_lines", &C::malformed_lines},
+        {"stale_or_duplicate_results", &C::stale_or_duplicate_results},
+        {"attempt_timeouts", &C::attempt_timeouts},
+        {"redispatches", &C::redispatches},
+        {"workers_declared_dead", &C::workers_declared_dead},
+        {"workers_quarantined", &C::workers_quarantined},
+        {"protocol_evictions", &C::protocol_evictions},
+        {"heartbeats", &C::heartbeats},
+        {"duplicate_dispatches", &C::duplicate_dispatches},
+        {"misaddressed_messages", &C::misaddressed_messages},
+        {"worker_crashes", &C::worker_crashes},
+        {"dispatches_deferred_backpressure",
+         &C::dispatches_deferred_backpressure},
+    });
+  }
+
   /// Field-wise sum, for aggregating the slices of one run.
-  void merge(const ChaosCounters& other) noexcept;
+  void merge(const ChaosCounters& other) noexcept {
+    merge_counters(*this, other);
+  }
 
   bool operator==(const ChaosCounters&) const = default;
 };
+static_assert(lists_every_member<ChaosCounters>());
 
 /// Counters for the crash-recovery subsystem (core/recovery/): journal and
 /// snapshot traffic on the write side, crash injections, and what recovery
 /// found and replayed on the read side. Aggregated by the recoverable
-/// runtime and rendered by exp::recovery_table. These describe the recovery
+/// runtime and rendered by exp::counter_table. These describe the recovery
 /// MACHINERY, not the workflow — they are deliberately outside the state
 /// that snapshots capture, so they survive across crashes of the thing they
 /// measure.
@@ -221,11 +310,35 @@ struct RecoveryCounters {
   std::size_t tmp_files_swept = 0;    ///< orphaned snapshot-*.tmp removed
   std::size_t salvage_refusals = 0;   ///< recoveries refused (typed error)
 
+  static constexpr auto fields() {
+    using C = RecoveryCounters;
+    return std::to_array<CounterField<C>>({
+        {"journal_records", &C::journal_records},
+        {"journal_bytes", &C::journal_bytes},
+        {"journal_syncs", &C::journal_syncs},
+        {"snapshots_written", &C::snapshots_written},
+        {"crashes_injected", &C::crashes_injected},
+        {"recoveries", &C::recoveries},
+        {"torn_records_truncated", &C::torn_records_truncated},
+        {"torn_snapshots_discarded", &C::torn_snapshots_discarded},
+        {"records_replayed", &C::records_replayed},
+        {"ticks_replayed", &C::ticks_replayed},
+        {"inputs_replayed", &C::inputs_replayed},
+        {"generation_fallbacks", &C::generation_fallbacks},
+        {"journals_chained", &C::journals_chained},
+        {"tmp_files_swept", &C::tmp_files_swept},
+        {"salvage_refusals", &C::salvage_refusals},
+    });
+  }
+
   /// Field-wise sum, for aggregating the slices of one run.
-  void merge(const RecoveryCounters& other) noexcept;
+  void merge(const RecoveryCounters& other) noexcept {
+    merge_counters(*this, other);
+  }
 
   bool operator==(const RecoveryCounters&) const = default;
 };
+static_assert(lists_every_member<RecoveryCounters>());
 
 /// Counters for injected storage faults (core/recovery/faulty_storage.hpp):
 /// how often the seeded fault plan actually fired, per fault class. Live in
@@ -240,30 +353,59 @@ struct StorageFaultCounters {
   std::size_t objects_rotted = 0;  ///< sealed objects given a latent bit flip
   std::size_t enospc_hits = 0;    ///< writes refused by the fill schedule
 
+  static constexpr auto fields() {
+    using C = StorageFaultCounters;
+    return std::to_array<CounterField<C>>({
+        {"short_writes", &C::short_writes},
+        {"write_errors", &C::write_errors},
+        {"sync_errors", &C::sync_errors},
+        {"fsync_lies", &C::fsync_lies},
+        {"read_errors", &C::read_errors},
+        {"objects_rotted", &C::objects_rotted},
+        {"enospc_hits", &C::enospc_hits},
+    });
+  }
+
   /// Field-wise sum, for aggregating the slices of one run.
-  void merge(const StorageFaultCounters& other) noexcept;
+  void merge(const StorageFaultCounters& other) noexcept {
+    merge_counters(*this, other);
+  }
 
   bool operator==(const StorageFaultCounters&) const = default;
 };
+static_assert(lists_every_member<StorageFaultCounters>());
 
 /// The manager's storage-degradation status (ENOSPC/EIO handling in
 /// proto::ProtocolManager): whether the journal is currently read-only and
-/// how often the mode engaged/cleared. Snapshot-carried via a conditional
-/// trailing frame, so calm runs keep their exact byte layout.
+/// how often the mode engaged/cleared. The three counters are
+/// snapshot-carried via a conditional trailing frame, so calm runs keep
+/// their exact byte layout. `degraded` is a state, not a counter: it is not
+/// in the field list or the snapshot, and reports print it first as 0/1.
 struct StorageHealth {
   bool degraded = false;  ///< journal closed; new dispatches held
   std::size_t degraded_entries = 0;  ///< times the mode engaged
   std::size_t degraded_exits = 0;    ///< times the disk retry succeeded
   std::size_t retry_failures = 0;    ///< rotate retries that failed again
 
+  static constexpr auto fields() {
+    using C = StorageHealth;
+    return std::to_array<CounterField<C>>({
+        {"degraded_entries", &C::degraded_entries},
+        {"degraded_exits", &C::degraded_exits},
+        {"retry_failures", &C::retry_failures},
+    });
+  }
+
   bool operator==(const StorageHealth&) const = default;
 };
+static_assert(lists_every_member<StorageHealth>(/*state_words=*/1));
 
 /// Counters for the churn-adaptive resilience layer (core/resilience/):
 /// speculative re-dispatch outcomes, adaptive-deadline usage, storm-mode
 /// transitions and probation traffic. Part of runtime state (saved with the
 /// snapshot, unlike RecoveryCounters) so recovered runs report identical
-/// numbers. Rendered by exp::resilience_table.
+/// numbers; the field list order is the snapshot frame's byte layout.
+/// Rendered by exp::counter_table.
 struct ResilienceCounters {
   // Speculation.
   std::size_t speculations_launched = 0;  ///< duplicates dispatched
@@ -283,21 +425,38 @@ struct ResilienceCounters {
   std::size_t requarantines = 0;         ///< convictions after the first
 
   /// Pool-wide legacy bans lifted because they left an unfinished workflow
-  /// with no registerable workers. Deliberately excluded from save()/load():
+  /// with no registerable workers. Deliberately not persisted:
   /// like RecoveryCounters it measures the liveness machinery itself, and a
   /// crash of the thing it measures may lose it — replay re-derives it from
   /// the quarantine state where possible.
   std::size_t quarantine_amnesties = 0;
 
-  /// Field-wise sum, for aggregating the slices of one run.
-  void merge(const ResilienceCounters& other) noexcept;
+  static constexpr auto fields() {
+    using C = ResilienceCounters;
+    return std::to_array<CounterField<C>>({
+        {"speculations_launched", &C::speculations_launched},
+        {"speculations_promoted", &C::speculations_promoted},
+        {"speculations_cancelled", &C::speculations_cancelled},
+        {"adaptive_deadlines_used", &C::adaptive_deadlines_used},
+        {"storms_entered", &C::storms_entered},
+        {"storms_exited", &C::storms_exited},
+        {"dispatches_held", &C::dispatches_held},
+        {"probation_admissions", &C::probation_admissions},
+        {"requarantines", &C::requarantines},
+        {.name = "quarantine_amnesties",
+         .member = &C::quarantine_amnesties,
+         .persisted = false},
+    });
+  }
 
-  /// Snapshot byte layout is frozen; quarantine_amnesties stays out.
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  /// Field-wise sum, for aggregating the slices of one run.
+  void merge(const ResilienceCounters& other) noexcept {
+    merge_counters(*this, other);
+  }
 
   bool operator==(const ResilienceCounters&) const = default;
 };
+static_assert(lists_every_member<ResilienceCounters>());
 
 /// Counters for the real socket transport (proto/net/): connection
 /// lifecycle, session handshakes and resumes, wire traffic, backpressure
@@ -334,11 +493,41 @@ struct TransportCounters {
   std::size_t heartbeats_shed = 0;        ///< dropped at the hard cap
   std::size_t send_queue_overflows = 0;   ///< payload pushed past the cap
 
+  static constexpr auto fields() {
+    using C = TransportCounters;
+    return std::to_array<CounterField<C>>({
+        {"connections_accepted", &C::connections_accepted},
+        {"connections_opened", &C::connections_opened},
+        {"connections_closed", &C::connections_closed},
+        {"connect_failures", &C::connect_failures},
+        {"keepalive_closes", &C::keepalive_closes},
+        {"reconnects", &C::reconnects},
+        {"handshakes_ok", &C::handshakes_ok},
+        {"handshakes_rejected", &C::handshakes_rejected},
+        {"sessions_resumed", &C::sessions_resumed},
+        {"frames_replayed", &C::frames_replayed},
+        {"frames_sent", &C::frames_sent},
+        {"frames_received", &C::frames_received},
+        {"bytes_sent", &C::bytes_sent},
+        {"bytes_received", &C::bytes_received},
+        {"partial_writes", &C::partial_writes},
+        {"oversized_frames", &C::oversized_frames},
+        {"corrupt_control_frames", &C::corrupt_control_frames},
+        {"backpressure_events", &C::backpressure_events},
+        {"heartbeats_coalesced", &C::heartbeats_coalesced},
+        {"heartbeats_shed", &C::heartbeats_shed},
+        {"send_queue_overflows", &C::send_queue_overflows},
+    });
+  }
+
   /// Field-wise sum, for aggregating the slices of one run.
-  void merge(const TransportCounters& other) noexcept;
+  void merge(const TransportCounters& other) noexcept {
+    merge_counters(*this, other);
+  }
 
   bool operator==(const TransportCounters&) const = default;
 };
+static_assert(lists_every_member<TransportCounters>());
 
 /// Counters for the hot-standby replication tier (core/replication/): what
 /// the primary shipped, what the standby applied and acknowledged, and the
@@ -370,11 +559,38 @@ struct ReplicationCounters {
   // Shared.
   std::size_t max_observed_lag = 0;  ///< max shipped-minus-acked records
 
+  static constexpr auto fields() {
+    using C = ReplicationCounters;
+    return std::to_array<CounterField<C>>({
+        {"records_shipped", &C::records_shipped},
+        {"bytes_shipped", &C::bytes_shipped},
+        {"barriers_shipped", &C::barriers_shipped},
+        {"acks_received", &C::acks_received},
+        {"rotations_shipped", &C::rotations_shipped},
+        {"sync_waits", &C::sync_waits},
+        {"wait_rounds", &C::wait_rounds},
+        {"standby_losses", &C::standby_losses},
+        {"fences_received", &C::fences_received},
+        {"records_applied", &C::records_applied},
+        {"barriers_acked", &C::barriers_acked},
+        {"rotations_applied", &C::rotations_applied},
+        {"rotate_mismatches", &C::rotate_mismatches},
+        {"corrupt_frames", &C::corrupt_frames},
+        {"promotions", &C::promotions},
+        {"records_behind_at_promotion", &C::records_behind_at_promotion},
+        {"fences_sent", &C::fences_sent},
+        {"max_observed_lag", &C::max_observed_lag, /*merge_max=*/true},
+    });
+  }
+
   /// Field-wise sum EXCEPT max_observed_lag, which merges by max.
-  void merge(const ReplicationCounters& other) noexcept;
+  void merge(const ReplicationCounters& other) noexcept {
+    merge_counters(*this, other);
+  }
 
   bool operator==(const ReplicationCounters&) const = default;
 };
+static_assert(lists_every_member<ReplicationCounters>());
 
 /// Jain's fairness index over non-negative values: (Σx)² / (n·Σx²).
 /// 1.0 = perfectly even, 1/n = maximally concentrated. Returns 1.0 for an

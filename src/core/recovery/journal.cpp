@@ -35,6 +35,10 @@ std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
 
 }  // namespace
 
+// to_string's answer for a byte outside the enum; is_record_type compares
+// against this very pointer, so the switch is the one list of record types.
+constexpr const char* kUnknownRecordType = "unknown";
+
 const char* to_string(RecordType t) noexcept {
   switch (t) {
     case RecordType::Epoch: return "epoch";
@@ -55,7 +59,11 @@ const char* to_string(RecordType t) noexcept {
     case RecordType::TaskEvicted: return "task-evicted";
     case RecordType::TaskFatal: return "task-fatal";
   }
-  return "unknown";
+  return kUnknownRecordType;
+}
+
+bool is_record_type(std::uint8_t byte) noexcept {
+  return to_string(static_cast<RecordType>(byte)) != kUnknownRecordType;
 }
 
 JournalWriter::JournalWriter(std::unique_ptr<AppendHandle> out,

@@ -59,6 +59,10 @@ constexpr bool is_input_record(RecordType t) noexcept {
 
 const char* to_string(RecordType t) noexcept;
 
+/// True when `byte` is one of the RecordType values above. Decoders that
+/// take a type byte from outside the process refuse anything else.
+bool is_record_type(std::uint8_t byte) noexcept;
+
 struct JournalRecord {
   RecordType type{};
   std::string payload;

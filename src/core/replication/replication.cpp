@@ -96,10 +96,15 @@ std::optional<ReplicationFrame> decode_frame(std::string_view bytes) {
     switch (f.op) {
       case ReplicationFrame::Op::OpenFresh:
         break;
-      case ReplicationFrame::Op::Record:
-        f.rtype = static_cast<recovery::RecordType>(r.u8());
+      case ReplicationFrame::Op::Record: {
+        // An unknown type would reach the mirror journal and be dropped on
+        // replay as if it were an audit record; refuse the frame instead.
+        const std::uint8_t type = r.u8();
+        if (!recovery::is_record_type(type)) return std::nullopt;
+        f.rtype = static_cast<recovery::RecordType>(type);
         f.body = r.str();
         break;
+      }
       case ReplicationFrame::Op::Barrier:
       case ReplicationFrame::Op::Ack:
       case ReplicationFrame::Op::Fence:

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace tora::exp {
 
@@ -72,88 +74,65 @@ void TextTable::print(std::ostream& out) const {
   out.flags(saved);
 }
 
-TextTable chaos_table(const core::ChaosCounters& c) {
-  TextTable table({"counter", "count"});
-  const auto row = [&](const char* name, std::size_t v) {
-    table.add_row({name, std::to_string(v)});
-  };
-  row("messages_dropped", c.messages_dropped);
-  row("messages_duplicated", c.messages_duplicated);
-  row("messages_corrupted", c.messages_corrupted);
-  row("messages_severed", c.messages_severed);
-  row("links_severed", c.links_severed);
-  row("malformed_lines", c.malformed_lines);
-  row("stale_or_duplicate_results", c.stale_or_duplicate_results);
-  row("attempt_timeouts", c.attempt_timeouts);
-  row("redispatches", c.redispatches);
-  row("workers_declared_dead", c.workers_declared_dead);
-  row("workers_quarantined", c.workers_quarantined);
-  row("protocol_evictions", c.protocol_evictions);
-  row("heartbeats", c.heartbeats);
-  row("duplicate_dispatches", c.duplicate_dispatches);
-  row("misaddressed_messages", c.misaddressed_messages);
-  row("worker_crashes", c.worker_crashes);
+TextTable waste_table(const core::WasteAccounting& accounting) {
+  TextTable table({"resource", "AWE", "consumption", "allocation",
+                   "fragmentation", "failed"});
+  for (core::ResourceKind k : core::kManagedResources) {
+    const core::WasteBreakdown& b = accounting.breakdown(k);
+    table.add_row({std::string(core::to_string(k)),
+                   fmt_pct(accounting.awe(k)), fmt(b.consumption, 0),
+                   fmt(b.allocation, 0), fmt(b.internal_fragmentation, 0),
+                   fmt(b.failed_allocation, 0)});
+  }
   return table;
 }
 
-TextTable recovery_table(const core::RecoveryCounters& c) {
+namespace {
+
+using CounterRow = std::pair<const char*, std::size_t>;
+
+// A family's (name, value) rows in field-list order: the one source of every
+// counter table and JSON section. StorageHealth's flag is a state, not a
+// counter, so it is not in the list; it leads the rows as 0/1.
+template <typename T>
+std::vector<CounterRow> counter_rows(const T& c) {
+  std::vector<CounterRow> rows;
+  if constexpr (std::is_same_v<T, core::StorageHealth>) {
+    rows.emplace_back("degraded", c.degraded ? 1 : 0);
+  }
+  for (const core::CounterField<T>& f : T::fields()) {
+    rows.emplace_back(f.name, c.*f.member);
+  }
+  return rows;
+}
+
+void add_rows(TextTable& table, const std::vector<CounterRow>& rows) {
+  for (const auto& [name, value] : rows) {
+    table.add_row({name, std::to_string(value)});
+  }
+}
+
+}  // namespace
+
+template <typename T>
+TextTable counter_table(const T& c) {
   TextTable table({"counter", "count"});
-  const auto row = [&](const char* name, std::size_t v) {
-    table.add_row({name, std::to_string(v)});
-  };
-  row("journal_records", c.journal_records);
-  row("journal_bytes", c.journal_bytes);
-  row("journal_syncs", c.journal_syncs);
-  row("snapshots_written", c.snapshots_written);
-  row("crashes_injected", c.crashes_injected);
-  row("recoveries", c.recoveries);
-  row("torn_records_truncated", c.torn_records_truncated);
-  row("torn_snapshots_discarded", c.torn_snapshots_discarded);
-  row("records_replayed", c.records_replayed);
-  row("ticks_replayed", c.ticks_replayed);
-  row("inputs_replayed", c.inputs_replayed);
-  row("generation_fallbacks", c.generation_fallbacks);
-  row("journals_chained", c.journals_chained);
-  row("tmp_files_swept", c.tmp_files_swept);
-  row("salvage_refusals", c.salvage_refusals);
+  add_rows(table, counter_rows(c));
   return table;
 }
+
+template TextTable counter_table(const core::ChaosCounters&);
+template TextTable counter_table(const core::RecoveryCounters&);
+template TextTable counter_table(const core::StorageFaultCounters&);
+template TextTable counter_table(const core::StorageHealth&);
+template TextTable counter_table(const core::ResilienceCounters&);
+template TextTable counter_table(const core::TransportCounters&);
+template TextTable counter_table(const core::ReplicationCounters&);
 
 TextTable storage_table(const core::StorageFaultCounters& f,
                         const core::StorageHealth& h) {
-  TextTable table({"counter", "count"});
-  const auto row = [&](const char* name, std::size_t v) {
-    table.add_row({name, std::to_string(v)});
-  };
-  row("short_writes", f.short_writes);
-  row("write_errors", f.write_errors);
-  row("sync_errors", f.sync_errors);
-  row("fsync_lies", f.fsync_lies);
-  row("read_errors", f.read_errors);
-  row("objects_rotted", f.objects_rotted);
-  row("enospc_hits", f.enospc_hits);
-  table.add_row({"degraded_now", h.degraded ? "yes" : "no"});
-  row("degraded_entries", h.degraded_entries);
-  row("degraded_exits", h.degraded_exits);
-  row("storage_retry_failures", h.retry_failures);
-  return table;
-}
-
-TextTable resilience_table(const core::ResilienceCounters& c) {
-  TextTable table({"counter", "count"});
-  const auto row = [&](const char* name, std::size_t v) {
-    table.add_row({name, std::to_string(v)});
-  };
-  row("speculations_launched", c.speculations_launched);
-  row("speculations_promoted", c.speculations_promoted);
-  row("speculations_cancelled", c.speculations_cancelled);
-  row("adaptive_deadlines_used", c.adaptive_deadlines_used);
-  row("storms_entered", c.storms_entered);
-  row("storms_exited", c.storms_exited);
-  row("dispatches_held", c.dispatches_held);
-  row("probation_admissions", c.probation_admissions);
-  row("requarantines", c.requarantines);
-  row("quarantine_amnesties", c.quarantine_amnesties);
+  TextTable table = counter_table(f);
+  add_rows(table, counter_rows(h));
   return table;
 }
 
@@ -173,179 +152,28 @@ TextTable tenant_table(std::span<const core::TenantOutcome> outcomes) {
   return table;
 }
 
-TextTable replication_table(const core::ReplicationCounters& c) {
-  TextTable table({"counter", "count"});
-  const auto row = [&](const char* name, std::size_t v) {
-    table.add_row({name, std::to_string(v)});
-  };
-  row("records_shipped", c.records_shipped);
-  row("bytes_shipped", c.bytes_shipped);
-  row("barriers_shipped", c.barriers_shipped);
-  row("acks_received", c.acks_received);
-  row("rotations_shipped", c.rotations_shipped);
-  row("sync_waits", c.sync_waits);
-  row("wait_rounds", c.wait_rounds);
-  row("standby_losses", c.standby_losses);
-  row("fences_received", c.fences_received);
-  row("records_applied", c.records_applied);
-  row("barriers_acked", c.barriers_acked);
-  row("rotations_applied", c.rotations_applied);
-  row("rotate_mismatches", c.rotate_mismatches);
-  row("corrupt_frames", c.corrupt_frames);
-  row("promotions", c.promotions);
-  row("records_behind_at_promotion", c.records_behind_at_promotion);
-  row("fences_sent", c.fences_sent);
-  row("max_observed_lag", c.max_observed_lag);
-  return table;
-}
-
 std::string counters_json(const CounterSections& s) {
   std::ostringstream out;
   out << "{";
-  bool first_section = true;
-  // Each section is a flat object of numeric fields; the two lambdas keep
-  // the comma bookkeeping in one place so every family prints identically.
-  const auto section = [&](const char* name, auto&& fill) {
-    if (!first_section) out << ",";
-    first_section = false;
-    out << "\n  \"" << name << "\": {";
-    bool first_field = true;
-    const auto field = [&](const char* key, std::size_t v) {
-      if (!first_field) out << ",";
-      first_field = false;
-      out << "\n    \"" << key << "\": " << v;
-    };
-    fill(field);
+  const char* section_sep = "";
+  const auto section = [&](const char* name, const auto* c) {
+    if (!c) return;
+    out << section_sep << "\n  \"" << name << "\": {";
+    section_sep = ",";
+    const char* field_sep = "";
+    for (const auto& [key, value] : counter_rows(*c)) {
+      out << field_sep << "\n    \"" << key << "\": " << value;
+      field_sep = ",";
+    }
     out << "\n  }";
   };
-  if (s.chaos) {
-    const core::ChaosCounters& c = *s.chaos;
-    section("chaos", [&](auto&& f) {
-      f("messages_dropped", c.messages_dropped);
-      f("messages_duplicated", c.messages_duplicated);
-      f("messages_corrupted", c.messages_corrupted);
-      f("messages_severed", c.messages_severed);
-      f("links_severed", c.links_severed);
-      f("malformed_lines", c.malformed_lines);
-      f("stale_or_duplicate_results", c.stale_or_duplicate_results);
-      f("attempt_timeouts", c.attempt_timeouts);
-      f("redispatches", c.redispatches);
-      f("workers_declared_dead", c.workers_declared_dead);
-      f("workers_quarantined", c.workers_quarantined);
-      f("protocol_evictions", c.protocol_evictions);
-      f("heartbeats", c.heartbeats);
-      f("duplicate_dispatches", c.duplicate_dispatches);
-      f("misaddressed_messages", c.misaddressed_messages);
-      f("worker_crashes", c.worker_crashes);
-      f("dispatches_deferred_backpressure",
-        c.dispatches_deferred_backpressure);
-    });
-  }
-  if (s.resilience) {
-    const core::ResilienceCounters& c = *s.resilience;
-    section("resilience", [&](auto&& f) {
-      f("speculations_launched", c.speculations_launched);
-      f("speculations_promoted", c.speculations_promoted);
-      f("speculations_cancelled", c.speculations_cancelled);
-      f("adaptive_deadlines_used", c.adaptive_deadlines_used);
-      f("storms_entered", c.storms_entered);
-      f("storms_exited", c.storms_exited);
-      f("dispatches_held", c.dispatches_held);
-      f("probation_admissions", c.probation_admissions);
-      f("requarantines", c.requarantines);
-      f("quarantine_amnesties", c.quarantine_amnesties);
-    });
-  }
-  if (s.recovery) {
-    const core::RecoveryCounters& c = *s.recovery;
-    section("recovery", [&](auto&& f) {
-      f("journal_records", c.journal_records);
-      f("journal_bytes", c.journal_bytes);
-      f("journal_syncs", c.journal_syncs);
-      f("snapshots_written", c.snapshots_written);
-      f("crashes_injected", c.crashes_injected);
-      f("recoveries", c.recoveries);
-      f("torn_records_truncated", c.torn_records_truncated);
-      f("torn_snapshots_discarded", c.torn_snapshots_discarded);
-      f("records_replayed", c.records_replayed);
-      f("ticks_replayed", c.ticks_replayed);
-      f("inputs_replayed", c.inputs_replayed);
-      f("generation_fallbacks", c.generation_fallbacks);
-      f("journals_chained", c.journals_chained);
-      f("tmp_files_swept", c.tmp_files_swept);
-      f("salvage_refusals", c.salvage_refusals);
-    });
-  }
-  if (s.storage_faults) {
-    const core::StorageFaultCounters& c = *s.storage_faults;
-    section("storage_faults", [&](auto&& f) {
-      f("short_writes", c.short_writes);
-      f("write_errors", c.write_errors);
-      f("sync_errors", c.sync_errors);
-      f("fsync_lies", c.fsync_lies);
-      f("read_errors", c.read_errors);
-      f("objects_rotted", c.objects_rotted);
-      f("enospc_hits", c.enospc_hits);
-    });
-  }
-  if (s.storage_health) {
-    const core::StorageHealth& c = *s.storage_health;
-    section("storage_health", [&](auto&& f) {
-      f("degraded", c.degraded ? 1 : 0);
-      f("degraded_entries", c.degraded_entries);
-      f("degraded_exits", c.degraded_exits);
-      f("retry_failures", c.retry_failures);
-    });
-  }
-  if (s.transport) {
-    const core::TransportCounters& c = *s.transport;
-    section("transport", [&](auto&& f) {
-      f("connections_accepted", c.connections_accepted);
-      f("connections_opened", c.connections_opened);
-      f("connections_closed", c.connections_closed);
-      f("connect_failures", c.connect_failures);
-      f("keepalive_closes", c.keepalive_closes);
-      f("reconnects", c.reconnects);
-      f("handshakes_ok", c.handshakes_ok);
-      f("handshakes_rejected", c.handshakes_rejected);
-      f("sessions_resumed", c.sessions_resumed);
-      f("frames_replayed", c.frames_replayed);
-      f("frames_sent", c.frames_sent);
-      f("frames_received", c.frames_received);
-      f("bytes_sent", c.bytes_sent);
-      f("bytes_received", c.bytes_received);
-      f("partial_writes", c.partial_writes);
-      f("oversized_frames", c.oversized_frames);
-      f("corrupt_control_frames", c.corrupt_control_frames);
-      f("backpressure_events", c.backpressure_events);
-      f("heartbeats_coalesced", c.heartbeats_coalesced);
-      f("heartbeats_shed", c.heartbeats_shed);
-      f("send_queue_overflows", c.send_queue_overflows);
-    });
-  }
-  if (s.replication) {
-    const core::ReplicationCounters& c = *s.replication;
-    section("replication", [&](auto&& f) {
-      f("records_shipped", c.records_shipped);
-      f("bytes_shipped", c.bytes_shipped);
-      f("barriers_shipped", c.barriers_shipped);
-      f("acks_received", c.acks_received);
-      f("rotations_shipped", c.rotations_shipped);
-      f("sync_waits", c.sync_waits);
-      f("wait_rounds", c.wait_rounds);
-      f("standby_losses", c.standby_losses);
-      f("fences_received", c.fences_received);
-      f("records_applied", c.records_applied);
-      f("barriers_acked", c.barriers_acked);
-      f("rotations_applied", c.rotations_applied);
-      f("rotate_mismatches", c.rotate_mismatches);
-      f("corrupt_frames", c.corrupt_frames);
-      f("promotions", c.promotions);
-      f("records_behind_at_promotion", c.records_behind_at_promotion);
-      f("fences_sent", c.fences_sent);
-      f("max_observed_lag", c.max_observed_lag);
-    });
-  }
+  section("chaos", s.chaos);
+  section("resilience", s.resilience);
+  section("recovery", s.recovery);
+  section("storage_faults", s.storage_faults);
+  section("storage_health", s.storage_health);
+  section("transport", s.transport);
+  section("replication", s.replication);
   out << "\n}\n";
   return out.str();
 }

@@ -38,32 +38,28 @@ std::string fmt(double v, int precision = 3);
 /// Formats a value as a percentage with one decimal, e.g. 0.873 -> "87.3%".
 std::string fmt_pct(double ratio);
 
-/// Renders chaos/anomaly counters as a two-column table (counter, value),
-/// grouped channel -> manager -> worker, zero rows included so runs are
-/// comparable line-by-line.
-TextTable chaos_table(const core::ChaosCounters& c);
+/// Renders the per-resource AWE and waste breakdown (paper Figs. 5-6) that
+/// `tora run` and `tora proto` print: one row per managed resource with AWE,
+/// consumption, allocation, internal fragmentation and failed allocation.
+TextTable waste_table(const core::WasteAccounting& accounting);
 
-/// Renders crash-recovery counters (journal volume, snapshots, crashes,
-/// replay work, salvage outcomes) as a two-column table, zero rows included.
-TextTable recovery_table(const core::RecoveryCounters& c);
+/// Renders one counter family (core::ChaosCounters, RecoveryCounters,
+/// StorageFaultCounters, StorageHealth, ResilienceCounters,
+/// TransportCounters or ReplicationCounters) as a two-column table (counter,
+/// count): one row per field-list entry, in list order, zero rows included
+/// so runs compare line by line. Names and values match counters_json.
+template <typename T>
+TextTable counter_table(const T& c);
 
-/// Renders injected storage-fault counters and the manager's degradation
-/// status as a two-column table, zero rows included.
+/// Renders injected storage-fault counters followed by the manager's
+/// degradation status as one two-column table.
 TextTable storage_table(const core::StorageFaultCounters& f,
                         const core::StorageHealth& h);
-
-/// Renders resilience-layer counters (speculation, adaptive deadlines,
-/// storms, probation) as a two-column table, zero rows included.
-TextTable resilience_table(const core::ResilienceCounters& c);
 
 /// Renders per-tenant outcomes (weight, completion, makespan, utilization
 /// share, welfare, waste, arbiter grants/credit) one row per tenant.
 /// Expects finalize_tenant_shares() to have run on the outcomes.
 TextTable tenant_table(std::span<const core::TenantOutcome> outcomes);
-
-/// Renders hot-standby replication counters (primary shipping, standby
-/// apply/ack, failover events) as a two-column table, zero rows included.
-TextTable replication_table(const core::ReplicationCounters& c);
 
 /// The counter families one run can produce, for the unified
 /// `--counters-json` dump. Null sections are omitted from the output, so

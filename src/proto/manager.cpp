@@ -30,33 +30,6 @@ core::lifecycle::DispatchConfig dispatch_config(const LivenessConfig& cfg) {
   return dc;
 }
 
-void save_chaos(util::ByteWriter& w, const core::ChaosCounters& c) {
-  for (std::size_t v : {c.messages_dropped, c.messages_duplicated,
-                        c.messages_corrupted, c.messages_severed,
-                        c.links_severed, c.malformed_lines,
-                        c.stale_or_duplicate_results, c.attempt_timeouts,
-                        c.redispatches, c.workers_declared_dead,
-                        c.workers_quarantined, c.protocol_evictions,
-                        c.heartbeats, c.duplicate_dispatches,
-                        c.misaddressed_messages, c.worker_crashes,
-                        c.dispatches_deferred_backpressure}) {
-    w.u64(v);
-  }
-}
-
-void load_chaos(util::ByteReader& r, core::ChaosCounters& c) {
-  for (std::size_t* v :
-       {&c.messages_dropped, &c.messages_duplicated, &c.messages_corrupted,
-        &c.messages_severed, &c.links_severed, &c.malformed_lines,
-        &c.stale_or_duplicate_results, &c.attempt_timeouts, &c.redispatches,
-        &c.workers_declared_dead, &c.workers_quarantined,
-        &c.protocol_evictions, &c.heartbeats, &c.duplicate_dispatches,
-        &c.misaddressed_messages, &c.worker_crashes,
-        &c.dispatches_deferred_backpressure}) {
-    *v = r.u64();
-  }
-}
-
 }  // namespace
 
 ProtocolManager::ProtocolManager(std::span<const core::TaskSpec> tasks,
@@ -664,7 +637,7 @@ void ProtocolManager::dispatch_queued() {
   // degradation caps at ZERO: hold everything, keep serving what is
   // already in flight from memory.
   const bool capped =
-      storage_degraded_ || storms_.degraded() || transport_overloaded();
+      storage_.degraded || storms_.degraded() || transport_overloaded();
   std::size_t inflight = 0;
   if (capped) {
     for (std::size_t t = 0; t < core_.task_count(); ++t) {
@@ -679,7 +652,7 @@ void ProtocolManager::dispatch_queued() {
       // (core/lifecycle/drain.hpp) over the tick's one sample.
       core::lifecycle::gated_place(
           [capped] { return capped; }, [&inflight] { return inflight; },
-          storage_degraded_ ? 0 : cfg_.resilience.degraded_inflight_cap,
+          storage_.degraded ? 0 : cfg_.resilience.degraded_inflight_cap,
           res_counters_.dispatches_held,
           [this](std::uint64_t, const ResourceVector& alloc)
               -> std::optional<std::uint64_t> {
@@ -823,9 +796,9 @@ void ProtocolManager::enter_storage_degraded() {
   // log closed, writable() is false, so every journal site goes quiet until
   // a retry succeeds — the run keeps serving in-flight work from memory.
   log_->close();
-  if (storage_degraded_) return;
-  storage_degraded_ = true;
-  ++storage_entries_;
+  if (storage_.degraded) return;
+  storage_.degraded = true;
+  ++storage_.degraded_entries;
   storage_backoff_ =
       std::max<std::uint64_t>(1, recovery_cfg_.storage_retry_base_ticks);
   storage_retry_tick_ = tick_ + storage_backoff_;
@@ -834,33 +807,24 @@ void ProtocolManager::enter_storage_degraded() {
 void ProtocolManager::retry_storage() {
   // Runs before the tick counter advances: the tick about to run is
   // tick_ + 1.
-  if (!storage_degraded_ || tick_ + 1 < storage_retry_tick_) return;
+  if (!storage_.degraded || tick_ + 1 < storage_retry_tick_) return;
   try {
     // Optimistically mark the exit first: a successful rotate seals this
     // very state as the snapshot, so the durable record already reflects a
     // healthy manager (entries == exits in every snapshot ever written).
-    storage_degraded_ = false;
-    ++storage_exits_;
+    storage_.degraded = false;
+    ++storage_.degraded_exits;
     log_->rotate(snapshot_body(), tick_);
   } catch (const core::recovery::StorageError&) {
-    storage_degraded_ = true;
-    --storage_exits_;
-    ++storage_retry_failures_;
+    storage_.degraded = true;
+    --storage_.degraded_exits;
+    ++storage_.retry_failures;
     log_->close();
     const std::uint64_t cap =
         std::max<std::uint64_t>(1, recovery_cfg_.storage_retry_cap_ticks);
     storage_backoff_ = std::min(storage_backoff_ * 2, cap);
     storage_retry_tick_ = tick_ + 1 + storage_backoff_;
   }
-}
-
-core::StorageHealth ProtocolManager::storage_health() const noexcept {
-  core::StorageHealth h;
-  h.degraded = storage_degraded_;
-  h.degraded_entries = storage_entries_;
-  h.degraded_exits = storage_exits_;
-  h.retry_failures = storage_retry_failures_;
-  return h;
 }
 
 void ProtocolManager::note_storage_failure() {
@@ -979,20 +943,18 @@ std::string ProtocolManager::snapshot_body() const {
   for (char q : quarantined_) w.u8(static_cast<std::uint8_t>(q));
   w.u64(malformed_logged_.size());
   for (char m : malformed_logged_) w.u8(static_cast<std::uint8_t>(m));
-  save_chaos(w, chaos_);
+  core::save_counters(w, chaos_);
   deadlines_.save(w);
   reliability_.save(w);
   storms_.save(w);
-  res_counters_.save(w);
+  core::save_counters(w, res_counters_);
   // Trailing frames, ONLY once their subsystem has ever engaged: calm runs
   // keep the exact pre-degradation byte layout (these bodies double as
   // fingerprints compared across crashed/crash-free runs). A nonzero term
   // forces the storage triple out too, so the reader can tell the frames
   // apart purely by remaining length.
-  if (storage_entries_ > 0 || term_ > 0) {
-    w.u64(storage_entries_);
-    w.u64(storage_exits_);
-    w.u64(storage_retry_failures_);
+  if (storage_.degraded_entries > 0 || term_ > 0) {
+    core::save_counters(w, storage_);
   }
   if (term_ > 0) w.u64(term_);
   return w.take();
@@ -1067,23 +1029,18 @@ void ProtocolManager::restore_state(util::ByteReader& r) {
         "recovery snapshot: malformed-log set does not match the link table");
   }
   for (char& m : malformed_logged_) m = static_cast<char>(r.u8());
-  load_chaos(r, chaos_);
+  core::load_counters(r, chaos_);
   deadlines_.load(r);
   reliability_.load(r);
   storms_.load(r);
-  res_counters_.load(r);
+  core::load_counters(r, res_counters_);
   // Conditional trailing frame (see snapshot_body). Snapshots are only
   // written by successful rotations, so the restored manager is healthy by
   // construction — only the counters carry over.
-  storage_degraded_ = false;
-  storage_entries_ = storage_exits_ = storage_retry_failures_ = 0;
+  storage_ = {};
   term_ = 0;
   fenced_ = false;
-  if (!r.done()) {
-    storage_entries_ = r.u64();
-    storage_exits_ = r.u64();
-    storage_retry_failures_ = r.u64();
-  }
+  if (!r.done()) core::load_counters(r, storage_);
   if (!r.done()) term_ = r.u64();
 }
 

@@ -213,7 +213,9 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// admission gate (counted in resilience().dispatches_held), in-flight
   /// results keep being served from memory, and each pump retries the disk
   /// on a capped exponential backoff.
-  core::StorageHealth storage_health() const noexcept;
+  const core::StorageHealth& storage_health() const noexcept {
+    return storage_;
+  }
 
   /// External notification that durable storage failed outside a journal
   /// call (the recovery runtime's post-recovery rotate): enters
@@ -384,12 +386,9 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   // (a snapshot is only ever cut by a successful rotate, i.e. healthy); the
   // three counters ride the snapshot via a conditional trailing frame so
   // calm runs keep their exact byte layout.
-  bool storage_degraded_ = false;
+  core::StorageHealth storage_;
   std::uint64_t storage_retry_tick_ = 0;
   std::uint64_t storage_backoff_ = 0;
-  std::uint64_t storage_entries_ = 0;
-  std::uint64_t storage_exits_ = 0;
-  std::uint64_t storage_retry_failures_ = 0;
 
   // Resilience layer. Draws no randomness: every decision is a
   // deterministic function of the journaled inputs and the tick, so crash

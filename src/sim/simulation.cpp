@@ -684,7 +684,7 @@ void Simulation::save_state(util::ByteWriter& w) const {
     w.u64(sp.token);
   }
   for (std::uint32_t s : deadline_strikes_) w.u32(s);
-  res_counters_.save(w);
+  core::save_counters(w, res_counters_);
   // Per-tenant metrics (appended only outside the legacy single-tenant
   // layout, which must stay byte-identical).
   if (!core_.single_passthrough()) {
@@ -743,7 +743,7 @@ void Simulation::load_state(util::ByteReader& r) {
     sp.token = r.u64();
   }
   for (std::uint32_t& s : deadline_strikes_) s = r.u32();
-  res_counters_.load(r);
+  core::load_counters(r, res_counters_);
   if (!core_.single_passthrough()) {
     for (ResourceVector& v : tenant_committed_) {
       for (ResourceKind k : core::kAllResources) v[k] = r.f64();

@@ -159,6 +159,18 @@ TEST(ReplicationCodec, TruncationGarbageAndTrailingBytesRejected) {
   EXPECT_FALSE(decode_frame(wire + "x"));
 }
 
+TEST(ReplicationCodec, UnknownRecordTypeRejected) {
+  EXPECT_FALSE(decode_frame(encode_record(static_cast<RecordType>(0x7f), "x")));
+  EXPECT_FALSE(decode_frame(encode_record(static_cast<RecordType>(0x00), "x")));
+  EXPECT_FALSE(decode_frame(encode_record(static_cast<RecordType>(0x09), "x")));
+  for (RecordType t : {RecordType::Epoch, RecordType::TermBump,
+                       RecordType::CategoryInterned, RecordType::TaskFatal}) {
+    const auto f = decode_frame(encode_record(t, "x"));
+    ASSERT_TRUE(f) << tora::core::recovery::to_string(t);
+    EXPECT_EQ(f->rtype, t);
+  }
+}
+
 // -------------------------------------------------------------- mirroring
 
 TEST(Replication, MirrorsAppendsSyncsAndRotationsByteExact) {
@@ -339,6 +351,30 @@ TEST(Replication, CorruptWireFramesAreCountedNotFatal) {
   replica.pump();
   EXPECT_EQ(counters.corrupt_frames, 1u);
   EXPECT_EQ(replica.applied(), 1u) << "good frames after garbage still apply";
+}
+
+TEST(Replication, UnknownRecordTypeIsCountedAndNeverMirrored) {
+  MemStorage standby_disk;
+  Wire wire;
+  ReplicationCounters counters;
+  RecordingApplier applier;
+  StandbyReplica replica(standby_disk, wire.standby_send(),
+                         wire.standby_recv(), &applier, &counters);
+  wire.to_standby.push_back(encode_open_fresh());
+  wire.to_standby.push_back(
+      encode_record(static_cast<RecordType>(0x7f), "audit?"));
+  wire.to_standby.push_back(encode_record(RecordType::Tick, payload_u64(1)));
+  replica.pump();
+  EXPECT_EQ(counters.corrupt_frames, 1u);
+  EXPECT_EQ(counters.records_applied, 1u);
+  ASSERT_EQ(applier.records.size(), 1u);
+  EXPECT_EQ(applier.records[0].type, RecordType::Tick);
+  const auto journal = standby_disk.read_file("journal-0");
+  ASSERT_TRUE(journal);
+  for (const JournalRecord& rec :
+       tora::core::recovery::read_journal(*journal).records) {
+    EXPECT_NE(static_cast<int>(rec.type), 0x7f);
+  }
 }
 
 // ----------------------------------------------------------------- fencing
