@@ -4,15 +4,15 @@
 // durable snapshots. The crashed run must finish BIT-FOR-BIT identical to
 // the crash-free run — same completion set, per-category waste breakdown,
 // retry sequences and chaos counters — asserted as byte equality of the
-// manager state fingerprint. A second sweep measures recovery latency as a
-// function of journal length (single crash, no snapshots, so the whole
-// journal replays) and emits BENCH_recovery.json for the CI soak artifact.
+// manager state fingerprint. A second sweep crashes once at growing ticks
+// with no snapshots, so the whole journal replays, and reports the records
+// replayed per crash tick; BENCH_recovery.json carries both for the CI soak
+// artifact. Replay time is failover_chaos's cold_rebuild_us.
 //
 // Set TORA_RECOVERY_SEED to randomize the crash schedule (CI soak runs a
 // fresh seed per build); unset, a fixed schedule covering six distinct
 // loss-free crash points is used. Exits non-zero on any divergence.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -74,21 +74,6 @@ RecoveryRunResult run_once(const std::vector<tora::core::TaskSpec>& tasks,
                                      kCapacity, chaos_config(), storage,
                                      recovery, std::move(crashes));
   return runtime.run();
-}
-
-double timed_ms(const std::vector<tora::core::TaskSpec>& tasks,
-                const std::string& policy, const CrashSchedule& crashes,
-                RecoveryRunResult* out = nullptr) {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    RecoveryRunResult r = run_once(tasks, policy, crashes, 0);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
-    if (out) *out = std::move(r);
-  }
-  return best;
 }
 
 }  // namespace
@@ -191,40 +176,32 @@ int main() {
   std::cout << "\nrecovery counters of the last run:\n";
   tora::exp::counter_table(sample.recovery).print(std::cout);
 
-  // ------------------------------------------------------ latency vs length
+  // ------------------------------------------------- replay vs crash tick
   // One crash at PumpBegin on tick T with NO snapshots: recovery replays the
-  // whole journal from genesis, so replayed records grow with T and the
-  // run-time delta over the crash-free run approximates recovery latency.
-  std::cout << "\nrecovery latency vs journal length (single crash, no "
-               "snapshots, best of 3):\n";
+  // whole journal from genesis, so replayed records grow with T.
+  std::cout << "\nrecords replayed vs crash tick (single crash, no "
+               "snapshots):\n";
   const std::string sweep_policy = "greedy_bucketing";
-  const double base_ms =
-      timed_ms(workload.tasks, sweep_policy, CrashSchedule{});
   struct SweepRow {
     std::uint64_t tick;
     std::size_t records_replayed;
-    double recovery_ms;
   };
   std::vector<SweepRow> sweep;
-  tora::exp::TextTable latency({"crash tick", "records replayed",
-                                "est. recovery ms"});
+  tora::exp::TextTable replay({"crash tick", "records replayed"});
   for (std::uint64_t tick : {2ull, 4ull, 8ull, 12ull, 16ull}) {
-    RecoveryRunResult r;
-    const double ms = timed_ms(
-        workload.tasks, sweep_policy,
-        CrashSchedule({{tick, ManagerCrashPoint::PumpBegin}}), &r);
+    const RecoveryRunResult r =
+        run_once(workload.tasks, sweep_policy,
+                 CrashSchedule({{tick, ManagerCrashPoint::PumpBegin}}), 0);
     if (r.recovery.crashes_injected != 1 || r.recovery.recoveries != 1) {
-      violation(sweep_policy, "latency sweep crash at tick " +
+      violation(sweep_policy, "replay sweep crash at tick " +
                                   std::to_string(tick) + " did not fire");
       continue;
     }
-    const double recovery_ms = std::max(0.0, ms - base_ms);
-    sweep.push_back({tick, r.recovery.records_replayed, recovery_ms});
-    latency.add_row({std::to_string(tick),
-                     std::to_string(r.recovery.records_replayed),
-                     tora::exp::fmt(recovery_ms, 3)});
+    sweep.push_back({tick, r.recovery.records_replayed});
+    replay.add_row({std::to_string(tick),
+                    std::to_string(r.recovery.records_replayed)});
   }
-  latency.print(std::cout);
+  replay.print(std::cout);
 
   std::ofstream json("BENCH_recovery.json");
   json << "{\n"
@@ -239,12 +216,11 @@ int main() {
        << ",\n"
        << "  \"journal_bytes_last_run\": " << sample.recovery.journal_bytes
        << ",\n"
-       << "  \"latency_sweep\": [";
+       << "  \"replay_sweep\": [";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     json << (i ? ",\n" : "\n")
          << "    {\"crash_tick\": " << sweep[i].tick
-         << ", \"records_replayed\": " << sweep[i].records_replayed
-         << ", \"recovery_ms\": " << sweep[i].recovery_ms << "}";
+         << ", \"records_replayed\": " << sweep[i].records_replayed << "}";
   }
   json << "\n  ]\n}\n";
 

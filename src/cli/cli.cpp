@@ -5,8 +5,12 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <ostream>
@@ -25,6 +29,7 @@
 #include "proto/net/replication.hpp"
 #include "proto/net/tcp_runtime.hpp"
 #include "proto/recovery_runtime.hpp"
+#include "sim/event.hpp"
 #include "sim/observer.hpp"
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
@@ -37,35 +42,41 @@ namespace tora::cli {
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("invalid value for ") + what +
-                                ": '" + s + "'");
-  }
+[[noreturn]] void invalid_value(const std::string& s, const char* what) {
+  throw std::invalid_argument(std::string("invalid value for ") + what +
+                              ": '" + s + "'");
 }
 
+// The whole string as a decimal integer: no sign, no whitespace, no
+// overflow (std::stoull would turn "-1" into 2^64 - 1).
+std::uint64_t parse_u64(const std::string& s, const char* what) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) invalid_value(s, what);
+  return v;
+}
+
+// The whole string as a finite real: no whitespace, no nan or inf.
 double parse_f64(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("invalid value for ") + what +
-                                ": '" + s + "'");
+  double v = 0.0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) {
+    invalid_value(s, what);
   }
+  return v;
+}
+
+void require(bool ok, const std::string& message) {
+  if (!ok) throw std::invalid_argument(message);
 }
 
 // Splits a "HOST:PORT" flag value into its parts; the port must be a
 // decimal in [0, 65535] (0 asks the kernel for an ephemeral port). `flag`
 // names the option in diagnostics.
-void parse_host_port(const std::string& s, const char* flag,
-                     std::string* host, std::uint16_t* port) {
+std::pair<std::string, std::uint16_t> parse_host_port(const std::string& s,
+                                                      const char* flag) {
   const std::size_t colon = s.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
     throw std::invalid_argument(std::string("invalid ") + flag + " '" + s +
@@ -78,8 +89,7 @@ void parse_host_port(const std::string& s, const char* flag,
                                 s.substr(colon + 1) +
                                 "' (expected 0..65535)");
   }
-  *host = s.substr(0, colon);
-  *port = static_cast<std::uint16_t>(p);
+  return {s.substr(0, colon), static_cast<std::uint16_t>(p)};
 }
 
 sim::Placement parse_placement(const std::string& s) {
@@ -118,7 +128,6 @@ exp::ExperimentConfig experiment_config(const Options& opts) {
   cfg.sim.churn.storm_interval_s = opts.storm_interval_s;
   cfg.sim.churn.storm_duration_s = opts.storm_duration_s;
   cfg.sim.churn.storm_evict_fraction = opts.storm_fraction;
-  cfg.sim.engine = opts.engine;
   cfg.sim.coarse_stepping = opts.coarse_stepping;
   return cfg;
 }
@@ -338,10 +347,13 @@ int cmd_fsck(const Options& opts, std::ostream& out) {
   }
 }
 
-// Writes the unified counter dump (--counters-json) and notes it on `out`.
-void write_counters_json(const std::string& path,
+// Writes the unified counter dump (--counters-json) and notes it on `out`;
+// without the flag it writes nothing.
+void write_counters_json(const Options& opts,
                          const exp::CounterSections& sections,
                          std::ostream& out) {
+  const std::string& path = opts.counters_json_path;
+  if (path.empty()) return;
   std::ofstream file(path);
   if (!file) throw std::runtime_error("cannot open counters output: " + path);
   file << exp::counters_json(sections);
@@ -362,7 +374,7 @@ proto::AllocatorFactory allocator_factory(
   };
 }
 
-int cmd_list(std::ostream& out) {
+int cmd_list(const Options&, std::ostream& out) {
   out << "policies (paper order + extensions):\n";
   for (const auto& p : core::extended_policy_names()) out << "  " << p << "\n";
   out << "workflows:\n";
@@ -454,10 +466,8 @@ int cmd_run(const Options& opts, std::ostream& out) {
       << exp::fmt(r.accounting.mean_attempts(), 2) << ", evictions "
       << r.evictions << ", makespan " << exp::fmt(r.makespan_s / 3600.0, 2)
       << " h\n";
-  out << "engine "
-      << (cfg.sim.engine == sim::QueueEngine::Heap ? "heap" : "calendar")
-      << (cfg.sim.coarse_stepping ? " (coarse stepping)" : "") << ", events "
-      << r.events_processed << "\n";
+  out << "events " << r.events_processed
+      << (cfg.sim.coarse_stepping ? " (coarse stepping)" : "") << "\n";
 
   if (cfg.sim.resilience.enabled()) {
     double speculative = 0.0;
@@ -493,13 +503,9 @@ int cmd_run(const Options& opts, std::ostream& out) {
     out << "event log (" << observer->rows_written() << " rows) written to "
         << opts.trace_log << "\n";
   }
-  if (!opts.counters_json_path.empty()) {
-    // The simulation's only counter family; the protocol/replication
-    // sections appear under `tora proto`, which actually produces them.
-    exp::CounterSections s;
-    s.resilience = &r.resilience;
-    write_counters_json(opts.counters_json_path, s, out);
-  }
+  // The simulation's only counter family; the protocol/replication
+  // sections appear under `tora proto`, which actually produces them.
+  write_counters_json(opts, {.resilience = &r.resilience}, out);
   return 0;
 }
 
@@ -522,9 +528,7 @@ void print_proto_report(const Options& opts, const std::string& workflow_name,
 int cmd_proto_primary(const Options& opts, std::ostream& out) {
   const workloads::Workload workload = load_workflow(opts);
   const exp::ExperimentConfig cfg = experiment_config(opts);
-  std::string host;
-  std::uint16_t port = 0;
-  parse_host_port(opts.standby_addr, "--standby", &host, &port);
+  const auto [host, port] = parse_host_port(opts.standby_addr, "--standby");
 
   proto::net::ReplicationDialer dialer(host, port);
   for (int i = 0; i < 500 && !dialer.poll_connected() && !dialer.failed();
@@ -570,16 +574,14 @@ int cmd_proto_primary(const Options& opts, std::ostream& out) {
     out << "FENCED: a promoted standby deposed this primary\n";
   }
   out << "state fingerprint " << util::hash64(r.state_fingerprint) << "\n";
-  if (!opts.counters_json_path.empty()) {
-    exp::CounterSections s;
-    s.chaos = &r.chaos;
-    s.resilience = &r.resilience;
-    s.recovery = &rt.recovery_counters();
-    s.storage_health = &r.storage;
-    s.storage_faults = &r.storage_faults;
-    s.replication = &rc;
-    write_counters_json(opts.counters_json_path, s, out);
-  }
+  write_counters_json(opts,
+                      {.chaos = &r.chaos,
+                       .resilience = &r.resilience,
+                       .recovery = &rt.recovery_counters(),
+                       .storage_faults = &r.storage_faults,
+                       .storage_health = &r.storage,
+                       .replication = &rc},
+                      out);
   return (shipper.standby_lost() || shipper.fenced()) ? 1 : 0;
 }
 
@@ -591,9 +593,8 @@ int cmd_proto_primary(const Options& opts, std::ostream& out) {
 int cmd_proto_standby(const Options& opts, std::ostream& out) {
   const workloads::Workload workload = load_workflow(opts);
   const exp::ExperimentConfig cfg = experiment_config(opts);
-  std::string host;
-  std::uint16_t port = 0;
-  parse_host_port(opts.standby_serve_addr, "--standby-serve", &host, &port);
+  const auto [host, port] =
+      parse_host_port(opts.standby_serve_addr, "--standby-serve");
 
   proto::net::ReplicationListener listener(host, port);
   out << "standby listening on " << host << ":" << listener.port() << "\n";
@@ -635,11 +636,7 @@ int cmd_proto_standby(const Options& opts, std::ostream& out) {
   out << "rebuilt " << rebuilt.manager->ticks()
       << " ticks from the mirror; standby state fingerprint "
       << util::hash64(rebuilt.manager->snapshot_body()) << "\n";
-  if (!opts.counters_json_path.empty()) {
-    exp::CounterSections s;
-    s.replication = &rc;
-    write_counters_json(opts.counters_json_path, s, out);
-  }
+  write_counters_json(opts, {.replication = &rc}, out);
   return 0;
 }
 
@@ -671,25 +668,17 @@ int cmd_proto(const Options& opts, std::ostream& out) {
         << t.frames_sent << " sent / " << t.frames_received
         << " received\nstate fingerprint "
         << util::hash64(r.state_fingerprint) << "\n";
-    if (!opts.counters_json_path.empty()) {
-      exp::CounterSections s;
-      s.chaos = &r.chaos;
-      s.resilience = &r.resilience;
-      s.transport = &t;
-      write_counters_json(opts.counters_json_path, s, out);
-    }
+    write_counters_json(
+        opts, {.chaos = &r.chaos, .resilience = &r.resilience, .transport = &t},
+        out);
     return 0;
   }
   proto::ProtocolRuntime rt(workload.tasks, allocator, opts.workers,
                             cfg.sim.worker_capacity);
   const proto::ProtocolRunResult r = rt.run();
   print_proto_report(opts, workload.name, workload.tasks.size(), r, out);
-  if (!opts.counters_json_path.empty()) {
-    exp::CounterSections s;
-    s.chaos = &r.chaos;
-    s.resilience = &r.resilience;
-    write_counters_json(opts.counters_json_path, s, out);
-  }
+  write_counters_json(opts, {.chaos = &r.chaos, .resilience = &r.resilience},
+                      out);
   return 0;
 }
 
@@ -765,6 +754,355 @@ int cmd_grid(const Options& opts, std::ostream& out) {
   return 0;
 }
 
+int cmd_help(const Options&, std::ostream& out) {
+  out << usage();
+  return 0;
+}
+
+// One bit per command, so an option row names its commands as a set.
+enum CommandBit : unsigned {
+  kRun = 1, kProto = 2, kGrid = 4, kTenants = 8, kTrace = 16,
+  kPlot = 32, kFsck = 64, kList = 128, kHelp = 256,
+};
+// The commands that build a Simulation, which the pool, placement,
+// resilience and storm knobs configure. `tora proto` injects no faults, so
+// its resilience layer would never see the churn evidence it waits for.
+constexpr unsigned kSimulating = kRun | kGrid | kTenants;
+
+struct Command {
+  std::string_view name;
+  unsigned bit;
+  std::string_view synopsis;
+  int (*handler)(const Options&, std::ostream&);
+};
+
+constexpr Command kCommands[] = {
+    {"run", kRun, "--workflow <name|trace.csv> [--policy NAME] [options]",
+     cmd_run},
+    {"proto", kProto,
+     "--workflow <name|trace.csv> [--transport inproc|tcp] [options]",
+     cmd_proto},
+    {"grid", kGrid, "[--workflows a,b,...] [--policies x,y,...] [options]",
+     cmd_grid},
+    {"tenants", kTenants,
+     "[--tenants a,b,...] [--arbiter A] [--weights w,...] [options]",
+     cmd_tenants},
+    {"trace", kTrace, "--workflow <name> [--seed N] [--out FILE]", cmd_trace},
+    {"plot", kPlot, "--csv fig5_awe.csv [--resource R] [--filter-workflow W]",
+     cmd_plot},
+    {"fsck", kFsck, "DIR | --events FILE", cmd_fsck},
+    {"list", kList, "", cmd_list},
+    {"help", kHelp, "", cmd_help},
+};
+
+using Value = const std::string&;
+
+std::uint64_t parse_count(Value v, const char* flag) {
+  const std::uint64_t n = parse_u64(v, flag);
+  require(n >= 1, std::string(flag) + " must be >= 1");
+  return n;
+}
+
+double parse_positive(Value v, const char* flag) {
+  const double x = parse_f64(v, flag);
+  require(x > 0.0, std::string(flag) + " must be > 0");
+  return x;
+}
+
+// `v` if it is one of `allowed`, else "invalid FLAG 'v' (expected a|b)".
+std::string one_of(Value v, const char* flag,
+                   const std::vector<std::string>& allowed) {
+  if (std::find(allowed.begin(), allowed.end(), v) != allowed.end()) return v;
+  std::string expected;
+  for (const std::string& a : allowed) {
+    expected += (expected.empty() ? "" : "|") + a;
+  }
+  throw std::invalid_argument(std::string("invalid ") + flag + " '" + v +
+                              "' (expected " + expected + ")");
+}
+
+// One row per flag: the commands whose handler reads it, one help line, and
+// the function that parses and range-checks its value into Options. A row
+// without a metavar is a switch and takes no value. usage() prints one
+// heading per run of rows with the same commands.
+struct Option {
+  std::string_view name;
+  std::string_view metavar;
+  unsigned commands;
+  std::string_view help;
+  void (*apply)(Options&, Value);
+};
+
+const Option kOptions[] = {
+    {"--seed", "N", kRun | kProto | kGrid | kTenants | kTrace,
+     "workload + simulation seed (default 7)",
+     [](Options& o, Value v) { o.seed = parse_u64(v, "--seed"); }},
+    {"--workers", "N", kSimulating | kProto,
+     "initial worker count (default 35)",
+     [](Options& o, Value v) { o.workers = parse_count(v, "--workers"); }},
+    {"--workflow", "W", kRun | kProto | kTrace,
+     "workflow name; run and proto also take a trace CSV",
+     [](Options& o, Value v) { o.workflow = v; }},
+    {"--policy", "NAME", kRun | kProto | kTenants,
+     "allocation policy (default exhaustive_bucketing)",
+     [](Options& o, Value v) { o.policy = v; }},
+    {"--no-churn", "", kSimulating, "fixed pool instead of opportunistic churn",
+     [](Options& o, Value) { o.churn = false; }},
+    {"--placement", "P", kSimulating, "first|best|worst (default first)",
+     [](Options& o, Value v) { o.placement = parse_placement(v); }},
+    {"--interval", "S", kSimulating,
+     "task submission interval seconds (default 5)",
+     [](Options& o, Value v) {
+       o.submit_interval_s = parse_f64(v, "--interval");
+       require(o.submit_interval_s >= 0.0, "--interval must be >= 0");
+     }},
+    {"--coarse-stepping", "", kSimulating,
+     "skip the accounting scan over idle churn stretches",
+     [](Options& o, Value) { o.coarse_stepping = true; }},
+    {"--deadline-quantile", "Q", kSimulating,
+     "adaptive attempt deadlines at quantile Q in (0, 1]",
+     [](Options& o, Value v) {
+       o.resilience.deadlines = true;
+       o.resilience.deadline_quantile = parse_f64(v, "--deadline-quantile");
+       o.resilience.validate();
+     }},
+    {"--speculation", "", kSimulating,
+     "speculatively re-dispatch straggling attempts",
+     [](Options& o, Value) { o.resilience.speculation = true; }},
+    {"--storm-threshold", "N", kSimulating,
+     "degraded mode after N evictions in the storm window",
+     [](Options& o, Value v) {
+       o.resilience.storm_control = true;
+       o.resilience.storm_enter = parse_u64(v, "--storm-threshold");
+       o.resilience.validate();
+     }},
+    {"--storm-interval", "S", kSimulating,
+     "scenario: eviction-storm burst every S seconds",
+     [](Options& o, Value v) {
+       o.storm_interval_s = parse_positive(v, "--storm-interval");
+       // Sensible burst defaults; override with the sibling knobs.
+       if (o.storm_duration_s == 0.0) o.storm_duration_s = 60.0;
+       if (o.storm_fraction == 0.0) o.storm_fraction = 0.5;
+     }},
+    {"--storm-duration", "S", kSimulating,
+     "scenario: burst length (default 60)",
+     [](Options& o, Value v) {
+       o.storm_duration_s = parse_positive(v, "--storm-duration");
+     }},
+    {"--storm-fraction", "F", kSimulating,
+     "scenario: fraction of pool evicted per burst (0.5)",
+     [](Options& o, Value v) {
+       o.storm_fraction = parse_f64(v, "--storm-fraction");
+       require(o.storm_fraction > 0.0 && o.storm_fraction <= 1.0,
+               "--storm-fraction must be in (0, 1]");
+     }},
+    {"--out", "FILE", kRun | kGrid | kTrace,
+     "run: metrics CSV; grid: AWE CSV; trace: task CSV",
+     [](Options& o, Value v) { o.output_path = v; }},
+    {"--counters-json", "FILE", kRun | kProto,
+     "every counter family the run produced, as JSON",
+     [](Options& o, Value v) { o.counters_json_path = v; }},
+    {"--trace-log", "FILE", kRun, "per-event CSV log of the simulation",
+     [](Options& o, Value v) { o.trace_log = v; }},
+    {"--workflows", "a,b,...", kGrid, "grid columns (default: every workflow)",
+     [](Options& o, Value v) { o.workflows = split_list(v); }},
+    {"--policies", "x,y,...", kGrid, "grid rows (default: the paper's seven)",
+     [](Options& o, Value v) { o.policies = split_list(v); }},
+    {"--replications", "N", kGrid,
+     "mean +/- sd over N independently seeded runs",
+     [](Options& o, Value v) {
+       o.replications = parse_count(v, "--replications");
+     }},
+    {"--tenants", "a,b,...", kTenants,
+     "one workflow per tenant (default: a 4-tenant mix)",
+     [](Options& o, Value v) { o.tenant_workflows = split_list(v); }},
+    {"--arbiter", "A", kTenants, "fifo|maxmin|drf|karma (default drf)",
+     [](Options& o, Value v) {
+       o.arbiter = one_of(v, "--arbiter", core::tenancy::arbiter_names());
+     }},
+    {"--weights", "w,...", kTenants, "per-tenant fair-share weights",
+     [](Options& o, Value v) {
+       for (const std::string& w : split_list(v)) {
+         o.tenant_weights.push_back(parse_f64(w, "--weights"));
+         require(o.tenant_weights.back() > 0.0,
+                 "--weights entries must be > 0");
+       }
+     }},
+    {"--offsets", "s,...", kTenants, "per-tenant arrival offsets in seconds",
+     [](Options& o, Value v) {
+       for (const std::string& s : split_list(v)) {
+         o.tenant_offsets.push_back(parse_f64(s, "--offsets"));
+         require(o.tenant_offsets.back() >= 0.0,
+                 "--offsets entries must be >= 0");
+       }
+     }},
+    {"--misreport", "F", kTenants,
+     "last tenant inflates reported demand by F (>= 1)",
+     [](Options& o, Value v) {
+       o.misreport = parse_f64(v, "--misreport");
+       require(o.misreport >= 1.0, "--misreport must be >= 1");
+     }},
+    {"--transport", "T", kProto,
+     "inproc (default) or tcp: loopback TCP sessions",
+     [](Options& o, Value v) {
+       o.transport = one_of(v, "--transport", {"inproc", "tcp"});
+     }},
+    {"--listen", "HOST:PORT", kProto,
+     "tcp: manager address (default 127.0.0.1:0)",
+     [](Options& o, Value v) {
+       std::tie(o.tcp_host, o.tcp_port) = parse_host_port(v, "--listen");
+     }},
+    {"--backoff-base", "S", kProto, "tcp: first reconnect delay (default 1)",
+     [](Options& o, Value v) {
+       o.tcp_backoff_base = parse_positive(v, "--backoff-base");
+     }},
+    {"--backoff-cap", "S", kProto,
+     "tcp: reconnect backoff ceiling (default 16)",
+     [](Options& o, Value v) {
+       o.tcp_backoff_cap = parse_positive(v, "--backoff-cap");
+     }},
+    {"--standby", "H:P", kProto,
+     "primary: also stream the journal to this standby",
+     [](Options& o, Value v) {
+       parse_host_port(v, "--standby");
+       o.standby_addr = v;
+     }},
+    {"--standby-serve", "H:P", kProto,
+     "standby: mirror one primary's journal stream",
+     [](Options& o, Value v) {
+       parse_host_port(v, "--standby-serve");
+       o.standby_serve_addr = v;
+     }},
+    {"--commit-mode", "M", kProto,
+     "--standby barriers: sync (default) or async",
+     [](Options& o, Value v) {
+       o.commit_mode = one_of(v, "--commit-mode", {"sync", "async"});
+     }},
+    {"--replication-lag-cap", "N", kProto,
+     "async: max unacked records (default 64)",
+     [](Options& o, Value v) {
+       o.replication_lag_cap = parse_u64(v, "--replication-lag-cap");
+     }},
+    {"--csv", "FILE", kPlot, "AWE CSV from bench/fig5_awe or grid --out",
+     [](Options& o, Value v) { o.csv_path = v; }},
+    {"--resource", "R", kPlot, "only this resource (cores|memory_mb|disk_mb)",
+     [](Options& o, Value v) { o.resource_filter = v; }},
+    {"--filter-workflow", "W", kPlot, "only this workflow",
+     [](Options& o, Value v) { o.workflow_filter = v; }},
+    {"--events", "FILE", kFsck,
+     "check a sim event-frame snapshot instead of DIR",
+     [](Options& o, Value v) { o.fsck_events_path = v; }},
+};
+
+// "run, grid and tenants": the commands in `mask`, in table order.
+std::string command_list(unsigned mask) {
+  std::vector<std::string_view> names;
+  for (const Command& c : kCommands) {
+    if (mask & c.bit) names.push_back(c.name);
+  }
+  std::string s;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) s += i + 1 == names.size() ? " and " : ", ";
+    s += names[i];
+  }
+  return s;
+}
+
+const Command& find_command(std::string_view name) {
+  for (const Command& c : kCommands) {
+    if (c.name == name) return c;
+  }
+  throw std::invalid_argument("unknown command '" + std::string(name) + "'");
+}
+
+// The first of `names` that was given, or "" when none was.
+std::string first_given(const std::vector<std::string_view>& given,
+                        std::initializer_list<std::string_view> names) {
+  for (std::string_view g : given) {
+    if (std::find(names.begin(), names.end(), g) != names.end()) {
+      return std::string(g);
+    }
+  }
+  return {};
+}
+
+// The rules that involve two flags, or a command's required input. They run
+// after every flag has passed its scope and value checks.
+void check_combinations(const Options& opts,
+                        const std::vector<std::string_view>& given) {
+  if ((opts.storm_duration_s > 0.0 || opts.storm_fraction > 0.0) &&
+      opts.storm_interval_s == 0.0) {
+    throw std::invalid_argument(
+        "--storm-duration/--storm-fraction require --storm-interval");
+  }
+  // Checked before any socket opens.
+  const std::string tcp_flag =
+      first_given(given, {"--listen", "--backoff-base", "--backoff-cap"});
+  if (!tcp_flag.empty() && opts.transport != "tcp") {
+    throw std::invalid_argument(
+        "option '" + tcp_flag + "' requires --transport tcp (transport is '" +
+        opts.transport + "')");
+  }
+  if (!opts.standby_addr.empty() && !opts.standby_serve_addr.empty()) {
+    throw std::invalid_argument(
+        "--standby and --standby-serve are mutually exclusive (one process "
+        "is primary OR standby)");
+  }
+  const std::string commit_flag =
+      first_given(given, {"--commit-mode", "--replication-lag-cap"});
+  if (!commit_flag.empty() && opts.standby_addr.empty()) {
+    throw std::invalid_argument("option '" + commit_flag +
+                                "' requires --standby (the primary role)");
+  }
+  // The replication stream is its own TCP connection, layered on the
+  // in-process worker transport.
+  if ((!opts.standby_addr.empty() || !opts.standby_serve_addr.empty()) &&
+      opts.transport == "tcp") {
+    throw std::invalid_argument(
+        "replication options require --transport inproc (the journal "
+        "stream is its own TCP connection)");
+  }
+  if (!opts.fsck_events_path.empty() && !opts.fsck_dir.empty()) {
+    throw std::invalid_argument(
+        "fsck takes either a recovery directory or --events FILE, not both");
+  }
+  if (opts.tcp_backoff_cap < opts.tcp_backoff_base) {
+    throw std::invalid_argument("--backoff-cap must be >= --backoff-base");
+  }
+  if (opts.replications > 1 && !opts.output_path.empty()) {
+    throw std::invalid_argument(
+        "--out writes the single-run grid; with --replications > 1 the grid "
+        "prints mean +/- sd tables only");
+  }
+  if ((opts.command == "run" || opts.command == "proto" ||
+       opts.command == "trace") &&
+      opts.workflow.empty()) {
+    throw std::invalid_argument("command '" + opts.command +
+                                "' requires --workflow");
+  }
+  if (opts.command == "plot" && opts.csv_path.empty()) {
+    throw std::invalid_argument("command 'plot' requires --csv");
+  }
+  if (opts.command == "fsck" && opts.fsck_dir.empty() &&
+      opts.fsck_events_path.empty()) {
+    throw std::invalid_argument(
+        "command 'fsck' requires a recovery directory argument or --events");
+  }
+  // Without --tenants the canonical 4-tenant mix is used.
+  const std::size_t tenant_count =
+      opts.tenant_workflows.empty() ? 4 : opts.tenant_workflows.size();
+  for (const auto& [list, name] :
+       {std::pair{&opts.tenant_weights, "weights"},
+        std::pair{&opts.tenant_offsets, "offsets"}}) {
+    if (!list->empty() && list->size() != tenant_count) {
+      throw std::invalid_argument(
+          std::string("--") + name + " needs one entry per tenant (" +
+          std::to_string(tenant_count) + " tenants, " +
+          std::to_string(list->size()) + " " + name + ")");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> split_list(const std::string& csv) {
@@ -781,88 +1119,30 @@ std::vector<std::string> split_list(const std::string& csv) {
 }
 
 std::string usage() {
-  return R"(tora — adaptive task-oriented resource allocation (IPDPS'24 reproduction)
-
-usage:
-  tora run   --workflow <name|trace.csv> [--policy NAME] [options]
-  tora proto --workflow <name|trace.csv> [--transport inproc|tcp] [options]
-  tora grid  [--workflows a,b,...] [--policies x,y,...] [options]
-  tora tenants [--tenants a,b,...] [--arbiter A] [--weights w,...] [options]
-  tora trace --workflow <name> [--out FILE]
-  tora plot  --csv fig5_awe.csv [--resource R] [--filter-workflow W]
-  tora fsck  DIR | --events FILE
-  tora list
-  tora help
-
-options:
-  --policy NAME        allocation policy (default exhaustive_bucketing)
-  --seed N             workload + simulation seed (default 7)
-  --workers N          initial worker count (default 35)
-  --no-churn           fixed pool instead of opportunistic churn
-  --placement P        first|best|worst (default first)
-  --interval S         task submission interval seconds (default 5)
-  --replications N     grid: mean +/- sd over N independently seeded runs
-  --engine E           run/grid/tenants: event queue driving the simulation —
-                       calendar (default) or heap (the legacy baseline);
-                       identical results, different speed (docs/engine.md)
-  --coarse-stepping    run/grid/tenants: skip the per-worker accounting scan
-                       across provably-idle churn stretches (docs/engine.md)
-  --out FILE           run: metrics CSV; trace: destination file
-  --trace-log FILE     run: per-event CSV log of the simulation
-  --counters-json F    run/proto: dump every counter family the run
-                       produced (chaos, resilience, recovery, storage,
-                       transport, replication) as one JSON object
-  --csv FILE           plot: AWE CSV produced by bench/fig5_awe
-  --resource R         plot: only this resource (cores|memory_mb|disk_mb)
-  --filter-workflow W  plot: only this workflow
-
-fsck (offline recovery-directory check; see docs/recovery.md):
-  DIR                  a recoverable runtime's storage directory; prints
-                       per-generation snapshot/journal health (with a
-                       record-type census and the failover term chain) and
-                       the generation recovery would seed from, or
-                       UNRECOVERABLE (exit 1, typed StorageError detail)
-                       when salvage would refuse
-  --events FILE        validate a canonical sim event-frame snapshot
-                       instead; prints the typed SnapshotError on exit 1
-
-tenants (multi-tenant fair sharing; see docs/tenancy.md):
-  --tenants a,b,...    workflows sharing the pool, one tenant each
-                       (default: topeft,colmena_xtb,bimodal,exponential)
-  --arbiter A          fifo|maxmin|drf|karma (default drf)
-  --weights w,...      per-tenant fair-share weights (one per tenant)
-  --offsets s,...      per-tenant arrival offsets in seconds
-  --misreport F        last tenant inflates reported demand by F (>= 1)
-
-proto transport (see docs/transport.md):
-  --transport T        inproc (default) or tcp — same manager and workers,
-                       but every message crosses a loopback TCP session
-  --listen HOST:PORT   tcp: manager listen address (default 127.0.0.1:0,
-                       port 0 picks an ephemeral port)
-  --backoff-base S     tcp: first reconnect delay (default 1)
-  --backoff-cap S      tcp: reconnect backoff ceiling (default 16)
-
-proto replication (hot standby; see docs/replication.md):
-  --standby H:P        primary role: journal to local storage AND stream
-                       every record to the standby at HOST:PORT; exit 1 if
-                       the standby is lost or this primary gets fenced
-  --standby-serve H:P  standby role: listen on HOST:PORT, mirror one
-                       primary's journal stream, ack durability barriers,
-                       then report the promotable state fingerprint
-  --commit-mode M      sync (barriers wait for the standby ack; default)
-                       or async (bounded lag, no per-barrier round trip)
-  --replication-lag-cap N  async: max shipped-but-unacked records before
-                       a barrier blocks (default 64)
-
-resilience (default off; see docs/resilience.md):
-  --deadline-quantile Q  adaptive attempt deadlines at quantile Q (0 < Q <= 1)
-  --speculation          speculatively re-dispatch straggling attempts
-  --storm-threshold N    degraded mode after N evictions in the storm window
-  --probation S          reliability scoring; first quarantine sentence S
-  --storm-interval S     scenario: eviction-storm burst every S seconds
-  --storm-duration S     scenario: burst length (default 60)
-  --storm-fraction F     scenario: fraction of pool evicted per burst (0.5)
-)";
+  std::ostringstream u;
+  u << "tora — adaptive task-oriented resource allocation (IPDPS'24 "
+       "reproduction)\n\nusage:\n";
+  for (const Command& c : kCommands) {
+    u << "  tora " << std::left << std::setw(c.synopsis.empty() ? 0 : 8)
+      << c.name << c.synopsis << "\n";
+  }
+  std::size_t width = 0;
+  for (const Option& o : kOptions) {
+    width = std::max(width, o.name.size() + 1 + o.metavar.size());
+  }
+  unsigned commands = 0;
+  for (const Option& o : kOptions) {
+    if (o.commands != commands) {
+      commands = o.commands;
+      u << "\noptions for " << command_list(commands) << ":\n";
+    }
+    const std::string flag =
+        std::string(o.name) + (o.metavar.empty() ? "" : " ") +
+        std::string(o.metavar);
+    u << "  " << std::setw(static_cast<int>(width + 2)) << flag << o.help
+      << "\n";
+  }
+  return u.str();
 }
 
 Options parse_options(const std::vector<std::string>& args) {
@@ -871,327 +1151,44 @@ Options parse_options(const std::vector<std::string>& args) {
     opts.command = "help";
     return opts;
   }
-  opts.command = args[0];
-  if (opts.command != "run" && opts.command != "proto" &&
-      opts.command != "grid" && opts.command != "tenants" &&
-      opts.command != "trace" && opts.command != "plot" &&
-      opts.command != "fsck" && opts.command != "list" &&
-      opts.command != "help") {
-    throw std::invalid_argument("unknown command '" + opts.command + "'");
-  }
-  // First transport flag seen, for the contradiction diagnostics below
-  // (flag order must not matter, so checks run after the loop).
-  std::string transport_flag;
-  std::string tcp_only_flag;
-  // --arbiter has a non-empty default, so "was it passed?" needs tracking
-  // to reject it on non-tenants commands like the other tenant flags.
-  bool arbiter_flag = false;
-  // First engine flag seen: simulation-only, rejected on other commands.
-  std::string engine_flag;
-  // First replication flag seen (proto-only), and the first commit-mode
-  // knob (which additionally requires --standby, the primary role).
-  std::string replication_flag;
-  std::string commit_flag;
+  const Command& command = find_command(args[0]);
+  opts.command = command.name;
+  std::vector<std::string_view> given;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::invalid_argument("missing value for " + a);
+    const Option* option = std::find_if(
+        std::begin(kOptions), std::end(kOptions),
+        [&a](const Option& o) { return o.name == a; });
+    if (option == std::end(kOptions)) {
+      if (command.bit != kFsck || a.starts_with("-") ||
+          !opts.fsck_dir.empty()) {
+        throw std::invalid_argument("unknown option '" + a + "'");
       }
-      return args[++i];
-    };
-    if (a == "--workflow") opts.workflow = value();
-    else if (a == "--policy") opts.policy = value();
-    else if (a == "--workflows") opts.workflows = split_list(value());
-    else if (a == "--policies") opts.policies = split_list(value());
-    else if (a == "--seed") opts.seed = parse_u64(value(), "--seed");
-    else if (a == "--workers") {
-      opts.workers = static_cast<std::size_t>(parse_u64(value(), "--workers"));
-      if (opts.workers == 0) {
-        throw std::invalid_argument("--workers must be >= 1");
-      }
-    } else if (a == "--no-churn") opts.churn = false;
-    else if (a == "--placement") opts.placement = parse_placement(value());
-    else if (a == "--interval") {
-      opts.submit_interval_s = parse_f64(value(), "--interval");
-      if (opts.submit_interval_s < 0.0) {
-        throw std::invalid_argument("--interval must be >= 0");
-      }
-    } else if (a == "--out") opts.output_path = value();
-    else if (a == "--trace-log") opts.trace_log = value();
-    else if (a == "--csv") opts.csv_path = value();
-    else if (a == "--replications") {
-      opts.replications =
-          static_cast<std::size_t>(parse_u64(value(), "--replications"));
-      if (opts.replications == 0) {
-        throw std::invalid_argument("--replications must be >= 1");
-      }
-    }
-    else if (a == "--transport") {
-      opts.transport = value();
-      if (opts.transport != "inproc" && opts.transport != "tcp") {
-        throw std::invalid_argument("invalid --transport '" + opts.transport +
-                                    "' (expected inproc|tcp)");
-      }
-      if (transport_flag.empty()) transport_flag = a;
-    } else if (a == "--listen") {
-      parse_host_port(value(), "--listen", &opts.tcp_host, &opts.tcp_port);
-      if (tcp_only_flag.empty()) tcp_only_flag = a;
-    } else if (a == "--backoff-base") {
-      opts.tcp_backoff_base = parse_f64(value(), "--backoff-base");
-      if (opts.tcp_backoff_base <= 0.0) {
-        throw std::invalid_argument("--backoff-base must be > 0");
-      }
-      if (tcp_only_flag.empty()) tcp_only_flag = a;
-    } else if (a == "--backoff-cap") {
-      opts.tcp_backoff_cap = parse_f64(value(), "--backoff-cap");
-      if (opts.tcp_backoff_cap <= 0.0) {
-        throw std::invalid_argument("--backoff-cap must be > 0");
-      }
-      if (tcp_only_flag.empty()) tcp_only_flag = a;
-    }
-    else if (a == "--standby") {
-      opts.standby_addr = value();
-      std::string h;
-      std::uint16_t p = 0;
-      parse_host_port(opts.standby_addr, "--standby", &h, &p);
-      if (replication_flag.empty()) replication_flag = a;
-    } else if (a == "--standby-serve") {
-      opts.standby_serve_addr = value();
-      std::string h;
-      std::uint16_t p = 0;
-      parse_host_port(opts.standby_serve_addr, "--standby-serve", &h, &p);
-      if (replication_flag.empty()) replication_flag = a;
-    } else if (a == "--commit-mode") {
-      opts.commit_mode = value();
-      if (opts.commit_mode != "sync" && opts.commit_mode != "async") {
-        throw std::invalid_argument("invalid --commit-mode '" +
-                                    opts.commit_mode +
-                                    "' (expected sync|async)");
-      }
-      if (replication_flag.empty()) replication_flag = a;
-      if (commit_flag.empty()) commit_flag = a;
-    } else if (a == "--replication-lag-cap") {
-      opts.replication_lag_cap =
-          static_cast<std::size_t>(parse_u64(value(), "--replication-lag-cap"));
-      if (replication_flag.empty()) replication_flag = a;
-      if (commit_flag.empty()) commit_flag = a;
-    } else if (a == "--counters-json") {
-      opts.counters_json_path = value();
-    } else if (a == "--events") {
-      opts.fsck_events_path = value();
-    }
-    else if (a == "--tenants") opts.tenant_workflows = split_list(value());
-    else if (a == "--arbiter") {
-      opts.arbiter = value();
-      arbiter_flag = true;
-      if (!core::tenancy::is_arbiter_name(opts.arbiter)) {
-        std::string names;
-        for (const auto& n : core::tenancy::arbiter_names()) {
-          if (!names.empty()) names += "|";
-          names += n;
-        }
-        throw std::invalid_argument("invalid --arbiter '" + opts.arbiter +
-                                    "' (expected " + names + ")");
-      }
-    } else if (a == "--weights") {
-      for (const std::string& w : split_list(value())) {
-        const double v = parse_f64(w, "--weights");
-        if (!(v > 0.0)) {
-          throw std::invalid_argument("--weights entries must be > 0");
-        }
-        opts.tenant_weights.push_back(v);
-      }
-    } else if (a == "--offsets") {
-      for (const std::string& o : split_list(value())) {
-        const double v = parse_f64(o, "--offsets");
-        if (v < 0.0) {
-          throw std::invalid_argument("--offsets entries must be >= 0");
-        }
-        opts.tenant_offsets.push_back(v);
-      }
-    } else if (a == "--misreport") {
-      opts.misreport = parse_f64(value(), "--misreport");
-      if (opts.misreport < 1.0) {
-        throw std::invalid_argument("--misreport must be >= 1");
-      }
-    }
-    else if (a == "--engine") {
-      const std::string& v = value();
-      if (v == "heap") opts.engine = sim::QueueEngine::Heap;
-      else if (v == "calendar") opts.engine = sim::QueueEngine::Calendar;
-      else {
-        throw std::invalid_argument("invalid --engine '" + v +
-                                    "' (expected calendar|heap)");
-      }
-      if (engine_flag.empty()) engine_flag = a;
-    } else if (a == "--coarse-stepping") {
-      opts.coarse_stepping = true;
-      if (engine_flag.empty()) engine_flag = a;
-    }
-    else if (a == "--resource") opts.resource_filter = value();
-    else if (a == "--filter-workflow") opts.workflow_filter = value();
-    else if (a == "--deadline-quantile") {
-      opts.resilience.deadlines = true;
-      opts.resilience.deadline_quantile =
-          parse_f64(value(), "--deadline-quantile");
-    } else if (a == "--speculation") {
-      opts.resilience.speculation = true;
-    } else if (a == "--storm-threshold") {
-      opts.resilience.storm_control = true;
-      opts.resilience.storm_enter =
-          static_cast<std::size_t>(parse_u64(value(), "--storm-threshold"));
-    } else if (a == "--probation") {
-      opts.resilience.reliability = true;
-      opts.resilience.probation_sentence = parse_f64(value(), "--probation");
-    } else if (a == "--storm-interval") {
-      opts.storm_interval_s = parse_f64(value(), "--storm-interval");
-      if (opts.storm_interval_s <= 0.0) {
-        throw std::invalid_argument("--storm-interval must be > 0");
-      }
-      // Sensible burst defaults; override with the sibling knobs.
-      if (opts.storm_duration_s == 0.0) opts.storm_duration_s = 60.0;
-      if (opts.storm_fraction == 0.0) opts.storm_fraction = 0.5;
-    } else if (a == "--storm-duration") {
-      opts.storm_duration_s = parse_f64(value(), "--storm-duration");
-      if (opts.storm_duration_s <= 0.0) {
-        throw std::invalid_argument("--storm-duration must be > 0");
-      }
-    } else if (a == "--storm-fraction") {
-      opts.storm_fraction = parse_f64(value(), "--storm-fraction");
-      if (opts.storm_fraction <= 0.0 || opts.storm_fraction > 1.0) {
-        throw std::invalid_argument("--storm-fraction must be in (0, 1]");
-      }
-    }
-    else if (opts.command == "fsck" && !a.starts_with("-") &&
-             opts.fsck_dir.empty()) {
       opts.fsck_dir = a;  // the one positional argument: the directory
+      continue;
     }
-    else throw std::invalid_argument("unknown option '" + a + "'");
+    if (!(option->commands & command.bit)) {
+      const std::string commands = command_list(option->commands);
+      throw std::invalid_argument(
+          "option '" + a + "' is only valid for " +
+          (std::popcount(option->commands) == 1 ? "command '" + commands + "'"
+                                                : "commands " + commands));
+    }
+    if (option->metavar.empty()) {
+      option->apply(opts, {});
+    } else if (i + 1 < args.size()) {
+      option->apply(opts, args[++i]);
+    } else {
+      throw std::invalid_argument("missing value for " + a);
+    }
+    given.push_back(option->name);
   }
-  // Fail on a bad resilience knob here, before any work starts (the same
-  // validate() the runtimes call at construction).
-  opts.resilience.validate();
-  if ((opts.storm_duration_s > 0.0 || opts.storm_fraction > 0.0) &&
-      opts.storm_interval_s == 0.0) {
-    throw std::invalid_argument(
-        "--storm-duration/--storm-fraction require --storm-interval");
-  }
-  // Transport flags are proto-only, and the TCP knobs contradict the
-  // in-process transport — fail here, before any sockets open.
-  const std::string& any_transport_flag =
-      !transport_flag.empty() ? transport_flag : tcp_only_flag;
-  if (!any_transport_flag.empty() && opts.command != "proto") {
-    throw std::invalid_argument("option '" + any_transport_flag +
-                                "' is only valid for command 'proto'");
-  }
-  // The engine knobs configure the simulator; commands that never build a
-  // Simulation (proto, trace, plot, fsck, list) must reject them.
-  if (!engine_flag.empty() && opts.command != "run" &&
-      opts.command != "grid" && opts.command != "tenants") {
-    throw std::invalid_argument(
-        "option '" + engine_flag +
-        "' is only valid for commands run, grid and tenants");
-  }
-  if (!tcp_only_flag.empty() && opts.transport != "tcp") {
-    throw std::invalid_argument(
-        "option '" + tcp_only_flag +
-        "' requires --transport tcp (transport is '" + opts.transport + "')");
-  }
-  // Replication flags configure the proto deployment only, and the
-  // replication stream is its own TCP connection layered on the in-process
-  // worker transport — combining it with --transport tcp is unsupported.
-  if (!replication_flag.empty() && opts.command != "proto") {
-    throw std::invalid_argument("option '" + replication_flag +
-                                "' is only valid for command 'proto'");
-  }
-  if (!opts.standby_addr.empty() && !opts.standby_serve_addr.empty()) {
-    throw std::invalid_argument(
-        "--standby and --standby-serve are mutually exclusive (one process "
-        "is primary OR standby)");
-  }
-  if (!commit_flag.empty() && opts.standby_addr.empty()) {
-    throw std::invalid_argument("option '" + commit_flag +
-                                "' requires --standby (the primary role)");
-  }
-  if (!replication_flag.empty() && opts.transport == "tcp") {
-    throw std::invalid_argument(
-        "replication options require --transport inproc (the journal "
-        "stream is its own TCP connection)");
-  }
-  if (!opts.counters_json_path.empty() && opts.command != "run" &&
-      opts.command != "proto") {
-    throw std::invalid_argument(
-        "option '--counters-json' is only valid for commands run and proto");
-  }
-  if (!opts.fsck_events_path.empty() && opts.command != "fsck") {
-    throw std::invalid_argument(
-        "option '--events' is only valid for command 'fsck'");
-  }
-  if (!opts.fsck_events_path.empty() && !opts.fsck_dir.empty()) {
-    throw std::invalid_argument(
-        "fsck takes either a recovery directory or --events FILE, not both");
-  }
-  if (opts.tcp_backoff_cap < opts.tcp_backoff_base) {
-    throw std::invalid_argument("--backoff-cap must be >= --backoff-base");
-  }
-  if ((opts.command == "run" || opts.command == "proto" ||
-       opts.command == "trace") &&
-      opts.workflow.empty()) {
-    throw std::invalid_argument("command '" + opts.command +
-                                "' requires --workflow");
-  }
-  if (opts.command == "plot" && opts.csv_path.empty()) {
-    throw std::invalid_argument("command 'plot' requires --csv");
-  }
-  if (opts.command == "fsck" && opts.fsck_dir.empty() &&
-      opts.fsck_events_path.empty()) {
-    throw std::invalid_argument(
-        "command 'fsck' requires a recovery directory argument or --events");
-  }
-  // Tenant lists must agree in length before any workload is generated.
-  // Without --tenants the canonical 4-tenant mix is used.
-  const std::size_t tenant_count =
-      opts.tenant_workflows.empty() ? 4 : opts.tenant_workflows.size();
-  if (!opts.tenant_weights.empty() &&
-      opts.tenant_weights.size() != tenant_count) {
-    throw std::invalid_argument(
-        "--weights needs one entry per tenant (" +
-        std::to_string(tenant_count) + " tenants, " +
-        std::to_string(opts.tenant_weights.size()) + " weights)");
-  }
-  if (!opts.tenant_offsets.empty() &&
-      opts.tenant_offsets.size() != tenant_count) {
-    throw std::invalid_argument(
-        "--offsets needs one entry per tenant (" +
-        std::to_string(tenant_count) + " tenants, " +
-        std::to_string(opts.tenant_offsets.size()) + " offsets)");
-  }
-  if (opts.command != "tenants" &&
-      (!opts.tenant_workflows.empty() || !opts.tenant_weights.empty() ||
-       !opts.tenant_offsets.empty() || opts.misreport != 1.0 ||
-       arbiter_flag)) {
-    throw std::invalid_argument(
-        "--tenants/--arbiter/--weights/--offsets/--misreport are only valid "
-        "for command 'tenants'");
-  }
+  check_combinations(opts, given);
   return opts;
 }
 
 int run_command(const Options& opts, std::ostream& out) {
-  if (opts.command == "help") {
-    out << usage();
-    return 0;
-  }
-  if (opts.command == "list") return cmd_list(out);
-  if (opts.command == "trace") return cmd_trace(opts, out);
-  if (opts.command == "run") return cmd_run(opts, out);
-  if (opts.command == "proto") return cmd_proto(opts, out);
-  if (opts.command == "grid") return cmd_grid(opts, out);
-  if (opts.command == "tenants") return cmd_tenants(opts, out);
-  if (opts.command == "plot") return cmd_plot(opts, out);
-  if (opts.command == "fsck") return cmd_fsck(opts, out);
-  throw std::logic_error("unreachable command");
+  return find_command(opts.command).handler(opts, out);
 }
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/resilience/resilience.hpp"
-#include "sim/event.hpp"
 #include "sim/worker_pool.hpp"
 
 namespace tora::cli {
@@ -44,8 +43,8 @@ struct Options {
   std::string output_path;  // trace: destination; run: optional CSV metrics
   std::string trace_log;    // run: optional per-event CSV log
   /// Churn-adaptive resilience layer (--deadline-quantile, --speculation,
-  /// --storm-threshold, --probation). Validated at parse time, so a bad
-  /// knob fails before any work starts.
+  /// --storm-threshold). Validated at parse time, so a bad knob fails
+  /// before any work starts.
   core::resilience::ResilienceConfig resilience;
   /// Eviction-storm scenario knobs for the simulated pool (--storm-interval
   /// / --storm-duration / --storm-fraction).
@@ -72,11 +71,6 @@ struct Options {
   /// tenants: the LAST tenant inflates its reported demand by this factor
   /// (>= 1; 1 = everyone honest) — the misreporting stress knob.
   double misreport = 1.0;
-  /// run|grid|tenants: which event-queue engine drives the simulation
-  /// (--engine calendar|heap; docs/engine.md). Calendar is the default;
-  /// heap is the legacy binary heap kept as the differential baseline.
-  /// Results are identical either way.
-  sim::QueueEngine engine = sim::QueueEngine::Calendar;
   /// run|grid|tenants: coarse time-stepping across provably-idle churn
   /// stretches (--coarse-stepping; docs/engine.md). Default off.
   bool coarse_stepping = false;
@@ -101,8 +95,9 @@ struct Options {
   std::string counters_json_path;
 };
 
-/// Parses argv (excluding argv[0]). Throws std::invalid_argument with a
-/// user-facing message on malformed input.
+/// Parses argv (excluding argv[0]) against the option table in cli.cpp:
+/// each flag is valid only for the commands that read it. Throws
+/// std::invalid_argument with a user-facing message on malformed input.
 Options parse_options(const std::vector<std::string>& args);
 
 /// Splits a comma-separated list, dropping empty items.

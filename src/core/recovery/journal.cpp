@@ -100,9 +100,16 @@ JournalReadResult read_journal(std::string_view bytes) {
   while (bytes.size() - at >= kFrameOverhead) {
     const std::uint32_t len = get_u32(bytes, at);
     if (bytes.size() - at < kFrameOverhead + len) break;  // cut mid-payload
-    const RecordType type = static_cast<RecordType>(bytes[at + 4]);
+    const auto type_byte = static_cast<std::uint8_t>(bytes[at + 4]);
+    const RecordType type = static_cast<RecordType>(type_byte);
     const std::string_view payload = bytes.substr(at + 5, len);
     if (get_u32(bytes, at + 5 + len) != record_crc(type, payload)) break;
+    if (!is_record_type(type_byte)) {
+      // A tear cannot produce a valid CRC, so an intact frame of no known
+      // type is a crafted or buggy body, wherever it sits: refuse.
+      out.mid_corruption = true;
+      break;
+    }
     out.records.push_back({type, std::string(payload)});
     at += kFrameOverhead + len;
   }

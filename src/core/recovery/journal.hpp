@@ -106,6 +106,8 @@ struct JournalReadResult {
   /// suffix), so intact records beyond it prove the damage is IN-PLACE
   /// corruption of once-durable bytes — recovery must refuse instead of
   /// silently truncating, because data provably existed past the cut.
+  /// Also set, and reading stops there, when a CRC-valid record carries a
+  /// type byte outside RecordType, at any position.
   bool mid_corruption = false;
 };
 

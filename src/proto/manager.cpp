@@ -1138,7 +1138,15 @@ void ProtocolManager::replay_record(
       term_ = r.u64();
       break;
     }
-    default:
+    case RecordType::CategoryInterned:
+    case RecordType::TaskSubmitted:
+    case RecordType::AllocationCommitted:
+    case RecordType::TaskDispatched:
+    case RecordType::TaskCompleted:
+    case RecordType::TaskAttemptFailed:
+    case RecordType::TaskRequeued:
+    case RecordType::TaskEvicted:
+    case RecordType::TaskFatal:
       // Lifecycle audit records: the same state change re-derives from
       // the input replay above; re-applying would double it.
       break;

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -78,61 +80,16 @@ TEST(CliParse, EmptyIsHelp) {
 
 TEST(CliParse, EngineKnobs) {
   const Options def = parse_options({"run", "--workflow", "uniform"});
-  EXPECT_EQ(def.engine, tora::sim::QueueEngine::Calendar);
   EXPECT_FALSE(def.coarse_stepping);
 
-  const Options heap =
-      parse_options({"run", "--workflow", "uniform", "--engine", "heap"});
-  EXPECT_EQ(heap.engine, tora::sim::QueueEngine::Heap);
-
-  const Options cal = parse_options({"grid", "--engine", "calendar",
-                                     "--coarse-stepping"});
-  EXPECT_EQ(cal.engine, tora::sim::QueueEngine::Calendar);
+  const Options cal = parse_options({"grid", "--coarse-stepping"});
   EXPECT_TRUE(cal.coarse_stepping);
-
-  const Options ten = parse_options({"tenants", "--engine", "heap"});
-  EXPECT_EQ(ten.engine, tora::sim::QueueEngine::Heap);
 }
 
 TEST(CliParse, EngineKnobValidation) {
-  // Unknown engine name.
-  EXPECT_THROW(
-      parse_options({"run", "--workflow", "x", "--engine", "wheel"}),
-      std::invalid_argument);
   // Engine knobs only make sense on simulating commands.
-  EXPECT_THROW(parse_options({"trace", "--workflow", "x", "--engine", "heap"}),
-               std::invalid_argument);
   EXPECT_THROW(parse_options({"list", "--coarse-stepping"}),
                std::invalid_argument);
-  EXPECT_THROW(parse_options({"proto", "--engine", "calendar"}),
-               std::invalid_argument);
-}
-
-TEST(CliRun, EngineFlagEndToEndMatchesDefault) {
-  // The engine choice must be invisible in the report (identical simulated
-  // outcome), visible only in the engine line itself.
-  std::ostringstream out_cal, out_heap, err;
-  ASSERT_EQ(run_cli({"run", "--workflow", "uniform", "--policy", "max_seen",
-                     "--no-churn", "--workers", "8", "--interval", "1"},
-                    out_cal, err),
-            0)
-      << err.str();
-  ASSERT_EQ(run_cli({"run", "--workflow", "uniform", "--policy", "max_seen",
-                     "--no-churn", "--workers", "8", "--interval", "1",
-                     "--engine", "heap"},
-                    out_heap, err),
-            0)
-      << err.str();
-  EXPECT_NE(out_cal.str().find("engine calendar"), std::string::npos);
-  EXPECT_NE(out_heap.str().find("engine heap"), std::string::npos);
-  // Strip the engine line; everything else must be identical.
-  const auto strip_engine_line = [](std::string s) {
-    const auto pos = s.find("engine ");
-    const auto end = s.find('\n', pos);
-    s.erase(pos, end - pos + 1);
-    return s;
-  };
-  EXPECT_EQ(strip_engine_line(out_cal.str()), strip_engine_line(out_heap.str()));
 }
 
 TEST(CliParse, ResilienceKnobs) {
@@ -143,7 +100,7 @@ TEST(CliParse, ResilienceKnobs) {
 
   const Options o = parse_options(
       {"run", "--workflow", "uniform", "--deadline-quantile", "0.9",
-       "--speculation", "--storm-threshold", "4", "--probation", "30",
+       "--speculation", "--storm-threshold", "4",
        "--storm-interval", "600", "--storm-duration", "45",
        "--storm-fraction", "0.7"});
   EXPECT_TRUE(o.resilience.deadlines);
@@ -151,8 +108,6 @@ TEST(CliParse, ResilienceKnobs) {
   EXPECT_TRUE(o.resilience.speculation);
   EXPECT_TRUE(o.resilience.storm_control);
   EXPECT_EQ(o.resilience.storm_enter, 4u);
-  EXPECT_TRUE(o.resilience.reliability);
-  EXPECT_DOUBLE_EQ(o.resilience.probation_sentence, 30.0);
   EXPECT_DOUBLE_EQ(o.storm_interval_s, 600.0);
   EXPECT_DOUBLE_EQ(o.storm_duration_s, 45.0);
   EXPECT_DOUBLE_EQ(o.storm_fraction, 0.7);
@@ -789,6 +744,243 @@ TEST(CliRun, ReplicatedProtoEndToEnd) {
   const std::string json = slurp(standby_json);
   EXPECT_NE(json.find("\"replication\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"records_applied\""), std::string::npos) << json;
+}
+
+// ------------------------------------------------------------ option scope
+
+// The flags each command's handler reads, spelled out here independently of
+// the option table in cli.cpp.
+std::map<std::string, std::vector<std::string>> flags_read_by_command() {
+  std::map<std::string, std::vector<std::string>> reads = {
+      {"run",
+       {"--workflow", "--policy", "--seed", "--workers", "--no-churn",
+        "--placement", "--interval", "--out", "--trace-log", "--counters-json",
+        "--coarse-stepping"}},
+      {"grid",
+       {"--workflows", "--policies", "--replications", "--out", "--seed",
+        "--workers", "--no-churn", "--placement", "--interval",
+        "--coarse-stepping"}},
+      {"tenants",
+       {"--tenants", "--arbiter", "--weights", "--offsets", "--misreport",
+        "--policy", "--seed", "--workers", "--no-churn", "--placement",
+        "--interval", "--coarse-stepping"}},
+      {"proto",
+       {"--workflow", "--policy", "--seed", "--workers", "--counters-json",
+        "--transport", "--listen", "--backoff-base", "--backoff-cap",
+        "--standby", "--standby-serve", "--commit-mode",
+        "--replication-lag-cap"}},
+      {"trace", {"--workflow", "--seed", "--out"}},
+      {"plot", {"--csv", "--resource", "--filter-workflow"}},
+      {"fsck", {"--events"}},
+      {"list", {}},
+      {"help", {}},
+  };
+  for (const char* command : {"run", "grid", "tenants"}) {
+    for (const char* flag :
+         {"--deadline-quantile", "--speculation", "--storm-threshold",
+          "--storm-interval", "--storm-duration", "--storm-fraction"}) {
+      reads[command].push_back(flag);
+    }
+  }
+  return reads;
+}
+
+// A value each flag accepts ("" for a switch) and the flags it needs.
+struct FlagSample {
+  std::string value;
+  std::vector<std::string> prerequisites;
+};
+
+const std::map<std::string, FlagSample>& flag_samples() {
+  static const std::map<std::string, FlagSample> samples = {
+      {"--workflow", {"uniform", {}}},
+      {"--policy", {"max_seen", {}}},
+      {"--seed", {"3", {}}},
+      {"--workers", {"4", {}}},
+      {"--no-churn", {"", {}}},
+      {"--placement", {"best", {}}},
+      {"--interval", {"1", {}}},
+      {"--out", {"o.csv", {}}},
+      {"--trace-log", {"t.csv", {}}},
+      {"--counters-json", {"c.json", {}}},
+      {"--coarse-stepping", {"", {}}},
+      {"--deadline-quantile", {"0.9", {}}},
+      {"--speculation", {"", {}}},
+      {"--storm-threshold", {"4", {}}},
+      {"--storm-interval", {"600", {}}},
+      {"--storm-duration", {"45", {"--storm-interval", "600"}}},
+      {"--storm-fraction", {"0.7", {"--storm-interval", "600"}}},
+      {"--workflows", {"uniform,bimodal", {}}},
+      {"--policies", {"max_seen", {}}},
+      {"--replications", {"2", {}}},
+      {"--tenants", {"uniform,bimodal", {}}},
+      {"--arbiter", {"karma", {}}},
+      {"--weights", {"1,1,1,1", {}}},
+      {"--offsets", {"0,0,0,0", {}}},
+      {"--misreport", {"2", {}}},
+      {"--transport", {"tcp", {}}},
+      {"--listen", {"127.0.0.1:0", {"--transport", "tcp"}}},
+      {"--backoff-base", {"0.5", {"--transport", "tcp"}}},
+      {"--backoff-cap", {"8", {"--transport", "tcp"}}},
+      {"--standby", {"h:1", {}}},
+      {"--standby-serve", {"h:1", {}}},
+      {"--commit-mode", {"async", {"--standby", "h:1"}}},
+      {"--replication-lag-cap", {"8", {"--standby", "h:1"}}},
+      {"--csv", {"x.csv", {}}},
+      {"--resource", {"cores", {}}},
+      {"--filter-workflow", {"topeft", {}}},
+      {"--events", {"e.bin", {}}},
+  };
+  return samples;
+}
+
+// Every flag x command pair: a pair on the list parses, any other pair is
+// rejected for its scope, naming the flag.
+TEST(CliParse, ScopeMatrixMatchesWhatEachCommandReads) {
+  const auto reads = flags_read_by_command();
+  ASSERT_EQ(flag_samples().size(), 37u);
+  for (const auto& [command, flags] : reads) {
+    for (const std::string& flag : flags) {
+      EXPECT_EQ(flag_samples().count(flag), 1u) << command << " " << flag;
+    }
+  }
+  // The smallest valid command line of each command.
+  const std::map<std::string, std::vector<std::string>> base = {
+      {"run", {"run", "--workflow", "uniform"}},
+      {"proto", {"proto", "--workflow", "uniform"}},
+      {"grid", {"grid"}},
+      {"tenants", {"tenants"}},
+      {"trace", {"trace", "--workflow", "uniform"}},
+      {"plot", {"plot", "--csv", "x.csv"}},
+      {"fsck", {"fsck", "dir"}},
+      {"list", {"list"}},
+      {"help", {"help"}},
+  };
+  ASSERT_EQ(base.size(), reads.size());
+  for (const auto& [flag, sample] : flag_samples()) {
+    for (const auto& [command, command_line] : base) {
+      const std::vector<std::string>& read = reads.at(command);
+      const bool valid =
+          std::find(read.begin(), read.end(), flag) != read.end();
+      std::vector<std::string> args = command_line;
+      if (valid) {
+        if (flag == "--events") args.pop_back();  // it replaces the directory
+        args.insert(args.end(), sample.prerequisites.begin(),
+                    sample.prerequisites.end());
+      }
+      args.push_back(flag);
+      if (!sample.value.empty()) args.push_back(sample.value);
+      if (valid) {
+        EXPECT_NO_THROW(parse_options(args)) << command << " " << flag;
+        continue;
+      }
+      try {
+        parse_options(args);
+        ADD_FAILURE() << command << " accepted " << flag;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "option '" + flag + "' is only valid for command"),
+                  std::string::npos)
+            << command << " " << flag << ": " << e.what();
+      }
+    }
+  }
+  // The help lists every command and flag, and nothing more.
+  const std::string help = tora::cli::usage();
+  for (const auto& [command, unused] : base) {
+    EXPECT_NE(help.find("  tora " + command), std::string::npos) << command;
+  }
+  for (const auto& [flag, unused] : flag_samples()) {
+    EXPECT_NE(help.find("  " + flag + " "), std::string::npos) << flag;
+  }
+  EXPECT_EQ(help.find("--engine"), std::string::npos);
+  EXPECT_EQ(help.find("--probation"), std::string::npos);
+}
+
+TEST(CliParse, ScopeErrorsNameTheCommandsAndComeFirst) {
+  const auto message = [](const std::vector<std::string>& args) {
+    try {
+      parse_options(args);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  EXPECT_EQ(message({"grid", "--trace-log", "t.csv"}),
+            "option '--trace-log' is only valid for command 'run'");
+  EXPECT_EQ(message({"trace", "--workflow", "x", "--policy", "max_seen"}),
+            "option '--policy' is only valid for commands run, proto and "
+            "tenants");
+  EXPECT_EQ(message({"list", "--seed", "1"}),
+            "option '--seed' is only valid for commands run, proto, grid, "
+            "tenants and trace");
+  // Before the flag's value is parsed...
+  EXPECT_EQ(message({"proto", "--workflow", "x", "--interval", "nan"}),
+            "option '--interval' is only valid for commands run, grid and "
+            "tenants");
+  // ...and before any rule about combinations or required inputs.
+  EXPECT_EQ(message({"fsck", "--workflow", "x"}),
+            "option '--workflow' is only valid for commands run, proto and "
+            "trace");
+  EXPECT_EQ(message({"run", "--workflow", "x", "--listen", "h:1"}),
+            "option '--listen' is only valid for command 'proto'");
+}
+
+TEST(CliParse, StrictNumericValues) {
+  const std::vector<std::vector<std::string>> rejected = {
+      // std::stoull read "-1" as 2^64 - 1.
+      {"run", "--workflow", "x", "--workers", "-1"},
+      {"run", "--workflow", "x", "--seed", "-1"},
+      {"grid", "--replications", "-1"},
+      {"proto", "--workflow", "x", "--standby", "h:1",
+       "--replication-lag-cap", "-1"},
+      {"run", "--workflow", "x", "--storm-threshold", "-1"},
+      // Reals must be finite.
+      {"run", "--workflow", "x", "--interval", "nan"},
+      {"run", "--workflow", "x", "--interval", "inf"},
+      {"tenants", "--misreport", "nan"},
+      {"tenants", "--offsets", "nan,0,0,0"},
+      {"run", "--workflow", "x", "--storm-interval", "600",
+       "--storm-fraction", "nan"},
+      {"run", "--workflow", "x", "--storm-interval", "inf"},
+      {"proto", "--workflow", "x", "--transport", "tcp", "--backoff-base",
+       "inf"},
+      {"run", "--workflow", "x", "--interval", "1e999"},
+      // The whole string: no sign, no whitespace, no overflow.
+      {"run", "--workflow", "x", "--seed", "+7"},
+      {"run", "--workflow", "x", "--seed", " 7"},
+      {"run", "--workflow", "x", "--seed", "7 "},
+      {"run", "--workflow", "x", "--seed", "18446744073709551616"},
+      {"run", "--workflow", "x", "--interval", " 1"},
+  };
+  for (const std::vector<std::string>& args : rejected) {
+    try {
+      parse_options(args);
+      ADD_FAILURE() << "accepted " << args[args.size() - 2] << " "
+                    << args.back();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid value for"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_options({"run", "--workflow", "x", "--seed",
+                           "18446744073709551615"})
+                .seed,
+            18446744073709551615u);
+  EXPECT_DOUBLE_EQ(parse_options({"run", "--workflow", "x", "--interval",
+                                  "2.5e-1"})
+                       .submit_interval_s,
+                   0.25);
+}
+
+TEST(CliParse, ReplicatedGridRejectsOut) {
+  // The replicated grid prints mean +/- sd tables and writes no CSV.
+  EXPECT_THROW(parse_options({"grid", "--replications", "2", "--out", "g.csv"}),
+               std::invalid_argument);
+  EXPECT_EQ(parse_options({"grid", "--replications", "1", "--out", "g.csv"})
+                .output_path,
+            "g.csv");
 }
 
 TEST(CliRun, GridSubsetRuns) {

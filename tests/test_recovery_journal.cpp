@@ -186,6 +186,27 @@ TEST(Journal, TruncationNeverFlagsMidCorruption) {
   }
 }
 
+// A CRC-valid record whose type byte is not a RecordType is a crafted or
+// buggy body, never a tear: reading stops at it and flags mid_corruption,
+// in the middle of the journal and at its tail alike.
+TEST(Journal, UnknownRecordTypeIsCorruptionAnywhere) {
+  for (const std::size_t position : {std::size_t{1}, std::size_t{2}}) {
+    std::vector<JournalRecord> records = {{RecordType::Started, ""},
+                                          {RecordType::Tick, "t"}};
+    records.insert(records.begin() + static_cast<std::ptrdiff_t>(position),
+                   {static_cast<RecordType>(0x7f), "x"});
+    MemStorage storage;
+    JournalWriter writer(storage.open_append("j"));
+    for (const JournalRecord& r : records) writer.append(r.type, r.payload);
+    writer.sync();
+    const JournalReadResult r = read_journal(*storage.read_file("j"));
+    EXPECT_TRUE(r.mid_corruption) << "position=" << position;
+    EXPECT_TRUE(r.torn) << "position=" << position;
+    ASSERT_EQ(r.records.size(), position);
+    EXPECT_EQ(r.records.front(), records.front());
+  }
+}
+
 TEST(MemStorageModel, CrashDropsUnsyncedTail) {
   MemStorage storage;
   auto handle = storage.open_append("j");

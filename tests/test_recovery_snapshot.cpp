@@ -319,6 +319,31 @@ TEST(RecoveryLogSalvage, BothGenerationsDamagedRefusesWithTypedError) {
   }
 }
 
+// A CRC-valid journal record whose type byte is not a RecordType cannot be
+// a tear: scan refuses it with the typed salvage error, whether it sits in
+// the middle of the journal or at its tail.
+TEST(RecoveryLogSalvage, UnknownRecordTypeRefusesWithTypedError) {
+  for (const bool at_tail : {false, true}) {
+    MemStorage storage;
+    RecoveryLog writer(storage);
+    writer.open_fresh();
+    writer.append(RecordType::Started, "");
+    writer.append(static_cast<RecordType>(0x7f), "not a record type");
+    if (!at_tail) writer.append(RecordType::Tick, "tick");
+    writer.sync();
+    writer.close();
+    RecoveryLog log(storage);
+    try {
+      log.scan();
+      ADD_FAILURE() << "scan accepted an unknown record type, at_tail="
+                    << at_tail;
+    } catch (const StorageError& e) {
+      EXPECT_EQ(e.op(), StorageOp::Salvage) << "at_tail=" << at_tail;
+      EXPECT_EQ(e.code(), EBADMSG) << "at_tail=" << at_tail;
+    }
+  }
+}
+
 TEST(RecoveryLogSalvage, MissingChainLinkRefuses) {
   MemStorage storage;
   build_two_generations(storage);
