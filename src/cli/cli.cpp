@@ -158,13 +158,10 @@ int cmd_fsck_events(const Options& opts, std::ostream& out) {
   out << "event-frame snapshot: " << opts.fsck_events_path << " ("
       << bytes.size() << " bytes)\n";
   try {
-    util::ByteReader r(bytes);
-    std::uint64_t next_seq = 0;
-    const std::vector<sim::Event> events =
-        sim::detail::load_events_canonical(r, next_seq);
-    if (!r.done()) {
-      throw sim::SnapshotError("trailing bytes after the canonical frame");
-    }
+    sim::detail::EventFrame frame;
+    core::snapshot::from_bytes(bytes, frame);
+    const std::vector<sim::Event>& events = frame.events;
+    const std::uint64_t next_seq = frame.next_seq;
     out << "valid: " << events.size() << " events, next_seq " << next_seq;
     if (!events.empty()) {
       double lo = events.front().time, hi = events.front().time;
@@ -176,11 +173,8 @@ int cmd_fsck_events(const Options& opts, std::ostream& out) {
     }
     out << "\n";
     return 0;
-  } catch (const sim::SnapshotError& e) {
+  } catch (const core::SnapshotError& e) {
     out << "INVALID event frame (SnapshotError): " << e.what() << "\n";
-    return 1;
-  } catch (const std::runtime_error& e) {
-    out << "INVALID event frame (truncated): " << e.what() << "\n";
     return 1;
   }
 }
@@ -242,6 +236,10 @@ int cmd_fsck(const Options& opts, std::ostream& out) {
       snap = "UNREADABLE";
     } else if (const auto body = rec::open_snapshot(*bytes)) {
       snap = "sealed, " + std::to_string(body->size()) + "-byte state";
+    } else if (const auto version = rec::sealed_version(*bytes)) {
+      snap = "sealed, unsupported version " + std::to_string(*version) +
+             " (this build reads " +
+             std::to_string(rec::snapshot_version()) + ")";
     } else {
       snap = "CORRUPT (seal check failed)";
     }
@@ -870,10 +868,14 @@ const Option kOptions[] = {
      "speculatively re-dispatch straggling attempts",
      [](Options& o, Value) { o.resilience.speculation = true; }},
     {"--storm-threshold", "N", kSimulating,
-     "degraded mode after N evictions in the storm window",
+     "degraded mode after N >= 2 evictions in the storm window",
      [](Options& o, Value v) {
        o.resilience.storm_control = true;
        o.resilience.storm_enter = parse_u64(v, "--storm-threshold");
+       // The mode exits at storm_exit (1) evictions, so it must enter above.
+       require(o.resilience.storm_enter > o.resilience.storm_exit,
+               "--storm-threshold must be >= " +
+                   std::to_string(o.resilience.storm_exit + 1));
        o.resilience.validate();
      }},
     {"--storm-interval", "S", kSimulating,

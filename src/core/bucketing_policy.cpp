@@ -1,9 +1,6 @@
 #include "core/bucketing_policy.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "util/bytes.hpp"
 
 namespace tora::core {
 
@@ -74,27 +71,6 @@ std::span<const double> BucketingPolicy::values() {
 std::span<const double> BucketingPolicy::significances() {
   store_.flush();
   return store_.significances();
-}
-
-std::string BucketingPolicy::sampler_state() const {
-  util::ByteWriter w;
-  const util::Rng::State s = rng_.state();
-  for (std::uint64_t word : s.words) w.u64(word);
-  w.f64(s.cached_normal);
-  w.u8(s.has_cached_normal ? 1 : 0);
-  return w.take();
-}
-
-void BucketingPolicy::restore_sampler_state(std::string_view state) {
-  util::ByteReader r(state);
-  util::Rng::State s;
-  for (auto& word : s.words) word = r.u64();
-  s.cached_normal = r.f64();
-  s.has_cached_normal = r.u8() != 0;
-  if (!r.done()) {
-    throw std::runtime_error("BucketingPolicy: trailing sampler-state bytes");
-  }
-  rng_.set_state(s);
 }
 
 double BucketingPolicy::retry(double failed_alloc) {

@@ -69,8 +69,18 @@ class BucketingPolicy : public ResourcePolicy {
   /// The per-instance Rng (bucket sampling draws), serialized for crash
   /// recovery. Records are rebuilt by history replay; the Rng position is
   /// the only state that is not.
-  std::string sampler_state() const override;
-  void restore_sampler_state(std::string_view state) override;
+  std::string sampler_state() const override {
+    return snapshot::to_bytes(*this);
+  }
+  void restore_sampler_state(std::string_view state) override {
+    snapshot::from_bytes(state, *this);
+  }
+
+  /// The sampler state's field list.
+  static constexpr auto fields() {
+    return snapshot::section(
+        "BucketingPolicy", snapshot::field("rng", &BucketingPolicy::rng_));
+  }
 
   /// The bucket configuration predict() would sample from, rebuilding first
   /// if a rebuild is scheduled (always, at the default k = 1). Under a

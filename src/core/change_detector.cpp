@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/bytes.hpp"
-
 namespace tora::core {
 
 MeanShiftDetector::MeanShiftDetector(std::size_t window,
@@ -83,41 +81,6 @@ ResourcePolicyPtr ChangeAwarePolicy::rebuild_inner() {
     throw std::invalid_argument("ChangeAwarePolicy: factory returned null");
   }
   return fresh;
-}
-
-std::string ChangeAwarePolicy::sampler_state() const {
-  util::ByteWriter w;
-  w.u8(inner_rng_ ? 1 : 0);
-  if (inner_rng_) {
-    const util::Rng::State s = inner_rng_->state();
-    for (std::uint64_t word : s.words) w.u64(word);
-    w.f64(s.cached_normal);
-    w.u8(s.has_cached_normal ? 1 : 0);
-  }
-  w.str(inner_->sampler_state());
-  return w.take();
-}
-
-void ChangeAwarePolicy::restore_sampler_state(std::string_view state) {
-  util::ByteReader r(state);
-  const bool has_rng = r.u8() != 0;
-  if (has_rng != inner_rng_.has_value()) {
-    throw std::runtime_error(
-        "ChangeAwarePolicy: sampler state from a differently constructed "
-        "instance (rng-owning vs closure-seeded)");
-  }
-  if (has_rng) {
-    util::Rng::State s;
-    for (auto& word : s.words) word = r.u64();
-    s.cached_normal = r.f64();
-    s.has_cached_normal = r.u8() != 0;
-    inner_rng_->set_state(s);
-  }
-  inner_->restore_sampler_state(r.str());
-  if (!r.done()) {
-    throw std::runtime_error(
-        "ChangeAwarePolicy: trailing sampler-state bytes");
-  }
 }
 
 void ChangeAwarePolicy::observe(double peak_value, double significance) {

@@ -87,8 +87,25 @@ class ChangeAwarePolicy final : public ResourcePolicy {
 
   /// The owned rebuild stream (when constructed with one) plus the current
   /// inner policy's sampler state (crash recovery).
-  std::string sampler_state() const override;
-  void restore_sampler_state(std::string_view state) override;
+  std::string sampler_state() const override {
+    return snapshot::to_bytes(*this);
+  }
+  void restore_sampler_state(std::string_view state) override {
+    snapshot::from_bytes(state, *this);
+  }
+
+  /// The sampler state's field list: the owned stream's presence must
+  /// match this instance's construction.
+  static constexpr auto fields() {
+    using C = ChangeAwarePolicy;
+    return snapshot::section(
+        "ChangeAwarePolicy", snapshot::field("rng", &C::inner_rng_),
+        snapshot::via(
+            "inner", [](const C& c) { return c.inner_->sampler_state(); },
+            [](C& c, const std::string& state) {
+              c.inner_->restore_sampler_state(state);
+            }));
+  }
 
   std::size_t resets() const noexcept { return detector_.changes_detected(); }
   ResourcePolicy& inner() noexcept { return *inner_; }

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/bytes.hpp"
-
 namespace tora::core {
 
 HybridPolicy::HybridPolicy(ResourcePolicyPtr initial, ResourcePolicyPtr steady,
@@ -30,22 +28,6 @@ double HybridPolicy::predict() { return active().predict(); }
 
 double HybridPolicy::retry(double failed_alloc) {
   return active().retry(failed_alloc);
-}
-
-std::string HybridPolicy::sampler_state() const {
-  util::ByteWriter w;
-  w.str(initial_->sampler_state());
-  w.str(steady_->sampler_state());
-  return w.take();
-}
-
-void HybridPolicy::restore_sampler_state(std::string_view state) {
-  util::ByteReader r(state);
-  initial_->restore_sampler_state(r.str());
-  steady_->restore_sampler_state(r.str());
-  if (!r.done()) {
-    throw std::runtime_error("HybridPolicy: trailing sampler-state bytes");
-  }
 }
 
 std::string HybridPolicy::name() const {

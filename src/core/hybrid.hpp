@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "core/policy.hpp"
+#include "core/snapshot_fields.hpp"
 
 namespace tora::core {
 
@@ -34,8 +35,28 @@ class HybridPolicy final : public ResourcePolicy {
   }
 
   /// Both stages' sampler states, length-prefixed (crash recovery).
-  std::string sampler_state() const override;
-  void restore_sampler_state(std::string_view state) override;
+  std::string sampler_state() const override {
+    return snapshot::to_bytes(*this);
+  }
+  void restore_sampler_state(std::string_view state) override {
+    snapshot::from_bytes(state, *this);
+  }
+
+  static constexpr auto fields() {
+    using H = HybridPolicy;
+    return snapshot::section(
+        "HybridPolicy",
+        snapshot::via(
+            "initial", [](const H& h) { return h.initial_->sampler_state(); },
+            [](H& h, const std::string& s) {
+              h.initial_->restore_sampler_state(s);
+            }),
+        snapshot::via(
+            "steady", [](const H& h) { return h.steady_->sampler_state(); },
+            [](H& h, const std::string& s) {
+              h.steady_->restore_sampler_state(s);
+            }));
+  }
 
   bool switched() const noexcept { return observed_ >= switch_after_; }
   std::size_t switch_after() const noexcept { return switch_after_; }

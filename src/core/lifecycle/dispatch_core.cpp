@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/bytes.hpp"
 #include "util/log.hpp"
 
 namespace tora::core::lifecycle {
@@ -227,91 +226,17 @@ void DispatchCore::rebind_running(std::uint64_t task_id, std::uint64_t worker) {
   e.running_on = worker;
 }
 
-void DispatchCore::save_state(util::ByteWriter& w) const {
-  w.u64(entries_.size());
-  for (const TaskEntry& e : entries_) {
-    w.u8(static_cast<std::uint8_t>(e.phase));
-    w.u8(e.submitted ? 1 : 0);
-    w.u8(e.has_alloc ? 1 : 0);
-    w.u8(e.is_retry ? 1 : 0);
-    w.u32(e.attempts);
-    w.u64(e.alloc_revision);
-    w.u64(e.running_on);
-    for (ResourceKind k : kAllResources) w.f64(e.alloc[k]);
-    w.u64(e.deps_remaining);
-    w.u64(e.failed_attempts.size());
-    for (const AttemptLog& a : e.failed_attempts) {
-      for (ResourceKind k : kAllResources) w.f64(a.alloc[k]);
-      w.f64(a.runtime_s);
-    }
-  }
-  w.u64(ready_.size());
-  for (std::uint64_t id : ready_) w.u64(id);
-  accounting_.save(w);
-  for (ResourceKind k : kAllResources) w.f64(evicted_alloc_[k]);
-  w.u64(evictions_);
-  w.u64(completed_);
-  w.u64(fatal_);
-  w.u64(finished_);
-}
-
-void DispatchCore::load_state(util::ByteReader& r) {
-  if (r.u64() != entries_.size()) {
-    throw std::runtime_error(
-        "DispatchCore: snapshot task count does not match the workload");
-  }
-  // Bytes per serialized AttemptLog (five f64s) and per ready-queue id.
-  constexpr std::size_t kAttemptBytes = 8 * (kResourceCount + 1);
-  constexpr std::size_t kIdBytes = 8;
-  for (TaskEntry& e : entries_) {
-    const std::uint8_t phase = r.u8();
-    if (phase > static_cast<std::uint8_t>(TaskPhase::Fatal)) {
-      throw std::runtime_error("DispatchCore: snapshot phase out of range");
-    }
-    e.phase = static_cast<TaskPhase>(phase);
-    e.submitted = r.u8() != 0;
-    e.has_alloc = r.u8() != 0;
-    e.is_retry = r.u8() != 0;
-    e.attempts = r.u32();
-    e.alloc_revision = r.u64();
-    e.running_on = r.u64();
-    for (ResourceKind k : kAllResources) e.alloc[k] = r.f64();
-    e.deps_remaining = r.u64();
-    const std::uint64_t failed = r.u64();
-    if (failed > r.remaining() / kAttemptBytes) {
-      throw std::runtime_error(
-          "DispatchCore: snapshot failed_attempts count exceeds the payload");
-    }
-    e.failed_attempts.resize(failed);
-    for (AttemptLog& a : e.failed_attempts) {
-      for (ResourceKind k : kAllResources) a.alloc[k] = r.f64();
-      a.runtime_s = r.f64();
-    }
-  }
-  ready_.clear();
-  const std::uint64_t queued = r.u64();
-  if (queued > r.remaining() / kIdBytes) {
-    throw std::runtime_error(
-        "DispatchCore: snapshot ready-queue count exceeds the payload");
-  }
+void DispatchCore::after_load() {
   std::vector<char> listed(entries_.size(), 0);
-  for (std::uint64_t i = 0; i < queued; ++i) {
-    const std::uint64_t id = r.u64();
+  for (std::uint64_t id : ready_) {
     if (id >= entries_.size() || listed[id] ||
         entries_[id].phase != TaskPhase::Queued) {
-      throw std::runtime_error(
-          "DispatchCore: snapshot ready-queue id must name a Queued task "
-          "once");
+      throw SnapshotError("DispatchCore", "ready_queue",
+                          "id " + std::to_string(id) +
+                              " must name a Queued task once");
     }
     listed[id] = 1;
-    ready_.push_back(id);
   }
-  accounting_.load(r);
-  for (ResourceKind k : kAllResources) evicted_alloc_[k] = r.f64();
-  evictions_ = r.u64();
-  completed_ = r.u64();
-  fatal_ = r.u64();
-  finished_ = r.u64();
 }
 
 void DispatchCore::make_fatal(std::uint64_t task_id) {

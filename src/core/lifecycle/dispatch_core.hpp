@@ -48,6 +48,21 @@ struct TaskEntry {
   ResourceVector alloc;
   std::size_t deps_remaining = 0;
   std::vector<AttemptLog> failed_attempts;
+
+  static constexpr auto fields() {
+    using E = TaskEntry;
+    using snapshot::field;
+    return snapshot::section(
+        "TaskEntry",
+        field("phase", &E::phase, snapshot::at_most(TaskPhase::Fatal)),
+        field("submitted", &E::submitted), field("has_alloc", &E::has_alloc),
+        field("is_retry", &E::is_retry), field("attempts", &E::attempts),
+        field("alloc_revision", &E::alloc_revision),
+        field("running_on", &E::running_on),
+        field("alloc", &E::alloc, snapshot::kNonNegative),
+        field("deps_remaining", &E::deps_remaining),
+        field("failed_attempts", &E::failed_attempts));
+  }
 };
 
 /// Knobs that differ between the runtimes driving the shared machine.
@@ -263,18 +278,31 @@ class DispatchCore {
   /// dependency graph, interned category ids, config) is NOT serialized —
   /// load_state requires a core freshly constructed over the same workload
   /// and config, and restores it to bit-identical mutable state. Hooks do
-  /// not fire during load (the events already happened). load_state throws
-  /// std::runtime_error, naming the field, for a phase byte above Fatal, a
-  /// failed-attempt or ready-queue count larger than the bytes left, or a
-  /// ready-queue id that is out of range, repeated, or not Queued.
-  void save_state(util::ByteWriter& w) const;
-  void load_state(util::ByteReader& r);
+  /// not fire during load (the events already happened). Besides the field
+  /// checks, load_state refuses a ready-queue id that is out of range,
+  /// repeated, or not Queued.
+  void save_state(util::ByteWriter& w) const { snapshot::save(w, *this); }
+  void load_state(util::ByteReader& r) { snapshot::load(r, *this); }
+
+  static constexpr auto fields() {
+    using D = DispatchCore;
+    using snapshot::field;
+    return snapshot::section(
+        "DispatchCore", &D::after_load,
+        field("entries", &D::entries_, snapshot::kSameSize),
+        field("ready_queue", &D::ready_),
+        field("accounting", &D::accounting_),
+        field("evicted_alloc", &D::evicted_alloc_, snapshot::kNonNegative),
+        field("evictions", &D::evictions_), field("completed", &D::completed_),
+        field("fatal", &D::fatal_), field("finished", &D::finished_));
+  }
 
   /// Swap the hooks sink (the recoverable manager re-attaches itself after
   /// reconstructing the core). May be null.
   void set_hooks(RuntimeHooks* hooks) noexcept { hooks_ = hooks; }
 
  private:
+  void after_load();
   void maybe_ready(std::uint64_t task_id);
   void ensure_allocation(std::uint64_t task_id);
   double significance_for(const TaskSpec& spec) const;

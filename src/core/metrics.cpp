@@ -2,31 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/bytes.hpp"
-
 namespace tora::core {
-
-namespace {
-
-void save_breakdown(util::ByteWriter& w, const WasteBreakdown& b) {
-  w.f64(b.consumption);
-  w.f64(b.allocation);
-  w.f64(b.internal_fragmentation);
-  w.f64(b.failed_allocation);
-  w.f64(b.speculative);
-}
-
-WasteBreakdown load_breakdown(util::ByteReader& r) {
-  WasteBreakdown b;
-  b.consumption = r.f64();
-  b.allocation = r.f64();
-  b.internal_fragmentation = r.f64();
-  b.failed_allocation = r.f64();
-  b.speculative = r.f64();
-  return b;
-}
-
-}  // namespace
 
 CategoryId WasteAccounting::intern(std::string_view category) {
   const CategoryId id = table_.intern(category);
@@ -180,36 +156,15 @@ void WasteAccounting::merge(const WasteAccounting& other) {
   }
 }
 
-void WasteAccounting::save(util::ByteWriter& w) const {
-  for (const WasteBreakdown& b : by_resource_) save_breakdown(w, b);
-  w.u64(tasks_);
-  w.u64(attempts_);
-  w.u64(speculative_attempts_);
-  w.u64(table_.size());
-  for (const std::string& name : table_.names()) w.str(name);
-  for (std::size_t count : counts_) w.u64(count);
-  for (const BreakdownArray& cat : by_category_) {
-    for (const WasteBreakdown& b : cat) save_breakdown(w, b);
-  }
-}
-
-void WasteAccounting::load(util::ByteReader& r) {
-  *this = WasteAccounting();
-  for (WasteBreakdown& b : by_resource_) b = load_breakdown(r);
-  tasks_ = r.u64();
-  attempts_ = r.u64();
-  speculative_attempts_ = r.u64();
-  const std::uint64_t categories = r.u64();
-  for (std::uint64_t i = 0; i < categories; ++i) {
-    const CategoryId id = intern(r.str());
-    if (id != i) {
-      throw std::runtime_error(
-          "WasteAccounting: duplicate category in serialized table");
+void WasteAccounting::set_categories(const std::vector<std::string>& names) {
+  table_ = CategoryTable{};
+  counts_.clear();
+  by_category_.clear();
+  for (const std::string& name : names) {
+    if (intern(name) + 1 != counts_.size()) {
+      throw SnapshotError("WasteAccounting", "categories",
+                          "name '" + name + "' repeats");
     }
-  }
-  for (std::size_t& count : counts_) count = r.u64();
-  for (BreakdownArray& cat : by_category_) {
-    for (WasteBreakdown& b : cat) b = load_breakdown(r);
   }
 }
 

@@ -11,11 +11,7 @@
 
 #include "core/lifecycle/category_table.hpp"
 #include "core/resources.hpp"
-
-namespace tora::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace tora::util
+#include "core/snapshot_fields.hpp"
 
 namespace tora::core {
 
@@ -27,6 +23,13 @@ struct AttemptLog {
   double runtime_s = 0.0;
 
   bool operator==(const AttemptLog&) const = default;
+
+  static constexpr auto fields() {
+    using snapshot::field, snapshot::kNonNegative;
+    return snapshot::section(
+        "AttemptLog", field("alloc", &AttemptLog::alloc, kNonNegative),
+        field("runtime_s", &AttemptLog::runtime_s, kNonNegative));
+  }
 };
 
 /// Complete accounting record for one finished task, in the paper's §II-C
@@ -61,6 +64,18 @@ struct WasteBreakdown {
   /// allocation − consumption; equals fragmentation + failed by identity.
   /// Excludes `speculative` (see above).
   double total_waste() const noexcept { return allocation - consumption; }
+
+  static constexpr auto fields() {
+    using W = WasteBreakdown;
+    using snapshot::field, snapshot::kNonNegative;
+    return snapshot::section(
+        "WasteBreakdown", field("consumption", &W::consumption, kNonNegative),
+        field("allocation", &W::allocation, kNonNegative),
+        field("internal_fragmentation", &W::internal_fragmentation,
+              kNonNegative),
+        field("failed_allocation", &W::failed_allocation, kNonNegative),
+        field("speculative", &W::speculative, kNonNegative));
+  }
 };
 
 /// Aggregates task completions into the paper's evaluation metrics:
@@ -135,10 +150,31 @@ class WasteAccounting {
   /// Binary serialization for the crash-recovery snapshot (the restored
   /// accounting is bit-identical: breakdown doubles travel as their IEEE-754
   /// bit patterns). load() replaces this accounting's entire state.
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void save(util::ByteWriter& w) const { snapshot::save(w, *this); }
+  void load(util::ByteReader& r) { snapshot::load(r, *this); }
+
+  static constexpr auto fields() {
+    using A = WasteAccounting;
+    using snapshot::field, snapshot::kFixedSize;
+    return snapshot::section(
+        "WasteAccounting", field("by_resource", &A::by_resource_),
+        field("tasks", &A::tasks_), field("attempts", &A::attempts_),
+        field("speculative_attempts", &A::speculative_attempts_),
+        snapshot::via(
+            "categories",
+            [](const A& a) -> const auto& { return a.table_.names(); },
+            [](A& a, std::vector<std::string> names) {
+              a.set_categories(names);
+            }),
+        field("counts", &A::counts_, kFixedSize),
+        field("by_category", &A::by_category_, kFixedSize));
+  }
 
  private:
+  /// Replaces the category table (and the per-category rows, zeroed) with
+  /// `names` in id order; refuses a repeated name.
+  void set_categories(const std::vector<std::string>& names);
+
   using BreakdownArray = std::array<WasteBreakdown, kResourceCount>;
 
   BreakdownArray by_resource_{};
@@ -191,22 +227,19 @@ void merge_counters(T& into, const T& from) noexcept {
   }
 }
 
-/// Snapshot frame of a family: its persisted fields as u64s, in list order.
-/// `Writer` is util::ByteWriter (a parameter so this header stays free of it).
-template <typename T, typename Writer>
-void save_counters(Writer& w, const T& c) {
-  for (const CounterField<T>& f : T::fields()) {
-    if (f.persisted) w.u64(c.*f.member);
-  }
+/// Snapshot frame of a family: its persisted fields as u64s, in list order
+/// (the snapshot walk in core/snapshot_fields.hpp writes every family
+/// field of a section this way).
+template <typename T>
+void save_counters(util::ByteWriter& w, const T& c) {
+  snapshot::save(w, c);
 }
 
 /// Reads what save_counters wrote; fields that are not persisted keep their
 /// value.
-template <typename T, typename Reader>
-void load_counters(Reader& r, T& c) {
-  for (const CounterField<T>& f : T::fields()) {
-    if (f.persisted) c.*f.member = r.u64();
-  }
+template <typename T>
+void load_counters(util::ByteReader& r, T& c) {
+  snapshot::load(r, c);
 }
 
 /// Counters for every anomaly the fault-tolerant protocol runtime injects,
@@ -378,9 +411,8 @@ static_assert(lists_every_member<StorageFaultCounters>());
 /// The manager's storage-degradation status (ENOSPC/EIO handling in
 /// proto::ProtocolManager): whether the journal is currently read-only and
 /// how often the mode engaged/cleared. The three counters are
-/// snapshot-carried via a conditional trailing frame, so calm runs keep
-/// their exact byte layout. `degraded` is a state, not a counter: it is not
-/// in the field list or the snapshot, and reports print it first as 0/1.
+/// snapshot-carried. `degraded` is a state, not a counter: it is not in the
+/// field list or the snapshot, and reports print it first as 0/1.
 struct StorageHealth {
   bool degraded = false;  ///< journal closed; new dispatches held
   std::size_t degraded_entries = 0;  ///< times the mode engaged

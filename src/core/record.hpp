@@ -1,5 +1,7 @@
 #pragma once
 
+#include "core/snapshot_fields.hpp"
+
 namespace tora::core {
 
 /// One completed-task observation for a single resource dimension.
@@ -14,6 +16,14 @@ struct Record {
   double significance = 1.0;
 
   friend bool operator==(const Record&, const Record&) = default;
+
+  /// Snapshot fields: both must be values observe() accepts.
+  static constexpr auto fields() {
+    using snapshot::field, snapshot::kNonNegative;
+    return snapshot::section(
+        "Record", field("value", &Record::value, kNonNegative),
+        field("significance", &Record::significance, kNonNegative));
+  }
 };
 
 }  // namespace tora::core

@@ -1,10 +1,8 @@
 #include "core/record_store.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/policy.hpp"
-#include "util/bytes.hpp"
 
 namespace tora::core {
 
@@ -78,70 +76,23 @@ void RecordStore::flush() {
   extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, out);
 }
 
-void RecordStore::save(util::ByteWriter& w) const {
-  w.u64(values_.size());
+std::vector<Record> RecordStore::merged_records() const {
+  std::vector<Record> out;
+  out.reserve(values_.size());
   for (std::size_t i = 0; i < values_.size(); ++i) {
-    w.f64(values_[i]);
-    w.f64(sigs_[i]);
+    out.push_back({values_[i], sigs_[i]});
   }
-  w.u64(staged_.size());
-  for (const Record& r : staged_) {
-    w.f64(r.value);
-    w.f64(r.significance);
-  }
+  return out;
 }
 
-void RecordStore::load(util::ByteReader& r) {
-  // Every count is checked against the bytes left before anything is
-  // allocated, every record must be one observe() could have accepted, and
-  // the merged run must be sorted: flush() binary-searches it.
-  constexpr std::size_t kRecordBytes = 16;
-  const auto read_record = [&r] {
-    const double value = r.f64();
-    const double significance = r.f64();
-    if (!valid_observation(value)) {
-      throw std::runtime_error(
-          "RecordStore: snapshot record value must be finite and "
-          "non-negative");
+void RecordStore::after_load() {
+  // flush() binary-searches the merged run.
+  for (std::size_t i = 1; i < values_.size(); ++i) {
+    if (values_[i] < values_[i - 1]) {
+      throw SnapshotError("RecordStore", "merged",
+                          "values must be sorted ascending");
     }
-    if (!valid_observation(significance)) {
-      throw std::runtime_error(
-          "RecordStore: snapshot record significance must be finite and "
-          "non-negative");
-    }
-    return Record{value, significance};
-  };
-
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / kRecordBytes) {
-    throw std::runtime_error(
-        "RecordStore: snapshot merged record count exceeds the payload");
   }
-  std::vector<double> values;
-  std::vector<double> sigs;
-  values.reserve(n);
-  sigs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Record rec = read_record();
-    if (!values.empty() && rec.value < values.back()) {
-      throw std::runtime_error(
-          "RecordStore: snapshot merged run must be sorted by value");
-    }
-    values.push_back(rec.value);
-    sigs.push_back(rec.significance);
-  }
-  const std::uint64_t s = r.u64();
-  if (s > r.remaining() / kRecordBytes) {
-    throw std::runtime_error(
-        "RecordStore: snapshot staged record count exceeds the payload");
-  }
-  std::vector<Record> staged;
-  staged.reserve(s);
-  for (std::uint64_t i = 0; i < s; ++i) staged.push_back(read_record());
-
-  values_ = std::move(values);
-  sigs_ = std::move(sigs);
-  staged_ = std::move(staged);
   sig_prefix_.assign(values_.size() + 1, 0.0);
   vsig_prefix_.assign(values_.size() + 1, 0.0);
   extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, 0);

@@ -5,11 +5,7 @@
 #include <vector>
 
 #include "core/record.hpp"
-
-namespace tora::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace tora::util
+#include "core/snapshot_fields.hpp"
 
 namespace tora::core {
 
@@ -83,14 +79,33 @@ class RecordStore {
 
   /// Bit-exact serialization: merged run then staging buffer (in arrival
   /// order), each as a u64 count followed by (value, significance) f64
-  /// pairs. load() rebuilds the prefix sums with extend_prefix_sums from 0,
-  /// the same recurrence flush() extends. It throws std::runtime_error,
-  /// naming the field, on a count beyond the remaining payload, a value or
-  /// significance that observe() would refuse, or an unsorted merged run.
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  /// pairs. Every record must be one observe() would accept; load refuses
+  /// an unsorted merged run and rebuilds the prefix sums with
+  /// extend_prefix_sums from 0, the same recurrence flush() extends.
+  void save(util::ByteWriter& w) const { snapshot::save(w, *this); }
+  void load(util::ByteReader& r) { snapshot::load(r, *this); }
+
+  static constexpr auto fields() {
+    using S = RecordStore;
+    return snapshot::section(
+        "RecordStore", &S::after_load,
+        snapshot::via(
+            "merged", [](const S& s) { return s.merged_records(); },
+            [](S& s, std::vector<Record> merged) {
+              s.values_.clear();
+              s.sigs_.clear();
+              for (const Record& r : merged) {
+                s.values_.push_back(r.value);
+                s.sigs_.push_back(r.significance);
+              }
+            }),
+        snapshot::field("staged", &S::staged_));
+  }
 
  private:
+  std::vector<Record> merged_records() const;
+  void after_load();
+
   std::vector<double> values_;  // merged run, sorted ascending by value
   std::vector<double> sigs_;    // parallel to values_
   std::vector<double> sig_prefix_{0.0};

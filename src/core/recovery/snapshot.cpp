@@ -11,7 +11,118 @@ namespace tora::core::recovery {
 namespace {
 
 constexpr std::string_view kMagic = "TORASNAP";
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
+
+/// The allocator section as it sits in a body. save_allocator fills one
+/// from the allocator; load_allocator decodes one whose post-load step
+/// checks it against `target` and replays it there.
+struct AllocatorSection {
+  struct Category {
+    std::string name;
+    std::uint64_t records = 0;  ///< completions recorded for the category
+
+    static constexpr auto fields() {
+      return snapshot::section(
+          "AllocatorCategory", snapshot::field("name", &Category::name),
+          snapshot::field("records", &Category::records));
+    }
+  };
+  struct Created {
+    std::uint32_t id = 0;
+    std::vector<std::string> samplers;  ///< one per managed dimension
+
+    static constexpr auto fields() {
+      return snapshot::section(
+          "CreatedCategory", snapshot::field("id", &Created::id),
+          snapshot::field("samplers", &Created::samplers,
+                          snapshot::kFixedSize));
+    }
+  };
+
+  TaskAllocator* target = nullptr;  ///< load: the allocator to restore
+  std::string policy;
+  std::uint64_t config_hash = 0;
+  std::vector<Category> categories;
+  std::vector<TaskAllocator::CompletionRecord> history;
+  std::vector<Created> created;
+
+  static constexpr auto fields() {
+    using S = AllocatorSection;
+    using snapshot::field;
+    return snapshot::section(
+        "Allocator", &S::after_load, field("policy", &S::policy),
+        field("config_hash", &S::config_hash),
+        field("categories", &S::categories), field("history", &S::history),
+        field("created", &S::created));
+  }
+
+  void after_load();
+};
+
+void AllocatorSection::after_load() {
+  TaskAllocator& a = *target;
+  if (policy != a.policy_name()) {
+    throw SnapshotError("Allocator", "policy",
+                        snapshot::mismatch(a.policy_name(), policy) +
+                            "; reconstruct the allocator with the original "
+                            "policy");
+  }
+  const std::uint64_t hash = allocator_config_hash(a.config());
+  if (config_hash != hash) {
+    throw SnapshotError(
+        "Allocator", "config_hash",
+        snapshot::mismatch(hash, config_hash) +
+            " (worker capacity, exploration, managed resources or history "
+            "flag differ); reconstruct the allocator with the original "
+            "config");
+  }
+  for (std::size_t i = 0; i < categories.size(); ++i) {
+    if (a.intern(categories[i].name) != i) {
+      throw SnapshotError("AllocatorCategory", "name",
+                          "'" + categories[i].name +
+                              "' does not intern to its recorded id (repeated, "
+                              "or the allocator is not fresh)");
+    }
+  }
+  for (const TaskAllocator::CompletionRecord& rec : history) {
+    if (rec.category >= categories.size()) {
+      throw SnapshotError("CompletionRecord", "category",
+                          "id " + std::to_string(rec.category) +
+                              " is not below the category count " +
+                              std::to_string(categories.size()));
+    }
+    a.record_completion(rec.category, rec.peak, rec.significance);
+  }
+  for (std::size_t i = 0; i < categories.size(); ++i) {
+    const std::size_t replayed = a.records_for(static_cast<CategoryId>(i));
+    if (replayed != categories[i].records) {
+      throw SnapshotError("AllocatorCategory", "records",
+                          snapshot::mismatch(replayed, categories[i].records) +
+                              " (the replayed history disagrees)");
+    }
+  }
+  const auto& managed = a.config().managed;
+  std::vector<char> seen(categories.size(), 0);
+  for (const Created& c : created) {
+    if (c.id >= categories.size() || seen[c.id]++) {
+      throw SnapshotError("CreatedCategory", "id",
+                          "id " + std::to_string(c.id) +
+                              " must name a category once");
+    }
+    // Touching one managed policy creates all of the category's instances,
+    // advancing the factory's master Rng by exactly as many draws as the
+    // crashed allocator spent on this category. The drawn values are then
+    // overwritten by the recorded sampler states.
+    a.policy(c.id, managed.front());
+    for (std::size_t k = 0; k < managed.size(); ++k) {
+      a.policy(c.id, managed[k]).restore_sampler_state(c.samplers[k]);
+    }
+  }
+  // History replay is a bulk load: merge staged observations now so the
+  // restored allocator starts from fully-merged state (flushing touches no
+  // sampler state, so the bit-exact fingerprint is unaffected).
+  a.flush_policies();
+}
 
 }  // namespace
 
@@ -22,101 +133,37 @@ void save_allocator(const TaskAllocator& allocator, util::ByteWriter& w) {
         "recovery snapshot: allocator must record history "
         "(AllocatorConfig::record_history = true) for bit-exact restore");
   }
-  w.str(allocator.policy_name());
-  w.u64(allocator_config_hash(config));
-
+  AllocatorSection s;
+  s.policy = allocator.policy_name();
+  s.config_hash = allocator_config_hash(config);
   const std::size_t categories = allocator.category_count();
-  w.u64(categories);
   for (CategoryId id = 0; id < categories; ++id) {
-    w.str(allocator.category_name(id));
-    w.u64(allocator.records_for(id));
-  }
-
-  w.u64(allocator.history().size());
-  for (const TaskAllocator::CompletionRecord& rec : allocator.history()) {
-    w.u32(rec.category);
-    for (ResourceKind k : kAllResources) w.f64(rec.peak[k]);
-    w.f64(rec.significance);
-  }
-
-  std::vector<CategoryId> created;
-  for (CategoryId id = 0; id < categories; ++id) {
-    if (allocator.policies_created(id)) created.push_back(id);
-  }
-  w.u64(created.size());
-  for (CategoryId id : created) {
-    w.u32(id);
+    s.categories.push_back(
+        {allocator.category_name(id), allocator.records_for(id)});
+    if (!allocator.policies_created(id)) continue;
+    AllocatorSection::Created& c = s.created.emplace_back();
+    c.id = id;
     for (ResourceKind k : config.managed) {
       const ResourcePolicy* p = allocator.policy_if_created(id, k);
       if (!p) {
         throw std::logic_error(
             "recovery snapshot: created category missing a managed policy");
       }
-      w.str(p->sampler_state());
+      c.samplers.push_back(p->sampler_state());
     }
   }
+  s.history = allocator.history();
+  snapshot::save(w, s);
 }
 
 void load_allocator(TaskAllocator& allocator, util::ByteReader& r) {
-  const std::string policy = r.str();
-  if (policy != allocator.policy_name()) {
-    throw std::runtime_error(
-        "recovery snapshot: written by policy '" + policy +
-        "' but the destination allocator runs '" + allocator.policy_name() +
-        "'; reconstruct the allocator with the original policy");
-  }
-  const std::uint64_t hash = r.u64();
-  if (hash != allocator_config_hash(allocator.config())) {
-    throw std::runtime_error(
-        "recovery snapshot: allocator config hash mismatch (worker capacity, "
-        "exploration, managed resources or history flag differ); reconstruct "
-        "the allocator with the original config");
-  }
-
-  const std::uint64_t categories = r.u64();
-  std::vector<std::uint64_t> completed(categories);
-  for (std::uint64_t i = 0; i < categories; ++i) {
-    const CategoryId id = allocator.intern(r.str());
-    if (id != i) {
-      throw std::runtime_error(
-          "recovery snapshot: category table does not intern to recorded ids "
-          "(destination allocator is not freshly constructed)");
-    }
-    completed[i] = r.u64();
-  }
-
-  const std::uint64_t history = r.u64();
-  for (std::uint64_t i = 0; i < history; ++i) {
-    const CategoryId category = r.u32();
-    ResourceVector peak;
-    for (ResourceKind k : kAllResources) peak[k] = r.f64();
-    allocator.record_completion(category, peak, r.f64());
-  }
-  for (std::uint64_t i = 0; i < categories; ++i) {
-    if (allocator.records_for(static_cast<CategoryId>(i)) != completed[i]) {
-      throw std::runtime_error(
-          "recovery snapshot: replayed history disagrees with recorded "
-          "completion counts (snapshot written without record_history?)");
-    }
-  }
-
-  const std::uint64_t created = r.u64();
-  const auto& managed = allocator.config().managed;
-  for (std::uint64_t i = 0; i < created; ++i) {
-    const CategoryId id = r.u32();
-    // Touching one managed policy creates all of the category's instances,
-    // advancing the factory's master Rng by exactly as many draws as the
-    // crashed allocator spent on this category. The drawn values are then
-    // overwritten by the recorded sampler states.
-    allocator.policy(id, managed.front());
-    for (ResourceKind k : managed) {
-      allocator.policy(id, k).restore_sampler_state(r.str());
-    }
-  }
-  // History replay is a bulk load: merge staged observations now so the
-  // restored allocator starts from fully-merged state (flushing touches no
-  // sampler state, so the bit-exact fingerprint is unaffected).
-  allocator.flush_policies();
+  AllocatorSection s;
+  s.target = &allocator;
+  // The blank every decoded created category starts from: one sampler
+  // state per managed dimension.
+  s.created.resize(1);
+  s.created.front().samplers.resize(allocator.config().managed.size());
+  snapshot::load(r, s);
 }
 
 std::string seal_snapshot(std::string_view body) {
@@ -134,6 +181,14 @@ std::string seal_snapshot(std::string_view body) {
 }
 
 std::optional<std::string> open_snapshot(std::string_view file) {
+  if (sealed_version(file) != kVersion) return std::nullopt;
+  const std::size_t header = kMagic.size() + 4;
+  return std::string(file.substr(header, file.size() - header - 4));
+}
+
+std::uint32_t snapshot_version() noexcept { return kVersion; }
+
+std::optional<std::uint32_t> sealed_version(std::string_view file) {
   const std::size_t overhead = kMagic.size() + 4 + 4;
   if (file.size() < overhead) return std::nullopt;
   if (file.substr(0, kMagic.size()) != kMagic) return std::nullopt;
@@ -142,9 +197,7 @@ std::optional<std::string> open_snapshot(std::string_view file) {
     return std::nullopt;
   }
   util::ByteReader head(file.substr(kMagic.size(), 4));
-  if (head.u32() != kVersion) return std::nullopt;
-  return std::string(
-      file.substr(kMagic.size() + 4, file.size() - overhead));
+  return head.u32();
 }
 
 }  // namespace tora::core::recovery

@@ -1,15 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "core/task_allocator.hpp"
-
-namespace tora::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace tora::util
 
 namespace tora::core::recovery {
 
@@ -23,15 +19,18 @@ namespace tora::core::recovery {
 ///
 /// Restore protocol: the destination must be a freshly constructed
 /// allocator with the same policy name and config (validated against the
-/// recorded name and allocator_config_hash; mismatch throws). History is
-/// replayed through record_completion (rebuilding record state, completed
-/// counts, revision and the significance watermark), policies are
-/// force-created for every recorded created category (restoring the master
-/// Rng position — creation count is what moves it), and finally each
-/// policy's sampler state is overwritten with the recorded bytes.
+/// recorded name and allocator_config_hash). The section's post-load step
+/// checks every history category and created-category id against the
+/// category table, replays the history through record_completion
+/// (rebuilding record state, completed counts, revision and the
+/// significance watermark), force-creates the policies of every recorded
+/// created category (restoring the master Rng position — creation count is
+/// what moves it), and finally overwrites each policy's sampler state with
+/// the recorded bytes. Every refusal is a core::SnapshotError.
 ///
 /// Requires config().record_history = true on the source (throws
-/// otherwise): the completed counts are rebuilt from the history.
+/// std::logic_error otherwise): the completed counts are rebuilt from the
+/// history.
 void save_allocator(const TaskAllocator& allocator, util::ByteWriter& w);
 void load_allocator(TaskAllocator& allocator, util::ByteReader& r);
 
@@ -43,4 +42,25 @@ void load_allocator(TaskAllocator& allocator, util::ByteReader& r);
 std::string seal_snapshot(std::string_view body);
 std::optional<std::string> open_snapshot(std::string_view file);
 
+/// The container version this build writes and reads.
+std::uint32_t snapshot_version() noexcept;
+
+/// The version of a sealed snapshot whose CRC holds, whatever its version
+/// (nullopt when the magic or CRC does not): what `tora fsck` reports for a
+/// snapshot open_snapshot refuses only for its version.
+std::optional<std::uint32_t> sealed_version(std::string_view file);
+
 }  // namespace tora::core::recovery
+
+namespace tora::core {
+
+/// The allocator section as a field of an enclosing list (each tenant's
+/// allocator in MultiTenantCore's), found by ADL.
+inline void snapshot_save(util::ByteWriter& w, const TaskAllocator& a) {
+  recovery::save_allocator(a, w);
+}
+inline void snapshot_load(util::ByteReader& r, TaskAllocator& a) {
+  recovery::load_allocator(a, r);
+}
+
+}  // namespace tora::core

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/bytes.hpp"
-
 namespace tora::core::resilience {
 
 namespace {
@@ -63,24 +61,6 @@ std::optional<double> RuntimeHistogram::quantile(CategoryId category,
       static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
   rank = std::clamp<std::size_t>(rank, 1, n);
   return values[rank - 1];
-}
-
-void RuntimeHistogram::save(util::ByteWriter& w) const {
-  w.u64(per_category_.size());
-  for (const RecordStore& store : per_category_) store.save(w);
-}
-
-void RuntimeHistogram::load(util::ByteReader& r) {
-  // A saved store is at least its two u64 counts.
-  constexpr std::size_t kMinStoreBytes = 16;
-  const std::uint64_t categories = r.u64();
-  if (categories > r.remaining() / kMinStoreBytes) {
-    throw std::runtime_error(
-        "RuntimeHistogram: snapshot category count exceeds the payload");
-  }
-  std::vector<RecordStore> stores(categories);
-  for (RecordStore& store : stores) store.load(r);
-  per_category_ = std::move(stores);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,31 +133,6 @@ std::size_t ReliabilityTracker::convictions(
              : static_cast<std::size_t>(it->second.convictions);
 }
 
-void ReliabilityTracker::save(util::ByteWriter& w) const {
-  w.u64(entries_.size());
-  for (const auto& [worker, e] : entries_) {
-    w.u64(worker);
-    w.f64(e.score);
-    w.f64(e.release_at);
-    w.u64(e.convictions);
-    w.u8(e.convicted ? 1 : 0);
-  }
-}
-
-void ReliabilityTracker::load(util::ByteReader& r) {
-  entries_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t worker = r.u64();
-    Entry e;
-    e.score = r.f64();
-    e.release_at = r.f64();
-    e.convictions = r.u64();
-    e.convicted = r.u8() != 0;
-    entries_.emplace(worker, e);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // StormDetector
 
@@ -203,23 +158,6 @@ void StormDetector::update(double now) {
     degraded_ = false;
     ++exited_;
   }
-}
-
-void StormDetector::save(util::ByteWriter& w) const {
-  w.u64(window_.size());
-  for (double t : window_) w.f64(t);
-  w.u8(degraded_ ? 1 : 0);
-  w.u64(entered_);
-  w.u64(exited_);
-}
-
-void StormDetector::load(util::ByteReader& r) {
-  window_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) window_.push_back(r.f64());
-  degraded_ = r.u8() != 0;
-  entered_ = r.u64();
-  exited_ = r.u64();
 }
 
 }  // namespace tora::core::resilience

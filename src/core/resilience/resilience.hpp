@@ -9,11 +9,7 @@
 
 #include "core/lifecycle/category_table.hpp"
 #include "core/record_store.hpp"
-
-namespace tora::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace tora::util
+#include "core/snapshot_fields.hpp"
 
 namespace tora::core::resilience {
 
@@ -105,11 +101,14 @@ class RuntimeHistogram {
   std::optional<double> quantile(CategoryId category, double q);
 
   /// Bit-exact serialization (merged run + staged buffer per category).
-  /// load() throws std::runtime_error, naming the field, on a category
-  /// count beyond the remaining payload or a store RecordStore::load
-  /// refuses.
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void save(util::ByteWriter& w) const { snapshot::save(w, *this); }
+  void load(util::ByteReader& r) { snapshot::load(r, *this); }
+
+  static constexpr auto fields() {
+    return snapshot::section(
+        "RuntimeHistogram",
+        snapshot::field("per_category", &RuntimeHistogram::per_category_));
+  }
 
  private:
   std::vector<RecordStore> per_category_;
@@ -199,8 +198,8 @@ class ReliabilityTracker {
   /// Times the worker has been convicted.
   std::size_t convictions(std::uint64_t worker) const noexcept;
 
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void save(util::ByteWriter& w) const { snapshot::save(w, *this); }
+  void load(util::ByteReader& r) { snapshot::load(r, *this); }
 
  private:
   struct Entry {
@@ -210,7 +209,26 @@ class ReliabilityTracker {
     /// Convicted and not yet redeemed: serving while now < release_at,
     /// probationary after.
     bool convicted = false;
+
+    static constexpr auto fields() {
+      using snapshot::field;
+      return snapshot::section(
+          "ReliabilityEntry", field("score", &Entry::score, snapshot::kUnit),
+          field("release_at", &Entry::release_at, snapshot::kFinite),
+          field("convictions", &Entry::convictions),
+          field("convicted", &Entry::convicted));
+    }
   };
+
+ public:
+  /// Entries keyed by worker id, ascending strictly.
+  static constexpr auto fields() {
+    return snapshot::section(
+        "ReliabilityTracker",
+        snapshot::field("entries", &ReliabilityTracker::entries_));
+  }
+
+ private:
 
   ResilienceConfig cfg_;
   std::map<std::uint64_t, Entry> entries_;  // ordered: deterministic save
@@ -238,8 +256,18 @@ class StormDetector {
   /// Evictions currently inside the window (diagnostics).
   std::size_t window_count() const noexcept { return window_.size(); }
 
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
+  void save(util::ByteWriter& w) const { snapshot::save(w, *this); }
+  void load(util::ByteReader& r) { snapshot::load(r, *this); }
+
+  static constexpr auto fields() {
+    using S = StormDetector;
+    using snapshot::field;
+    return snapshot::section(
+        "StormDetector",
+        field("window", &S::window_, snapshot::kFinite | snapshot::kAscending),
+        field("degraded", &S::degraded_), field("entered", &S::entered_),
+        field("exited", &S::exited_));
+  }
 
  private:
   void prune(double now);

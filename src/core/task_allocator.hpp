@@ -11,6 +11,7 @@
 #include "core/lifecycle/category_table.hpp"
 #include "core/policy.hpp"
 #include "core/resources.hpp"
+#include "core/snapshot_fields.hpp"
 
 namespace tora::core {
 
@@ -180,6 +181,15 @@ class TaskAllocator {
     CategoryId category = kInvalidCategory;
     ResourceVector peak;
     double significance = 0.0;
+
+    static constexpr auto fields() {
+      using R = CompletionRecord;
+      using snapshot::field, snapshot::kNonNegative;
+      return snapshot::section(
+          "CompletionRecord", field("category", &R::category),
+          field("peak", &R::peak, kNonNegative),
+          field("significance", &R::significance, kNonNegative));
+    }
   };
 
   /// The retained completion history (empty when config().record_history is

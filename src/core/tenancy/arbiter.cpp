@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
-#include "util/bytes.hpp"
+#include "core/snapshot_fields.hpp"
 
 namespace tora::core::tenancy {
 
@@ -71,20 +70,13 @@ class ArbiterBase : public Arbiter {
 
   void settle() override {}
 
-  void save(util::ByteWriter& w) const override {
-    w.u64(total_granted_.size());
-    for (std::uint64_t g : total_granted_) w.u64(g);
+  /// Lifetime grant counters, one per tenant.
+  static constexpr auto fields() {
+    return snapshot::section(
+        "Arbiter", snapshot::field("grants", &ArbiterBase::total_granted_));
   }
-
-  void load(util::ByteReader& r) override {
-    const std::uint64_t tenants = r.u64();
-    if (tenants > r.remaining() / 8) {
-      throw std::runtime_error(
-          "Arbiter: snapshot grant counter count exceeds the payload");
-    }
-    total_granted_.resize(tenants);
-    for (std::uint64_t& g : total_granted_) g = r.u64();
-  }
+  void save(util::ByteWriter& w) const override { snapshot::save(w, *this); }
+  void load(util::ByteReader& r) override { snapshot::load(r, *this); }
 
   std::uint64_t granted_total(TenantId t) const noexcept override {
     return t < total_granted_.size() ? total_granted_[t] : 0;
@@ -210,28 +202,16 @@ class KarmaArbiter final : public ArbiterBase {
     }
   }
 
-  void save(util::ByteWriter& w) const override {
-    ArbiterBase::save(w);
-    w.u64(credits_.size());
-    for (double c : credits_) w.f64(c);
+  /// The base's grant counters, then one finite credit per tenant.
+  static constexpr auto fields() {
+    return snapshot::section(
+        "KarmaArbiter",
+        snapshot::field("grants", &KarmaArbiter::total_granted_),
+        snapshot::field("credits", &KarmaArbiter::credits_,
+                        snapshot::kFinite));
   }
-
-  void load(util::ByteReader& r) override {
-    ArbiterBase::load(r);
-    const std::uint64_t tenants = r.u64();
-    if (tenants > r.remaining() / 8) {
-      throw std::runtime_error(
-          "KarmaArbiter: snapshot credit count exceeds the payload");
-    }
-    credits_.resize(tenants);
-    for (double& c : credits_) {
-      c = r.f64();
-      if (!std::isfinite(c)) {
-        throw std::runtime_error(
-            "KarmaArbiter: snapshot credit must be finite");
-      }
-    }
-  }
+  void save(util::ByteWriter& w) const override { snapshot::save(w, *this); }
+  void load(util::ByteReader& r) override { snapshot::load(r, *this); }
 
   double credit(TenantId t) const noexcept override {
     return t < credits_.size() ? credits_[t] : 0.0;
@@ -292,13 +272,6 @@ const std::vector<std::string>& arbiter_names() {
   static const std::vector<std::string> names = {"fifo", "maxmin", "drf",
                                                  "karma"};
   return names;
-}
-
-bool is_arbiter_name(std::string_view name) {
-  for (const std::string& n : arbiter_names()) {
-    if (n == name) return true;
-  }
-  return false;
 }
 
 std::unique_ptr<Arbiter> make_arbiter(std::string_view name) {

@@ -71,10 +71,11 @@ class Arbiter {
   /// Ends the pass; long-lived state (Karma credit transfers) settles here.
   virtual void settle() = 0;
 
-  /// Cross-pass state for snapshots. The facade frames these with the
-  /// arbiter name, so load() may assume the bytes were written by the same
-  /// implementation. It still throws std::runtime_error, naming the field,
-  /// on a count beyond the remaining payload or a non-finite credit.
+  /// Cross-pass state for snapshots, through each implementation's field
+  /// list. The facade frames these with the arbiter name, so load() may
+  /// assume the bytes were written by the same implementation; it still
+  /// throws core::SnapshotError on a count beyond the remaining payload or
+  /// a non-finite credit.
   virtual void save(util::ByteWriter& w) const = 0;
   virtual void load(util::ByteReader& r) = 0;
 
@@ -91,8 +92,6 @@ class Arbiter {
 /// (weighted dominant-resource fairness over cores/memory), "karma"
 /// (credit banking: idle tenants bank, bursty tenants borrow).
 const std::vector<std::string>& arbiter_names();
-
-bool is_arbiter_name(std::string_view name);
 
 /// Constructs an arbiter by name; throws std::invalid_argument for an
 /// unknown name.

@@ -6,14 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "core/recovery/snapshot.hpp"
-#include "util/bytes.hpp"
-
 namespace tora::core::tenancy {
-
-namespace {
-constexpr std::uint32_t kStateVersion = 1;
-}  // namespace
 
 // --- TenantHooks -----------------------------------------------------------
 
@@ -91,7 +84,7 @@ MultiTenantCore::MultiTenantCore(std::vector<TenantInput> tenants,
 
   base_.reserve(tenants_.size());
   cat_base_.reserve(tenants_.size());
-  cores_.reserve(tenants_.size());
+  state_.reserve(tenants_.size());
   tenant_hooks_.reserve(tenants_.size());
   std::uint64_t id_base = 0;
   std::uint64_t cat_key = 0;
@@ -101,8 +94,11 @@ MultiTenantCore::MultiTenantCore(std::vector<TenantInput> tenants,
     tenant_hooks_.push_back(std::make_unique<TenantHooks>(this, id_base));
     lifecycle::DispatchConfig cfg = base_config;
     cfg.alloc_inflation = base_config.alloc_inflation * t.spec.demand_multiplier;
-    cores_.push_back(std::make_unique<lifecycle::DispatchCore>(
-        t.tasks, *t.allocator, cfg, tenant_hooks_.back().get()));
+    state_.push_back({t.allocator,
+                      std::make_unique<lifecycle::DispatchCore>(
+                          t.tasks, *t.allocator, cfg,
+                          tenant_hooks_.back().get()),
+                      ResourceVector{}, 0});
     id_base += t.tasks.size();
     // Fixed from here on: the core's constructor interned every category
     // this tenant's workload uses.
@@ -124,9 +120,6 @@ MultiTenantCore::MultiTenantCore(std::vector<TenantInput> tenants,
     }
     tasks_ = composed_;
   }
-
-  running_alloc_.assign(tenants_.size(), ResourceVector{});
-  running_count_.assign(tenants_.size(), 0);
 }
 
 // --- id mapping ------------------------------------------------------------
@@ -141,14 +134,14 @@ lifecycle::DispatchCore& MultiTenantCore::core_for(std::uint64_t global_id,
                                                    TenantId* tenant) {
   const TenantId t = tenant_of(global_id);
   if (tenant) *tenant = t;
-  return *cores_[t];
+  return *state_[t].core;
 }
 
 const lifecycle::DispatchCore& MultiTenantCore::core_for(
     std::uint64_t global_id, TenantId* tenant) const {
   const TenantId t = tenant_of(global_id);
   if (tenant) *tenant = t;
-  return *cores_[t];
+  return *state_[t].core;
 }
 
 const std::vector<ResourceKind>& MultiTenantCore::managed() const noexcept {
@@ -159,31 +152,17 @@ const std::vector<ResourceKind>& MultiTenantCore::managed() const noexcept {
 
 void MultiTenantCore::release_running(TenantId t, std::uint64_t global_id) {
   const lifecycle::TaskEntry& e =
-      cores_[t]->entry(global_id - base_[t]);
+      state_[t].core->entry(global_id - base_[t]);
   if (e.phase == lifecycle::TaskPhase::Running) {
-    running_alloc_[t] -= e.alloc;
-    --running_count_[t];
-  }
-}
-
-void MultiTenantCore::rebuild_running_stats() {
-  for (std::size_t t = 0; t < cores_.size(); ++t) {
-    running_alloc_[t] = ResourceVector{};
-    running_count_[t] = 0;
-    for (std::size_t i = 0; i < cores_[t]->task_count(); ++i) {
-      const lifecycle::TaskEntry& e = cores_[t]->entry(i);
-      if (e.phase == lifecycle::TaskPhase::Running) {
-        running_alloc_[t] += e.alloc;
-        ++running_count_[t];
-      }
-    }
+    state_[t].running_alloc -= e.alloc;
+    --state_[t].running_count;
   }
 }
 
 // --- lifecycle surface -----------------------------------------------------
 
 void MultiTenantCore::start() {
-  for (auto& core : cores_) core->start();
+  for (TenantState& ts : state_) ts.core->start();
 }
 
 void MultiTenantCore::mark_submitted(std::uint64_t global_id) {
@@ -202,11 +181,11 @@ std::size_t MultiTenantCore::dispatch_pass(const PlaceFn& place,
     const CommitFn wrapped = [this, &commit](std::uint64_t task,
                                              std::uint64_t worker,
                                              const ResourceVector& alloc) {
-      running_alloc_[0] += alloc;
-      ++running_count_[0];
+      state_[0].running_alloc += alloc;
+      ++state_[0].running_count;
       commit(task, worker, alloc);
     };
-    return cores_[0]->dispatch_pass(place, wrapped, defer);
+    return state_[0].core->dispatch_pass(place, wrapped, defer);
   }
   return arbitrated_pass(place, commit, defer, pool_capacity);
 }
@@ -218,7 +197,7 @@ std::size_t MultiTenantCore::arbitrated_pass(
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     views[t].id = static_cast<TenantId>(t);
     views[t].weight = tenants_[t].spec.weight;
-    const std::size_t ready = cores_[t]->ready_size();
+    const std::size_t ready = state_[t].core->ready_size();
     // The REPORTED backlog: a misreporting tenant inflates it along with
     // its allocation asks. The measured fields below cannot be lied about.
     views[t].backlog =
@@ -226,8 +205,8 @@ std::size_t MultiTenantCore::arbitrated_pass(
                    : std::max(ready, static_cast<std::size_t>(std::llround(
                                          static_cast<double>(ready) *
                                          tenants_[t].spec.demand_multiplier)));
-    views[t].running = running_count_[t];
-    views[t].running_alloc = running_alloc_[t];
+    views[t].running = state_[t].running_count;
+    views[t].running_alloc = state_[t].running_alloc;
   }
   arbiter_->begin(views, pool_capacity ? pool_capacity() : ResourceVector{});
 
@@ -243,8 +222,8 @@ std::size_t MultiTenantCore::arbitrated_pass(
     const CommitFn c = [this, &commit, &granted, t, b](
                            std::uint64_t local, std::uint64_t worker,
                            const ResourceVector& alloc) {
-      running_alloc_[t] += alloc;
-      ++running_count_[t];
+      state_[t].running_alloc += alloc;
+      ++state_[t].running_count;
       granted += alloc;
       commit(b + local, worker, alloc);
     };
@@ -252,7 +231,7 @@ std::size_t MultiTenantCore::arbitrated_pass(
     if (defer) {
       d = [&defer, b](std::uint64_t local) { return defer(b + local); };
     }
-    const std::size_t placed = cores_[t]->dispatch_pass(p, c, d, 1);
+    const std::size_t placed = state_[t].core->dispatch_pass(p, c, d, 1);
     total_placed += placed;
     arbiter_->feedback(t, placed, granted);
   }
@@ -319,45 +298,47 @@ const lifecycle::TaskEntry& MultiTenantCore::entry(
 
 std::size_t MultiTenantCore::ready_size() const noexcept {
   std::size_t total = 0;
-  for (const auto& core : cores_) total += core->ready_size();
+  for (const TenantState& ts : state_) total += ts.core->ready_size();
   return total;
 }
 
 std::size_t MultiTenantCore::completed() const noexcept {
   std::size_t total = 0;
-  for (const auto& core : cores_) total += core->completed();
+  for (const TenantState& ts : state_) total += ts.core->completed();
   return total;
 }
 
 std::size_t MultiTenantCore::fatal() const noexcept {
   std::size_t total = 0;
-  for (const auto& core : cores_) total += core->fatal();
+  for (const TenantState& ts : state_) total += ts.core->fatal();
   return total;
 }
 
 std::size_t MultiTenantCore::finished() const noexcept {
   std::size_t total = 0;
-  for (const auto& core : cores_) total += core->finished();
+  for (const TenantState& ts : state_) total += ts.core->finished();
   return total;
 }
 
 const WasteAccounting& MultiTenantCore::accounting() const {
-  if (tenants_.size() == 1) return cores_[0]->accounting();
+  if (tenants_.size() == 1) return state_[0].core->accounting();
   merged_accounting_ = WasteAccounting{};
-  for (const auto& core : cores_) merged_accounting_.merge(core->accounting());
+  for (const TenantState& ts : state_) {
+    merged_accounting_.merge(ts.core->accounting());
+  }
   return merged_accounting_;
 }
 
 const ResourceVector& MultiTenantCore::evicted_alloc() const {
-  if (tenants_.size() == 1) return cores_[0]->evicted_alloc();
+  if (tenants_.size() == 1) return state_[0].core->evicted_alloc();
   merged_evicted_ = ResourceVector{};
-  for (const auto& core : cores_) merged_evicted_ += core->evicted_alloc();
+  for (const TenantState& ts : state_) merged_evicted_ += ts.core->evicted_alloc();
   return merged_evicted_;
 }
 
 std::size_t MultiTenantCore::evictions() const noexcept {
   std::size_t total = 0;
-  for (const auto& core : cores_) total += core->evictions();
+  for (const TenantState& ts : state_) total += ts.core->evictions();
   return total;
 }
 
@@ -371,53 +352,11 @@ CategoryId MultiTenantCore::category_of(std::uint64_t global_id) const {
 // --- serialization ---------------------------------------------------------
 
 void MultiTenantCore::save_state(util::ByteWriter& w) const {
-  if (single_passthrough_) {
-    // Legacy layout, byte-for-byte: allocator capture then core state.
-    recovery::save_allocator(*tenants_[0].allocator, w);
-    cores_[0]->save_state(w);
-    return;
-  }
-  w.u32(kStateVersion);
-  w.u32(static_cast<std::uint32_t>(tenants_.size()));
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    recovery::save_allocator(*tenants_[t].allocator, w);
-    cores_[t]->save_state(w);
-    // The running-attempt stats are derived, but the arbiters score on
-    // them: serializing the accumulated values (instead of recomputing)
-    // keeps a resumed run's floating-point state — and therefore its
-    // arbiter decisions — bit-identical to the uninterrupted run.
-    for (ResourceKind k : kAllResources) w.f64(running_alloc_[t][k]);
-    w.u64(running_count_[t]);
-  }
-  w.str(arbiter_->name());
-  arbiter_->save(w);
+  snapshot::save(w, *this);
 }
 
 void MultiTenantCore::load_state(util::ByteReader& r) {
-  if (single_passthrough_) {
-    recovery::load_allocator(*tenants_[0].allocator, r);
-    cores_[0]->load_state(r);
-    rebuild_running_stats();
-    return;
-  }
-  if (r.u32() != kStateVersion) {
-    throw std::runtime_error("MultiTenantCore: unsupported snapshot version");
-  }
-  if (r.u32() != tenants_.size()) {
-    throw std::runtime_error(
-        "MultiTenantCore: snapshot tenant count does not match");
-  }
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    recovery::load_allocator(*tenants_[t].allocator, r);
-    cores_[t]->load_state(r);
-    for (ResourceKind k : kAllResources) running_alloc_[t][k] = r.f64();
-    running_count_[t] = r.u64();
-  }
-  if (r.str() != arbiter_->name()) {
-    throw std::runtime_error(
-        "MultiTenantCore: snapshot was written by a different arbiter");
-  }
-  arbiter_->load(r);
+  snapshot::load(r, *this);
 }
 
 }  // namespace tora::core::tenancy

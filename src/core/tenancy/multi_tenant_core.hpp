@@ -9,6 +9,7 @@
 
 #include "core/lifecycle/dispatch_core.hpp"
 #include "core/metrics.hpp"
+#include "core/recovery/snapshot.hpp"
 #include "core/resources.hpp"
 #include "core/task.hpp"
 #include "core/tenancy/arbiter.hpp"
@@ -28,11 +29,12 @@ namespace tora::core::tenancy {
 /// the outcome feeds back — so every fairness decision happens at placement
 /// granularity against live pool occupancy.
 ///
-/// With ONE tenant and the pass-through (fifo) arbiter, every call —
-/// including dispatch_pass and the save_state byte layout — delegates
-/// verbatim to the inner core, so the pre-tenancy runtimes' behavior and
-/// snapshot/parity fingerprints are byte-identical. That equivalence is the
-/// refactor's correctness oracle and is pinned by test_tenancy.cpp.
+/// With ONE tenant and the pass-through (fifo) arbiter, every dispatch call
+/// delegates verbatim to the inner core, so the pre-tenancy runtimes'
+/// dispatch decisions and parity fingerprints are byte-identical. That
+/// equivalence is the refactor's correctness oracle and is pinned by
+/// test_tenancy.cpp. The snapshot always carries the versioned tenant
+/// frame, at N=1 too.
 class MultiTenantCore {
  public:
   using PlaceFn = lifecycle::DispatchCore::PlaceFn;
@@ -109,30 +111,67 @@ class MultiTenantCore {
   CategoryId category_of(std::uint64_t global_id) const;
   std::uint64_t category_base(TenantId t) const { return cat_base_[t]; }
 
-  /// Snapshot serialization. N=1 + pass-through writes exactly the legacy
-  /// layout (save_allocator + core state, nothing else); multi-tenant
-  /// writes a versioned frame of every tenant's allocator + core plus the
-  /// arbiter's cross-pass state. load_state mirrors both.
+  /// Snapshot serialization through the field list below: a versioned
+  /// frame of every tenant's allocator section, core state and running
+  /// stats, then the arbiter's name and cross-pass state.
   void save_state(util::ByteWriter& w) const;
   void load_state(util::ByteReader& r);
+
+  static constexpr auto fields() {
+    using M = MultiTenantCore;
+    return snapshot::section(
+        "MultiTenantCore",
+        snapshot::expect("version", [](const M&) { return kStateVersion; }),
+        snapshot::expect("tenants",
+                         [](const M& m) {
+                           return static_cast<std::uint32_t>(m.state_.size());
+                         }),
+        snapshot::field("tenant", &M::state_, snapshot::kFixedSize),
+        snapshot::expect("arbiter",
+                         [](const M& m) { return m.arbiter_->name(); }),
+        snapshot::field("arbiter_state", &M::arbiter_));
+  }
 
   void set_hooks(lifecycle::RuntimeHooks* hooks) noexcept { hooks_ = hooks; }
 
   // --- per-tenant observers ------------------------------------------------
 
   const lifecycle::DispatchCore& tenant_core(TenantId t) const {
-    return *cores_[t];
+    return *state_[t].core;
   }
   TaskAllocator& tenant_allocator(TenantId t) { return *tenants_[t].allocator; }
-  /// Resources committed to the tenant's in-flight attempts (derived,
-  /// never serialized; rebuilt by load_state).
+  /// Resources committed to the tenant's in-flight attempts. Serialized,
+  /// not recomputed: the arbiters score on the accumulated values, so a
+  /// resumed run's arbiter decisions stay bit-identical.
   const ResourceVector& running_alloc(TenantId t) const {
-    return running_alloc_[t];
+    return state_[t].running_alloc;
   }
-  std::size_t running_count(TenantId t) const { return running_count_[t]; }
+  std::size_t running_count(TenantId t) const {
+    return state_[t].running_count;
+  }
   const Arbiter& arbiter() const noexcept { return *arbiter_; }
 
  private:
+  static constexpr std::uint32_t kStateVersion = 1;
+
+  /// One tenant's mutable state, in snapshot order.
+  struct TenantState {
+    TaskAllocator* allocator;
+    std::unique_ptr<lifecycle::DispatchCore> core;
+    ResourceVector running_alloc;  ///< no sign check: releases leave dust
+    std::size_t running_count = 0;
+
+    static constexpr auto fields() {
+      using T = TenantState;
+      using snapshot::field;
+      return snapshot::section(
+          "Tenant", field("allocator", &T::allocator),
+          field("core", &T::core),
+          field("running_alloc", &T::running_alloc, snapshot::kFinite),
+          field("running_count", &T::running_count));
+    }
+  };
+
   /// Forwards one tenant core's hooks to the facade's sink with local ids
   /// translated to global ones.
   class TenantHooks final : public lifecycle::RuntimeHooks {
@@ -161,7 +200,6 @@ class MultiTenantCore {
   const lifecycle::DispatchCore& core_for(std::uint64_t global_id,
                                           TenantId* tenant = nullptr) const;
   void release_running(TenantId t, std::uint64_t global_id);
-  void rebuild_running_stats();
   std::size_t arbitrated_pass(const PlaceFn& place, const CommitFn& commit,
                               const DeferFn& defer,
                               const PoolCapacityFn& pool_capacity);
@@ -176,9 +214,7 @@ class MultiTenantCore {
   std::vector<TaskSpec> composed_;  ///< global spec copy (N>1 only)
   std::span<const TaskSpec> tasks_;
   std::vector<std::unique_ptr<TenantHooks>> tenant_hooks_;
-  std::vector<std::unique_ptr<lifecycle::DispatchCore>> cores_;
-  std::vector<ResourceVector> running_alloc_;
-  std::vector<std::size_t> running_count_;
+  std::vector<TenantState> state_;
   mutable WasteAccounting merged_accounting_;  ///< N>1 accounting() cache
   mutable ResourceVector merged_evicted_;      ///< N>1 evicted_alloc() cache
 };

@@ -914,134 +914,44 @@ void ProtocolManager::task_evicted(std::uint64_t task_id, double scale) {
   journal(RecordType::TaskEvicted, w.bytes());
 }
 
-std::string ProtocolManager::snapshot_body() const {
-  util::ByteWriter w;
-  // Allocator bytes are owned by the facade (legacy layout at single-tenant
-  // pass-through, versioned multi-tenant frame otherwise).
-  core_.save_state(w);
-  w.u64(tick_);
-  w.u64(dispatches_);
-  w.u8(started_ ? 1 : 0);
-  w.u64(workers_.size());
-  for (const auto& [wid, ws] : workers_) {
-    w.u64(wid);
-    for (ResourceKind k : core::kAllResources) w.f64(ws.capacity[k]);
-    for (ResourceKind k : core::kAllResources) w.f64(ws.committed[k]);
-    w.u64(ws.last_seen_tick);
-    w.u64(ws.consecutive_failures);
-  }
-  w.u64(proto_states_.size());
-  for (const ProtoTaskState& st : proto_states_) {
-    w.u64(st.dispatch_tick);
-    w.u64(st.backoff_until);
-    w.u64(st.infra_failures);
-    w.u8(st.spec_active ? 1 : 0);
-    w.u64(st.spec_worker);
-    w.u64(st.spec_tick);
-  }
-  w.u64(quarantined_.size());
-  for (char q : quarantined_) w.u8(static_cast<std::uint8_t>(q));
-  w.u64(malformed_logged_.size());
-  for (char m : malformed_logged_) w.u8(static_cast<std::uint8_t>(m));
-  core::save_counters(w, chaos_);
-  deadlines_.save(w);
-  reliability_.save(w);
-  storms_.save(w);
-  core::save_counters(w, res_counters_);
-  // Trailing frames, ONLY once their subsystem has ever engaged: calm runs
-  // keep the exact pre-degradation byte layout (these bodies double as
-  // fingerprints compared across crashed/crash-free runs). A nonzero term
-  // forces the storage triple out too, so the reader can tell the frames
-  // apart purely by remaining length.
-  if (storage_.degraded_entries > 0 || term_ > 0) {
-    core::save_counters(w, storage_);
-  }
-  if (term_ > 0) w.u64(term_);
-  return w.take();
-}
-
-void ProtocolManager::restore_state(util::ByteReader& r) {
-  core_.load_state(r);
-  tick_ = r.u64();
-  dispatches_ = r.u64();
-  started_ = r.u8() != 0;
+void ProtocolManager::after_load() {
+  // Snapshots are only written by successful rotations, so the restored
+  // manager is healthy by construction; only the counters carry over.
+  storage_.degraded = false;
+  fenced_ = false;
+  std::map<std::uint64_t, WorkerState> decoded = std::move(workers_);
   workers_.clear();
   index_.reset(links_.size());
-  const std::uint64_t worker_count = r.u64();
-  for (std::uint64_t i = 0; i < worker_count; ++i) {
-    const std::uint64_t wid = r.u64();
+  for (auto& [wid, ws] : decoded) {
     if (wid >= links_.size()) {
-      throw std::runtime_error(
-          "recovery snapshot: worker id beyond the link table (snapshot from "
-          "a different deployment?)");
+      throw core::SnapshotError(
+          "ProtocolManager", "workers",
+          "id " + std::to_string(wid) +
+              " is beyond the link table (snapshot from a different "
+              "deployment?)");
     }
-    if (!workers_.empty() && wid <= workers_.rbegin()->first) {
-      throw std::runtime_error(
-          "recovery snapshot: worker ids must ascend strictly");
-    }
-    WorkerState ws;
-    for (ResourceKind k : core::kAllResources) ws.capacity[k] = r.f64();
-    for (ResourceKind k : core::kAllResources) ws.committed[k] = r.f64();
     for (ResourceKind k : core::kManagedResources) {
       // >= 0, not > 0: the wire lets a worker announce a zero dimension,
       // and a restore must accept every registry the live manager holds.
       const double cap = ws.capacity[k];
       if (!std::isfinite(cap) || !(cap >= 0.0)) {
-        throw std::runtime_error(
-            "recovery snapshot: worker capacity must be finite and >= 0");
+        throw core::SnapshotError("ManagerWorker", "capacity",
+                                  "must be finite and >= 0");
       }
       // Releases subtract without clamping, so a fully released worker can
       // keep a few ulps of dust on either side of zero. The check is
       // negated so that NaN fails too.
       if (!(ws.committed[k] >= -cap * kCommitDust &&
             ws.committed[k] <= cap * (1.0 + kCommitDust))) {
-        throw std::runtime_error(
-            "recovery snapshot: worker committed must be finite and within "
-            "[0, capacity]");
+        throw core::SnapshotError("ManagerWorker", "committed",
+                                  "must be finite and within [0, capacity]");
       }
     }
-    ws.last_seen_tick = r.u64();
-    ws.consecutive_failures = r.u64();
     // Links are rebound by position: worker ids equal link indices, and the
     // links (with their in-flight messages) survive the manager crash.
     ws.link = links_[wid];
     add_worker(wid, std::move(ws));
   }
-  if (r.u64() != proto_states_.size()) {
-    throw std::runtime_error(
-        "recovery snapshot: per-task state count does not match the workload");
-  }
-  for (ProtoTaskState& st : proto_states_) {
-    st.dispatch_tick = r.u64();
-    st.backoff_until = r.u64();
-    st.infra_failures = r.u64();
-    st.spec_active = r.u8() != 0;
-    st.spec_worker = r.u64();
-    st.spec_tick = r.u64();
-  }
-  if (r.u64() != quarantined_.size()) {
-    throw std::runtime_error(
-        "recovery snapshot: quarantine set does not match the link table");
-  }
-  for (char& q : quarantined_) q = static_cast<char>(r.u8());
-  if (r.u64() != malformed_logged_.size()) {
-    throw std::runtime_error(
-        "recovery snapshot: malformed-log set does not match the link table");
-  }
-  for (char& m : malformed_logged_) m = static_cast<char>(r.u8());
-  core::load_counters(r, chaos_);
-  deadlines_.load(r);
-  reliability_.load(r);
-  storms_.load(r);
-  core::load_counters(r, res_counters_);
-  // Conditional trailing frame (see snapshot_body). Snapshots are only
-  // written by successful rotations, so the restored manager is healthy by
-  // construction — only the counters carry over.
-  storage_ = {};
-  term_ = 0;
-  fenced_ = false;
-  if (!r.done()) core::load_counters(r, storage_);
-  if (!r.done()) term_ = r.u64();
 }
 
 void ProtocolManager::begin_replay(
@@ -1050,13 +960,7 @@ void ProtocolManager::begin_replay(
     throw std::logic_error(
         "ProtocolManager::begin_replay: manager must be freshly constructed");
   }
-  if (snapshot) {
-    util::ByteReader r(*snapshot);
-    restore_state(r);
-    if (!r.done()) {
-      throw std::runtime_error("recovery snapshot: trailing bytes");
-    }
-  }
+  if (snapshot) core::snapshot::from_bytes(*snapshot, *this);
   // Replay applies journal records through the real handlers with sends
   // suppressed: every state transition re-derives exactly (the inputs are
   // the only nondeterminism), while the wire stays untouched — the channels

@@ -164,7 +164,25 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// protocol state, quarantine set, chaos counters, tick — as the snapshot
   /// BODY (the RecoveryLog seals it). Doubles as a bit-exact state
   /// fingerprint for the crash/no-crash equality harness.
-  std::string snapshot_body() const;
+  std::string snapshot_body() const { return core::snapshot::to_bytes(*this); }
+
+  /// The body's field list. The placement index is derived: the post-load
+  /// step rebinds each worker's link and re-registers it.
+  static constexpr auto fields() {
+    using M = ProtocolManager;
+    using core::snapshot::field, core::snapshot::kSameSize;
+    return core::snapshot::section(
+        "ProtocolManager", &M::after_load, field("core", &M::core_),
+        field("tick", &M::tick_), field("dispatches", &M::dispatches_),
+        field("started", &M::started_), field("workers", &M::workers_),
+        field("proto_states", &M::proto_states_, kSameSize),
+        field("quarantined", &M::quarantined_, kSameSize),
+        field("malformed_logged", &M::malformed_logged_, kSameSize),
+        field("chaos", &M::chaos_), field("deadlines", &M::deadlines_),
+        field("reliability", &M::reliability_), field("storms", &M::storms_),
+        field("res_counters", &M::res_counters_),
+        field("storage", &M::storage_), field("term", &M::term_));
+  }
 
   /// Rebuilds this freshly constructed manager from a RecoveryLog scan:
   /// restores the snapshot (if any), replays the journal tail through the
@@ -192,9 +210,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   std::size_t finish_replay();
 
   /// Leadership term: bumped by a failover promotion, write-ahead journaled
-  /// as a TermBump input record, and snapshot-carried via a conditional
-  /// trailing frame (0 until a promotion ever happens, so pre-replication
-  /// runs keep their exact snapshot byte layout).
+  /// as a TermBump input record, and snapshot-carried (0 until a promotion
+  /// ever happens).
   std::uint64_t term() const noexcept { return term_; }
 
   /// Promotion: take the next leadership term and journal it durably.
@@ -234,14 +251,36 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
     bool spec_active = false;
     std::uint64_t spec_worker = 0;
     std::size_t spec_tick = 0;  ///< when the duplicate was dispatched
+
+    static constexpr auto fields() {
+      using P = ProtoTaskState;
+      using core::snapshot::field;
+      return core::snapshot::section(
+          "ProtoTask", field("dispatch_tick", &P::dispatch_tick),
+          field("backoff_until", &P::backoff_until),
+          field("infra_failures", &P::infra_failures),
+          field("spec_active", &P::spec_active),
+          field("spec_worker", &P::spec_worker),
+          field("spec_tick", &P::spec_tick));
+    }
   };
 
   struct WorkerState {
     core::ResourceVector capacity;
     core::ResourceVector committed;
-    DuplexLinkPtr link;
+    DuplexLinkPtr link;  ///< rebound by position on load
     std::size_t last_seen_tick = 0;
     std::size_t consecutive_failures = 0;
+
+    static constexpr auto fields() {
+      using W = WorkerState;
+      using core::snapshot::field;
+      return core::snapshot::section(
+          "ManagerWorker", field("capacity", &W::capacity),
+          field("committed", &W::committed),
+          field("last_seen_tick", &W::last_seen_tick),
+          field("consecutive_failures", &W::consecutive_failures));
+    }
   };
 
   // Worker registry. Every change to a worker's free capacity goes through
@@ -281,7 +320,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// the mode. Runs at the top of pump().
   void retry_storage();
   void reach(core::recovery::ManagerCrashPoint point, std::uint64_t tick);
-  void restore_state(util::ByteReader& r);
+  void restore_state(util::ByteReader& r) { core::snapshot::load(r, *this); }
+  void after_load();
   void maybe_snapshot();
 
   // RuntimeHooks: the lifecycle audit records of the journal.
@@ -384,8 +424,7 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
 
   // Storage degradation (ENOSPC/EIO). The flag and backoff are transient
   // (a snapshot is only ever cut by a successful rotate, i.e. healthy); the
-  // three counters ride the snapshot via a conditional trailing frame so
-  // calm runs keep their exact byte layout.
+  // three counters ride the snapshot.
   core::StorageHealth storage_;
   std::uint64_t storage_retry_tick_ = 0;
   std::uint64_t storage_backoff_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/bytes.hpp"
-
 namespace tora::sim::detail {
 
 void validate_push_time(SimTime time) {
@@ -18,51 +16,26 @@ void save_events_canonical(util::ByteWriter& w, std::uint64_t next_seq,
                            std::vector<Event> events) {
   std::sort(events.begin(), events.end(),
             [](const Event& x, const Event& y) { return event_before(x, y); });
-  w.u64(next_seq);
-  w.u64(events.size());
+  core::snapshot::save(w, EventFrame{next_seq, std::move(events)});
+}
+
+void EventFrame::after_load() {
   for (const Event& e : events) {
-    w.f64(e.time);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u64(e.a);
-    w.u64(e.b);
-    w.u64(e.epoch);
-    w.u64(e.seq);
+    if (e.seq >= next_seq) {
+      throw SnapshotError("Event", "seq",
+                          "seq " + std::to_string(e.seq) +
+                              " must be below next_seq " +
+                              std::to_string(next_seq));
+    }
   }
 }
 
 std::vector<Event> load_events_canonical(util::ByteReader& r,
                                          std::uint64_t& next_seq) {
-  const std::uint64_t seq = r.u64();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / kEventRecordBytes) {
-    throw SnapshotError(
-        "EventQueue: snapshot event count exceeds the snapshot payload");
-  }
-  std::vector<Event> events;
-  events.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Event e;
-    e.time = r.f64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(EventKind::DeadlineKill)) {
-      throw SnapshotError("EventQueue: unknown event kind in snapshot");
-    }
-    e.kind = static_cast<EventKind>(kind);
-    e.a = r.u64();
-    e.b = r.u64();
-    e.epoch = r.u64();
-    e.seq = r.u64();
-    if (!std::isfinite(e.time) || e.time < 0.0) {
-      throw SnapshotError("EventQueue: invalid event time in snapshot");
-    }
-    if (e.seq >= seq) {
-      throw SnapshotError(
-          "EventQueue: snapshot next_seq does not dominate stored sequences");
-    }
-    events.push_back(e);
-  }
-  next_seq = seq;
-  return events;
+  EventFrame frame;
+  core::snapshot::load(r, frame);
+  next_seq = frame.next_seq;
+  return std::move(frame.events);
 }
 
 }  // namespace tora::sim::detail

@@ -5,10 +5,7 @@
 #include <string>
 #include <vector>
 
-namespace tora::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace tora::util
+#include "core/snapshot_fields.hpp"
 
 namespace tora::sim {
 
@@ -39,6 +36,16 @@ struct Event {
   std::uint64_t epoch = 0;
   /// Insertion sequence; breaks time ties deterministically (FIFO).
   std::uint64_t seq = 0;
+
+  static constexpr auto fields() {
+    using core::snapshot::field;
+    return core::snapshot::section(
+        "Event", field("time", &Event::time, core::snapshot::kNonNegative),
+        field("kind", &Event::kind,
+              core::snapshot::at_most(EventKind::DeadlineKill)),
+        field("a", &Event::a), field("b", &Event::b),
+        field("epoch", &Event::epoch), field("seq", &Event::seq));
+  }
 };
 
 /// True when `x` pops strictly before `y` under the engine's total order:
@@ -56,19 +63,12 @@ enum class QueueEngine : std::uint8_t {
   Calendar,  ///< banded calendar/ladder queue (the default)
 };
 
-/// Typed refusal for malformed event-queue snapshots (truncated payloads,
-/// unknown kinds, non-finite times, a tie-break counter that does not
-/// dominate the restored sequences). Derives from std::runtime_error so
-/// pre-existing catch sites keep working.
-class SnapshotError : public std::runtime_error {
- public:
-  explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
-};
+/// Malformed event-queue snapshots (truncated payloads, unknown kinds,
+/// non-finite times, a tie-break counter that does not dominate the
+/// restored sequences) are refused with the snapshot-wide typed error.
+using SnapshotError = core::SnapshotError;
 
 namespace detail {
-
-/// Serialized size of one event record (f64 time + u8 kind + 4×u64).
-inline constexpr std::size_t kEventRecordBytes = 8 + 1 + 8 + 8 + 8 + 8;
 
 /// Throws std::invalid_argument unless `time` is a finite, non-negative
 /// clock value. NaN/Inf would silently poison any comparison-based ordering
@@ -92,6 +92,22 @@ void save_events_canonical(util::ByteWriter& w, std::uint64_t next_seq,
 /// tie-breaker would silently break FIFO determinism on the next push).
 /// Throws SnapshotError on any violation. Record order is not assumed:
 /// engines re-normalize on load.
+///
+/// The frame's field list: the tie-break counter, then the events.
+struct EventFrame {
+  std::uint64_t next_seq = 0;
+  std::vector<Event> events;
+
+  static constexpr auto fields() {
+    using core::snapshot::field;
+    return core::snapshot::section(
+        "EventFrame", &EventFrame::after_load,
+        field("next_seq", &EventFrame::next_seq),
+        field("events", &EventFrame::events));
+  }
+  void after_load();
+};
+
 std::vector<Event> load_events_canonical(util::ByteReader& r,
                                          std::uint64_t& next_seq);
 

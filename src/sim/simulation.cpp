@@ -642,57 +642,7 @@ void Simulation::task_completed(std::uint64_t task_id,
 }
 
 void Simulation::save_state(util::ByteWriter& w) const {
-  w.u8(started_ ? 1 : 0);
-  w.u8(finished_ ? 1 : 0);
-  // Allocator bytes are owned by the facade (legacy layout at single-tenant
-  // pass-through, versioned multi-tenant frame otherwise).
-  core_.save_state(w);
-  const util::Rng::State rs = rng_.state();
-  for (std::uint64_t word : rs.words) w.u64(word);
-  w.f64(rs.cached_normal);
-  w.u8(rs.has_cached_normal ? 1 : 0);
-  events_.save_state(w);
-  pool_.save_state(w);
-  w.u64(timing_.size());
-  for (const TimingState& t : timing_) {
-    w.u64(t.epoch);
-    w.f64(t.attempt_start);
-    w.f64(t.attempt_runtime);
-  }
-  w.f64(now_);
-  // Only the simulator-owned result fields: everything else is derived from
-  // the core on read (result()).
-  w.f64(result_.makespan_s);
-  w.u64(result_.total_joins);
-  w.u64(result_.total_leaves);
-  w.u64(result_.peak_workers);
-  w.u64(result_.events_processed);
-  for (ResourceKind k : core::kAllResources) w.f64(result_.committed_integral[k]);
-  for (ResourceKind k : core::kAllResources) w.f64(result_.capacity_integral[k]);
-  // Resilience layer (appended last; all-zero for disabled configs, so the
-  // layout is uniform).
-  deadlines_.save(w);
-  storms_.save(w);
-  w.u8(storm_active_ ? 1 : 0);
-  w.u64(spec_.size());
-  for (const SpecState& sp : spec_) {
-    w.u8(sp.active ? 1 : 0);
-    w.u8(sp.promoted ? 1 : 0);
-    w.u64(sp.worker);
-    w.f64(sp.start);
-    w.f64(sp.runtime);
-    w.u64(sp.token);
-  }
-  for (std::uint32_t s : deadline_strikes_) w.u32(s);
-  core::save_counters(w, res_counters_);
-  // Per-tenant metrics (appended only outside the legacy single-tenant
-  // layout, which must stay byte-identical).
-  if (!core_.single_passthrough()) {
-    for (const ResourceVector& v : tenant_committed_) {
-      for (ResourceKind k : core::kAllResources) w.f64(v[k]);
-    }
-    for (double m : tenant_makespan_) w.f64(m);
-  }
+  core::snapshot::save(w, *this);
 }
 
 void Simulation::load_state(util::ByteReader& r) {
@@ -700,56 +650,7 @@ void Simulation::load_state(util::ByteReader& r) {
     throw std::logic_error(
         "Simulation: load_state must precede the first step()/run()");
   }
-  started_ = r.u8() != 0;
-  finished_ = r.u8() != 0;
-  core_.load_state(r);
-  util::Rng::State rs;
-  for (std::uint64_t& word : rs.words) word = r.u64();
-  rs.cached_normal = r.f64();
-  rs.has_cached_normal = r.u8() != 0;
-  rng_.set_state(rs);
-  events_.load_state(r);
-  pool_.load_state(r);
-  if (r.u64() != timing_.size()) {
-    throw std::runtime_error(
-        "Simulation: snapshot task count does not match the workload");
-  }
-  for (TimingState& t : timing_) {
-    t.epoch = r.u64();
-    t.attempt_start = r.f64();
-    t.attempt_runtime = r.f64();
-  }
-  now_ = r.f64();
-  result_.makespan_s = r.f64();
-  result_.total_joins = r.u64();
-  result_.total_leaves = r.u64();
-  result_.peak_workers = r.u64();
-  result_.events_processed = r.u64();
-  for (ResourceKind k : core::kAllResources) result_.committed_integral[k] = r.f64();
-  for (ResourceKind k : core::kAllResources) result_.capacity_integral[k] = r.f64();
-  deadlines_.load(r);
-  storms_.load(r);
-  storm_active_ = r.u8() != 0;
-  if (r.u64() != spec_.size()) {
-    throw std::runtime_error(
-        "Simulation: snapshot speculation count does not match the workload");
-  }
-  for (SpecState& sp : spec_) {
-    sp.active = r.u8() != 0;
-    sp.promoted = r.u8() != 0;
-    sp.worker = r.u64();
-    sp.start = r.f64();
-    sp.runtime = r.f64();
-    sp.token = r.u64();
-  }
-  for (std::uint32_t& s : deadline_strikes_) s = r.u32();
-  core::load_counters(r, res_counters_);
-  if (!core_.single_passthrough()) {
-    for (ResourceVector& v : tenant_committed_) {
-      for (ResourceKind k : core::kAllResources) v[k] = r.f64();
-    }
-    for (double& m : tenant_makespan_) m = r.f64();
-  }
+  core::snapshot::load(r, *this);
 }
 
 std::vector<core::TenantOutcome> Simulation::tenant_outcomes() const {

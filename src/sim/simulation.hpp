@@ -129,6 +129,21 @@ struct SimResult {
                ? committed_integral[kind] / capacity_integral[kind]
                : 0.0;
   }
+
+  /// The fields a Simulation snapshot carries: the simulator-owned ones.
+  /// Everything else is derived from the core on read (Simulation::result).
+  static constexpr auto fields() {
+    using R = SimResult;
+    using core::snapshot::field, core::snapshot::kNonNegative;
+    return core::snapshot::section(
+        "SimResult", field("makespan_s", &R::makespan_s, kNonNegative),
+        field("total_joins", &R::total_joins),
+        field("total_leaves", &R::total_leaves),
+        field("peak_workers", &R::peak_workers),
+        field("events_processed", &R::events_processed),
+        field("committed_integral", &R::committed_integral, kNonNegative),
+        field("capacity_integral", &R::capacity_integral, kNonNegative));
+  }
 };
 
 /// Discrete-event simulator of the paper's dynamic workflow system (Fig. 1
@@ -147,8 +162,8 @@ class Simulation final : private core::lifecycle::RuntimeHooks {
  public:
   /// `tasks` must outlive the simulation; ids must equal the index order
   /// produced by the workload generators (0-based, dense). Single-tenant
-  /// with the pass-through arbiter — byte-identical to the pre-tenancy
-  /// simulator.
+  /// with the pass-through arbiter — dispatches exactly as the pre-tenancy
+  /// simulator did.
   Simulation(std::span<const core::TaskSpec> tasks,
              core::TaskAllocator& allocator, SimConfig config);
 
@@ -193,6 +208,27 @@ class Simulation final : private core::lifecycle::RuntimeHooks {
   /// (policy name and config hash are validated; mismatch throws).
   void load_state(util::ByteReader& r);
 
+  static constexpr auto fields() {
+    using S = Simulation;
+    using core::snapshot::field, core::snapshot::kNonNegative,
+        core::snapshot::kSameSize, core::snapshot::kFixedSize;
+    return core::snapshot::section(
+        "Simulation", field("started", &S::started_),
+        field("finished", &S::finished_), field("core", &S::core_),
+        field("rng", &S::rng_), field("events", &S::events_),
+        field("pool", &S::pool_), field("timing", &S::timing_, kSameSize),
+        field("now", &S::now_, kNonNegative), field("result", &S::result_),
+        field("deadlines", &S::deadlines_), field("storms", &S::storms_),
+        field("storm_active", &S::storm_active_),
+        field("spec", &S::spec_, kSameSize),
+        field("deadline_strikes", &S::deadline_strikes_, kFixedSize),
+        field("res_counters", &S::res_counters_),
+        field("tenant_committed", &S::tenant_committed_,
+              kFixedSize | kNonNegative),
+        field("tenant_makespan", &S::tenant_makespan_,
+              kFixedSize | kNonNegative));
+  }
+
   /// Attaches a lifecycle observer (nullptr to detach). Must be set before
   /// run(); the observer must outlive the simulation.
   void set_observer(SimObserver* observer) noexcept { observer_ = observer; }
@@ -223,6 +259,15 @@ class Simulation final : private core::lifecycle::RuntimeHooks {
     /// and break bit-parity with the protocol runtime, whose workers report
     /// the same model's output).
     SimTime attempt_runtime = 0.0;
+
+    static constexpr auto fields() {
+      using T = TimingState;
+      using core::snapshot::field, core::snapshot::kNonNegative;
+      return core::snapshot::section(
+          "Timing", field("epoch", &T::epoch),
+          field("attempt_start", &T::attempt_start, kNonNegative),
+          field("attempt_runtime", &T::attempt_runtime, kNonNegative));
+    }
   };
 
   /// Speculative-duplicate state, parallel to TimingState. The duplicate is
@@ -239,6 +284,17 @@ class Simulation final : private core::lifecycle::RuntimeHooks {
     /// Invalidates in-flight SpecFinish/SpecCheck events on cancellation
     /// (the simulator's epoch pattern, scoped to the duplicate).
     std::uint64_t token = 0;
+
+    static constexpr auto fields() {
+      using P = SpecState;
+      using core::snapshot::field, core::snapshot::kNonNegative;
+      return core::snapshot::section(
+          "Speculation", field("active", &P::active),
+          field("promoted", &P::promoted), field("worker", &P::worker),
+          field("start", &P::start, kNonNegative),
+          field("runtime", &P::runtime, kNonNegative),
+          field("token", &P::token));
+    }
   };
 
   void task_fatal(std::uint64_t task_id) override;  // RuntimeHooks
@@ -305,10 +361,9 @@ class Simulation final : private core::lifecycle::RuntimeHooks {
   core::ResilienceCounters res_counters_;
   bool storm_active_ = false;
 
-  // Per-tenant run metrics (indexed by TenantId). Only accumulated and
-  // serialized outside the single-tenant pass-through mode, where the
-  // aggregate result already is the tenant's result and the legacy
-  // snapshot layout must stay byte-identical.
+  // Per-tenant run metrics (indexed by TenantId). Only accumulated outside
+  // the single-tenant pass-through mode, where the aggregate result already
+  // is the tenant's result; always serialized.
   std::vector<core::ResourceVector> tenant_committed_;
   std::vector<double> tenant_makespan_;
 };

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/bytes.hpp"
-
 namespace tora::sim {
 
 using core::ResourceKind;
@@ -85,40 +83,17 @@ void Worker::finish(std::uint64_t task_id, const ResourceVector& alloc) {
   }
 }
 
-void Worker::save_state(util::ByteWriter& w) const {
-  w.u64(id_);
-  for (ResourceKind k : core::kAllResources) w.f64(capacity_[k]);
-  for (ResourceKind k : core::kAllResources) w.f64(committed_[k]);
-  w.u64(running_.size());
-  for (std::uint64_t task_id : running_) w.u64(task_id);
-  w.u8(draining_ ? 1 : 0);
-}
-
-Worker Worker::load_state(util::ByteReader& r) {
-  const std::uint64_t id = r.u64();
-  ResourceVector capacity;
-  for (ResourceKind k : core::kAllResources) capacity[k] = r.f64();
+void Worker::after_load() {
   for (ResourceKind k : core::kManagedResources) {
-    if (!std::isfinite(capacity[k]) || !(capacity[k] > 0.0)) {
-      throw std::runtime_error(
-          "Worker: snapshot capacity must be finite and > 0");
+    if (!(capacity_[k] > 0.0)) {
+      throw core::SnapshotError("Worker", "capacity",
+                                "must be finite and > 0");
+    }
+    if (!(committed_[k] >= 0.0 && committed_[k] <= capacity_[k] * (1.0 + kEps))) {
+      throw core::SnapshotError("Worker", "committed",
+                                "must be finite and within [0, capacity]");
     }
   }
-  Worker w(id, capacity);
-  for (ResourceKind k : core::kAllResources) w.committed_[k] = r.f64();
-  for (ResourceKind k : core::kManagedResources) {
-    // Negated so that NaN fails too: every comparison with NaN is false.
-    if (!(w.committed_[k] >= 0.0 &&
-          w.committed_[k] <= capacity[k] * (1.0 + kEps))) {
-      throw std::runtime_error(
-          "Worker: snapshot committed must be finite and within "
-          "[0, capacity]");
-    }
-  }
-  const std::uint64_t running = r.u64();
-  for (std::uint64_t i = 0; i < running; ++i) w.running_.insert(r.u64());
-  w.draining_ = r.u8() != 0;
-  return w;
 }
 
 }  // namespace tora::sim

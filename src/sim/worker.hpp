@@ -4,11 +4,7 @@
 #include <set>
 
 #include "core/resources.hpp"
-
-namespace tora::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace tora::util
+#include "core/snapshot_fields.hpp"
 
 namespace tora::sim {
 
@@ -19,6 +15,8 @@ namespace tora::sim {
 class Worker {
  public:
   Worker(std::uint64_t id, const core::ResourceVector& capacity);
+  /// An empty worker (id 0, no capacity) for a snapshot load to fill.
+  Worker() = default;
 
   std::uint64_t id() const noexcept { return id_; }
   const core::ResourceVector& capacity() const noexcept { return capacity_; }
@@ -51,15 +49,24 @@ class Worker {
   bool draining() const noexcept { return draining_; }
   void set_draining(bool d) noexcept { draining_ = d; }
 
-  /// Snapshot/restore for simulation resume (id, capacity, commitments,
-  /// running set, draining flag). load_state throws std::runtime_error
-  /// unless the capacity is finite and > 0 and the commitment finite and
-  /// within [0, capacity·(1 + 1e-9)] on every managed dimension.
-  void save_state(util::ByteWriter& w) const;
-  static Worker load_state(util::ByteReader& r);
+  /// Snapshot fields for simulation resume (the pool's map key is the id).
+  /// Load refuses a capacity that is not finite and > 0, or a commitment
+  /// that is not finite and within [0, capacity·(1 + 1e-9)], on any managed
+  /// dimension.
+  static constexpr auto fields() {
+    using W = Worker;
+    using core::snapshot::field, core::snapshot::kFinite;
+    return core::snapshot::section(
+        "Worker", &W::after_load, field("capacity", &W::capacity_, kFinite),
+        field("committed", &W::committed_, kFinite),
+        field("running", &W::running_), field("draining", &W::draining_));
+  }
 
  private:
-  std::uint64_t id_;
+  friend class WorkerPool;  // sets id_ from its map key on load
+  void after_load();
+
+  std::uint64_t id_ = 0;
   core::ResourceVector capacity_;
   core::ResourceVector committed_;
   std::set<std::uint64_t> running_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/bytes.hpp"
-
 namespace tora::sim {
 
 using core::lifecycle::PlacementIndex;
@@ -139,38 +137,21 @@ std::optional<std::uint64_t> WorkerPool::find_worker_for(
   return best;
 }
 
-void WorkerPool::save_state(util::ByteWriter& w) const {
-  w.u64(next_id_);
-  w.u64(workers_.size());
-  for (const auto& [id, worker] : workers_) worker.save_state(w);
-  // The incremental capacity sum is serialized rather than recomputed on
-  // load: its value depends on the join/leave history's summation order, so
-  // a recompute could differ in final ulps and break the bit-determinism of
-  // resumed coarse-stepping runs.
-  for (core::ResourceKind k : core::kAllResources) w.f64(capacity_sum_[k]);
-}
-
-void WorkerPool::load_state(util::ByteReader& r) {
-  workers_.clear();
+void WorkerPool::after_load() {
   slots_.clear();
   index_.reset(0);
   running_ = 0;
-  next_id_ = r.u64();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Worker worker = Worker::load_state(r);
-    if (worker.id() >= next_id_) {
-      throw std::runtime_error("WorkerPool: snapshot worker id out of range");
+  for (auto& [id, worker] : workers_) {
+    if (id >= next_id_) {
+      throw core::SnapshotError("WorkerPool", "workers",
+                                "id " + std::to_string(id) +
+                                    " must stay below next_id " +
+                                    std::to_string(next_id_));
     }
-    if (!workers_.empty() && worker.id() <= workers_.rbegin()->first) {
-      throw std::runtime_error(
-          "WorkerPool: snapshot worker ids must ascend strictly");
-    }
+    worker.id_ = id;
     running_ += worker.running_count();
-    workers_.emplace_hint(workers_.end(), worker.id(), std::move(worker));
+    slots_.push_back({id, &worker});
   }
-  for (core::ResourceKind k : core::kAllResources) capacity_sum_[k] = r.f64();
-  for (auto& [id, worker] : workers_) slots_.push_back({id, &worker});
   compact();
 }
 

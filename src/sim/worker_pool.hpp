@@ -10,11 +10,6 @@
 #include "core/resources.hpp"
 #include "sim/worker.hpp"
 
-namespace tora::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace tora::util
-
 namespace tora::sim {
 
 /// Churn model for the opportunistic pool (paper §V-A: "20 to 50 workers
@@ -126,13 +121,26 @@ class WorkerPool {
     return workers_;
   }
 
-  /// Snapshot/restore for simulation resume: the alive-worker map (each
-  /// worker's full state) and the never-reused id counter. The placement
-  /// index is derived state: load_state rebuilds it. load_state throws
-  /// std::runtime_error unless worker ids ascend strictly below the id
-  /// counter and every worker passes Worker::load_state.
-  void save_state(util::ByteWriter& w) const;
-  void load_state(util::ByteReader& r);
+  /// Snapshot/restore for simulation resume: the never-reused id counter,
+  /// the alive-worker map (each worker's full state) and the incremental
+  /// capacity sum. The slots, placement index and running-attempt count
+  /// are derived: the post-load step rebuilds them, after refusing worker
+  /// ids that do not ascend strictly below the id counter.
+  void save_state(util::ByteWriter& w) const { core::snapshot::save(w, *this); }
+  void load_state(util::ByteReader& r) { core::snapshot::load(r, *this); }
+
+  static constexpr auto fields() {
+    using P = WorkerPool;
+    using core::snapshot::field;
+    return core::snapshot::section(
+        "WorkerPool", &P::after_load, field("next_id", &P::next_id_),
+        field("workers", &P::workers_),
+        // Serialized rather than recomputed: its value depends on the
+        // join/leave history's summation order, so a recompute could
+        // differ in final ulps and break the bit-determinism of resumed
+        // coarse-stepping runs.
+        field("capacity_sum", &P::capacity_sum_, core::snapshot::kFinite));
+  }
 
  private:
   /// One placement-index leaf. Ids ascend with the slot and are never
@@ -151,6 +159,7 @@ class WorkerPool {
   /// Rebuilds the slots from the alive workers in id order, with room for
   /// as many joins again before the next compaction.
   void compact();
+  void after_load();
 
   core::ResourceVector capacity_;
   core::ResourceVector capacity_sum_;

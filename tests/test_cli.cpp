@@ -131,6 +131,16 @@ TEST(CliParse, ResilienceKnobValidation) {
   bad({"--deadline-quantile", "1.5"});
   bad({"--deadline-quantile", "abc"});
   bad({"--storm-threshold", "0"});
+  bad({"--storm-threshold", "1"});
+  try {
+    parse_options({"run", "--workflow", "x", "--storm-threshold", "1"});
+    ADD_FAILURE() << "--storm-threshold 1 parsed";
+  } catch (const std::invalid_argument& e) {
+    // Degraded mode exits at one eviction, so it must enter at two or more.
+    EXPECT_NE(std::string(e.what()).find("--storm-threshold must be >= 2"),
+              std::string::npos)
+        << e.what();
+  }
   bad({"--probation", "0"});
   bad({"--probation", "-3"});
   bad({"--storm-interval", "0"});
@@ -490,6 +500,31 @@ TEST(CliRun, FsckReportsFallbackOnCorruptSnapshot) {
   EXPECT_NE(s.find("recovery would seed from genesis"), std::string::npos)
       << s;
   EXPECT_NE(s.find("FELL BACK"), std::string::npos) << s;
+}
+
+TEST(CliRun, FsckNamesAnUnsupportedSnapshotVersion) {
+  const std::string root = build_recovery_dir("fsck_version");
+  // Reseal generation 1's snapshot as container version 1: a valid CRC over
+  // another version is a skew, not corruption.
+  std::string sealed = "TORASNAP";
+  tora::util::ByteWriter version;
+  version.u32(1);
+  sealed += version.bytes();
+  sealed += "body written by an older build";
+  tora::util::ByteWriter crc;
+  crc.u32(tora::util::crc32(sealed));
+  sealed += crc.bytes();
+  {
+    std::ofstream f(root + "/snapshot-1", std::ios::binary | std::ios::trunc);
+    f << sealed;
+  }
+  std::ostringstream out, err;
+  run_cli({"fsck", root}, out, err);
+  const std::string s = out.str();
+  EXPECT_NE(s.find("sealed, unsupported version 1 (this build reads 2)"),
+            std::string::npos)
+      << s;
+  EXPECT_EQ(s.find("CORRUPT (seal check failed)"), std::string::npos) << s;
 }
 
 TEST(CliRun, FsckReportsUnrecoverableDamage) {

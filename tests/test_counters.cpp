@@ -505,11 +505,12 @@ TEST(CounterSnapshot, ManagerStorageHealthFrameRoundTrips) {
   live.degraded_exits = 1;
   ASSERT_EQ(manager.storage_health(), live);
 
-  // The body ends with the trailing frame: the three counters as u64s.
+  // The body ends with the three counters as u64s, then the term (0).
   const std::string body = manager.snapshot_body();
   tora::util::ByteWriter frame;
   frame.u64(2);
   frame.u64(1);
+  frame.u64(0);
   frame.u64(0);
   ASSERT_GE(body.size(), frame.size());
   EXPECT_EQ(body.substr(body.size() - frame.size()), frame.bytes());

@@ -147,25 +147,25 @@ TEST_F(DispatchBody, RefusesFailedAttemptCountBeyondPayload) {
 TEST_F(DispatchBody, RefusesReadyQueueCountBeyondPayload) {
   std::string body = body_;
   put_u64(body, kQueue, std::uint64_t{1} << 40);
-  expect_refused([&] { load(body); }, "ready-queue count");
+  expect_refused([&] { load(body); }, "ready_queue: count");
 }
 
 TEST_F(DispatchBody, RefusesReadyQueueIdBeyondTheTaskTable) {
   std::string body = body_;
   put_u64(body, kQueue + 8, 1000000);
-  expect_refused([&] { load(body); }, "ready-queue id");
+  expect_refused([&] { load(body); }, "ready_queue: id");
 }
 
 TEST_F(DispatchBody, RefusesRepeatedReadyQueueId) {
   std::string body = body_;
   put_u64(body, kQueue + 16, get_u64(body, kQueue + 8));
-  expect_refused([&] { load(body); }, "ready-queue id");
+  expect_refused([&] { load(body); }, "ready_queue: id");
 }
 
 TEST_F(DispatchBody, RefusesReadyQueueIdOfARunningTask) {
   std::string body = body_;
   put_u64(body, kQueue + 8, 0);
-  expect_refused([&] { load(body); }, "ready-queue id");
+  expect_refused([&] { load(body); }, "ready_queue: id");
 }
 
 // ------------------------------------------------------ WorkerPool
@@ -209,14 +209,14 @@ TEST_F(PoolBody, ValidBodyLoads) { EXPECT_NO_THROW(load(body_)); }
 TEST_F(PoolBody, RefusesDuplicateWorkerId) {
   std::string body = body_;
   put_u64(body, at(1, 0), 0);
-  expect_refused([&] { load(body); }, "worker ids");
+  expect_refused([&] { load(body); }, "WorkerPool.workers");
 }
 
 TEST_F(PoolBody, RefusesDescendingWorkerIds) {
   std::string body = body_;
   put_u64(body, at(0, 0), 2);
   put_u64(body, at(2, 0), 0);
-  expect_refused([&] { load(body); }, "worker ids");
+  expect_refused([&] { load(body); }, "WorkerPool.workers");
 }
 
 TEST_F(PoolBody, RefusesInfiniteCapacity) {
@@ -313,7 +313,7 @@ TEST_F(RegistryBody, ValidBodyLoads) {
 TEST_F(RegistryBody, RefusesDuplicateWorkerId) {
   std::string body = body_;
   put_u64(body, at(2, 0), 1);
-  expect_refused([&] { load(body); }, "worker ids");
+  expect_refused([&] { load(body); }, "ProtocolManager.workers");
 }
 
 TEST_F(RegistryBody, RefusesInfiniteCapacity) {
@@ -388,38 +388,38 @@ TEST_F(StoreBody, RefusesMergedCountBeyondPayload) {
   for (std::uint64_t n : {std::uint64_t{1} << 24, std::uint64_t{1} << 40}) {
     std::string body = body_;
     put_u64(body, 0, n);
-    expect_refused([&] { load(body); }, "merged record count");
+    expect_refused([&] { load(body); }, "merged: count");
   }
 }
 
 TEST_F(StoreBody, RefusesStagedCountBeyondPayload) {
   std::string body = body_;
   put_u64(body, kStagedCount, std::uint64_t{1} << 40);
-  expect_refused([&] { load(body); }, "staged record count");
+  expect_refused([&] { load(body); }, "staged: count");
 }
 
 TEST_F(StoreBody, RefusesNaNValue) {
   std::string body = body_;
   put_f64(body, kMerged + 16, kNaN);
-  expect_refused([&] { load(body); }, "record value");
+  expect_refused([&] { load(body); }, "Record.value");
 }
 
 TEST_F(StoreBody, RefusesNegativeStagedValue) {
   std::string body = body_;
   put_f64(body, kStaged, -1.0);
-  expect_refused([&] { load(body); }, "record value");
+  expect_refused([&] { load(body); }, "Record.value");
 }
 
 TEST_F(StoreBody, RefusesInfiniteSignificance) {
   std::string body = body_;
   put_f64(body, kMerged + 8, kInf);
-  expect_refused([&] { load(body); }, "record significance");
+  expect_refused([&] { load(body); }, "Record.significance");
 }
 
 TEST_F(StoreBody, RefusesNegativeStagedSignificance) {
   std::string body = body_;
   put_f64(body, kStaged + 8, -0.5);
-  expect_refused([&] { load(body); }, "record significance");
+  expect_refused([&] { load(body); }, "Record.significance");
 }
 
 TEST_F(StoreBody, RefusesUnsortedMergedRun) {
@@ -452,7 +452,7 @@ TEST(HistogramBody, RefusesCategoryCountBeyondPayload) {
           ByteReader r(body);
           fresh.load(r);
         },
-        "category count");
+        "per_category: count");
   }
   // A bad record inside one category's store is the store's refusal.
   // Category 0's store holds no merged record and one staged record.
@@ -466,7 +466,7 @@ TEST(HistogramBody, RefusesCategoryCountBeyondPayload) {
         ByteReader r(body);
         fresh.load(r);
       },
-      "record value");
+      "Record.value");
 }
 
 // ------------------------------------------------------ Arbiters
@@ -507,7 +507,7 @@ TEST(ArbiterBody, RefusesGrantCounterCountBeyondPayload) {
     EXPECT_NO_THROW(load_arbiter(name, valid)) << name;
     std::string body = valid;
     put_u64(body, 0, std::uint64_t{1} << 40);
-    expect_refused([&] { load_arbiter(name, body); }, "grant counter count");
+    expect_refused([&] { load_arbiter(name, body); }, "grants: count");
   }
 }
 
@@ -516,7 +516,7 @@ TEST(ArbiterBody, RefusesKarmaCreditCountBeyondPayload) {
   std::string body = arbiter_body("karma");
   ASSERT_EQ(get_u64(body, kCredits), 2u);
   put_u64(body, kCredits, std::uint64_t{1} << 40);
-  expect_refused([&] { load_arbiter("karma", body); }, "credit count");
+  expect_refused([&] { load_arbiter("karma", body); }, "credits: count");
 }
 
 TEST(ArbiterBody, RefusesNonFiniteKarmaCredit) {
