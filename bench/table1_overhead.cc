@@ -7,10 +7,13 @@
 //   EB       14.4    76.5    323.5     567.8     1632.0
 //
 // i.e. GB grows roughly quadratically while EB grows linearly. The faithful
-// cost model (per-candidate range scans, exactly Algorithm 1's arithmetic)
-// reproduces GB's quadratic growth; we additionally benchmark this library's
-// default prefix-sum GB, which computes identical break points at
-// near-EB cost (see DESIGN.md §4).
+// GB row (per-candidate range scans, exactly Algorithm 1's arithmetic, from
+// the test oracle tests/oracles/greedy_faithful.hpp) reproduces GB's
+// quadratic growth; the library's GB row computes identical break points
+// from prefix sums with a bounded split search (see DESIGN.md §4). The
+// min_waste and max_throughput rows time the same cycle for the Tovar et
+// al. baselines, whose first-allocation scan runs on the same bounded
+// argmin.
 //
 // Records are drawn from N(8 GB, 2 GB) as in the paper's §IV-A example, with
 // significance = arrival index. Each iteration observes one fresh record and
@@ -25,6 +28,8 @@
 #include "core/bucketing_policy.hpp"
 #include "core/exhaustive_bucketing.hpp"
 #include "core/greedy_bucketing.hpp"
+#include "core/tovar.hpp"
+#include "oracles/greedy_faithful.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -32,6 +37,8 @@ namespace {
 using tora::core::BucketingPolicy;
 using tora::core::ExhaustiveBucketing;
 using tora::core::GreedyBucketing;
+using tora::core::TovarObjective;
+using tora::core::TovarPolicy;
 using tora::util::Rng;
 
 std::vector<double> normal_records(std::size_t n) {
@@ -91,16 +98,13 @@ void run_state_recompute(benchmark::State& state, MakePolicy make,
 
 void BM_GreedyBucketing_Faithful(benchmark::State& state) {
   run_state_recompute(state, [] {
-    return std::make_unique<GreedyBucketing>(
-        Rng(7), GreedyBucketing::CostModel::Faithful);
+    return std::make_unique<tora::oracles::FaithfulGreedy>(Rng(7));
   });
 }
 
 void BM_GreedyBucketing_PrefixSum(benchmark::State& state) {
-  run_state_recompute(state, [] {
-    return std::make_unique<GreedyBucketing>(
-        Rng(7), GreedyBucketing::CostModel::PrefixSum);
-  });
+  run_state_recompute(state,
+                      [] { return std::make_unique<GreedyBucketing>(Rng(7)); });
 }
 
 void BM_ExhaustiveBucketing(benchmark::State& state) {
@@ -111,6 +115,18 @@ void BM_ExhaustiveBucketing(benchmark::State& state) {
 void BM_ExhaustiveBucketing_Window(benchmark::State& state) {
   run_state_recompute(
       state, [] { return std::make_unique<ExhaustiveBucketing>(Rng(7)); }, 16);
+}
+
+void BM_MinWaste(benchmark::State& state) {
+  run_state_recompute(state, [] {
+    return std::make_unique<TovarPolicy>(TovarObjective::MinWaste);
+  });
+}
+
+void BM_MaxThroughput(benchmark::State& state) {
+  run_state_recompute(state, [] {
+    return std::make_unique<TovarPolicy>(TovarObjective::MaxThroughput);
+  });
 }
 
 /// Amortized column: the same observe + predict cycle under an epoch
@@ -150,6 +166,8 @@ BENCHMARK(BM_GreedyBucketing_PrefixSum)->Apply(apply_sizes);
 BENCHMARK(BM_ExhaustiveBucketing)->Apply(apply_sizes);
 BENCHMARK(BM_ExhaustiveBucketing_Window)->Apply(apply_sizes);
 BENCHMARK(BM_GreedyBucketing_Scheduled)->Apply(apply_sizes);
+BENCHMARK(BM_MinWaste)->Apply(apply_sizes);
+BENCHMARK(BM_MaxThroughput)->Apply(apply_sizes);
 
 }  // namespace
 

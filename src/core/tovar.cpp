@@ -24,6 +24,82 @@ void TovarPolicy::observe(double peak_value, double significance) {
   dirty_ = true;
 }
 
+ScanMin TovarPolicy::best_candidate(TovarObjective objective,
+                                    std::span<const double> values,
+                                    std::span<const double> value_prefix,
+                                    std::vector<double>& bounds) {
+  const std::size_t n = values.size();
+  const double count = static_cast<double>(n);
+  const double v_max = values[n - 1];
+  const double total = value_prefix[n];
+  // Candidate first allocations are the observed peak values; each one's
+  // objective is O(1) from the prefix sums. `i` is the last index covered
+  // by candidate a = values[i].
+  const auto eval = [&](std::size_t i0, std::size_t i1) {
+    ScanMin m;
+    for (std::size_t i = i0; i <= i1; ++i) {
+      if (i + 1 < n && values[i + 1] == values[i]) continue;  // dedupe
+      const double a = values[i];
+      const double covered = static_cast<double>(i + 1);
+      const double uncovered = static_cast<double>(n - i - 1);
+      double cost = 0.0;
+      if (objective == TovarObjective::MinWaste) {
+        // Covered tasks waste (a - v); uncovered tasks burn a entirely and
+        // retry at v_max, wasting a + (v_max - v).
+        const double covered_waste = covered * a - value_prefix[i + 1];
+        const double uncovered_waste =
+            uncovered * (a + v_max) - (total - value_prefix[i + 1]);
+        cost = covered_waste + uncovered_waste;
+      } else {
+        // Expected completions per unit of committed resource: a covered
+        // task commits a; an uncovered one commits a + v_max across both
+        // attempts. Negated, so the best is the least.
+        if (a <= 0.0) continue;
+        const double p_cover = covered / count;
+        cost = -(p_cover / a + (1.0 - p_cover) / (a + v_max));
+      }
+      if (cost < m.cost) {
+        m.cost = cost;
+        m.index = i;
+      }
+    }
+    return m;
+  };
+  return bounded_argmin(
+      n, bounds,
+      [&](std::size_t i0, std::size_t i1) {
+        return block_bound(objective, values, value_prefix, i0, i1);
+      },
+      eval);
+}
+
+double TovarPolicy::block_bound(TovarObjective objective,
+                                std::span<const double> values,
+                                std::span<const double> value_prefix,
+                                std::size_t i0, std::size_t i1) {
+  const std::size_t n = values.size();
+  const double count = static_cast<double>(n);
+  const double v_max = values[n - 1];
+  const double a = values[i0];
+  if (objective == TovarObjective::MinWaste) {
+    // With its prefix terms cancelled the score is n·a + (n-1-i)·v_max -
+    // total, least at a = values[i0] and i = i1. The margin covers the
+    // rounding of a score and of this bound (docs/algorithms.md).
+    const double total = value_prefix[n];
+    const double margin =
+        32.0 * kUnitRoundoff * (count * v_max + total) + 8.0 * kDenormMin;
+    return count * a + static_cast<double>(n - 1 - i1) * v_max - total -
+           margin;
+  }
+  // Each rounded operation of the score is monotone in p_cover and a, so
+  // the greatest score over the block is at most this one, exactly: no
+  // margin. Without a positive a there is no bound.
+  if (!(a > 0.0)) return -std::numeric_limits<double>::infinity();
+  const double p0 = static_cast<double>(i0 + 1) / count;
+  const double p1 = static_cast<double>(i1 + 1) / count;
+  return -(p1 / a + (1.0 - p0) / (a + v_max));
+}
+
 void TovarPolicy::rebuild_if_dirty() {
   if (!dirty_) return;
   if (store_.empty()) {
@@ -33,48 +109,12 @@ void TovarPolicy::rebuild_if_dirty() {
   }
   store_.flush();
   const std::span<const double> values = store_.values();
-  // value_prefix[i] = sum of values [0, i).
-  const std::span<const double> value_prefix = store_.sorted().vsig_prefix;
-  const std::size_t n = values.size();
   const double v_max = values.back();
-  const double total = value_prefix[n];
-
-  double best_score = std::numeric_limits<double>::infinity();
-  if (objective_ == TovarObjective::MaxThroughput) best_score = -best_score;
-  double best_a = v_max;
-
-  // Candidate first allocations are the observed peak values; for each,
-  // evaluate the objective in O(1) using the prefix sums. `i` is the last
-  // index covered by candidate a = values[i].
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n && values[i + 1] == values[i]) continue;  // dedupe
-    const double a = values[i];
-    const double covered = static_cast<double>(i + 1);
-    const double uncovered = static_cast<double>(n - i - 1);
-    if (objective_ == TovarObjective::MinWaste) {
-      // Covered tasks waste (a - v); uncovered tasks burn a entirely and
-      // retry at v_max, wasting a + (v_max - v).
-      const double covered_waste = covered * a - value_prefix[i + 1];
-      const double uncovered_waste =
-          uncovered * (a + v_max) - (total - value_prefix[i + 1]);
-      const double score = covered_waste + uncovered_waste;
-      if (score < best_score) {
-        best_score = score;
-        best_a = a;
-      }
-    } else {
-      // Expected completions per unit of committed resource: a covered task
-      // commits a; an uncovered one commits a + v_max across both attempts.
-      if (a <= 0.0) continue;
-      const double p_cover = covered / static_cast<double>(n);
-      const double score =
-          p_cover / a + (1.0 - p_cover) / (a + v_max);
-      if (score > best_score) {
-        best_score = score;
-        best_a = a;
-      }
-    }
-  }
+  // Every record weighs 1, so vsig_prefix is the plain value prefix sum.
+  const ScanMin best = best_candidate(objective_, values,
+                                      store_.sorted().vsig_prefix,
+                                      block_bounds_);
+  double best_a = best.index == ScanMin::kNone ? v_max : values[best.index];
   if (best_a <= 0.0) best_a = v_max > 0.0 ? v_max : 1.0;
   choice_ = best_a;
   dirty_ = false;

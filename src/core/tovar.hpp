@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
+#include "core/bounded_argmin.hpp"
 #include "core/policy.hpp"
 #include "core/record_store.hpp"
 
@@ -23,7 +26,7 @@ enum class TovarObjective {
 /// Both maintain the empirical distribution of observed peaks (in the same
 /// RecordStore the bucketing family uses, every record at significance 1),
 /// pick a first allocation among the observed values by optimizing their
-/// objective in one O(n) pass over the store's value prefix sums, and
+/// objective over the store's value prefix sums, and
 /// follow the AT-MOST-ONCE retry rule: a task that exhausts its first
 /// allocation is retried directly at the maximum value seen (the paper's
 /// bucketing algorithms generalize exactly this policy into a bounded chain
@@ -51,10 +54,33 @@ class TovarPolicy final : public ResourcePolicy {
   /// for tests; equals what predict() returns.
   double current_choice();
 
+  /// The objective's optimum over the candidates a = values[i] (the last
+  /// of each run of equal values; Max Throughput also skips a <= 0), given
+  /// the ascending `values` and `value_prefix[i]` = the sum of values
+  /// [0, i) as extend_prefix_sums builds it. The scan's cost is the Min
+  /// Waste score, or the negated Max Throughput score, so the result is
+  /// the first candidate of least cost in index order, or ScanMin{} when
+  /// none qualifies. Candidates are scanned in 16-wide blocks with an O(1)
+  /// bound each (bounded_argmin), bit-identical to scoring them all.
+  /// `bounds` is scratch. Exposed for the differential test.
+  static ScanMin best_candidate(TovarObjective objective,
+                                std::span<const double> values,
+                                std::span<const double> value_prefix,
+                                std::vector<double>& bounds);
+
+  /// best_candidate's bound for the candidates [i0, i1]: at most the cost
+  /// of each of them, already widened by its rounding margin; -inf when
+  /// there is none. Exposed for tests.
+  static double block_bound(TovarObjective objective,
+                            std::span<const double> values,
+                            std::span<const double> value_prefix,
+                            std::size_t i0, std::size_t i1);
+
  private:
   void rebuild_if_dirty();
 
   TovarObjective objective_;
+  std::vector<double> block_bounds_;  // best_candidate scratch, reused
   RecordStore store_;
   bool dirty_ = true;
   double choice_ = 0.0;

@@ -272,12 +272,17 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
     std::size_t last_seen_tick = 0;
     std::size_t consecutive_failures = 0;
 
+    /// Every dimension of `capacity` is finite and >= 0, as the wire
+    /// admits it, and of `committed` finite (a released worker may keep a
+    /// few ulps of dust below zero); after_load bounds the managed
+    /// dimensions' commitment by the capacity.
     static constexpr auto fields() {
       using W = WorkerState;
-      using core::snapshot::field;
+      using core::snapshot::field, core::snapshot::kFinite,
+          core::snapshot::kNonNegative;
       return core::snapshot::section(
-          "ManagerWorker", field("capacity", &W::capacity),
-          field("committed", &W::committed),
+          "ManagerWorker", field("capacity", &W::capacity, kNonNegative),
+          field("committed", &W::committed, kFinite),
           field("last_seen_tick", &W::last_seen_tick),
           field("consecutive_failures", &W::consecutive_failures));
     }

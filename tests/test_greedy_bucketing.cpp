@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "oracles/greedy_faithful.hpp"
+
 namespace {
 
 using tora::core::GreedyBucketing;
@@ -19,7 +21,7 @@ std::vector<Record> uniform_records(std::initializer_list<double> values) {
 TEST(GreedyBucketing, SplitCostUnsplitIsRepMinusMean) {
   const auto recs = uniform_records({2.0, 4.0, 6.0});
   // brk == hi evaluates the single-bucket configuration: 6 - 4 = 2.
-  EXPECT_NEAR(GreedyBucketing::split_cost(recs, 0, 2, 2), 2.0, 1e-12);
+  EXPECT_NEAR(tora::oracles::split_cost(recs, 0, 2, 2), 2.0, 1e-12);
 }
 
 TEST(GreedyBucketing, SplitCostHandComputedTwoBuckets) {
@@ -27,7 +29,7 @@ TEST(GreedyBucketing, SplitCostHandComputedTwoBuckets) {
   // p_lo = p_hi = 0.5, rep_lo = 1, rep_hi = 3, v_lo = 1, v_hi = 3.
   // W = .25*(1-1) + .25*(3-1) + .25*(1+3-3) + .25*(3-3) = 0.5 + 0.25 = 0.75.
   const auto recs = uniform_records({1.0, 3.0});
-  EXPECT_NEAR(GreedyBucketing::split_cost(recs, 0, 0, 1), 0.75, 1e-12);
+  EXPECT_NEAR(tora::oracles::split_cost(recs, 0, 0, 1), 0.75, 1e-12);
 }
 
 TEST(GreedyBucketing, SplitCostUsesSignificanceWeights) {
@@ -35,7 +37,7 @@ TEST(GreedyBucketing, SplitCostUsesSignificanceWeights) {
   const std::vector<Record> recs{{1.0, 1.0}, {3.0, 3.0}};
   // p_lo = .25, p_hi = .75, v_lo = 1, v_hi = 3.
   // W = .0625*0 + .1875*2 + .1875*1 + .5625*0 = 0.5625.
-  EXPECT_NEAR(GreedyBucketing::split_cost(recs, 0, 0, 1), 0.5625, 1e-12);
+  EXPECT_NEAR(tora::oracles::split_cost(recs, 0, 0, 1), 0.5625, 1e-12);
 }
 
 TEST(GreedyBucketing, SingleRecordOneBucket) {

@@ -29,6 +29,7 @@
 #include "core/quantized_bucketing.hpp"
 #include "core/record.hpp"
 #include "core/record_store.hpp"
+#include "oracles/greedy_faithful.hpp"
 
 namespace {
 
@@ -232,8 +233,7 @@ TEST(IncrementalBucketing, QuantizedMatchesReference) {
 
 TEST(IncrementalBucketing, GreedyFaithfulCostModelMatchesReference) {
   PolicyFactory make = [](Rng rng) {
-    return std::make_unique<GreedyBucketing>(
-        rng, GreedyBucketing::CostModel::Faithful);
+    return std::make_unique<tora::oracles::FaithfulGreedy>(rng);
   };
   run_differential(make, 51);
 }

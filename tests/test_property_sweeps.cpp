@@ -15,6 +15,7 @@
 #include "core/greedy_bucketing.hpp"
 #include "core/registry.hpp"
 #include "exp/experiment.hpp"
+#include "oracles/greedy_faithful.hpp"
 #include "sim/event_queue.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -215,10 +216,8 @@ TEST(GreedyCostModels, PrefixSumMatchesFaithful) {
   for (const auto& shape : kShapes) {
     Rng local = rng.split(shape.name);
     const auto values = shape.make(90, local);
-    tora::core::GreedyBucketing fast{
-        Rng(1), tora::core::GreedyBucketing::CostModel::PrefixSum};
-    tora::core::GreedyBucketing faithful{
-        Rng(1), tora::core::GreedyBucketing::CostModel::Faithful};
+    tora::core::GreedyBucketing fast{Rng(1)};
+    tora::oracles::FaithfulGreedy faithful{Rng(1)};
     double sig = 1.0;
     for (double v : values) {
       fast.observe(v, sig);

@@ -22,6 +22,8 @@
 #include "core/snapshot_fields.hpp"
 #include "core/tenancy/arbiter.hpp"
 #include "core/tenancy/multi_tenant_core.hpp"
+#include "proto/manager.hpp"
+#include "proto/worker_agent.hpp"
 #include "sim/simulation.hpp"
 #include "util/bytes.hpp"
 
@@ -105,6 +107,41 @@ std::vector<TaskSpec> small_workload(std::size_t n) {
     tasks[i].duration_s = 1.0 + static_cast<double>(i % 3);
   }
   return tasks;
+}
+
+// ------------------------------------------------------------ ManagerWorker
+
+TEST(ManagerWorkerFields, RefusesNaNInEveryDimension) {
+  // One registered worker, two ticks into a run so that it holds
+  // commitments. Each capacity and committed entry, the wall-time dimension
+  // included, set to NaN in turn is refused by name.
+  const std::vector<TaskSpec> tasks = small_workload(6);
+  const std::vector<tora::proto::DuplexLinkPtr> links{
+      std::make_shared<tora::proto::DuplexLink>()};
+  auto allocator = tora::core::make_allocator(tora::core::kMaxSeen, 1);
+  tora::proto::ProtocolManager manager(tasks, allocator, links);
+  tora::proto::WorkerAgent agent(0, ResourceVector{4.0, 8000.0, 8000.0},
+                                 tasks, links[0]);
+  agent.announce();
+  manager.start();
+  manager.pump();
+  manager.pump();
+  const std::string body = manager.snapshot_body();
+  const LoadFn load = [&](ByteReader& r) {
+    auto fresh_allocator = tora::core::make_allocator(tora::core::kMaxSeen, 1);
+    tora::proto::ProtocolManager fresh(tasks, fresh_allocator, links);
+    std::string rest(r.remaining(), '\0');
+    for (char& c : rest) c = static_cast<char>(r.u8());
+    fresh.begin_replay(rest);
+  };
+  ByteReader valid(body);
+  EXPECT_NO_THROW(load(valid));
+  for (const char* field : {"capacity", "committed"}) {
+    for (std::size_t dim = 0; dim < tora::core::kAllResources.size(); ++dim) {
+      SCOPED_TRACE(std::string(field) + " dimension " + std::to_string(dim));
+      expect_f64_refused(body, load, "ManagerWorker", field, kNaN, dim);
+    }
+  }
 }
 
 // ------------------------------------------------------------ DispatchCore
