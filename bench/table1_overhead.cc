@@ -57,26 +57,30 @@ std::vector<double> normal_records(std::size_t n) {
 /// timed region observes the n-th record (marking the state dirty) and
 /// derives an allocation (forcing the rebuild).
 ///
+/// The warm-up merges n-2 records in bulk, which leaves the record arrays
+/// with no spare capacity, then adds the (n-1)-th record untimed: that add
+/// copies the run into geometrically grown memory, so the timed add merges
+/// in place, as adds under a record stream do. The previous iteration's
+/// policy is freed untimed too.
+///
 /// With `window` > 1 the timed region runs that many consecutive observe +
-/// predict cycles and reports the time per cycle (`s_per_alloc`). The first
-/// timed add lands right after the warm-up's bulk merge, whose arrays have
-/// no spare capacity, so that one cycle also copies the whole run; under a
-/// record stream the arrays grow geometrically and that copy is rare. A
-/// window spreads it out, closer to what a running allocator pays per
-/// allocation.
+/// predict cycles and reports the time per cycle (`s_per_alloc`).
 template <typename MakePolicy>
 void run_state_recompute(benchmark::State& state, MakePolicy make,
                          std::size_t window = 1) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto values = normal_records(n + window - 1);
+  decltype(make()) policy;
   for (auto _ : state) {
     state.PauseTiming();
-    auto policy = make();
-    for (std::size_t i = 0; i + 1 < n; ++i) {
+    policy = make();
+    for (std::size_t i = 0; i + 2 < n; ++i) {
       policy->observe(values[i], static_cast<double>(i) + 1.0);
     }
     // Warm build so the timed rebuild is incremental-state-sized, matching
     // the steady-state cost the paper measures.
+    benchmark::DoNotOptimize(policy->predict());
+    policy->observe(values[n - 2], static_cast<double>(n - 1));
     benchmark::DoNotOptimize(policy->predict());
     state.ResumeTiming();
 

@@ -10,7 +10,7 @@ namespace tora::core::lifecycle {
 
 DispatchCore::DispatchCore(std::span<const TaskSpec> tasks,
                            TaskAllocator& allocator, DispatchConfig config,
-                           RuntimeHooks* hooks)
+                           RuntimeHooks& hooks)
     : tasks_(tasks),
       allocator_(allocator),
       config_(config),
@@ -73,13 +73,11 @@ void DispatchCore::ensure_allocation(std::uint64_t task_id) {
     }
     e.has_alloc = true;
     e.alloc_revision = allocator_.revision();
-    if (hooks_) hooks_->allocation_committed(task_id, e.alloc, false);
+    hooks_.allocation_committed(task_id, e.alloc, false);
   }
 }
 
-std::size_t DispatchCore::dispatch_pass(const PlaceFn& place,
-                                        const CommitFn& commit,
-                                        const DeferFn& defer,
+std::size_t DispatchCore::dispatch_pass(DispatchDriver& driver,
                                         std::size_t max_placements) {
   // One pass suffices: placements only shrink the free space, so a task
   // that did not fit now will not fit later in the same pass. The queue is
@@ -92,13 +90,13 @@ std::size_t DispatchCore::dispatch_pass(const PlaceFn& place,
   std::size_t placed = 0;
   while (scanned < queued && placed < max_placements) {
     const std::uint64_t task_id = ready_[scanned++];
-    if (defer && defer(task_id)) {
+    if (driver.defer(task_id)) {
       ready_[kept++] = task_id;
       continue;
     }
     ensure_allocation(task_id);
     TaskEntry& e = entries_[task_id];
-    if (const auto worker = place(task_id, e.alloc)) {
+    if (const auto worker = driver.place(task_id, e.alloc)) {
       if (config_.max_attempts > 0 && e.attempts >= config_.max_attempts) {
         make_fatal(task_id);
         continue;
@@ -106,10 +104,10 @@ std::size_t DispatchCore::dispatch_pass(const PlaceFn& place,
       ++e.attempts;
       e.phase = TaskPhase::Running;
       e.running_on = *worker;
-      // Hook before CommitFn: the write-ahead journal must record the
+      // Hook before the commit: the write-ahead journal must record the
       // dispatch before the commit sends anything over a wire.
-      if (hooks_) hooks_->task_dispatched(task_id, *worker, e.attempts);
-      commit(task_id, *worker, e.alloc);
+      hooks_.task_dispatched(task_id, *worker, e.attempts);
+      driver.commit(task_id, *worker, e.alloc);
       ++placed;
     } else {
       ready_[kept++] = task_id;
@@ -151,7 +149,7 @@ void DispatchCore::complete(std::uint64_t task_id,
       maybe_ready(dep);
     }
   }
-  if (hooks_) hooks_->task_completed(task_id, measured_peak, runtime_s);
+  hooks_.task_completed(task_id, measured_peak, runtime_s);
 }
 
 DispatchCore::RetryVerdict DispatchCore::fail_attempt(std::uint64_t task_id,
@@ -160,9 +158,7 @@ DispatchCore::RetryVerdict DispatchCore::fail_attempt(std::uint64_t task_id,
   TaskEntry& e = entries_[task_id];
   e.failed_attempts.push_back({e.alloc, runtime_s});
   const auto fail_fatal = [&] {
-    if (hooks_) {
-      hooks_->task_failed_attempt(task_id, runtime_s, exceeded_mask, false);
-    }
+    hooks_.task_failed_attempt(task_id, runtime_s, exceeded_mask, false);
     make_fatal(task_id);
     return RetryVerdict::Fatal;
   };
@@ -192,10 +188,8 @@ DispatchCore::RetryVerdict DispatchCore::fail_attempt(std::uint64_t task_id,
   e.is_retry = true;
   e.phase = TaskPhase::Queued;
   ready_.push_back(task_id);
-  if (hooks_) {
-    hooks_->allocation_committed(task_id, next, true);
-    hooks_->task_failed_attempt(task_id, runtime_s, exceeded_mask, true);
-  }
+  hooks_.allocation_committed(task_id, next, true);
+  hooks_.task_failed_attempt(task_id, runtime_s, exceeded_mask, true);
   return RetryVerdict::Requeued;
 }
 
@@ -204,13 +198,13 @@ void DispatchCore::requeue_front(std::uint64_t task_id) {
   if (e.phase != TaskPhase::Running) return;
   e.phase = TaskPhase::Queued;
   ready_.push_front(task_id);
-  if (hooks_) hooks_->task_requeued(task_id);
+  hooks_.task_requeued(task_id);
 }
 
 void DispatchCore::charge_eviction(std::uint64_t task_id, double scale) {
   evicted_alloc_ += entries_[task_id].alloc * scale;
   ++evictions_;
-  if (hooks_) hooks_->task_evicted(task_id, scale);
+  hooks_.task_evicted(task_id, scale);
 }
 
 void DispatchCore::charge_speculation(std::uint64_t task_id, double scale) {
@@ -245,7 +239,7 @@ void DispatchCore::make_fatal(std::uint64_t task_id) {
   e.phase = TaskPhase::Fatal;
   ++fatal_;
   ++finished_;
-  if (hooks_) hooks_->task_fatal(task_id);
+  hooks_.task_fatal(task_id);
   // Dependents can never run: cascade the failure so the run terminates.
   for (std::uint64_t dep : dependents_[task_id]) {
     make_fatal(dep);

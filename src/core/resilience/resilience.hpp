@@ -253,8 +253,6 @@ class StormDetector {
   bool degraded() const noexcept { return degraded_; }
   std::size_t storms_entered() const noexcept { return entered_; }
   std::size_t storms_exited() const noexcept { return exited_; }
-  /// Evictions currently inside the window (diagnostics).
-  std::size_t window_count() const noexcept { return window_.size(); }
 
   void save(util::ByteWriter& w) const { snapshot::save(w, *this); }
   void load(util::ByteReader& r) { snapshot::load(r, *this); }

@@ -8,41 +8,55 @@
 
 namespace tora::core::tenancy {
 
-// --- TenantHooks -----------------------------------------------------------
+// --- TenantAdapter ---------------------------------------------------------
 
-void MultiTenantCore::TenantHooks::task_fatal(std::uint64_t id) {
-  if (owner_->hooks_) owner_->hooks_->task_fatal(base_ + id);
+void MultiTenantCore::TenantAdapter::task_fatal(std::uint64_t id) {
+  owner_.hooks_.task_fatal(base_ + id);
 }
-void MultiTenantCore::TenantHooks::allocation_committed(
+void MultiTenantCore::TenantAdapter::allocation_committed(
     std::uint64_t id, const ResourceVector& alloc, bool is_retry) {
-  if (owner_->hooks_) {
-    owner_->hooks_->allocation_committed(base_ + id, alloc, is_retry);
-  }
+  owner_.hooks_.allocation_committed(base_ + id, alloc, is_retry);
 }
-void MultiTenantCore::TenantHooks::task_dispatched(std::uint64_t id,
-                                                   std::uint64_t worker,
-                                                   std::uint32_t attempt) {
-  if (owner_->hooks_) owner_->hooks_->task_dispatched(base_ + id, worker, attempt);
+void MultiTenantCore::TenantAdapter::task_dispatched(std::uint64_t id,
+                                                     std::uint64_t worker,
+                                                     std::uint32_t attempt) {
+  TenantState& ts = owner_.state_[tenant_];
+  const ResourceVector& alloc = ts.core->entry(id).alloc;
+  ts.running_alloc += alloc;
+  ++ts.running_count;
+  owner_.granted_ += alloc;
+  owner_.hooks_.task_dispatched(base_ + id, worker, attempt);
 }
-void MultiTenantCore::TenantHooks::task_completed(std::uint64_t id,
-                                                  const ResourceVector& peak,
-                                                  double runtime_s) {
-  if (owner_->hooks_) owner_->hooks_->task_completed(base_ + id, peak, runtime_s);
+void MultiTenantCore::TenantAdapter::task_completed(std::uint64_t id,
+                                                    const ResourceVector& peak,
+                                                    double runtime_s) {
+  owner_.hooks_.task_completed(base_ + id, peak, runtime_s);
 }
-void MultiTenantCore::TenantHooks::task_failed_attempt(std::uint64_t id,
-                                                       double runtime_s,
-                                                       unsigned mask,
-                                                       bool requeued) {
-  if (owner_->hooks_) {
-    owner_->hooks_->task_failed_attempt(base_ + id, runtime_s, mask, requeued);
-  }
+void MultiTenantCore::TenantAdapter::task_failed_attempt(std::uint64_t id,
+                                                         double runtime_s,
+                                                         unsigned mask,
+                                                         bool requeued) {
+  owner_.hooks_.task_failed_attempt(base_ + id, runtime_s, mask, requeued);
 }
-void MultiTenantCore::TenantHooks::task_requeued(std::uint64_t id) {
-  if (owner_->hooks_) owner_->hooks_->task_requeued(base_ + id);
+void MultiTenantCore::TenantAdapter::task_requeued(std::uint64_t id) {
+  owner_.hooks_.task_requeued(base_ + id);
 }
-void MultiTenantCore::TenantHooks::task_evicted(std::uint64_t id,
-                                                double scale) {
-  if (owner_->hooks_) owner_->hooks_->task_evicted(base_ + id, scale);
+void MultiTenantCore::TenantAdapter::task_evicted(std::uint64_t id,
+                                                  double scale) {
+  owner_.hooks_.task_evicted(base_ + id, scale);
+}
+
+std::optional<std::uint64_t> MultiTenantCore::TenantAdapter::place(
+    std::uint64_t id, const ResourceVector& alloc) {
+  return owner_.driver_->place(base_ + id, alloc);
+}
+void MultiTenantCore::TenantAdapter::commit(std::uint64_t id,
+                                            std::uint64_t worker,
+                                            const ResourceVector& alloc) {
+  owner_.driver_->commit(base_ + id, worker, alloc);
+}
+bool MultiTenantCore::TenantAdapter::defer(std::uint64_t id) {
+  return owner_.driver_->defer(base_ + id);
 }
 
 // --- construction ----------------------------------------------------------
@@ -50,7 +64,7 @@ void MultiTenantCore::TenantHooks::task_evicted(std::uint64_t id,
 MultiTenantCore::MultiTenantCore(std::vector<TenantInput> tenants,
                                  lifecycle::DispatchConfig base_config,
                                  std::unique_ptr<Arbiter> arbiter,
-                                 lifecycle::RuntimeHooks* hooks)
+                                 lifecycle::RuntimeHooks& hooks)
     : tenants_(std::move(tenants)), arbiter_(std::move(arbiter)), hooks_(hooks) {
   if (tenants_.empty()) {
     throw std::invalid_argument("MultiTenantCore: need at least one tenant");
@@ -85,19 +99,19 @@ MultiTenantCore::MultiTenantCore(std::vector<TenantInput> tenants,
   base_.reserve(tenants_.size());
   cat_base_.reserve(tenants_.size());
   state_.reserve(tenants_.size());
-  tenant_hooks_.reserve(tenants_.size());
+  adapters_.reserve(tenants_.size());
   std::uint64_t id_base = 0;
   std::uint64_t cat_key = 0;
   for (TenantInput& t : tenants_) {
     base_.push_back(id_base);
     cat_base_.push_back(cat_key);
-    tenant_hooks_.push_back(std::make_unique<TenantHooks>(this, id_base));
+    adapters_.push_back(std::make_unique<TenantAdapter>(
+        *this, static_cast<TenantId>(state_.size()), id_base));
     lifecycle::DispatchConfig cfg = base_config;
     cfg.alloc_inflation = base_config.alloc_inflation * t.spec.demand_multiplier;
     state_.push_back({t.allocator,
                       std::make_unique<lifecycle::DispatchCore>(
-                          t.tasks, *t.allocator, cfg,
-                          tenant_hooks_.back().get()),
+                          t.tasks, *t.allocator, cfg, *adapters_.back()),
                       ResourceVector{}, 0});
     id_base += t.tasks.size();
     // Fixed from here on: the core's constructor interned every category
@@ -170,29 +184,14 @@ void MultiTenantCore::mark_submitted(std::uint64_t global_id) {
   core_for(global_id, &t).mark_submitted(global_id - base_[t]);
 }
 
-std::size_t MultiTenantCore::dispatch_pass(const PlaceFn& place,
-                                           const CommitFn& commit,
-                                           const DeferFn& defer,
-                                           const PoolCapacityFn& pool_capacity) {
-  if (single_passthrough_) {
-    // The legacy path, verbatim: one unlimited FIFO pass. Only the commit
-    // is wrapped (to keep the running-attempt stats), which changes no
-    // observable behavior.
-    const CommitFn wrapped = [this, &commit](std::uint64_t task,
-                                             std::uint64_t worker,
-                                             const ResourceVector& alloc) {
-      state_[0].running_alloc += alloc;
-      ++state_[0].running_count;
-      commit(task, worker, alloc);
-    };
-    return state_[0].core->dispatch_pass(place, wrapped, defer);
-  }
-  return arbitrated_pass(place, commit, defer, pool_capacity);
+std::size_t MultiTenantCore::dispatch_pass(lifecycle::DispatchDriver& driver) {
+  // The legacy path, verbatim: one unlimited FIFO pass straight through the
+  // runtime's driver (the adapter, as hooks, keeps the running stats).
+  if (single_passthrough_) return state_[0].core->dispatch_pass(driver);
+  return arbitrated_pass(driver);
 }
 
-std::size_t MultiTenantCore::arbitrated_pass(
-    const PlaceFn& place, const CommitFn& commit, const DeferFn& defer,
-    const PoolCapacityFn& pool_capacity) {
+std::size_t MultiTenantCore::arbitrated_pass(lifecycle::DispatchDriver& driver) {
   std::vector<TenantView> views(tenants_.size());
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     views[t].id = static_cast<TenantId>(t);
@@ -208,33 +207,18 @@ std::size_t MultiTenantCore::arbitrated_pass(
     views[t].running = state_[t].running_count;
     views[t].running_alloc = state_[t].running_alloc;
   }
-  arbiter_->begin(views, pool_capacity ? pool_capacity() : ResourceVector{});
+  arbiter_->begin(views, driver.pool_capacity());
 
+  driver_ = &driver;
   std::size_t total_placed = 0;
   while (const auto next = arbiter_->next()) {
     const TenantId t = *next;
-    const std::uint64_t b = base_[t];
-    ResourceVector granted;
-    const PlaceFn p = [&place, b](std::uint64_t local,
-                                  const ResourceVector& alloc) {
-      return place(b + local, alloc);
-    };
-    const CommitFn c = [this, &commit, &granted, t, b](
-                           std::uint64_t local, std::uint64_t worker,
-                           const ResourceVector& alloc) {
-      state_[t].running_alloc += alloc;
-      ++state_[t].running_count;
-      granted += alloc;
-      commit(b + local, worker, alloc);
-    };
-    DeferFn d;
-    if (defer) {
-      d = [&defer, b](std::uint64_t local) { return defer(b + local); };
-    }
-    const std::size_t placed = state_[t].core->dispatch_pass(p, c, d, 1);
+    granted_ = ResourceVector{};
+    const std::size_t placed = state_[t].core->dispatch_pass(*adapters_[t], 1);
     total_placed += placed;
-    arbiter_->feedback(t, placed, granted);
+    arbiter_->feedback(t, placed, granted_);
   }
+  driver_ = nullptr;
   arbiter_->settle();
   return total_placed;
 }

@@ -2,8 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -29,29 +29,25 @@ namespace tora::core::tenancy {
 /// the outcome feeds back — so every fairness decision happens at placement
 /// granularity against live pool occupancy.
 ///
-/// With ONE tenant and the pass-through (fifo) arbiter, every dispatch call
-/// delegates verbatim to the inner core, so the pre-tenancy runtimes'
-/// dispatch decisions and parity fingerprints are byte-identical. That
-/// equivalence is the refactor's correctness oracle and is pinned by
-/// test_tenancy.cpp. The snapshot always carries the versioned tenant
-/// frame, at N=1 too.
+/// Each tenant's core talks to the runtime through one TenantAdapter: it
+/// forwards the core's hooks with global ids and keeps the tenant's
+/// running-attempt stats, and in an arbitrated pass it forwards the core's
+/// driver requests the same way. With ONE tenant and the pass-through
+/// (fifo) arbiter, the tenant core gets the runtime's driver directly and
+/// runs one unlimited pass, so the pre-tenancy runtimes' dispatch decisions
+/// and parity fingerprints are byte-identical. That equivalence is the
+/// refactor's correctness oracle and is pinned by test_tenancy.cpp. The
+/// snapshot always carries the versioned tenant frame, at N=1 too.
 class MultiTenantCore {
  public:
-  using PlaceFn = lifecycle::DispatchCore::PlaceFn;
-  using CommitFn = lifecycle::DispatchCore::CommitFn;
-  using DeferFn = lifecycle::DispatchCore::DeferFn;
-  /// Live aggregate pool capacity, queried once per multi-tenant dispatch
-  /// pass for the arbiters' dominant-share math (never called at N=1).
-  using PoolCapacityFn = std::function<ResourceVector()>;
-
   /// `tenants` must be non-empty; every tenant needs an allocator whose
-  /// managed-dimension list matches tenant 0's. Spans and allocators must
-  /// outlive the core. Per-tenant alloc_inflation is base_config's value
-  /// scaled by each tenant's demand_multiplier.
+  /// managed-dimension list matches tenant 0's. Spans, allocators and
+  /// `hooks` must outlive the core. Per-tenant alloc_inflation is
+  /// base_config's value scaled by each tenant's demand_multiplier.
   MultiTenantCore(std::vector<TenantInput> tenants,
                   lifecycle::DispatchConfig base_config,
                   std::unique_ptr<Arbiter> arbiter,
-                  lifecycle::RuntimeHooks* hooks = nullptr);
+                  lifecycle::RuntimeHooks& hooks = lifecycle::no_hooks);
 
   // --- shape ---------------------------------------------------------------
 
@@ -76,10 +72,9 @@ class MultiTenantCore {
   void mark_submitted(std::uint64_t global_id);
   /// One arbiter-ordered scheduling sweep. At N=1 + pass-through this is
   /// exactly one legacy unlimited dispatch pass; otherwise progressive
-  /// filling, one placement per arbiter offer. Returns placements made.
-  std::size_t dispatch_pass(const PlaceFn& place, const CommitFn& commit,
-                            const DeferFn& defer = {},
-                            const PoolCapacityFn& pool_capacity = {});
+  /// filling, one placement per arbiter offer, with the driver's
+  /// pool_capacity read once for the arbiter. Returns placements made.
+  std::size_t dispatch_pass(lifecycle::DispatchDriver& driver);
   void complete(std::uint64_t global_id, const ResourceVector& measured_peak,
                 double runtime_s);
   lifecycle::DispatchCore::RetryVerdict fail_attempt(std::uint64_t global_id,
@@ -132,8 +127,6 @@ class MultiTenantCore {
         snapshot::field("arbiter_state", &M::arbiter_));
   }
 
-  void set_hooks(lifecycle::RuntimeHooks* hooks) noexcept { hooks_ = hooks; }
-
   // --- per-tenant observers ------------------------------------------------
 
   const lifecycle::DispatchCore& tenant_core(TenantId t) const {
@@ -172,12 +165,17 @@ class MultiTenantCore {
     }
   };
 
-  /// Forwards one tenant core's hooks to the facade's sink with local ids
-  /// translated to global ones.
-  class TenantHooks final : public lifecycle::RuntimeHooks {
+  /// The one adapter between tenant t's core and the runtime. As the
+  /// core's hooks it forwards every hook with local ids translated to
+  /// global ones, and on task_dispatched (once per placement, just before
+  /// the commit) it adds the placement to the tenant's running stats and
+  /// to the current offer's grant. As the core's driver in an arbitrated
+  /// pass it forwards place, commit and defer to the runtime's driver.
+  class TenantAdapter final : public lifecycle::RuntimeHooks,
+                              public lifecycle::DispatchDriver {
    public:
-    TenantHooks(MultiTenantCore* owner, std::uint64_t base)
-        : owner_(owner), base_(base) {}
+    TenantAdapter(MultiTenantCore& owner, TenantId tenant, std::uint64_t base)
+        : owner_(owner), tenant_(tenant), base_(base) {}
     void task_fatal(std::uint64_t id) override;
     void allocation_committed(std::uint64_t id, const ResourceVector& alloc,
                               bool is_retry) override;
@@ -190,8 +188,15 @@ class MultiTenantCore {
     void task_requeued(std::uint64_t id) override;
     void task_evicted(std::uint64_t id, double scale) override;
 
+    std::optional<std::uint64_t> place(std::uint64_t id,
+                                       const ResourceVector& alloc) override;
+    void commit(std::uint64_t id, std::uint64_t worker,
+                const ResourceVector& alloc) override;
+    bool defer(std::uint64_t id) override;
+
    private:
-    MultiTenantCore* owner_;
+    MultiTenantCore& owner_;
+    TenantId tenant_;
     std::uint64_t base_;
   };
 
@@ -200,21 +205,23 @@ class MultiTenantCore {
   const lifecycle::DispatchCore& core_for(std::uint64_t global_id,
                                           TenantId* tenant = nullptr) const;
   void release_running(TenantId t, std::uint64_t global_id);
-  std::size_t arbitrated_pass(const PlaceFn& place, const CommitFn& commit,
-                              const DeferFn& defer,
-                              const PoolCapacityFn& pool_capacity);
+  std::size_t arbitrated_pass(lifecycle::DispatchDriver& driver);
 
   std::vector<TenantInput> tenants_;
   std::unique_ptr<Arbiter> arbiter_;
-  lifecycle::RuntimeHooks* hooks_;
+  lifecycle::RuntimeHooks& hooks_;
   bool single_passthrough_ = false;
   std::vector<std::uint64_t> base_;      ///< global id base per tenant
   std::vector<std::uint64_t> cat_base_;  ///< category key base per tenant
   std::size_t task_count_ = 0;
   std::vector<TaskSpec> composed_;  ///< global spec copy (N>1 only)
   std::span<const TaskSpec> tasks_;
-  std::vector<std::unique_ptr<TenantHooks>> tenant_hooks_;
+  std::vector<std::unique_ptr<TenantAdapter>> adapters_;
   std::vector<TenantState> state_;
+  /// The runtime's driver during an arbitrated pass, and the resources the
+  /// current arbiter offer placed (transient, never serialized).
+  lifecycle::DispatchDriver* driver_ = nullptr;
+  ResourceVector granted_;
   mutable WasteAccounting merged_accounting_;  ///< N>1 accounting() cache
   mutable ResourceVector merged_evicted_;      ///< N>1 evicted_alloc() cache
 };

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "core/lifecycle/drain.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -48,7 +47,7 @@ ProtocolManager::ProtocolManager(
     : links_(std::move(links)),
       cfg_(cfg),
       core_(std::move(tenants), dispatch_config(cfg), std::move(arbiter),
-            this),
+            *this),
       tasks_(core_.tasks()),
       proto_states_(core_.task_count()),
       quarantined_(links_.size(), 0),
@@ -222,7 +221,7 @@ void ProtocolManager::add_worker(std::uint64_t wid, WorkerState ws) {
   refresh(wid, slot);
 }
 
-ProtocolManager::WorkerState& ProtocolManager::commit(
+ProtocolManager::WorkerState& ProtocolManager::bind(
     std::uint64_t wid, const ResourceVector& alloc) {
   WorkerState& ws = workers_.at(wid);
   ws.committed += alloc;
@@ -635,70 +634,71 @@ void ProtocolManager::dispatch_queued() {
   // number of in-flight attempts; every dispatch into a collapsing pool or
   // a saturated pipe is likely eviction fodder / backlog fuel. Storage
   // degradation caps at ZERO: hold everything, keep serving what is
-  // already in flight from memory.
-  const bool capped =
-      storage_.degraded || storms_.degraded() || transport_overloaded();
-  std::size_t inflight = 0;
-  if (capped) {
+  // already in flight from memory. The cap and the Running count are
+  // sampled once per pass; commit counts what the pass adds.
+  gate_cap_.reset();
+  gate_inflight_ = 0;
+  if (storage_.degraded || storms_.degraded() || transport_overloaded()) {
+    gate_cap_ = storage_.degraded ? 0 : cfg_.resilience.degraded_inflight_cap;
     for (std::size_t t = 0; t < core_.task_count(); ++t) {
       if (core_.entry(t).phase == core::lifecycle::TaskPhase::Running) {
-        ++inflight;
+        ++gate_inflight_;
       }
     }
   }
-  core_.dispatch_pass(
-      // Placement query, no commit (see place_worker for the policy). The
-      // in-flight cap is the shared admission gate
-      // (core/lifecycle/drain.hpp) over the tick's one sample.
-      core::lifecycle::gated_place(
-          [capped] { return capped; }, [&inflight] { return inflight; },
-          storage_.degraded ? 0 : cfg_.resilience.degraded_inflight_cap,
-          res_counters_.dispatches_held,
-          [this](std::uint64_t, const ResourceVector& alloc)
-              -> std::optional<std::uint64_t> {
-            bool bp_blocked = false;
-            const auto wid = place_worker(alloc, std::nullopt, &bp_blocked);
-            if (!wid && bp_blocked) {
-              // Would have placed, but the chosen transport can't absorb
-              // more: the task waits for the queue to drain below the low
-              // watermark.
-              ++chaos_.dispatches_deferred_backpressure;
-            }
-            return wid;
-          }),
-      // Commit: bind the resources and put the dispatch on the wire. The
-      // machine already stamped the attempt id (entry.attempts).
-      [this, &inflight](std::uint64_t task_id, std::uint64_t wid,
-                        const ResourceVector& alloc) {
-        WorkerState& ws = commit(wid, alloc);
-        proto_states_[task_id].dispatch_tick = tick_;
-        ++inflight;
-        if (!replaying_) {
-          Message m;
-          m.type = MsgType::TaskDispatch;
-          m.worker_id = wid;
-          m.task_id = task_id;
-          m.attempt = core_.entry(task_id).attempts;
-          m.category = tasks_[task_id].category;
-          m.resources = alloc;
-          ws.link->to_worker.send(encode(m));
-        }
-        // Counted even during replay: the crashed manager sent the message,
-        // so the reconstructed counter must include it.
-        ++dispatches_;
-      },
-      // Defer: capped-exponential-backoff windows after infra failures.
-      [this](std::uint64_t task_id) {
-        return proto_states_[task_id].backoff_until > tick_;
-      },
-      // Pool capacity for resource-aware arbiters (DRF/Karma dominant
-      // shares): the announced capacities of the live worker registry.
-      [this] {
-        ResourceVector total;
-        for (const auto& [wid, ws] : workers_) total += ws.capacity;
-        return total;
-      });
+  core_.dispatch_pass(*this);
   maybe_speculate();
+}
+
+std::optional<std::uint64_t> ProtocolManager::place(
+    std::uint64_t, const ResourceVector& alloc) {
+  if (gate_cap_ && gate_inflight_ >= *gate_cap_) {
+    ++res_counters_.dispatches_held;
+    return std::nullopt;
+  }
+  // Placement query, no commit (see place_worker for the policy).
+  bool bp_blocked = false;
+  const auto wid = place_worker(alloc, std::nullopt, &bp_blocked);
+  if (!wid && bp_blocked) {
+    // Would have placed, but the chosen transport can't absorb more: the
+    // task waits for the queue to drain below the low watermark.
+    ++chaos_.dispatches_deferred_backpressure;
+  }
+  return wid;
+}
+
+void ProtocolManager::commit(std::uint64_t task_id, std::uint64_t wid,
+                             const ResourceVector& alloc) {
+  // Bind the resources and put the dispatch on the wire. The machine
+  // already stamped the attempt id (entry.attempts).
+  WorkerState& ws = bind(wid, alloc);
+  proto_states_[task_id].dispatch_tick = tick_;
+  ++gate_inflight_;
+  if (!replaying_) {
+    Message m;
+    m.type = MsgType::TaskDispatch;
+    m.worker_id = wid;
+    m.task_id = task_id;
+    m.attempt = core_.entry(task_id).attempts;
+    m.category = tasks_[task_id].category;
+    m.resources = alloc;
+    ws.link->to_worker.send(encode(m));
+  }
+  // Counted even during replay: the crashed manager sent the message, so
+  // the reconstructed counter must include it.
+  ++dispatches_;
+}
+
+bool ProtocolManager::defer(std::uint64_t task_id) {
+  // Capped-exponential-backoff windows after infrastructure failures.
+  return proto_states_[task_id].backoff_until > tick_;
+}
+
+ResourceVector ProtocolManager::pool_capacity() const {
+  // The announced capacities of the live worker registry.
+  ResourceVector total;
+  for (const auto& [wid, ws] : workers_) total += ws.capacity;
+  return total;
 }
 
 void ProtocolManager::maybe_speculate() {
@@ -717,7 +717,7 @@ void ProtocolManager::maybe_speculate() {
     if (static_cast<double>(tick_ - st.dispatch_tick) <= *threshold) continue;
     const auto wid = place_worker(entry.alloc, entry.running_on);
     if (!wid) continue;
-    WorkerState& ws = commit(*wid, entry.alloc);
+    WorkerState& ws = bind(*wid, entry.alloc);
     st.spec_active = true;
     st.spec_worker = *wid;
     st.spec_tick = tick_;

@@ -65,7 +65,8 @@ namespace tora::proto {
 /// phases of the interrupted tick that never ran pre-crash then run once
 /// with sends enabled. An attached CrashMonitor injects deterministic
 /// ManagerCrash exceptions at the named pump/snapshot boundaries.
-class ProtocolManager : private core::lifecycle::RuntimeHooks {
+class ProtocolManager : private core::lifecycle::RuntimeHooks,
+                        private core::lifecycle::DispatchDriver {
   /// Drives the worker registry and place_worker directly: the differential
   /// placement test (tests/test_placement_index.cpp).
   friend struct PlacementTestPeer;
@@ -295,7 +296,7 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// Registers worker `wid` (replacing any earlier entry).
   void add_worker(std::uint64_t wid, WorkerState ws);
   /// Binds `alloc` on registered worker `wid`; returns it.
-  WorkerState& commit(std::uint64_t wid, const core::ResourceVector& alloc);
+  WorkerState& bind(std::uint64_t wid, const core::ResourceVector& alloc);
   /// Frees `alloc` on worker `wid`; returns it, or null if it is gone.
   WorkerState* release(std::uint64_t wid, const core::ResourceVector& alloc);
   /// Re-derives worker `wid`'s leaf after its capacity or commitment moved.
@@ -343,6 +344,17 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
                            unsigned exceeded_mask, bool requeued) override;
   void task_requeued(std::uint64_t task_id) override;
   void task_evicted(std::uint64_t task_id, double scale) override;
+
+  // DispatchDriver: the dispatch pass of dispatch_queued. place applies
+  // the pass's admission gate, then place_worker; commit binds the worker
+  // and sends the dispatch; defer holds tasks in a backoff window;
+  // pool_capacity sums the registry's announced capacities.
+  std::optional<std::uint64_t> place(
+      std::uint64_t task_id, const core::ResourceVector& alloc) override;
+  void commit(std::uint64_t task_id, std::uint64_t wid,
+              const core::ResourceVector& alloc) override;
+  bool defer(std::uint64_t task_id) override;
+  core::ResourceVector pool_capacity() const override;
   /// Requeues a Running task after an infrastructure failure, applying
   /// capped exponential backoff. No-op unless the task is Running.
   void requeue_infra(std::uint64_t task_id);
@@ -409,6 +421,11 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// Transient per-phase input, journaled rather than snapshotted.
   std::vector<char> bp_sample_;
   bool bp_sampled_this_tick_ = false;
+  /// The degraded-mode admission gate's per-pass sample (dispatch_queued):
+  /// the in-flight cap (none while not degraded) and the Running count,
+  /// which each commit of the pass raises. Transient, like bp_sample_.
+  std::optional<std::size_t> gate_cap_;
+  std::size_t gate_inflight_ = 0;
   std::size_t tick_ = 0;
   std::size_t dispatches_ = 0;
   bool started_ = false;

@@ -91,22 +91,6 @@ Event CalendarQueue::pop() {
   return e;
 }
 
-SimTime CalendarQueue::pop_run(std::vector<Event>& out) {
-  if (size_ == 0) throw std::logic_error("EventQueue: pop on empty queue");
-  ensure_active();
-  // Complete by construction: activations never split a time tie and tiers
-  // are strictly time-separated, so every event at this time is already in
-  // the active band, in (time, seq) order.
-  const SimTime t = active_.back().time;
-  do {
-    out.push_back(active_.back());
-    active_.pop_back();
-    --size_;
-  } while (!active_.empty() && active_.back().time == t);
-  if (size_ == 0) reset_epoch();
-  return t;
-}
-
 const Event& CalendarQueue::peek() {
   if (size_ == 0) throw std::logic_error("EventQueue: peek on empty queue");
   ensure_active();

@@ -61,12 +61,6 @@ class CalendarQueue {
   /// Pops the earliest event. Throws std::logic_error when empty.
   Event pop();
 
-  /// Pops every event sharing the earliest pending time, appending them to
-  /// `out` in (time, seq) order, and returns that time. Throws
-  /// std::logic_error when empty. The strict time separation between tiers
-  /// guarantees the run is complete: one clock value never spans tiers.
-  SimTime pop_run(std::vector<Event>& out);
-
   /// The earliest pending event, without removing it. Throws when empty.
   /// Non-const: peeking may activate the next band.
   const Event& peek();

@@ -29,15 +29,6 @@ Event BinaryHeapQueue::pop() {
   return e;
 }
 
-SimTime BinaryHeapQueue::pop_run(std::vector<Event>& out) {
-  if (heap_.empty()) throw std::logic_error("EventQueue: pop on empty queue");
-  const SimTime t = heap_.front().time;
-  do {
-    out.push_back(pop());
-  } while (!heap_.empty() && heap_.front().time == t);
-  return t;
-}
-
 const Event& BinaryHeapQueue::peek() const {
   if (heap_.empty()) throw std::logic_error("EventQueue: peek on empty queue");
   return heap_.front();
@@ -68,11 +59,6 @@ void EventQueue::push(SimTime time, EventKind kind, std::uint64_t a,
 
 Event EventQueue::pop() {
   return engine_ == QueueEngine::Heap ? heap_.pop() : calendar_.pop();
-}
-
-SimTime EventQueue::pop_run(std::vector<Event>& out) {
-  return engine_ == QueueEngine::Heap ? heap_.pop_run(out)
-                                      : calendar_.pop_run(out);
 }
 
 const Event& EventQueue::peek() {

@@ -29,10 +29,6 @@ class BinaryHeapQueue {
   /// Pops the earliest event. Throws std::logic_error when empty.
   Event pop();
 
-  /// Pops every event sharing the earliest pending time, appending them to
-  /// `out` in (time, seq) order, and returns that time. Throws when empty.
-  SimTime pop_run(std::vector<Event>& out);
-
   /// The earliest pending event, without removing it. Throws when empty.
   const Event& peek() const;
 
@@ -78,10 +74,6 @@ class EventQueue {
 
   /// Pops the earliest event. Throws std::logic_error when empty.
   Event pop();
-
-  /// Pops every event sharing the earliest pending time, appending them to
-  /// `out` in (time, seq) order, and returns that time. Throws when empty.
-  SimTime pop_run(std::vector<Event>& out);
 
   /// The earliest pending event, without removing it. Throws when empty.
   /// Non-const: the calendar engine may activate its next band.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/lifecycle/drain.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -42,7 +41,7 @@ Simulation::Simulation(std::vector<core::tenancy::TenantInput> tenants,
                        std::unique_ptr<core::tenancy::Arbiter> arbiter)
     : config_(config),
       core_(std::move(tenants), dispatch_config(config), std::move(arbiter),
-            this),
+            *this),
       tasks_(core_.tasks()),
       rng_(config.seed),
       events_(config.engine),
@@ -400,39 +399,39 @@ core::ResourceVector Simulation::pool_capacity() const {
 
 void Simulation::dispatch() {
   // First-fit over the FIFO queue (the shared machine's dispatch pass);
-  // tasks that do not fit anywhere stay queued in order. Degraded mode's
-  // in-flight cap is the shared admission gate (core/lifecycle/drain.hpp):
-  // held probes are counted but the task stays queued in order.
-  core_.dispatch_pass(
-      core::lifecycle::gated_place(
-          [this] { return storms_.degraded(); },
-          [this] { return pool_.running_attempts(); },
-          config_.resilience.degraded_inflight_cap,
-          res_counters_.dispatches_held,
-          [this](std::uint64_t, const ResourceVector& alloc)
-              -> std::optional<std::uint64_t> {
-            return pool_.find_worker_for(alloc, config_.placement);
-          }),
-      [this](std::uint64_t task_id, std::uint64_t worker_id,
-             const ResourceVector& alloc) {
-        const core::TaskSpec& spec = tasks_[task_id];
-        pool_.start(worker_id, task_id, alloc);
-        if (observer_) {
-          observer_->on_attempt_started(now_, task_id, worker_id, alloc);
-        }
-        timing_[task_id].attempt_start = now_;
-        // The enforcement model decides how long this attempt runs: the
-        // full duration when the allocation covers the demand, otherwise
-        // until the consumption ramp crosses the allocation (or the
-        // wall-time limit).
-        const double runtime = attempt_runtime(
-            spec, alloc, core_.managed(), config_.monitor_interval_s);
-        timing_[task_id].attempt_runtime = runtime;
-        events_.push(now_ + runtime, EventKind::AttemptFinish, task_id,
-                     worker_id, timing_[task_id].epoch);
-        schedule_resilience_events(task_id);
-      },
-      {}, [this] { return pool_capacity(); });
+  // tasks that do not fit anywhere stay queued in order.
+  core_.dispatch_pass(*this);
+}
+
+std::optional<std::uint64_t> Simulation::place(std::uint64_t,
+                                               const ResourceVector& alloc) {
+  // Degraded mode's in-flight cap, on live pool occupancy: a held probe is
+  // counted and the task stays queued in order.
+  if (storms_.degraded() &&
+      pool_.running_attempts() >= config_.resilience.degraded_inflight_cap) {
+    ++res_counters_.dispatches_held;
+    return std::nullopt;
+  }
+  return pool_.find_worker_for(alloc, config_.placement);
+}
+
+void Simulation::commit(std::uint64_t task_id, std::uint64_t worker_id,
+                        const ResourceVector& alloc) {
+  const core::TaskSpec& spec = tasks_[task_id];
+  pool_.start(worker_id, task_id, alloc);
+  if (observer_) {
+    observer_->on_attempt_started(now_, task_id, worker_id, alloc);
+  }
+  timing_[task_id].attempt_start = now_;
+  // The enforcement model decides how long this attempt runs: the full
+  // duration when the allocation covers the demand, otherwise until the
+  // consumption ramp crosses the allocation (or the wall-time limit).
+  const double runtime = attempt_runtime(spec, alloc, core_.managed(),
+                                         config_.monitor_interval_s);
+  timing_[task_id].attempt_runtime = runtime;
+  events_.push(now_ + runtime, EventKind::AttemptFinish, task_id, worker_id,
+               timing_[task_id].epoch);
+  schedule_resilience_events(task_id);
 }
 
 double Simulation::deadline_widen() const noexcept {

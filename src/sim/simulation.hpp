@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
-
-#include <memory>
 
 #include "core/lifecycle/dispatch_core.hpp"
 #include "core/metrics.hpp"
@@ -157,8 +157,10 @@ struct SimResult {
 /// lives in core::lifecycle::DispatchCore, shared verbatim with
 /// proto::ProtocolManager. This class contributes only what is genuinely
 /// simulated: the event clock, worker churn, placement, enforcement timing,
-/// and per-attempt epochs that invalidate stale finish events.
-class Simulation final : private core::lifecycle::RuntimeHooks {
+/// and per-attempt epochs that invalidate stale finish events. It is the
+/// core's hooks sink and its dispatch driver.
+class Simulation final : private core::lifecycle::RuntimeHooks,
+                         private core::lifecycle::DispatchDriver {
  public:
   /// `tasks` must outlive the simulation; ids must equal the index order
   /// produced by the workload generators (0-based, dense). Single-tenant
@@ -297,13 +299,21 @@ class Simulation final : private core::lifecycle::RuntimeHooks {
     }
   };
 
-  void task_fatal(std::uint64_t task_id) override;  // RuntimeHooks
+  // RuntimeHooks.
+  void task_fatal(std::uint64_t task_id) override;
   void task_completed(std::uint64_t task_id,
                       const core::ResourceVector& measured_peak,
-                      double runtime_s) override;  // RuntimeHooks
+                      double runtime_s) override;
+
+  // DispatchDriver: the dispatch pass's placement, commit and the live
+  // pool capacity the tenancy arbiters read.
+  std::optional<std::uint64_t> place(
+      std::uint64_t task_id, const core::ResourceVector& alloc) override;
+  void commit(std::uint64_t task_id, std::uint64_t worker_id,
+              const core::ResourceVector& alloc) override;
+  core::ResourceVector pool_capacity() const override;
 
   void bootstrap();
-  core::ResourceVector pool_capacity() const;
   void handle(const Event& e);
   void accumulate_integrals(SimTime t);
   void accumulate_tenant_integrals(double dt);

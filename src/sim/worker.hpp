@@ -45,10 +45,6 @@ class Worker {
     return running_;
   }
 
-  /// Pool-departure flag: a draining worker accepts no new tasks.
-  bool draining() const noexcept { return draining_; }
-  void set_draining(bool d) noexcept { draining_ = d; }
-
   /// Snapshot fields for simulation resume (the pool's map key is the id).
   /// Load refuses a capacity that is not finite and > 0, or a commitment
   /// that is not finite and within [0, capacity·(1 + 1e-9)], on any managed
@@ -59,7 +55,7 @@ class Worker {
     return core::snapshot::section(
         "Worker", &W::after_load, field("capacity", &W::capacity_, kFinite),
         field("committed", &W::committed_, kFinite),
-        field("running", &W::running_), field("draining", &W::draining_));
+        field("running", &W::running_));
   }
 
  private:
@@ -70,7 +66,6 @@ class Worker {
   core::ResourceVector capacity_;
   core::ResourceVector committed_;
   std::set<std::uint64_t> running_;
-  bool draining_ = false;
 };
 
 }  // namespace tora::sim

@@ -12,10 +12,6 @@ namespace {
 /// Slots a compaction leaves room for at the least.
 constexpr std::size_t kMinSlots = 16;
 
-core::ResourceVector leaf_bound(const Worker& w) {
-  return w.draining() ? PlacementIndex::kAbsent : w.fit_bound();
-}
-
 }  // namespace
 
 std::uint64_t WorkerPool::add_worker() { return add_worker(capacity_); }
@@ -62,12 +58,6 @@ void WorkerPool::finish(std::uint64_t id, std::uint64_t task_id,
   refresh(slot);
 }
 
-void WorkerPool::set_draining(std::uint64_t id, bool draining) {
-  const auto [w, slot] = locate(id);
-  w->set_draining(draining);
-  refresh(slot);
-}
-
 std::pair<Worker*, std::size_t> WorkerPool::locate(std::uint64_t id) const {
   const auto it = std::lower_bound(
       slots_.begin(), slots_.end(), id,
@@ -79,14 +69,14 @@ std::pair<Worker*, std::size_t> WorkerPool::locate(std::uint64_t id) const {
 }
 
 void WorkerPool::refresh(std::size_t slot) {
-  index_.set(slot, leaf_bound(*slots_[slot].worker));
+  index_.set(slot, slots_[slot].worker->fit_bound());
 }
 
 void WorkerPool::compact() {
   std::erase_if(slots_, [](const Slot& s) { return s.worker == nullptr; });
   std::vector<core::ResourceVector> bounds;
   bounds.reserve(slots_.size());
-  for (const Slot& s : slots_) bounds.push_back(leaf_bound(*s.worker));
+  for (const Slot& s : slots_) bounds.push_back(s.worker->fit_bound());
   index_.reset(std::max(kMinSlots, 2 * slots_.size()), bounds);
 }
 
@@ -114,8 +104,7 @@ std::optional<std::uint64_t> WorkerPool::find_worker_for(
   // The index prunes; can_fit decides at every leaf it admits.
   const auto fits = [&](std::size_t slot) {
     const Worker& w = *slots_[slot].worker;
-    return !(exclude && w.id() == *exclude) && !w.draining() &&
-           w.can_fit(alloc);
+    return !(exclude && w.id() == *exclude) && w.can_fit(alloc);
   };
   if (placement == Placement::FirstFit) {
     const auto slot = index_.first_fit(alloc, fits);

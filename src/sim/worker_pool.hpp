@@ -48,8 +48,8 @@ enum class Placement {
 /// Container for the alive workers; placement queries are deterministic.
 /// Workers may be heterogeneous: add_worker takes an optional per-worker
 /// capacity (defaulting to the pool's base capacity). Every change to a
-/// worker's free capacity goes through the pool (start, finish,
-/// set_draining), which keeps the placement index exact.
+/// worker's free capacity goes through the pool (start, finish), which
+/// keeps the placement index exact.
 class WorkerPool {
  public:
   explicit WorkerPool(core::ResourceVector worker_capacity)
@@ -61,10 +61,6 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
   WorkerPool(WorkerPool&&) = default;
   WorkerPool& operator=(WorkerPool&&) = default;
-
-  const core::ResourceVector& worker_capacity() const noexcept {
-    return capacity_;
-  }
 
   /// Adds a worker with the pool's base capacity; returns its id.
   /// Ids are never reused.
@@ -89,13 +85,9 @@ class WorkerPool {
   void finish(std::uint64_t id, std::uint64_t task_id,
               const core::ResourceVector& alloc);
 
-  /// Worker::set_draining on worker `id`: a draining worker leaves the
-  /// placement index until the flag is cleared.
-  void set_draining(std::uint64_t id, bool draining);
-
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// A non-draining worker that fits `alloc`, chosen per `placement`.
+  /// A worker that fits `alloc`, chosen per `placement`.
   /// `exclude` is skipped (speculative duplicates must not land on the
   /// worker already running the primary attempt). A probe no worker can
   /// hold is refused at the index root in O(1); a first fit descends to

@@ -24,6 +24,7 @@
 #include "core/task.hpp"
 #include "proto/manager.hpp"
 #include "proto/worker_agent.hpp"
+#include "scripted_driver.hpp"
 #include "sim/observer.hpp"
 #include "sim/simulation.hpp"
 
@@ -36,6 +37,7 @@ using tora::core::WasteBreakdown;
 using tora::core::lifecycle::DispatchConfig;
 using tora::core::lifecycle::DispatchCore;
 using tora::core::lifecycle::TaskPhase;
+using tora::tests::ScriptedDriver;
 
 constexpr ResourceVector kCapacity{16.0, 65536.0, 65536.0, 0.0};
 
@@ -259,8 +261,9 @@ TEST(DispatchCoreRevision, QueuedFirstAttemptReRequestedAfterCompletion) {
     slot_busy = true;
     placed.emplace_back(task, a);
   };
+  ScriptedDriver driver(place, commit);
 
-  core.dispatch_pass(place, commit);
+  core.dispatch_pass(driver);
   ASSERT_EQ(placed.size(), 1u);
   EXPECT_EQ(placed[0].first, 0u);
   // Whole-machine exploration for the first attempt.
@@ -273,7 +276,7 @@ TEST(DispatchCoreRevision, QueuedFirstAttemptReRequestedAfterCompletion) {
   core.complete(0, tasks[0].demand, tasks[0].duration_s);
   slot_busy = false;
 
-  core.dispatch_pass(place, commit);
+  core.dispatch_pass(driver);
   ASSERT_EQ(placed.size(), 2u);
   EXPECT_EQ(placed[1].first, 1u);
   // Re-requested: max_seen now predicts from task 0's record (cores width
@@ -311,8 +314,9 @@ TEST(DispatchCoreRevision, RetryAllocationsAreNeverInvalidated) {
                           const ResourceVector& a) {
     placed.emplace_back(task, a);
   };
+  ScriptedDriver driver(place, commit);
 
-  core.dispatch_pass(place, commit);
+  core.dispatch_pass(driver);
   ASSERT_EQ(placed.size(), 2u);
   EXPECT_DOUBLE_EQ(placed[0].second.memory_mb(), 500.0);
 
@@ -331,7 +335,7 @@ TEST(DispatchCoreRevision, RetryAllocationsAreNeverInvalidated) {
   ASSERT_NE(alloc.revision(), revision_at_retry);
   EXPECT_DOUBLE_EQ(alloc.allocate("c").memory_mb(), 500.0);
 
-  core.dispatch_pass(place, commit);
+  core.dispatch_pass(driver);
   ASSERT_EQ(placed.size(), 3u);
   EXPECT_EQ(placed[2].first, 0u);
   // The cached retry allocation was used verbatim.

@@ -215,28 +215,6 @@ TEST(EventQueue, LoadRejectsNonFiniteStoredTime) {
   EXPECT_THROW(restored.load_state(r), SnapshotError);
 }
 
-TEST(EventQueue, PopRunDrainsEqualTimeBatch) {
-  for (QueueEngine engine : {QueueEngine::Heap, QueueEngine::Calendar}) {
-    EventQueue q(engine);
-    q.push(5.0, EventKind::TaskSubmit, 0);
-    q.push(3.0, EventKind::WorkerJoin, 1);
-    q.push(3.0, EventKind::WorkerLeave, 2);
-    q.push(3.0, EventKind::TaskSubmit, 3);
-    std::vector<Event> run;
-    EXPECT_DOUBLE_EQ(q.pop_run(run), 3.0);
-    ASSERT_EQ(run.size(), 3u);  // the whole t=3 batch, nothing from t=5
-    EXPECT_EQ(run[0].a, 1u);
-    EXPECT_EQ(run[1].a, 2u);
-    EXPECT_EQ(run[2].a, 3u);
-    EXPECT_EQ(q.size(), 1u);
-    run.clear();
-    EXPECT_DOUBLE_EQ(q.pop_run(run), 5.0);
-    ASSERT_EQ(run.size(), 1u);
-    EXPECT_TRUE(q.empty());
-    EXPECT_THROW(q.pop_run(run), std::logic_error);
-  }
-}
-
 // The canonical snapshot frame is engine-agnostic: the same logical content
 // serializes to identical bytes from either engine, and either engine's
 // bytes restore into the other with identical pop order.

@@ -3,9 +3,12 @@
 // comparison. The simulator half runs every (workflow, policy) cell of the
 // evaluation grid at workload seed 1 with the ExperimentConfig defaults; the
 // manager half runs TopEFT seed 1 through RecoverableProtocolRuntime (35
-// agents, a snapshot every 4 ticks). Only decoded results are pinned, never
-// byte layouts. A change that moves these values on purpose re-baselines the
-// tables below and says why.
+// agents, a snapshot every 4 ticks). More runs cover the dispatch paths the
+// grid never takes: degraded admission and speculation under eviction
+// storms, the arbitrated multi-tenant pass under each arbiter, and the
+// manager's backoff deferrals and admission gate under chaos. Only decoded
+// results are pinned, never byte layouts. A change that moves these values
+// on purpose re-baselines the tables below and says why.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +19,15 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/recovery/storage.hpp"
 #include "core/registry.hpp"
+#include "core/resilience/resilience.hpp"
+#include "core/tenancy/arbiter.hpp"
 #include "exp/experiment.hpp"
+#include "proto/manager.hpp"
 #include "proto/recovery_runtime.hpp"
+#include "sim/simulation.hpp"
 #include "workloads/topeft.hpp"
 #include "workloads/workload.hpp"
 
@@ -183,5 +191,217 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PinnedProto>& info) {
       return std::string(info.param.policy);
     });
+
+// --- resilience, tenancy and chaos paths ------------------------------------
+
+/// One counter of a family, by its field-list name.
+struct PinnedCount {
+  const char* name;
+  std::size_t value;
+};
+
+/// Checks every field of counter family C against `pins`, in field-list
+/// order.
+template <typename C, std::size_t N>
+void expect_counters(const C& actual, const PinnedCount (&pins)[N]) {
+  const auto fields = C::fields();
+  ASSERT_EQ(fields.size(), N);
+  for (std::size_t i = 0; i < N; ++i) {
+    SCOPED_TRACE(pins[i].name);
+    EXPECT_STREQ(fields[i].name, pins[i].name);
+    EXPECT_EQ(actual.*fields[i].member, pins[i].value);
+  }
+}
+
+tora::core::resilience::ResilienceConfig every_feature() {
+  tora::core::resilience::ResilienceConfig r;
+  r.deadlines = true;
+  r.speculation = true;
+  r.reliability = true;
+  r.storm_control = true;
+  return r;
+}
+
+// The normal workflow under 300 s eviction storms (60% of the pool each)
+// with every resilience feature on: degraded mode holds placement probes,
+// and speculative duplicates launch and get promoted.
+TEST(PinnedResilience, SimulatorStormsWithEveryFeature) {
+  const auto workload = tora::workloads::make_workload("normal", 1);
+  tora::sim::SimConfig cfg;
+  cfg.seed = 3;
+  cfg.churn.enabled = true;
+  cfg.churn.initial_workers = 20;
+  cfg.churn.min_workers = 12;
+  cfg.churn.max_workers = 24;
+  cfg.churn.mean_interarrival_s = 15.0;
+  cfg.churn.mean_lifetime_s = 36000.0;
+  cfg.churn.storm_interval_s = 300.0;
+  cfg.churn.storm_duration_s = 30.0;
+  cfg.churn.storm_evict_fraction = 0.6;
+  cfg.resilience = every_feature();
+  cfg.resilience.deadline_quantile = 1.0;
+  cfg.resilience.deadline_slack = 3.0;
+  cfg.resilience.min_records = 20;
+  cfg.resilience.degraded_inflight_cap = 40;
+  auto alloc = tora::core::make_allocator(tora::core::kExhaustiveBucketing, 7,
+                                          cfg.worker_capacity);
+  tora::sim::Simulation sim(workload.tasks, alloc, cfg);
+  const auto r = sim.run();
+
+  const std::array<double, 3> awe = {0.34743814062207018, 0.35192805215812911,
+                                     0.35625233653833049};
+  for (std::size_t i = 0; i < kKinds.size(); ++i) {
+    EXPECT_EQ(r.accounting.awe(kKinds[i]), awe[i]);
+  }
+  EXPECT_EQ(r.makespan_s, 9599.7113143819734);
+  EXPECT_EQ(r.events_processed, 11447u);
+  EXPECT_EQ(r.tasks_completed, 1000u);
+  EXPECT_EQ(r.tasks_fatal, 0u);
+  EXPECT_EQ(r.evictions, 1693u);
+  const PinnedCount resilience[] = {
+      {"speculations_launched", 24}, {"speculations_promoted", 4},
+      {"speculations_cancelled", 20}, {"adaptive_deadlines_used", 0},
+      {"storms_entered", 30},        {"storms_exited", 30},
+      {"dispatches_held", 287895},   {"probation_admissions", 0},
+      {"requarantines", 0},          {"quarantine_amnesties", 0},
+  };
+  expect_counters(r.resilience, resilience);
+}
+
+struct PinnedTenant {
+  std::size_t completed;
+  double makespan_s;
+  std::uint64_t granted;
+  std::array<double, 3> committed_integral;
+};
+
+struct PinnedTenancyRun {
+  const char* arbiter;
+  std::array<PinnedTenant, 2> tenants;
+};
+
+// clang-format off
+const PinnedTenancyRun kTenancyRuns[] = {
+    {"drf", {{{1000, 10502.875880306306, 4367, {1850275.5779279559, 1800217689.0261087, 1772336105.8825858}},
+              {1000, 10577.619489077528, 2295, {2239450.0128208939, 1435040192.437103, 2229886208.3078203}}}}},
+    {"maxmin", {{{1000, 10381.348758235661, 4322, {1878985.5548055752, 1761605641.6120031, 1742647498.9502413}},
+                 {1000, 8742.3893307194267, 2298, {2246339.2534698839, 1438406837.976263, 2233953295.5773411}}}}},
+    {"karma", {{{1000, 10569.206495292094, 4436, {2007309.8006111919, 1843885096.106631, 1844341081.921875}},
+                {1000, 8781.4791589637643, 2299, {2248537.1344101611, 1441898128.0868967, 2237355653.5513039}}}}},
+};
+// clang-format on
+
+void PrintTo(const PinnedTenancyRun& pin, std::ostream* os) {
+  *os << pin.arbiter;
+}
+
+class PinnedTenancy : public ::testing::TestWithParam<PinnedTenancyRun> {};
+
+// Two tenants (normal under exhaustive bucketing at weight 1, bimodal
+// under max_seen at weight 2) share the default pool through each
+// arbitrated pass: DRF scores running allocations, max-min running counts,
+// Karma its credits.
+TEST_P(PinnedTenancy, TwoTenantsMatch) {
+  const PinnedTenancyRun& pin = GetParam();
+  const auto normal = tora::workloads::make_workload("normal", 1);
+  const auto bimodal = tora::workloads::make_workload("bimodal", 1);
+  const tora::sim::SimConfig cfg;
+  auto a = tora::core::make_allocator(tora::core::kExhaustiveBucketing, 7,
+                                      cfg.worker_capacity);
+  auto b =
+      tora::core::make_allocator(tora::core::kMaxSeen, 7, cfg.worker_capacity);
+  tora::sim::Simulation sim({{normal.tasks, &a, {"a", 1.0}},
+                             {bimodal.tasks, &b, {"b", 2.0}}},
+                            cfg, tora::core::tenancy::make_arbiter(pin.arbiter));
+  sim.run();
+
+  const auto outcomes = sim.tenant_outcomes();
+  ASSERT_EQ(outcomes.size(), pin.tenants.size());
+  for (std::size_t t = 0; t < outcomes.size(); ++t) {
+    SCOPED_TRACE(outcomes[t].name);
+    EXPECT_EQ(outcomes[t].completed, pin.tenants[t].completed);
+    EXPECT_EQ(outcomes[t].makespan_s, pin.tenants[t].makespan_s);
+    EXPECT_EQ(outcomes[t].granted, pin.tenants[t].granted);
+    for (std::size_t i = 0; i < kKinds.size(); ++i) {
+      EXPECT_EQ(outcomes[t].committed_integral[kKinds[i]],
+                pin.tenants[t].committed_integral[i]);
+    }
+    EXPECT_EQ(sim.tenants().running_count(
+                  static_cast<tora::core::tenancy::TenantId>(t)),
+              0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arbiters, PinnedTenancy, ::testing::ValuesIn(kTenancyRuns),
+    [](const ::testing::TestParamInfo<PinnedTenancyRun>& info) {
+      return std::string(info.param.arbiter);
+    });
+
+// 200 trimodal tasks on 8 agents over lossy, duplicating, corrupting links,
+// one severed worker and one crash before a result, with every resilience
+// feature on and storms entered at two evictions: attempt timeouts back
+// tasks off (deferred), and the degraded admission gate holds placements.
+TEST(PinnedResilience, ManagerChaosWithEveryFeature) {
+  auto workload = tora::workloads::make_workload("trimodal", 11);
+  workload.tasks.resize(200);
+  tora::proto::ChaosConfig chaos;
+  chaos.seed = 1;
+  chaos.to_worker.drop_prob = 0.08;
+  chaos.to_worker.duplicate_prob = 0.05;
+  chaos.to_worker.corrupt_prob = 0.05;
+  chaos.to_manager = chaos.to_worker;
+  chaos.sever_workers = 1;
+  chaos.sever_after_messages = 60;
+  chaos.worker_faults.resize(3);
+  chaos.worker_faults[2].crash_point = tora::proto::CrashPoint::BeforeResult;
+  chaos.liveness.resilience = every_feature();
+  chaos.liveness.resilience.storm_enter = 2;
+  chaos.liveness.resilience.storm_exit = 1;
+  chaos.liveness.resilience.degraded_inflight_cap = 2;
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
+  tora::proto::ProtocolRuntime runtime(
+      workload.tasks, alloc, 8, {16.0, 64.0 * 1024.0, 64.0 * 1024.0, 0.0},
+      chaos);
+  const auto r = runtime.run();
+
+  const std::array<double, 3> awe = {0.82471606399262898, 0.70236177378427889,
+                                     0.70232411979666187};
+  for (std::size_t i = 0; i < kKinds.size(); ++i) {
+    EXPECT_EQ(r.accounting.awe(kKinds[i]), awe[i]);
+  }
+  EXPECT_EQ(r.tasks_completed, 200u);
+  EXPECT_EQ(r.tasks_fatal, 0u);
+  EXPECT_EQ(r.messages, 1138u);
+  EXPECT_EQ(r.rounds, 96u);
+  const PinnedCount counters[] = {
+      {"messages_dropped", 85},
+      {"messages_duplicated", 53},
+      {"messages_corrupted", 58},
+      {"messages_severed", 70},
+      {"links_severed", 1},
+      {"malformed_lines", 61},
+      {"stale_or_duplicate_results", 19},
+      {"attempt_timeouts", 75},
+      {"redispatches", 77},
+      {"workers_declared_dead", 2},
+      {"workers_quarantined", 0},
+      {"protocol_evictions", 2},
+      {"heartbeats", 568},
+      {"duplicate_dispatches", 14},
+      {"misaddressed_messages", 0},
+      {"worker_crashes", 1},
+      {"dispatches_deferred_backpressure", 0},
+  };
+  expect_counters(r.chaos, counters);
+  const PinnedCount resilience[] = {
+      {"speculations_launched", 4},   {"speculations_promoted", 4},
+      {"speculations_cancelled", 0},  {"adaptive_deadlines_used", 75},
+      {"storms_entered", 1},          {"storms_exited", 1},
+      {"dispatches_held", 1686},      {"probation_admissions", 0},
+      {"requarantines", 0},           {"quarantine_amnesties", 0},
+  };
+  expect_counters(r.resilience, resilience);
+}
 
 }  // namespace

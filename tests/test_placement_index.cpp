@@ -39,7 +39,7 @@ struct PlacementTestPeer {
   }
   static void commit(ProtocolManager& m, std::uint64_t wid,
                      const core::ResourceVector& alloc) {
-    m.commit(wid, alloc);
+    m.bind(wid, alloc);
   }
   static void release(ProtocolManager& m, std::uint64_t wid,
                       const core::ResourceVector& alloc) {
@@ -311,7 +311,7 @@ std::optional<std::uint64_t> reference_find(
   double best_slack = 0.0;
   for (const auto& [id, w] : pool.workers()) {
     if (exclude && id == *exclude) continue;
-    if (w.draining() || !w.can_fit(alloc)) continue;
+    if (!w.can_fit(alloc)) continue;
     if (placement == Placement::FirstFit) return id;
     const double slack = slack_after(w, alloc);
     const bool better = placement == Placement::BestFit ? slack < best_slack
@@ -361,9 +361,6 @@ struct SimModel {
       const std::uint64_t id = ids[pick(rng, ids.size())];
       pool->remove_worker(id);
       std::erase_if(running, [id](const Running& r) { return r.worker == id; });
-    } else if (op < 0.22) {
-      const std::uint64_t id = ids[pick(rng, ids.size())];
-      pool->set_draining(id, !pool->worker(id).draining());
     } else if (op < 0.62) {
       const std::uint64_t id = ids[pick(rng, ids.size())];
       const Worker& w = pool->worker(id);

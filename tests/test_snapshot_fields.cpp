@@ -24,6 +24,7 @@
 #include "core/tenancy/multi_tenant_core.hpp"
 #include "proto/manager.hpp"
 #include "proto/worker_agent.hpp"
+#include "scripted_driver.hpp"
 #include "sim/simulation.hpp"
 #include "util/bytes.hpp"
 
@@ -152,13 +153,14 @@ class DispatchFields : public ::testing::Test {
   DispatchFields() {
     tora::core::lifecycle::DispatchCore core(tasks_, allocator_, {});
     core.start();
-    core.dispatch_pass(
+    tora::tests::ScriptedDriver driver(
         [](std::uint64_t task, const ResourceVector&)
             -> std::optional<std::uint64_t> {
           if (task > 1) return std::nullopt;
           return 0;
         },
         [](std::uint64_t, std::uint64_t, const ResourceVector&) {});
+    core.dispatch_pass(driver);
     core.complete(0, ResourceVector{0.5, 50.0, 50.0}, 1.0);
     core.fail_attempt(1, 2.0, 1);
     ByteWriter w;
@@ -410,12 +412,13 @@ TEST(MultiTenantFields, RefusesNonFiniteRunningAllocation) {
   };
   auto core = make(alloc_a, alloc_b);
   core.start();
-  core.dispatch_pass(
+  tora::tests::ScriptedDriver driver(
       [](std::uint64_t, const ResourceVector&) -> std::optional<std::uint64_t> {
         return 0;
       },
-      [](std::uint64_t, std::uint64_t, const ResourceVector&) {}, {},
-      [] { return ResourceVector{16.0, 65536.0, 65536.0}; });
+      [](std::uint64_t, std::uint64_t, const ResourceVector&) {},
+      ResourceVector{16.0, 65536.0, 65536.0});
+  core.dispatch_pass(driver);
   ByteWriter w;
   core.save_state(w);
   const std::string body = w.take();

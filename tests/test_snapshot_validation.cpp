@@ -26,6 +26,7 @@
 #include "core/tenancy/arbiter.hpp"
 #include "proto/manager.hpp"
 #include "proto/worker_agent.hpp"
+#include "scripted_driver.hpp"
 #include "sim/worker_pool.hpp"
 #include "util/bytes.hpp"
 
@@ -100,7 +101,7 @@ class DispatchBody : public ::testing::Test {
     DispatchCore core(tasks_, allocator_, {});
     core.start();
     std::size_t placed = 0;
-    core.dispatch_pass(
+    tora::tests::ScriptedDriver driver(
         [&placed](std::uint64_t, const ResourceVector&)
             -> std::optional<std::uint64_t> {
           if (placed >= 2) return std::nullopt;
@@ -109,6 +110,7 @@ class DispatchBody : public ::testing::Test {
         [&placed](std::uint64_t, std::uint64_t, const ResourceVector&) {
           ++placed;
         });
+    core.dispatch_pass(driver);
     ByteWriter w;
     core.save_state(w);
     body_ = w.take();
@@ -172,11 +174,11 @@ TEST_F(DispatchBody, RefusesReadyQueueIdOfARunningTask) {
 
 /// Three workers (ids 0, 1, 2) with one running task each. Worker w's
 /// record starts at kFirst + w * kWorkerBytes: id, capacity[4],
-/// committed[4], running count, one running id, draining flag.
+/// committed[4], running count, one running id.
 class PoolBody : public ::testing::Test {
  protected:
   static constexpr std::size_t kFirst = 16;
-  static constexpr std::size_t kWorkerBytes = 8 + 32 + 32 + 8 + 8 + 1;
+  static constexpr std::size_t kWorkerBytes = 8 + 32 + 32 + 8 + 8;
 
   PoolBody() {
     tora::sim::WorkerPool pool(kCap);

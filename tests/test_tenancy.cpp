@@ -20,6 +20,7 @@
 #include "core/recovery/snapshot.hpp"
 #include "core/registry.hpp"
 #include "core/tenancy/arbiter.hpp"
+#include "scripted_driver.hpp"
 #include "sim/simulation.hpp"
 #include "util/bytes.hpp"
 
@@ -35,6 +36,7 @@ using tora::core::tenancy::TenantId;
 using tora::core::tenancy::TenantInput;
 using tora::core::tenancy::TenantSpec;
 using tora::core::tenancy::TenantView;
+using tora::tests::ScriptedDriver;
 using tora::util::ByteReader;
 using tora::util::ByteWriter;
 
@@ -241,7 +243,7 @@ std::vector<std::tuple<std::uint64_t, std::uint64_t, ResourceVector>> drive(
   std::vector<std::tuple<std::uint64_t, std::uint64_t, ResourceVector>> log;
   const auto pass = [&](std::size_t cap) {
     std::size_t accepted = 0;
-    core.dispatch_pass(
+    ScriptedDriver driver(
         [&](std::uint64_t, const ResourceVector&)
             -> std::optional<std::uint64_t> {
           if (accepted >= cap) return std::nullopt;
@@ -251,6 +253,7 @@ std::vector<std::tuple<std::uint64_t, std::uint64_t, ResourceVector>> drive(
             const ResourceVector& alloc) {
           log.emplace_back(task, worker, alloc);
         });
+    core.dispatch_pass(driver);
   };
   core.start();
   pass(3);
@@ -345,7 +348,7 @@ TEST(MultiTenantCore, MisreportingTenantGetsInflatedAllocations) {
   std::vector<ResourceVector> allocs(facade.task_count());
   const auto pass = [&](std::size_t cap) {
     std::size_t accepted = 0;
-    facade.dispatch_pass(
+    ScriptedDriver driver(
         [&](std::uint64_t, const ResourceVector&)
             -> std::optional<std::uint64_t> {
           if (accepted >= cap) return std::nullopt;
@@ -354,7 +357,8 @@ TEST(MultiTenantCore, MisreportingTenantGetsInflatedAllocations) {
         [&](std::uint64_t task, std::uint64_t, const ResourceVector& alloc) {
           allocs[task] = alloc;
         },
-        {}, [] { return kPool; });
+        kPool);
+    facade.dispatch_pass(driver);
   };
   // Warm both allocators with one identical observation each (cold-start
   // allocations are the whole machine, where the clamp hides inflation).

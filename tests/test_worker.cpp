@@ -64,13 +64,6 @@ TEST(Worker, RejectsNonPositiveCapacity) {
   EXPECT_THROW(Worker(0, ResourceVector{0.0, 1.0, 1.0}), std::invalid_argument);
 }
 
-TEST(Worker, DrainingFlag) {
-  Worker w(0, kCap);
-  EXPECT_FALSE(w.draining());
-  w.set_draining(true);
-  EXPECT_TRUE(w.draining());
-}
-
 // ------------------------------------------------------------ WorkerPool
 
 TEST(WorkerPool, AddAndRemove) {
@@ -117,16 +110,6 @@ TEST(WorkerPool, FirstFitSkipsFullWorkers) {
   const auto id0 = pool.add_worker();
   const auto id1 = pool.add_worker();
   pool.start(id0, 1, kCap);
-  const auto chosen = pool.find_worker_for(ResourceVector{1.0, 1.0, 1.0});
-  ASSERT_TRUE(chosen.has_value());
-  EXPECT_EQ(*chosen, id1);
-}
-
-TEST(WorkerPool, FirstFitSkipsDraining) {
-  WorkerPool pool(kCap);
-  const auto id0 = pool.add_worker();
-  const auto id1 = pool.add_worker();
-  pool.set_draining(id0, true);
   const auto chosen = pool.find_worker_for(ResourceVector{1.0, 1.0, 1.0});
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(*chosen, id1);
