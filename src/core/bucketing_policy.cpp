@@ -53,6 +53,12 @@ double BucketingPolicy::predict() {
   return buckets_.sample_allocation(rng_);
 }
 
+double BucketingPolicy::predict_floor() {
+  // Buckets are contiguous ranges of the value-sorted records and a rep is
+  // its range's maximum, so the first bucket's rep is the least.
+  return buckets().buckets().front().rep;
+}
+
 std::vector<Record> BucketingPolicy::records() {
   store_.flush();
   const auto v = store_.values();

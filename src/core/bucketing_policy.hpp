@@ -58,6 +58,9 @@ class BucketingPolicy : public ResourcePolicy {
   void observe(double peak_value, double significance) override;
   double predict() override;
   double retry(double failed_alloc) override;
+  /// The lowest bucket representative: every draw returns some bucket's
+  /// representative. Rebuilds first exactly when predict() would.
+  double predict_floor() override;
 
   std::size_t record_count() const override { return store_.size(); }
 

@@ -79,6 +79,7 @@ class ChangeAwarePolicy final : public ResourcePolicy {
   double retry(double failed_alloc) override {
     return inner_->retry(failed_alloc);
   }
+  double predict_floor() override { return inner_->predict_floor(); }
 
   std::string name() const override;
   std::size_t record_count() const override { return total_observed_; }

@@ -25,6 +25,7 @@ class HybridPolicy final : public ResourcePolicy {
   void observe(double peak_value, double significance) override;
   double predict() override;
   double retry(double failed_alloc) override;
+  double predict_floor() override { return active().predict_floor(); }
 
   std::string name() const override;
   std::size_t record_count() const override { return observed_; }

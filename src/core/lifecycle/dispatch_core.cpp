@@ -1,6 +1,7 @@
 #include "core/lifecycle/dispatch_core.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -38,6 +39,9 @@ DispatchCore::DispatchCore(std::span<const TaskSpec> tasks,
     acct_category_.push_back(accounting_.intern(tasks_[i].category));
   }
   allocator_.reserve_history(tasks_.size());
+  queued_first_.resize(allocator_.category_count());
+  active_pos_.resize(allocator_.category_count());
+  queued_retry_.resize(allocator_.config().managed.size());
 }
 
 void DispatchCore::start() {
@@ -59,22 +63,80 @@ void DispatchCore::maybe_ready(std::uint64_t task_id) {
   }
   e.phase = TaskPhase::Queued;
   ready_.push_back(task_id);
+  track_queue(task_id, true);
+}
+
+ResourceVector DispatchCore::inflated(ResourceVector alloc) const {
+  if (config_.alloc_inflation != 1.0) {
+    for (ResourceKind k : allocator_.config().managed) {
+      alloc[k] = std::min(alloc[k] * config_.alloc_inflation,
+                          allocator_.config().worker_capacity[k]);
+    }
+  }
+  return alloc;
 }
 
 void DispatchCore::ensure_allocation(std::uint64_t task_id) {
   TaskEntry& e = entries_[task_id];
-  if (!e.has_alloc || (!e.is_retry && e.alloc_revision != allocator_.revision())) {
-    e.alloc = allocator_.allocate(alloc_category_[task_id]);
-    if (config_.alloc_inflation != 1.0) {
-      for (ResourceKind k : allocator_.config().managed) {
-        e.alloc[k] = std::min(e.alloc[k] * config_.alloc_inflation,
-                              allocator_.config().worker_capacity[k]);
+  const CategoryId category = alloc_category_[task_id];
+  if (e.has_alloc &&
+      (e.is_retry || e.alloc_revision == allocator_.version(category))) {
+    return;
+  }
+  e.alloc = inflated(allocator_.allocate(category));
+  e.has_alloc = true;
+  e.alloc_revision = allocator_.version(category);
+  hooks_.allocation_committed(task_id, e.alloc, false);
+}
+
+void DispatchCore::track_queue(std::uint64_t task_id, bool entered) {
+  const TaskEntry& e = entries_[task_id];
+  if (e.is_retry) {
+    const auto& managed = allocator_.config().managed;
+    for (std::size_t i = 0; i < managed.size(); ++i) {
+      std::multiset<double>& values = queued_retry_[i];
+      if (entered) {
+        values.insert(e.alloc[managed[i]]);
+      } else if (const auto it = values.find(e.alloc[managed[i]]);
+                 it != values.end()) {
+        values.erase(it);
       }
     }
-    e.has_alloc = true;
-    e.alloc_revision = allocator_.revision();
-    hooks_.allocation_committed(task_id, e.alloc, false);
+    return;
   }
+  const CategoryId c = alloc_category_[task_id];
+  if (entered) {
+    if (queued_first_[c]++ == 0) {
+      active_pos_[c] = static_cast<std::uint32_t>(active_.size());
+      active_.push_back(c);
+    }
+  } else if (queued_first_[c] > 0 && --queued_first_[c] == 0) {
+    const CategoryId last = active_.back();
+    active_[active_pos_[c]] = last;
+    active_pos_[last] = active_pos_[c];
+    active_.pop_back();
+  }
+}
+
+ResourceVector DispatchCore::queue_floor(bool* deterministic) {
+  // A retry allocation never changes while queued; a first attempt presents
+  // at least its category's floor (a cached allocation of an unmoved
+  // version came from the same policy state). Unmanaged dimensions stay 0,
+  // a valid bound for non-negative allocations.
+  const auto& managed = allocator_.config().managed;
+  ResourceVector floor;
+  for (std::size_t i = 0; i < managed.size(); ++i) {
+    floor[managed[i]] = queued_retry_[i].empty()
+                            ? std::numeric_limits<double>::infinity()
+                            : *queued_retry_[i].begin();
+  }
+  *deterministic = true;
+  for (CategoryId c : active_) {
+    const ResourceVector f = inflated(allocator_.allocation_floor(c));
+    for (ResourceKind k : managed) floor[k] = std::min(floor[k], f[k]);
+    *deterministic = *deterministic && allocator_.deterministic(c);
+  }
+  return floor;
 }
 
 std::size_t DispatchCore::dispatch_pass(DispatchDriver& driver,
@@ -83,12 +145,18 @@ std::size_t DispatchCore::dispatch_pass(DispatchDriver& driver,
   // that did not fit now will not fit later in the same pass. The queue is
   // compacted in place: tasks that stay (deferred or unplaced) are written
   // back to its front in scan order, and the tasks never scanned (placement
-  // quota reached) follow them.
+  // quota reached, or nothing fits) follow them.
   const std::size_t queued = ready_.size();
+  if (queued == 0) return 0;
+  // A driver cannot re-enter the core, so the allocator and the floor stay
+  // fixed for the whole pass; placing tasks only raises the true floor.
+  bool deterministic = true;
+  const ResourceVector floor = queue_floor(&deterministic);
+  bool may_place = driver.may_place(floor);
   std::size_t scanned = 0;
   std::size_t kept = 0;
   std::size_t placed = 0;
-  while (scanned < queued && placed < max_placements) {
+  while (may_place && scanned < queued && placed < max_placements) {
     const std::uint64_t task_id = ready_[scanned++];
     if (driver.defer(task_id)) {
       ready_[kept++] = task_id;
@@ -97,6 +165,7 @@ std::size_t DispatchCore::dispatch_pass(DispatchDriver& driver,
     ensure_allocation(task_id);
     TaskEntry& e = entries_[task_id];
     if (const auto worker = driver.place(task_id, e.alloc)) {
+      track_queue(task_id, false);
       if (config_.max_attempts > 0 && e.attempts >= config_.max_attempts) {
         make_fatal(task_id);
         continue;
@@ -109,8 +178,19 @@ std::size_t DispatchCore::dispatch_pass(DispatchDriver& driver,
       hooks_.task_dispatched(task_id, *worker, e.attempts);
       driver.commit(task_id, *worker, e.alloc);
       ++placed;
+      may_place = driver.may_place(floor);
     } else {
       ready_[kept++] = task_id;
+    }
+  }
+  if (!may_place && !deterministic && placed < max_placements) {
+    // Nothing fits, but refreshing a sampling category draws from its
+    // stream and fires allocation_committed: finish the scan without
+    // probing, so the rest see the defers, draws and hooks of a full scan.
+    for (; scanned < queued; ++scanned) {
+      const std::uint64_t task_id = ready_[scanned];
+      ready_[kept++] = task_id;
+      if (!driver.defer(task_id)) ensure_allocation(task_id);
     }
   }
   ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(kept),
@@ -188,6 +268,7 @@ DispatchCore::RetryVerdict DispatchCore::fail_attempt(std::uint64_t task_id,
   e.is_retry = true;
   e.phase = TaskPhase::Queued;
   ready_.push_back(task_id);
+  track_queue(task_id, true);
   hooks_.allocation_committed(task_id, next, true);
   hooks_.task_failed_attempt(task_id, runtime_s, exceeded_mask, true);
   return RetryVerdict::Requeued;
@@ -198,6 +279,7 @@ void DispatchCore::requeue_front(std::uint64_t task_id) {
   if (e.phase != TaskPhase::Running) return;
   e.phase = TaskPhase::Queued;
   ready_.push_front(task_id);
+  track_queue(task_id, true);
   hooks_.task_requeued(task_id);
 }
 
@@ -231,6 +313,10 @@ void DispatchCore::after_load() {
     }
     listed[id] = 1;
   }
+  std::fill(queued_first_.begin(), queued_first_.end(), 0);
+  active_.clear();
+  for (std::multiset<double>& values : queued_retry_) values.clear();
+  for (std::uint64_t id : ready_) track_queue(id, true);
 }
 
 void DispatchCore::make_fatal(std::uint64_t task_id) {

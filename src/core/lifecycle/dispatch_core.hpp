@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -39,9 +40,11 @@ struct TaskEntry {
   /// Execution attempts dispatched so far; doubles as the protocol's wire
   /// attempt id (the manager stamps it into each dispatch message).
   std::uint32_t attempts = 0;
-  /// Allocator revision at which a first-attempt allocation was computed;
-  /// a stale revision means newer records exist and the allocation is
-  /// re-requested at the next dispatch (Fig. 3a dispatch-time protocol).
+  /// TaskAllocator::version() of the category when a first-attempt
+  /// allocation was computed: the category's completion count for a
+  /// deterministic category, the allocator's revision() otherwise. A stale
+  /// version means newer records exist and the allocation is re-requested
+  /// at the next dispatch (Fig. 3a dispatch-time protocol).
   std::uint64_t alloc_revision = 0;
   std::uint64_t running_on = 0;  ///< worker id while Running
   ResourceVector alloc;
@@ -152,6 +155,14 @@ class DispatchDriver {
   /// True holds a task back this pass without touching its cached
   /// allocation (the protocol manager's backoff windows).
   virtual bool defer(std::uint64_t /*task*/) { return false; }
+  /// False only if place() would refuse every allocation that is >=
+  /// `floor` on each dimension, and would refuse it without side effects:
+  /// the pass then stops probing. Both runtimes answer from their
+  /// placement index's root, and answer true while a degraded-mode cap may
+  /// hold (and count) probes.
+  virtual bool may_place(const ResourceVector& /*floor*/) const {
+    return true;
+  }
   /// Live aggregate pool capacity for the tenancy arbiters' dominant-share
   /// math; only the arbitrated pass (core/tenancy) reads it, once per pass.
   virtual ResourceVector pool_capacity() const { return {}; }
@@ -160,8 +171,10 @@ class DispatchDriver {
 /// The single implementation of the task-lifecycle state machine both
 /// runtimes drive (sim::Simulation event-timed, proto::ProtocolManager
 /// pump-ticked): dependency countdown, FIFO ready queue, dispatch-time
-/// allocation caching with revision()-based invalidation, retry escalation
-/// via exceeded masks, attempt counting, fatality cascades, and the
+/// allocation caching invalidated by TaskAllocator::version(), a floor
+/// under every queued allocation that ends a pass once nothing can fit,
+/// retry escalation via exceeded masks, attempt counting, fatality
+/// cascades, and the
 /// eviction-vs-allocator-waste accounting split (infrastructure losses go
 /// to the eviction ledger, never into WasteAccounting).
 ///
@@ -195,8 +208,8 @@ class DispatchCore {
 
   /// One scheduling sweep over the ready queue (FIFO): each task is popped
   /// once, offered to the driver's defer, its allocation refreshed
-  /// (first-attempt allocations are re-requested when the allocator
-  /// revision moved; retry allocations never), and offered to its place.
+  /// (first-attempt allocations are re-requested when their category's
+  /// version moved; retry allocations never), and offered to its place.
   /// Placed tasks transition to Running and the driver's commit runs;
   /// unplaced and deferred tasks keep their relative order. A placeable
   /// task that already spent max_attempts is made fatal instead of
@@ -207,6 +220,14 @@ class DispatchCore {
   /// keep their order behind the scanned-but-unplaced ones, so repeated
   /// quota-limited passes drain the queue in the same order one unlimited
   /// pass would. Returns the number of placements committed.
+  ///
+  /// It also stops probing once the driver's may_place refuses the queue's
+  /// floor (asked before the first task and after each commit): no queued
+  /// task can be placed then. If every queued first-attempt category is
+  /// deterministic the sweep ends there, leaving the rest unscanned;
+  /// otherwise it finishes the scan without probing, so each remaining
+  /// task still gets its defer and its refresh, and every draw and hook
+  /// happens as in a full scan.
   std::size_t dispatch_pass(DispatchDriver& driver,
                             std::size_t max_placements = kNoPlacementLimit);
 
@@ -262,6 +283,10 @@ class DispatchCore {
   }
   std::size_t task_count() const noexcept { return tasks_.size(); }
   std::size_t ready_size() const noexcept { return ready_.size(); }
+  /// The ready queue in dispatch order.
+  const std::deque<std::uint64_t>& ready_queue() const noexcept {
+    return ready_;
+  }
   std::size_t completed() const noexcept { return completed_; }
   std::size_t fatal() const noexcept { return fatal_; }
   /// Done + Fatal.
@@ -311,7 +336,16 @@ class DispatchCore {
   void after_load();
   void maybe_ready(std::uint64_t task_id);
   void ensure_allocation(std::uint64_t task_id);
+  ResourceVector inflated(ResourceVector alloc) const;
   double significance_for(const TaskSpec& spec) const;
+  /// Ready-queue floor bookkeeping for a task that just entered or left
+  /// ready_ (its is_retry, and a retry's allocation, never change while it
+  /// is queued).
+  void track_queue(std::uint64_t task_id, bool entered);
+  /// The per-dimension least allocation any queued task can present this
+  /// pass; sets `*deterministic` to whether every queued first-attempt
+  /// category is deterministic.
+  ResourceVector queue_floor(bool* deterministic);
 
   std::span<const TaskSpec> tasks_;
   TaskAllocator& allocator_;
@@ -322,6 +356,14 @@ class DispatchCore {
   std::vector<CategoryId> acct_category_;   ///< accounting-table ids
   std::vector<std::vector<std::uint64_t>> dependents_;
   std::deque<std::uint64_t> ready_;  ///< FIFO; evictions requeue at the front
+  /// Derived from ready_ (after_load rebuilds them): queued first-attempt
+  /// tasks per allocator category, the categories where that count is
+  /// non-zero (with each one's position), and the queued retry
+  /// allocations per managed dimension.
+  std::vector<std::uint32_t> queued_first_;
+  std::vector<CategoryId> active_;
+  std::vector<std::uint32_t> active_pos_;
+  std::vector<std::multiset<double>> queued_retry_;
   WasteAccounting accounting_;
   ResourceVector evicted_alloc_;
   std::size_t evictions_ = 0;

@@ -49,6 +49,13 @@ class PlacementIndex {
   /// O(log W). Throws std::out_of_range if `slot` >= slots().
   void set(std::size_t slot, const ResourceVector& bound);
 
+  /// True unless the root refuses `alloc`: false means no slot admits it,
+  /// so first_fit and for_each_fit find nothing for it or for anything
+  /// larger. O(1).
+  bool admits_any(const ResourceVector& alloc) const noexcept {
+    return slots_ > 0 && admits(1, alloc);
+  }
+
   /// The leftmost slot whose bound admits `alloc` and for which
   /// `accept(slot)` returns true; nullopt if there is none.
   template <typename Accept>

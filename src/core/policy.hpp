@@ -51,6 +51,9 @@ inline void check_observation(const char* who, double peak_value,
 ///    exhausting `failed_alloc` of this resource. Implementations must
 ///    return a value strictly greater than `failed_alloc` so retry chains
 ///    terminate.
+///  * A policy whose sampler_state() is empty returns the same predict()
+///    until its next observe(). The TaskAllocator relies on this to predict
+///    such a category once per completion instead of once per queued task.
 ///  * Policies never see worker capacities; the TaskAllocator clamps.
 class ResourcePolicy {
  public:
@@ -62,6 +65,12 @@ class ResourcePolicy {
 
   virtual std::string name() const = 0;
   virtual std::size_t record_count() const = 0;
+
+  /// A lower bound on what predict() can return before the next observe():
+  /// the dispatch pass stops probing once no queued task's bound fits the
+  /// pool. Must draw no number; it may run the rebuild the next predict()
+  /// would run. The default, 0, means "no floor".
+  virtual double predict_floor() { return 0.0; }
 
   /// Folds any internally buffered observations into the policy's primary
   /// state (the bucketing family's staged-record merge). Checkpoint and

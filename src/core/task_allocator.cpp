@@ -69,8 +69,11 @@ TaskAllocator::CategoryState& TaskAllocator::state_for(CategoryId category) {
   CategoryState& st = categories_[category];
   if (st.policies.empty()) {
     st.policies.reserve(config_.managed.size());
+    st.deterministic = true;
     for (ResourceKind k : config_.managed) {
       st.policies.push_back(factory_(k, config_));
+      st.deterministic =
+          st.deterministic && st.policies.back()->sampler_state().empty();
     }
   }
   return st;
@@ -144,11 +147,30 @@ ResourceVector TaskAllocator::allocate(CategoryId category) {
   if (st.completed < config_.exploration.min_records) {
     return exploration_alloc();
   }
+  if (st.deterministic && st.cached_at == st.completed) return st.cached;
   ResourceVector alloc;
   for (std::size_t i = 0; i < config_.managed.size(); ++i) {
     alloc[config_.managed[i]] = st.policies[i]->predict();
   }
-  return clamp(alloc);
+  alloc = clamp(alloc);
+  if (st.deterministic) {
+    st.cached = alloc;
+    st.cached_at = st.completed;
+  }
+  return alloc;
+}
+
+ResourceVector TaskAllocator::allocation_floor(CategoryId category) {
+  // An exploring category may have no policies yet; creating them here
+  // would draw from the factory's master stream out of turn.
+  if (exploring(category)) return exploration_alloc();
+  CategoryState& st = categories_[category];
+  if (st.deterministic) return allocate(category);
+  ResourceVector floor;
+  for (std::size_t i = 0; i < config_.managed.size(); ++i) {
+    floor[config_.managed[i]] = st.policies[i]->predict_floor();
+  }
+  return clamp(floor);
 }
 
 ResourceVector TaskAllocator::allocate_retry(CategoryId category,

@@ -96,7 +96,9 @@ class TaskAllocator {
     return table_.name(id);
   }
 
-  /// First allocation for a fresh task of `category`.
+  /// First allocation for a fresh task of `category`. A deterministic
+  /// category (see deterministic()) predicts once per version() and
+  /// returns the cached result until its next completion.
   ResourceVector allocate(CategoryId category);
   ResourceVector allocate(const std::string& category) {
     return allocate(intern(category));
@@ -206,12 +208,36 @@ class TaskAllocator {
   /// more than once.
   void reserve_history(std::size_t expected_tasks);
 
-  /// Monotone counter bumped on every record_completion. Schedulers that
-  /// cache a first-attempt allocation for a queued task can invalidate the
-  /// cache when the revision changes (the bucketing state evolved), which
-  /// reproduces Fig. 3a's "ask the bucketing manager at dispatch" protocol
-  /// without re-sampling on every placement attempt.
+  /// Monotone counter bumped on every record_completion.
   std::uint64_t revision() const noexcept { return revision_; }
+
+  /// True once the category's policies exist and each returns an empty
+  /// sampler_state(): its allocate() then depends only on its own
+  /// completions (ResourcePolicy's contract). Classified once, when the
+  /// policies are created.
+  bool deterministic(CategoryId category) const noexcept {
+    return category < categories_.size() &&
+           categories_[category].deterministic;
+  }
+
+  /// The version a cached first-attempt allocation of `category` is valid
+  /// for: the category's completion count when it is deterministic,
+  /// revision() otherwise. Schedulers re-request a queued task's
+  /// allocation when the version moved, which reproduces Fig. 3a's "ask the
+  /// bucketing manager at dispatch" protocol without re-sampling on every
+  /// placement attempt. A pure function of the completion stream, so a
+  /// replayed allocator reports the same versions.
+  std::uint64_t version(CategoryId category) const noexcept {
+    return deterministic(category) ? categories_[category].completed
+                                   : revision_;
+  }
+
+  /// A lower bound, per managed dimension, on what allocate(category) can
+  /// return before the next completion, clamped as allocate clamps: the
+  /// exploration allocation while the category explores, the cached
+  /// allocation of a deterministic category, and each policy's
+  /// predict_floor() otherwise. Creates no policy and draws no number.
+  ResourceVector allocation_floor(CategoryId category);
 
  private:
   struct CategoryState {
@@ -219,6 +245,11 @@ class TaskAllocator {
     /// dense array walk, not a map lookup, on every allocate/record).
     std::vector<ResourcePolicyPtr> policies;
     std::size_t completed = 0;
+    bool deterministic = false;
+    /// A deterministic category's last prediction, valid while `completed`
+    /// equals `cached_at` (0 = none: a prediction needs a record).
+    std::size_t cached_at = 0;
+    ResourceVector cached;
   };
 
   CategoryState& state_for(CategoryId category);

@@ -58,6 +58,10 @@ void MultiTenantCore::TenantAdapter::commit(std::uint64_t id,
 bool MultiTenantCore::TenantAdapter::defer(std::uint64_t id) {
   return owner_.driver_->defer(base_ + id);
 }
+bool MultiTenantCore::TenantAdapter::may_place(
+    const ResourceVector& floor) const {
+  return owner_.driver_->may_place(floor);
+}
 
 // --- construction ----------------------------------------------------------
 

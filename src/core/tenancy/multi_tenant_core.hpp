@@ -170,7 +170,8 @@ class MultiTenantCore {
   /// global ones, and on task_dispatched (once per placement, just before
   /// the commit) it adds the placement to the tenant's running stats and
   /// to the current offer's grant. As the core's driver in an arbitrated
-  /// pass it forwards place, commit and defer to the runtime's driver.
+  /// pass it forwards place, commit, defer and may_place to the runtime's
+  /// driver.
   class TenantAdapter final : public lifecycle::RuntimeHooks,
                               public lifecycle::DispatchDriver {
    public:
@@ -193,6 +194,7 @@ class MultiTenantCore {
     void commit(std::uint64_t id, std::uint64_t worker,
                 const ResourceVector& alloc) override;
     bool defer(std::uint64_t id) override;
+    bool may_place(const ResourceVector& floor) const override;
 
    private:
     MultiTenantCore& owner_;

@@ -635,15 +635,15 @@ void ProtocolManager::dispatch_queued() {
   // a saturated pipe is likely eviction fodder / backlog fuel. Storage
   // degradation caps at ZERO: hold everything, keep serving what is
   // already in flight from memory. The cap and the Running count are
-  // sampled once per pass; commit counts what the pass adds.
+  // sampled once per pass; commit counts what the pass adds. The tenancy
+  // core's running counts are the Running tasks: task_dispatched raises
+  // them and every exit from Running lowers them.
   gate_cap_.reset();
   gate_inflight_ = 0;
   if (storage_.degraded || storms_.degraded() || transport_overloaded()) {
     gate_cap_ = storage_.degraded ? 0 : cfg_.resilience.degraded_inflight_cap;
-    for (std::size_t t = 0; t < core_.task_count(); ++t) {
-      if (core_.entry(t).phase == core::lifecycle::TaskPhase::Running) {
-        ++gate_inflight_;
-      }
+    for (core::tenancy::TenantId t = 0; t < core_.tenant_count(); ++t) {
+      gate_inflight_ += core_.running_count(t);
     }
   }
   core_.dispatch_pass(*this);
@@ -687,6 +687,14 @@ void ProtocolManager::commit(std::uint64_t task_id, std::uint64_t wid,
   // Counted even during replay: the crashed manager sent the message, so
   // the reconstructed counter must include it.
   ++dispatches_;
+}
+
+bool ProtocolManager::may_place(const ResourceVector& floor) const {
+  // While the gate is up, place may hold a probe and count it: keep
+  // probing. Otherwise the index prunes on capacity - committed, the limit
+  // place_worker checks, so a root that refuses the floor refuses every
+  // queued task, backpressured links included.
+  return gate_cap_.has_value() || index_.admits_any(floor);
 }
 
 bool ProtocolManager::defer(std::uint64_t task_id) {

@@ -348,12 +348,14 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   // DispatchDriver: the dispatch pass of dispatch_queued. place applies
   // the pass's admission gate, then place_worker; commit binds the worker
   // and sends the dispatch; defer holds tasks in a backoff window;
+  // may_place reads the placement index's root unless the gate is up;
   // pool_capacity sums the registry's announced capacities.
   std::optional<std::uint64_t> place(
       std::uint64_t task_id, const core::ResourceVector& alloc) override;
   void commit(std::uint64_t task_id, std::uint64_t wid,
               const core::ResourceVector& alloc) override;
   bool defer(std::uint64_t task_id) override;
+  bool may_place(const core::ResourceVector& floor) const override;
   core::ResourceVector pool_capacity() const override;
   /// Requeues a Running task after an infrastructure failure, applying
   /// capped exponential backoff. No-op unless the task is Running.
@@ -422,8 +424,9 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   std::vector<char> bp_sample_;
   bool bp_sampled_this_tick_ = false;
   /// The degraded-mode admission gate's per-pass sample (dispatch_queued):
-  /// the in-flight cap (none while not degraded) and the Running count,
-  /// which each commit of the pass raises. Transient, like bp_sample_.
+  /// the in-flight cap (none while not degraded) and the Running count (the
+  /// tenancy core's running counts), which each commit of the pass raises.
+  /// Transient, like bp_sample_.
   std::optional<std::size_t> gate_cap_;
   std::size_t gate_inflight_ = 0;
   std::size_t tick_ = 0;

@@ -415,6 +415,11 @@ std::optional<std::uint64_t> Simulation::place(std::uint64_t,
   return pool_.find_worker_for(alloc, config_.placement);
 }
 
+bool Simulation::may_place(const ResourceVector& floor) const {
+  // While degraded, place may hold a probe and count it: keep probing.
+  return storms_.degraded() || pool_.may_fit(floor);
+}
+
 void Simulation::commit(std::uint64_t task_id, std::uint64_t worker_id,
                         const ResourceVector& alloc) {
   const core::TaskSpec& spec = tasks_[task_id];

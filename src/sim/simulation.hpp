@@ -305,12 +305,13 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
                       const core::ResourceVector& measured_peak,
                       double runtime_s) override;
 
-  // DispatchDriver: the dispatch pass's placement, commit and the live
-  // pool capacity the tenancy arbiters read.
+  // DispatchDriver: the dispatch pass's placement, commit, the early end
+  // and the live pool capacity the tenancy arbiters read.
   std::optional<std::uint64_t> place(
       std::uint64_t task_id, const core::ResourceVector& alloc) override;
   void commit(std::uint64_t task_id, std::uint64_t worker_id,
               const core::ResourceVector& alloc) override;
+  bool may_place(const core::ResourceVector& floor) const override;
   core::ResourceVector pool_capacity() const override;
 
   void bootstrap();

@@ -97,6 +97,12 @@ class WorkerPool {
       Placement placement = Placement::FirstFit,
       std::optional<std::uint64_t> exclude = std::nullopt) const;
 
+  /// False when find_worker_for would refuse `alloc`, and everything
+  /// larger, at the index root. O(1).
+  bool may_fit(const core::ResourceVector& alloc) const noexcept {
+    return index_.admits_any(alloc);
+  }
+
   /// Sum of running attempts across alive workers, kept by start/finish.
   std::size_t running_attempts() const noexcept { return running_; }
 

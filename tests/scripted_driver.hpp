@@ -1,7 +1,7 @@
 #pragma once
 
-// A DispatchDriver over two callables, so that a test scripts a dispatch
-// pass's placements and commits inline:
+// A DispatchDriver over callables, so that a test scripts a dispatch pass's
+// placements and commits inline:
 //
 //   ScriptedDriver driver(
 //       [&](std::uint64_t task, const ResourceVector& alloc)
@@ -10,8 +10,10 @@
 //           const ResourceVector& alloc) { ... });
 //   core.dispatch_pass(driver);
 //
-// It defers nothing; `pool` is what an arbitrated pass reads as the pool
-// capacity.
+// `pool` is what an arbitrated pass reads as the pool capacity. The
+// optional `may_place` answers the pass's early-end query (default: always
+// true, so every pass is a full scan) and the optional `defer` holds tasks
+// back (default: none).
 
 #include <cstdint>
 #include <optional>
@@ -22,11 +24,25 @@
 
 namespace tora::tests {
 
-template <typename Place, typename Commit>
+struct AlwaysMayPlace {
+  bool operator()(const core::ResourceVector&) const { return true; }
+};
+
+struct NeverDefer {
+  bool operator()(std::uint64_t) const { return false; }
+};
+
+template <typename Place, typename Commit, typename MayPlace = AlwaysMayPlace,
+          typename Defer = NeverDefer>
 class ScriptedDriver final : public core::lifecycle::DispatchDriver {
  public:
-  ScriptedDriver(Place place, Commit commit, core::ResourceVector pool = {})
-      : place_(std::move(place)), commit_(std::move(commit)), pool_(pool) {}
+  ScriptedDriver(Place place, Commit commit, core::ResourceVector pool = {},
+                 MayPlace may_place = {}, Defer defer = {})
+      : place_(std::move(place)),
+        commit_(std::move(commit)),
+        pool_(pool),
+        may_place_(std::move(may_place)),
+        defer_(std::move(defer)) {}
 
   std::optional<std::uint64_t> place(
       std::uint64_t task, const core::ResourceVector& alloc) override {
@@ -36,12 +52,18 @@ class ScriptedDriver final : public core::lifecycle::DispatchDriver {
               const core::ResourceVector& alloc) override {
     commit_(task, worker, alloc);
   }
+  bool defer(std::uint64_t task) override { return defer_(task); }
+  bool may_place(const core::ResourceVector& floor) const override {
+    return may_place_(floor);
+  }
   core::ResourceVector pool_capacity() const override { return pool_; }
 
  private:
   Place place_;
   Commit commit_;
   core::ResourceVector pool_;
+  MayPlace may_place_;
+  Defer defer_;
 };
 
 }  // namespace tora::tests

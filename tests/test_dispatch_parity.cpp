@@ -343,6 +343,62 @@ TEST(DispatchCoreRevision, RetryAllocationsAreNeverInvalidated) {
   EXPECT_TRUE(core.entry(0).is_retry);
 }
 
+TEST(DispatchCoreRevision, DeterministicVersionMovesOnlyWithItsCategory) {
+  // Under max_seen (deterministic) a queued first attempt is re-requested
+  // only when its own category completes; under exhaustive bucketing
+  // (sampling) any completion re-requests it, so its redraws happen where
+  // they always did.
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "max_seen" : "exhaustive_bucketing");
+    std::vector<TaskSpec> tasks(3);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      tasks[i].id = i;
+      tasks[i].category = i == 1 ? "b" : "a";
+      tasks[i].demand = ResourceVector{2.0, 300.0, 100.0, 0.0};
+      tasks[i].duration_s = 5.0;
+    }
+    auto alloc = tora::core::make_allocator(
+        deterministic ? tora::core::kMaxSeen : tora::core::kExhaustiveBucketing,
+        1);
+    // Both categories past exploration.
+    for (int r = 0; r < 10; ++r) {
+      for (const char* c : {"a", "b"}) {
+        alloc.record_completion(c, ResourceVector{1.0, 200.0, 50.0, 0.0},
+                                r + 1.0);
+      }
+    }
+    struct Refreshes final : tora::core::lifecycle::RuntimeHooks {
+      std::vector<std::uint64_t> ids;
+      void allocation_committed(std::uint64_t id, const ResourceVector&,
+                                bool is_retry) override {
+        if (!is_retry) ids.push_back(id);
+      }
+    } hooks;
+    DispatchCore core(tasks, alloc, DispatchConfig{}, hooks);
+    core.start();
+    bool slot_free = true;  // one slot: task 0 takes it in the first pass
+    ScriptedDriver driver(
+        [&](std::uint64_t, const ResourceVector&)
+            -> std::optional<std::uint64_t> {
+          if (!slot_free) return std::nullopt;
+          return 0;
+        },
+        [&](std::uint64_t, std::uint64_t, const ResourceVector&) {
+          slot_free = false;
+        });
+    core.dispatch_pass(driver);
+    ASSERT_EQ(core.entry(0).phase, TaskPhase::Running);
+    hooks.ids.clear();
+
+    core.complete(0, ResourceVector{0.5, 150.0, 40.0, 0.0}, 5.0);
+    core.dispatch_pass(driver);
+    const std::vector<std::uint64_t> want =
+        deterministic ? std::vector<std::uint64_t>{2}
+                      : std::vector<std::uint64_t>{1, 2};
+    EXPECT_EQ(hooks.ids, want);
+  }
+}
+
 TEST(SimRevision, QueuedTaskPicksUpFreshPredictionAfterCompletion) {
   // End-to-end in the simulator: two same-category tasks on one worker.
   // Task 1 waits while task 0 runs under whole-machine exploration; after

@@ -8,15 +8,20 @@
 // storms, the arbitrated multi-tenant pass under each arbiter, and the
 // manager's backoff deferrals and admission gate under chaos. Only decoded
 // results are pinned, never byte layouts. A change that moves these values
-// on purpose re-baselines the tables below and says why.
+// on purpose re-baselines the tables below and says why. One more cell pins
+// a count of work instead of a result: the predict calls of a 20k-task run
+// under the deterministic policies, which repeat exactly.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -28,6 +33,7 @@
 #include "proto/manager.hpp"
 #include "proto/recovery_runtime.hpp"
 #include "sim/simulation.hpp"
+#include "workloads/synthetic.hpp"
 #include "workloads/topeft.hpp"
 #include "workloads/workload.hpp"
 
@@ -189,6 +195,97 @@ TEST_P(PinnedManager, TopEftRunMatches) {
 INSTANTIATE_TEST_SUITE_P(
     TopEft, PinnedManager, ::testing::ValuesIn(kProtoRuns),
     [](const ::testing::TestParamInfo<PinnedProto>& info) {
+      return std::string(info.param.policy);
+    });
+
+// --- work at the paper's §VII scale -----------------------------------------
+
+/// Counts predict() calls and forwards every other ResourcePolicy call, so
+/// the allocator classifies the wrapped policy as it would the bare one.
+class CountingPolicy final : public tora::core::ResourcePolicy {
+ public:
+  CountingPolicy(tora::core::ResourcePolicyPtr inner, std::size_t& predicts)
+      : inner_(std::move(inner)), predicts_(predicts) {}
+  void observe(double peak, double significance) override {
+    inner_->observe(peak, significance);
+  }
+  double predict() override {
+    ++predicts_;
+    return inner_->predict();
+  }
+  double retry(double failed) override { return inner_->retry(failed); }
+  std::string name() const override { return inner_->name(); }
+  std::size_t record_count() const override { return inner_->record_count(); }
+  void flush_observations() override { inner_->flush_observations(); }
+  std::string sampler_state() const override {
+    return inner_->sampler_state();
+  }
+  void restore_sampler_state(std::string_view state) override {
+    inner_->restore_sampler_state(state);
+  }
+
+ private:
+  tora::core::ResourcePolicyPtr inner_;
+  std::size_t& predicts_;
+};
+
+struct PinnedWork {
+  const char* policy;
+  std::array<double, 3> awe;
+  double makespan_s;
+  std::uint64_t events;
+};
+
+// 20k-task Phasing Trimodal, workload seed 7, ExperimentConfig defaults.
+// A deterministic category predicts once per completion, so a task costs a
+// few predict calls; re-predicting every queued task on every pass cost
+// 4,141 (max_seen) and 4,084 (whole_machine) per task.
+// clang-format off
+const PinnedWork kWorkRuns[] = {
+    {"max_seen", {0.45818141292912812, 0.487881232180288, 0.48670471304602769}, 115703.16961291028, 42827},
+    {"whole_machine", {0.31237818400895234, 0.076106661135809078, 0.076192516692086751}, 115415.64610976737, 42791},
+};
+// clang-format on
+
+void PrintTo(const PinnedWork& pin, std::ostream* os) { *os << pin.policy; }
+
+class PinnedWorkCount : public ::testing::TestWithParam<PinnedWork> {};
+
+TEST_P(PinnedWorkCount, TwentyKTrimodalPredictsAFewTimesPerTask) {
+  const PinnedWork& pin = GetParam();
+  constexpr std::size_t kTasks = 20000;
+  const auto workload = tora::workloads::generate_synthetic(
+      tora::workloads::trimodal_spec(kTasks), 7);
+  const tora::exp::ExperimentConfig cfg;
+  std::size_t predicts = 0;
+  tora::core::PolicyFactory inner = tora::core::make_policy_factory(
+      pin.policy, cfg.policy_seed, cfg.registry);
+  tora::core::TaskAllocator allocator(
+      pin.policy,
+      [&inner, &predicts](ResourceKind kind,
+                          const tora::core::AllocatorConfig& config)
+          -> tora::core::ResourcePolicyPtr {
+        return std::make_unique<CountingPolicy>(inner(kind, config),
+                                                predicts);
+      },
+      tora::core::make_allocator(pin.policy, cfg.policy_seed,
+                                 cfg.sim.worker_capacity, cfg.registry)
+          .config());
+  tora::sim::Simulation sim(workload.tasks, allocator, cfg.sim);
+  const auto r = sim.run();
+
+  EXPECT_LE(predicts, 12 * kTasks);
+  for (std::size_t i = 0; i < kKinds.size(); ++i) {
+    EXPECT_EQ(r.accounting.awe(kKinds[i]), pin.awe[i]);
+  }
+  EXPECT_EQ(r.makespan_s, pin.makespan_s);
+  EXPECT_EQ(r.events_processed, pin.events);
+  EXPECT_EQ(r.tasks_completed, kTasks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Deterministic, PinnedWorkCount, ::testing::ValuesIn(kWorkRuns),
+    [](const ::testing::TestParamInfo<PinnedWork>& info) {
       return std::string(info.param.policy);
     });
 

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lifecycle/dispatch_core.hpp"
@@ -18,10 +20,12 @@
 #include "core/registry.hpp"
 #include "core/task.hpp"
 #include "proto/channel.hpp"
+#include "proto/drive.hpp"
 #include "proto/manager.hpp"
 #include "proto/message.hpp"
 #include "sim/simulation.hpp"
 #include "util/bytes.hpp"
+#include "workloads/workload.hpp"
 
 namespace {
 
@@ -596,6 +600,84 @@ TEST(ResilienceStorm, SimulatedStormBurstsDriveDegradedModeAndStillComplete) {
   // Degradation is symmetric: every storm entered is eventually exited
   // (the run only ends once the pool calmed down and work finished).
   EXPECT_EQ(r.resilience.storms_entered, r.resilience.storms_exited);
+}
+
+/// In-process chaos links that run `check` after the manager pump and
+/// after the agent pumps of every round.
+class CheckedTransport final : public tora::proto::Transport {
+ public:
+  CheckedTransport(std::size_t workers, const tora::proto::ChaosConfig& chaos,
+                   std::function<void()> check)
+      : inner_(workers, chaos), check_(std::move(check)) {}
+  const std::vector<DuplexLinkPtr>& links() const override {
+    return inner_.links();
+  }
+  const DuplexLinkPtr& worker_link(std::size_t i) const override {
+    return inner_.worker_link(i);
+  }
+  void step() override { check_(); }
+  void harvest(tora::proto::ProtocolRunResult& result) const override {
+    inner_.harvest(result);
+  }
+
+ private:
+  tora::proto::LinkTransport inner_;
+  std::function<void()> check_;
+};
+
+TEST(ResilienceStorm, ManagerGateCountsTheRunningTasks) {
+  // The degraded admission gate reads the tenancy core's running counts; on
+  // a chaos run that enters storms (the pinned ManagerChaosWithEveryFeature
+  // setup), their sum must equal the Running tasks after every pump.
+  auto workload = tora::workloads::make_workload("trimodal", 11);
+  workload.tasks.resize(200);
+  tora::proto::ChaosConfig chaos;
+  chaos.seed = 1;
+  chaos.to_worker.drop_prob = 0.08;
+  chaos.to_worker.duplicate_prob = 0.05;
+  chaos.to_worker.corrupt_prob = 0.05;
+  chaos.to_manager = chaos.to_worker;
+  chaos.sever_workers = 1;
+  chaos.sever_after_messages = 60;
+  chaos.worker_faults.resize(3);
+  chaos.worker_faults[2].crash_point = tora::proto::CrashPoint::BeforeResult;
+  chaos.liveness.resilience = everything_on();
+  chaos.liveness.resilience.storm_enter = 2;
+  chaos.liveness.resilience.storm_exit = 1;
+  chaos.liveness.resilience.degraded_inflight_cap = 2;
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
+
+  const tora::proto::ProtocolDrive* drive = nullptr;
+  std::size_t checks = 0;
+  CheckedTransport transport(8, chaos, [&] {
+    if (drive == nullptr) return;
+    const auto& core = drive->manager().tenants();
+    std::size_t counted = 0;
+    for (std::uint32_t t = 0; t < core.tenant_count(); ++t) {
+      counted += core.running_count(t);
+    }
+    std::size_t running = 0;
+    for (std::uint64_t id = 0; id < core.task_count(); ++id) {
+      if (core.entry(id).phase ==
+          tora::core::lifecycle::TaskPhase::Running) {
+        ++running;
+      }
+    }
+    EXPECT_EQ(counted, running) << "check " << checks;
+    ++checks;
+  });
+  tora::proto::ProtocolDrive run(
+      transport, nullptr,
+      {nullptr, std::make_unique<tora::proto::ProtocolManager>(
+                    workload.tasks, alloc, transport.links(), chaos.liveness)},
+      kCapacity, chaos);
+  drive = &run;
+  tora::proto::ProtocolRunResult result;
+  run.run(1000000, result);
+  EXPECT_EQ(result.tasks_completed, 200u);
+  EXPECT_GT(result.resilience.storms_entered, 0u);
+  EXPECT_GT(result.resilience.dispatches_held, 0u);
+  EXPECT_GT(checks, 100u);
 }
 
 TEST(ResilienceStorm, StormKnobsAreValidated) {
