@@ -128,7 +128,6 @@ exp::ExperimentConfig experiment_config(const Options& opts) {
   cfg.sim.churn.storm_interval_s = opts.storm_interval_s;
   cfg.sim.churn.storm_duration_s = opts.storm_duration_s;
   cfg.sim.churn.storm_evict_fraction = opts.storm_fraction;
-  cfg.sim.coarse_stepping = opts.coarse_stepping;
   return cfg;
 }
 
@@ -464,8 +463,7 @@ int cmd_run(const Options& opts, std::ostream& out) {
       << exp::fmt(r.accounting.mean_attempts(), 2) << ", evictions "
       << r.evictions << ", makespan " << exp::fmt(r.makespan_s / 3600.0, 2)
       << " h\n";
-  out << "events " << r.events_processed
-      << (cfg.sim.coarse_stepping ? " (coarse stepping)" : "") << "\n";
+  out << "events " << r.events_processed << "\n";
 
   if (cfg.sim.resilience.enabled()) {
     double speculative = 0.0;
@@ -837,7 +835,12 @@ const Option kOptions[] = {
      [](Options& o, Value v) { o.seed = parse_u64(v, "--seed"); }},
     {"--workers", "N", kSimulating | kProto,
      "initial worker count (default 35)",
-     [](Options& o, Value v) { o.workers = parse_count(v, "--workers"); }},
+     [](Options& o, Value v) {
+       o.workers = parse_count(v, "--workers");
+       // The simulator's exact pool totals must hold N default workers.
+       core::check_pool_capacity(sim::SimConfig{}.worker_capacity, o.workers,
+                                 "--workers");
+     }},
     {"--workflow", "W", kRun | kProto | kTrace,
      "workflow name; run and proto also take a trace CSV",
      [](Options& o, Value v) { o.workflow = v; }},
@@ -854,9 +857,6 @@ const Option kOptions[] = {
        o.submit_interval_s = parse_f64(v, "--interval");
        require(o.submit_interval_s >= 0.0, "--interval must be >= 0");
      }},
-    {"--coarse-stepping", "", kSimulating,
-     "skip the accounting scan over idle churn stretches",
-     [](Options& o, Value) { o.coarse_stepping = true; }},
     {"--deadline-quantile", "Q", kSimulating,
      "adaptive attempt deadlines at quantile Q in (0, 1]",
      [](Options& o, Value v) {

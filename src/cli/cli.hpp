@@ -71,9 +71,6 @@ struct Options {
   /// tenants: the LAST tenant inflates its reported demand by this factor
   /// (>= 1; 1 = everyone honest) — the misreporting stress knob.
   double misreport = 1.0;
-  /// run|grid|tenants: coarse time-stepping across provably-idle churn
-  /// stretches (--coarse-stepping; docs/engine.md). Default off.
-  bool coarse_stepping = false;
   /// fsck: the recovery directory to inspect (positional argument).
   std::string fsck_dir;
   /// fsck: validate a canonical sim event-frame snapshot file instead of a

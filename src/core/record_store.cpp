@@ -67,13 +67,21 @@ void RecordStore::flush() {
   }
   staged_.clear();
 
-  // Extend the prefix sums from the smallest staged record's slot (`out`).
-  // Entries before it are untouched because the merge preserved that prefix
-  // of the run, so the recurrence continues exactly as a full forward
-  // recompute would.
+  // The prefix sums stay valid up to the smallest staged record's slot
+  // (`out`): the merge preserved that prefix of the run, so sorted() can
+  // continue the recurrence from there exactly as a full forward recompute
+  // would.
   sig_prefix_.resize(n + s + 1);
   vsig_prefix_.resize(n + s + 1);
-  extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, out);
+  stale_from_ = std::min(stale_from_, out);
+}
+
+SortedRecords RecordStore::sorted() const noexcept {
+  if (stale_from_ < values_.size()) {
+    extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, stale_from_);
+    stale_from_ = values_.size();
+  }
+  return {values_, sigs_, sig_prefix_, vsig_prefix_};
 }
 
 std::vector<Record> RecordStore::merged_records() const {
@@ -95,7 +103,7 @@ void RecordStore::after_load() {
   }
   sig_prefix_.assign(values_.size() + 1, 0.0);
   vsig_prefix_.assign(values_.size() + 1, 0.0);
-  extend_prefix_sums(values_, sigs_, sig_prefix_, vsig_prefix_, 0);
+  stale_from_ = 0;
 }
 
 }  // namespace tora::core

@@ -46,20 +46,21 @@ void extend_prefix_sums(std::span<const double> values,
 /// buffer. flush() merges the staging buffer into the main value-sorted run
 /// in place (stable: ties keep arrival order, staged records land after
 /// existing equal values — exactly the order repeated upper_bound insertion
-/// would produce) and extends the prefix sums from the first position the
-/// merge changed. Sorted views are only valid for the merged run, so callers
-/// flush() before reading.
+/// would produce) and lowers a stale mark to the first position the merge
+/// changed. sorted() extends the prefix sums from that mark on its first
+/// read, so merges between two reads cost one pass, and a reader of values
+/// alone never pays for sums. Sorted views are only valid for the merged
+/// run, so callers flush() before reading.
 class RecordStore {
  public:
   /// Appends one record to the staging buffer. O(1) amortized.
   void add(double value, double significance);
 
-  /// Merges staged records into the sorted run and extends the prefix sums.
-  /// O(s log(n + s) + (n - p)) for s staged records over an n-record run
-  /// (the sort, one binary search per staged record, and the tail), where p
-  /// is the merged position of the smallest staged record: records below it
-  /// neither move nor get their prefix sums recomputed. No-op when nothing
-  /// is staged.
+  /// Merges staged records into the sorted run. O(s log(n + s) + (n - p))
+  /// for s staged records over an n-record run (the sort, one binary search
+  /// per staged record, and the moved tail), where p is the merged position
+  /// of the smallest staged record: records below it do not move, and the
+  /// prefix sums stay valid up to p. No-op when nothing is staged.
   void flush();
 
   bool empty() const noexcept { return values_.empty() && staged_.empty(); }
@@ -70,18 +71,18 @@ class RecordStore {
   bool has_staged() const noexcept { return !staged_.empty(); }
 
   /// Views over the merged sorted run (call flush() first to cover staged
-  /// records). Invalidated by add()/flush().
-  SortedRecords sorted() const noexcept {
-    return {values_, sigs_, sig_prefix_, vsig_prefix_};
-  }
+  /// records), extending the prefix sums from the stale mark first: the same
+  /// recurrence from the same valid entry, so the same bits as extending on
+  /// every merge. Invalidated by add()/flush().
+  SortedRecords sorted() const noexcept;
   std::span<const double> values() const noexcept { return values_; }
   std::span<const double> significances() const noexcept { return sigs_; }
 
   /// Bit-exact serialization: merged run then staging buffer (in arrival
   /// order), each as a u64 count followed by (value, significance) f64
   /// pairs. Every record must be one observe() would accept; load refuses
-  /// an unsorted merged run and rebuilds the prefix sums with
-  /// extend_prefix_sums from 0, the same recurrence flush() extends.
+  /// an unsorted merged run and marks every prefix sum stale, so the next
+  /// sorted() rebuilds them with extend_prefix_sums from 0.
   void save(util::ByteWriter& w) const { snapshot::save(w, *this); }
   void load(util::ByteReader& r) { snapshot::load(r, *this); }
 
@@ -108,8 +109,11 @@ class RecordStore {
 
   std::vector<double> values_;  // merged run, sorted ascending by value
   std::vector<double> sigs_;    // parallel to values_
-  std::vector<double> sig_prefix_{0.0};
-  std::vector<double> vsig_prefix_{0.0};
+  // A cache sorted() completes on read; flush() sizes it.
+  mutable std::vector<double> sig_prefix_{0.0};
+  mutable std::vector<double> vsig_prefix_{0.0};
+  /// Prefix entries [0, stale_from_] are valid; sorted() extends the rest.
+  mutable std::size_t stale_from_ = 0;
   std::vector<Record> staged_;  // arrival order until flush() sorts it
 };
 

@@ -31,7 +31,9 @@ ScanMin TovarPolicy::best_candidate(TovarObjective objective,
   const std::size_t n = values.size();
   const double count = static_cast<double>(n);
   const double v_max = values[n - 1];
-  const double total = value_prefix[n];
+  // Only Min Waste reads the prefix; Max Throughput may pass an empty one.
+  const double total =
+      objective == TovarObjective::MinWaste ? value_prefix[n] : 0.0;
   // Candidate first allocations are the observed peak values; each one's
   // objective is O(1) from the prefix sums. `i` is the last index covered
   // by candidate a = values[i].
@@ -111,9 +113,12 @@ void TovarPolicy::rebuild_if_dirty() {
   const std::span<const double> values = store_.values();
   const double v_max = values.back();
   // Every record weighs 1, so vsig_prefix is the plain value prefix sum.
-  const ScanMin best = best_candidate(objective_, values,
-                                      store_.sorted().vsig_prefix,
-                                      block_bounds_);
+  // Only Min Waste reads it: Max Throughput never extends the sums.
+  const std::span<const double> prefix =
+      objective_ == TovarObjective::MinWaste ? store_.sorted().vsig_prefix
+                                             : std::span<const double>{};
+  const ScanMin best =
+      best_candidate(objective_, values, prefix, block_bounds_);
   double best_a = best.index == ScanMin::kNone ? v_max : values[best.index];
   if (best_a <= 0.0) best_a = v_max > 0.0 ? v_max : 1.0;
   choice_ = best_a;

@@ -57,7 +57,8 @@ class TovarPolicy final : public ResourcePolicy {
   /// The objective's optimum over the candidates a = values[i] (the last
   /// of each run of equal values; Max Throughput also skips a <= 0), given
   /// the ascending `values` and `value_prefix[i]` = the sum of values
-  /// [0, i) as extend_prefix_sums builds it. The scan's cost is the Min
+  /// [0, i) as extend_prefix_sums builds it (read by Min Waste only; Max
+  /// Throughput may pass an empty span). The scan's cost is the Min
   /// Waste score, or the negated Max Throughput score, so the result is
   /// the first candidate of least cost in index order, or ScanMin{} when
   /// none qualifies. Candidates are scanned in 16-wide blocks with an O(1)

@@ -21,7 +21,9 @@ std::string StallReport::to_string() const {
      << workers_quarantined << " quarantined, " << workers_backpressured
      << " backpressured; agents crashed " << agents_crashed;
   if (sockets) {
-    os << "; endpoints " << endpoints_established << " established, "
+    os << "; endpoints " << endpoints_idle << " idle, "
+       << endpoints_connecting << " connecting, " << endpoints_hello_sent
+       << " hello sent, " << endpoints_established << " established, "
        << backoff_failed_connects.size() << " in backoff";
     if (!backoff_failed_connects.empty()) {
       os << " (failed connects";

@@ -59,8 +59,13 @@ struct StallReport {
   std::size_t workers_quarantined = 0;
   std::size_t workers_backpressured = 0;  ///< in the last tick's sample
   std::size_t agents_crashed = 0;
-  // Socket transports only.
+  // Socket transports only: worker endpoints by connector state. A worker
+  // reconnecting after a lost connection is connecting, has sent its hello
+  // or waits out a backoff.
   bool sockets = false;
+  std::size_t endpoints_idle = 0;
+  std::size_t endpoints_connecting = 0;
+  std::size_t endpoints_hello_sent = 0;
   std::size_t endpoints_established = 0;
   /// Consecutive failed connects of each worker endpoint in backoff, in
   /// worker order (its size is the number of endpoints in backoff).

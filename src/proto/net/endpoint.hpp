@@ -174,9 +174,10 @@ class WorkerEndpoint {
   /// and deliver dispatches into the link. Returns true on any progress.
   bool pump_io(double now, int timeout_ms = 0);
 
+  /// The connector's state machine.
+  enum class State { Idle, Connecting, HelloSent, Established, Backoff };
+  State state() const noexcept { return state_; }
   bool established() const noexcept { return state_ == State::Established; }
-  /// Waiting out a reconnect backoff.
-  bool in_backoff() const noexcept { return state_ == State::Backoff; }
   /// Consecutive failed connect attempts (0 once a handshake completes).
   std::size_t failed_connects() const noexcept { return attempt_; }
   /// No connection-level work outstanding (see ManagerEndpoint::quiesced).
@@ -195,8 +196,6 @@ class WorkerEndpoint {
   }
 
  private:
-  enum class State { Idle, Connecting, HelloSent, Established, Backoff };
-
   void start_connect(double now);
   void enter_backoff(double now);
   bool read_socket(double now);

@@ -100,9 +100,22 @@ void SocketTransport::harvest(ProtocolRunResult& result) const {
 void SocketTransport::describe(StallReport& report) const {
   report.sockets = true;
   for (const auto& ep : worker_eps_) {
-    report.endpoints_established += ep->established();
-    if (ep->in_backoff()) {
-      report.backoff_failed_connects.push_back(ep->failed_connects());
+    switch (ep->state()) {
+      case WorkerEndpoint::State::Idle:
+        ++report.endpoints_idle;
+        break;
+      case WorkerEndpoint::State::Connecting:
+        ++report.endpoints_connecting;
+        break;
+      case WorkerEndpoint::State::HelloSent:
+        ++report.endpoints_hello_sent;
+        break;
+      case WorkerEndpoint::State::Established:
+        ++report.endpoints_established;
+        break;
+      case WorkerEndpoint::State::Backoff:
+        report.backoff_failed_connects.push_back(ep->failed_connects());
+        break;
     }
   }
 }

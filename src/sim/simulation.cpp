@@ -80,10 +80,19 @@ Simulation::Simulation(std::vector<core::tenancy::TenantInput> tenants,
   if (config_.churn.initial_workers == 0) {
     throw std::invalid_argument("Simulation: need at least one worker");
   }
-  for (const WorkerProfile& p : config_.worker_profiles) {
+  // The pool's exact totals must hold every worker kind's capacity, summed
+  // over the largest pool the churn model allows.
+  const std::size_t largest = std::max(ch.initial_workers, ch.max_workers);
+  core::check_pool_capacity(config_.worker_capacity, largest,
+                            "SimConfig::worker_capacity");
+  for (std::size_t i = 0; i < config_.worker_profiles.size(); ++i) {
+    const WorkerProfile& p = config_.worker_profiles[i];
     if (!(p.weight > 0.0)) {
       throw std::invalid_argument("Simulation: profile weight must be > 0");
     }
+    core::check_pool_capacity(
+        p.capacity, largest,
+        "SimConfig::worker_profiles[" + std::to_string(i) + "].capacity");
   }
 }
 
@@ -162,10 +171,6 @@ bool Simulation::step() {
         std::to_string(core_.task_count() - core_.finished()) +
         " tasks unfinished");
   }
-  if (config_.coarse_stepping && coarse_stretch()) {
-    // Pure churn can finish no task, so the run cannot have completed.
-    return true;
-  }
   // Batch drain: every event at the earliest pending clock value, one pass.
   // Events pushed by handlers at this same instant carry higher seqs than
   // anything already queued, so they pop after it — handling the run
@@ -183,49 +188,6 @@ bool Simulation::step() {
   return true;
 }
 
-/// Coarse time-stepping (SimConfig::coarse_stepping): while the head of the
-/// queue is pure pool churn and the stretch is provably idle, replace the
-/// per-event O(workers) integral scan with an O(1) capacity-sum
-/// accumulation. The handlers themselves still run — identical RNG draws,
-/// identical event pushes, identical pool mutations — so everything except
-/// the two utilization integrals' floating-point summation order is
-/// bit-exact with fine stepping. Returns true if any event was consumed.
-bool Simulation::coarse_stretch() {
-  {
-    if (events_.empty()) return false;
-    const EventKind k = events_.peek().kind;
-    if (k != EventKind::WorkerJoin && k != EventKind::WorkerLeave) {
-      return false;
-    }
-  }
-  // Idle preconditions, checked once: churn handlers cannot invalidate
-  // them. A join adds an idle worker and its dispatch() pass places nothing
-  // (no ready tasks); a leave evicts a worker with no running attempts (so
-  // no requeue, no deadline/speculation state change, no storm evidence);
-  // storm begin/end events break the stretch at the kind check above.
-  if (storm_active_ || storms_.degraded()) return false;
-  if (core_.ready_size() != 0) return false;
-  if (pool_.running_attempts() != 0) return false;
-  bool any = false;
-  while (!events_.empty()) {
-    const EventKind k = events_.peek().kind;
-    if (k != EventKind::WorkerJoin && k != EventKind::WorkerLeave) break;
-    const Event e = events_.pop();
-    const double dt = e.time - now_;
-    if (dt > 0.0) {
-      // Every worker is idle: the fine-grained loop would add each
-      // worker's committed() (exactly zero, modulo clamped release dust)
-      // and capacity() here. One fused multiply of the pool's running
-      // capacity sum replaces the whole scan.
-      result_.capacity_integral += pool_.capacity_sum() * dt;
-      accumulate_tenant_integrals(dt);
-    }
-    advance_and_dispatch(e);
-    any = true;
-  }
-  return any;
-}
-
 SimResult Simulation::result() const {
   SimResult r = result_;
   r.accounting = core_.accounting();
@@ -239,37 +201,26 @@ SimResult Simulation::result() const {
   return r;
 }
 
-void Simulation::handle(const Event& e) {
-  accumulate_integrals(e.time);
-  advance_and_dispatch(e);
-}
-
 void Simulation::accumulate_integrals(SimTime t) {
   // Accumulate pool commitment/capacity integrals over the elapsed span
-  // (piecewise constant between events). The per-worker map-order summation
-  // is part of the deterministic contract: coarse stepping is the only mode
-  // allowed to sum in a different order.
+  // (piecewise constant between events): one term per event from the
+  // pool's exact totals, whose rounding depends on their value alone.
   const double dt = t - now_;
   if (dt > 0.0) {
-    for (const auto& [wid, w] : pool_.workers()) {
-      result_.committed_integral += w.committed() * dt;
-      result_.capacity_integral += w.capacity() * dt;
-    }
-    accumulate_tenant_integrals(dt);
-  }
-}
-
-void Simulation::accumulate_tenant_integrals(double dt) {
-  if (!core_.single_passthrough()) {
-    // Per-tenant committed integral: the facade's running-allocation sum
-    // is the tenant's share of the pool's commitment at this instant.
-    for (core::tenancy::TenantId t = 0; t < core_.tenant_count(); ++t) {
-      tenant_committed_[t] += core_.running_alloc(t) * dt;
+    result_.committed_integral += pool_.committed_total().value() * dt;
+    result_.capacity_integral += pool_.capacity_total().value() * dt;
+    if (!core_.single_passthrough()) {
+      // Per-tenant committed integral: the facade's running-allocation sum
+      // is the tenant's share of the pool's commitment at this instant.
+      for (core::tenancy::TenantId tn = 0; tn < core_.tenant_count(); ++tn) {
+        tenant_committed_[tn] += core_.running_alloc(tn) * dt;
+      }
     }
   }
 }
 
-void Simulation::advance_and_dispatch(const Event& e) {
+void Simulation::handle(const Event& e) {
+  accumulate_integrals(e.time);
   ++result_.events_processed;
   if (observer_) observer_->on_event(e);
   now_ = e.time;

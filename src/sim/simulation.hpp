@@ -68,17 +68,6 @@ struct SimConfig {
   /// engines; only the wall clock differs.
   QueueEngine engine = QueueEngine::Calendar;
 
-  /// Coarse time-stepping (default-off). When the next event is pure pool
-  /// churn (WorkerJoin/WorkerLeave) and the stretch is provably idle — no
-  /// ready tasks queued, no attempt running anywhere, no storm window or
-  /// degraded mode active — the per-event O(workers) utilization-integral
-  /// scan is replaced by an O(1) pool-capacity-sum accumulation. Every
-  /// event still runs through its normal handler, so the RNG stream, the
-  /// event order, and all task-visible state stay bit-exact; only the two
-  /// utilization integrals may differ from fine stepping in final ulps
-  /// (different but equally valid floating-point summation order).
-  bool coarse_stepping = false;
-
   /// Churn-adaptive resilience layer (core/resilience/): adaptive deadlines,
   /// speculative re-dispatch and storm degradation. Default-off; every
   /// feature is additionally gated on churn evidence (at least one eviction
@@ -108,13 +97,14 @@ struct SimResult {
   std::size_t total_leaves = 0;
   std::size_t peak_workers = 0;
   /// Events the engine dispatched over the run (the denominator of the
-  /// events/s throughput headline). Identical across engines and stepping
-  /// modes for the same scenario.
+  /// events/s throughput headline). Identical across engines for the same
+  /// scenario.
   std::uint64_t events_processed = 0;
   /// Time-integrals over the run: Σ committed[k]·dt and Σ capacity[k]·dt
-  /// across the alive pool. Their ratio is the pool utilization — the
-  /// administrator-side metric the paper's introduction motivates
-  /// (opportunistic workers soaking up idle capacity).
+  /// across the alive pool, one term per event from the pool's exact
+  /// totals. Their ratio is the pool utilization — the administrator-side
+  /// metric the paper's introduction motivates (opportunistic workers
+  /// soaking up idle capacity).
   core::ResourceVector committed_integral;
   core::ResourceVector capacity_integral;
   /// Resilience-layer activity (all zero when the layer is disabled or
@@ -241,6 +231,9 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
     return core_.tenant_core(0);
   }
 
+  /// The worker pool (diagnostics; the integral oracle in tests/ walks it).
+  const WorkerPool& pool() const noexcept { return pool_; }
+
   /// The tenant facade (multi-tenant diagnostics and reporting).
   const core::tenancy::MultiTenantCore& tenants() const noexcept {
     return core_;
@@ -317,9 +310,6 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
   void bootstrap();
   void handle(const Event& e);
   void accumulate_integrals(SimTime t);
-  void accumulate_tenant_integrals(double dt);
-  void advance_and_dispatch(const Event& e);
-  bool coarse_stretch();
   void on_submit(std::uint64_t task_id);
   void on_attempt_finish(const Event& e);
   void on_worker_join();

@@ -59,19 +59,30 @@ ResourceVector Worker::fit_bound() const noexcept {
   return bound;
 }
 
-void Worker::start(std::uint64_t task_id, const ResourceVector& alloc) {
+core::ExactResources Worker::start(std::uint64_t task_id,
+                                  const ResourceVector& alloc) {
   if (!can_fit(alloc)) {
     throw std::logic_error("Worker: allocation does not fit");
   }
+  const core::ExactResources exact(alloc, "Worker: allocation");
   if (!running_.insert(task_id).second) {
     throw std::logic_error("Worker: task already running here");
   }
   committed_ += alloc;
+  exact_committed_ += exact;
+  return exact;
 }
 
-void Worker::finish(std::uint64_t task_id, const ResourceVector& alloc) {
+core::ExactResources Worker::finish(std::uint64_t task_id,
+                                   const ResourceVector& alloc) {
+  const core::ExactResources exact(alloc, "Worker: allocation");
   if (running_.erase(task_id) == 0) {
     throw std::logic_error("Worker: finishing a task that is not running here");
+  }
+  exact_committed_ -= exact;
+  if (running_.empty() && !exact_committed_.is_zero()) {
+    throw std::logic_error(
+        "Worker: released another amount than was committed");
   }
   committed_ -= alloc;
   // Clamp tiny negative residue from floating-point arithmetic.
@@ -81,9 +92,15 @@ void Worker::finish(std::uint64_t task_id, const ResourceVector& alloc) {
   if (!committed_.non_negative()) {
     throw std::logic_error("Worker: commitment went negative");
   }
+  return exact;
 }
 
 void Worker::after_load() {
+  try {
+    (void)core::ExactResources(capacity_);
+  } catch (const core::ExactRangeError& e) {
+    throw core::SnapshotError("Worker", "capacity", e.what());
+  }
   for (ResourceKind k : core::kManagedResources) {
     if (!(capacity_[k] > 0.0)) {
       throw core::SnapshotError("Worker", "capacity",

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <set>
 
+#include "core/exact_resources.hpp"
 #include "core/resources.hpp"
 #include "core/snapshot_fields.hpp"
 
@@ -21,6 +22,12 @@ class Worker {
   std::uint64_t id() const noexcept { return id_; }
   const core::ResourceVector& capacity() const noexcept { return capacity_; }
   const core::ResourceVector& committed() const noexcept { return committed_; }
+  /// The same commitment held exactly: the sum of the running attempts'
+  /// allocations, without the float running sum's rounding. Zero once the
+  /// worker is idle.
+  const core::ExactResources& exact_committed() const noexcept {
+    return exact_committed_;
+  }
 
   /// Free amount per managed dimension.
   core::ResourceVector free() const noexcept;
@@ -33,22 +40,30 @@ class Worker {
   /// (core/lifecycle/placement_index.hpp). Slightly loose, never tight.
   core::ResourceVector fit_bound() const noexcept;
 
-  /// Commits `alloc` to task `task_id`. Throws std::logic_error if it does
-  /// not fit or the task is already running here.
-  void start(std::uint64_t task_id, const core::ResourceVector& alloc);
+  /// Commits `alloc` to task `task_id` and returns the amount committed,
+  /// exactly. Throws std::logic_error if it does not fit or the task is
+  /// already running here, and core::ExactRangeError for an amount outside
+  /// the exact range (before changing anything).
+  core::ExactResources start(std::uint64_t task_id,
+                             const core::ResourceVector& alloc);
 
-  /// Releases the commitment of task `task_id`. Throws if not running here.
-  void finish(std::uint64_t task_id, const core::ResourceVector& alloc);
+  /// Releases the commitment of task `task_id` and returns the amount
+  /// released, exactly. Throws std::logic_error if the task is not running
+  /// here, or if the last release leaves an exact commitment behind (a
+  /// release of another amount than was committed).
+  core::ExactResources finish(std::uint64_t task_id,
+                              const core::ResourceVector& alloc);
 
   std::size_t running_count() const noexcept { return running_.size(); }
   const std::set<std::uint64_t>& running_tasks() const noexcept {
     return running_;
   }
 
-  /// Snapshot fields for simulation resume (the pool's map key is the id).
-  /// Load refuses a capacity that is not finite and > 0, or a commitment
-  /// that is not finite and within [0, capacity·(1 + 1e-9)], on any managed
-  /// dimension.
+  /// Snapshot fields for simulation resume (the pool's map key is the id;
+  /// the pool saves the exact commitments after the workers). Load refuses
+  /// a capacity outside the exact range [0, 2^40] on any dimension or not
+  /// > 0 on a managed one, and a commitment that is not finite and within
+  /// [0, capacity·(1 + 1e-9)] on a managed dimension.
   static constexpr auto fields() {
     using W = Worker;
     using core::snapshot::field, core::snapshot::kFinite;
@@ -59,12 +74,15 @@ class Worker {
   }
 
  private:
-  friend class WorkerPool;  // sets id_ from its map key on load
+  // The pool sets id_ from its map key and exact_committed_ from its own
+  // field on load.
+  friend class WorkerPool;
   void after_load();
 
   std::uint64_t id_ = 0;
   core::ResourceVector capacity_;
   core::ResourceVector committed_;
+  core::ExactResources exact_committed_;
   std::set<std::uint64_t> running_;
 };
 

@@ -17,9 +17,12 @@ constexpr std::size_t kMinSlots = 16;
 std::uint64_t WorkerPool::add_worker() { return add_worker(capacity_); }
 
 std::uint64_t WorkerPool::add_worker(const core::ResourceVector& capacity) {
-  const std::uint64_t id = next_id_++;
+  core::ExactResources total = capacity_total_;
+  total += core::ExactResources(capacity, "WorkerPool: worker capacity");
+  const std::uint64_t id = next_id_;
   Worker& w = workers_.emplace(id, Worker(id, capacity)).first->second;
-  capacity_sum_ += capacity;
+  ++next_id_;
+  capacity_total_ = total;
   if (slots_.size() == index_.slots()) compact();
   slots_.push_back({id, &w});
   refresh(slots_.size() - 1);
@@ -31,7 +34,8 @@ std::vector<std::uint64_t> WorkerPool::remove_worker(std::uint64_t id) {
   std::vector<std::uint64_t> tasks(w->running_tasks().begin(),
                                    w->running_tasks().end());
   running_ -= w->running_count();
-  capacity_sum_ -= w->capacity();
+  committed_total_ -= w->exact_committed();
+  capacity_total_ -= core::ExactResources(w->capacity());
   slots_[slot].worker = nullptr;
   index_.set(slot, PlacementIndex::kAbsent);
   workers_.erase(id);
@@ -45,7 +49,7 @@ const Worker& WorkerPool::worker(std::uint64_t id) const {
 void WorkerPool::start(std::uint64_t id, std::uint64_t task_id,
                        const core::ResourceVector& alloc) {
   const auto [w, slot] = locate(id);
-  w->start(task_id, alloc);
+  committed_total_ += w->start(task_id, alloc);
   ++running_;
   refresh(slot);
 }
@@ -53,7 +57,7 @@ void WorkerPool::start(std::uint64_t id, std::uint64_t task_id,
 void WorkerPool::finish(std::uint64_t id, std::uint64_t task_id,
                         const core::ResourceVector& alloc) {
   const auto [w, slot] = locate(id);
-  w->finish(task_id, alloc);
+  committed_total_ -= w->finish(task_id, alloc);
   --running_;
   refresh(slot);
 }
@@ -126,10 +130,36 @@ std::optional<std::uint64_t> WorkerPool::find_worker_for(
   return best;
 }
 
+std::vector<core::ExactResources::Words> WorkerPool::exact_committed_words(
+    const WorkerPool& pool) {
+  std::vector<core::ExactResources::Words> out;
+  out.reserve(pool.workers_.size());
+  for (const auto& [id, w] : pool.workers_) {
+    out.push_back(w.exact_committed().words());
+  }
+  return out;
+}
+
+void WorkerPool::set_exact_committed(
+    WorkerPool& pool, std::vector<core::ExactResources::Words> words) {
+  if (words.size() != pool.workers_.size()) {
+    throw core::SnapshotError(
+        "WorkerPool", "exact_committed",
+        "one per worker: " + core::snapshot::mismatch(pool.workers_.size(),
+                                                      words.size()));
+  }
+  auto w = words.begin();
+  for (auto& [id, worker] : pool.workers_) {
+    worker.exact_committed_ = core::ExactResources::from_words(*w++);
+  }
+}
+
 void WorkerPool::after_load() {
   slots_.clear();
   index_.reset(0);
   running_ = 0;
+  committed_total_ = {};
+  capacity_total_ = {};
   for (auto& [id, worker] : workers_) {
     if (id >= next_id_) {
       throw core::SnapshotError("WorkerPool", "workers",
@@ -138,6 +168,29 @@ void WorkerPool::after_load() {
                                     std::to_string(next_id_));
     }
     worker.id_ = id;
+    const core::ExactResources& exact = worker.exact_committed();
+    const core::ResourceVector value = exact.value();
+    bool ok = exact.non_negative() &&
+              (worker.running_count() > 0 || exact.is_zero());
+    for (core::ResourceKind k : core::kManagedResources) {
+      ok = ok && value[k] <= worker.capacity()[k] * (1.0 + 1e-9);
+    }
+    if (!ok) {
+      throw core::SnapshotError(
+          "WorkerPool", "exact_committed",
+          "worker " + std::to_string(id) +
+              ": must be >= 0, within capacity and 0 on an idle worker");
+    }
+    try {
+      committed_total_ += exact;
+    } catch (const core::ExactRangeError& e) {
+      throw core::SnapshotError("WorkerPool", "exact_committed", e.what());
+    }
+    try {
+      capacity_total_ += core::ExactResources(worker.capacity());
+    } catch (const core::ExactRangeError& e) {
+      throw core::SnapshotError("WorkerPool", "workers", e.what());
+    }
     running_ += worker.running_count();
     slots_.push_back({id, &worker});
   }

@@ -106,13 +106,16 @@ class WorkerPool {
   /// Sum of running attempts across alive workers, kept by start/finish.
   std::size_t running_attempts() const noexcept { return running_; }
 
-  /// Sum of alive workers' capacities, maintained incrementally on
-  /// join/leave (an O(1) read where summing the map is O(workers)). The
-  /// accumulation order follows the join/leave history, so the value can
-  /// differ from a fresh map-order sum in final ulps — callers needing the
-  /// bit-exact canonical sum iterate workers() themselves.
-  const core::ResourceVector& capacity_sum() const noexcept {
-    return capacity_sum_;
+  /// The alive workers' summed commitments (live speculative duplicates
+  /// included) and capacities, exact. start, finish, add_worker and
+  /// remove_worker keep them in O(1) each, and exact sums do not depend on
+  /// order: they equal a fresh sum over workers() bit for bit, whatever the
+  /// join/leave history. The committed total of an idle pool is exactly 0.
+  const core::ExactResources& committed_total() const noexcept {
+    return committed_total_;
+  }
+  const core::ExactResources& capacity_total() const noexcept {
+    return capacity_total_;
   }
 
   const std::map<std::uint64_t, Worker>& workers() const noexcept {
@@ -120,10 +123,13 @@ class WorkerPool {
   }
 
   /// Snapshot/restore for simulation resume: the never-reused id counter,
-  /// the alive-worker map (each worker's full state) and the incremental
-  /// capacity sum. The slots, placement index and running-attempt count
-  /// are derived: the post-load step rebuilds them, after refusing worker
-  /// ids that do not ascend strictly below the id counter.
+  /// the alive-worker map (each worker's float state) and each worker's
+  /// exact commitment, in id order, behind a format mark. The slots,
+  /// placement index, running-attempt count and both totals are derived:
+  /// the post-load step rebuilds them (exact sums, so in any order), after
+  /// refusing worker ids that do not ascend strictly below the id counter
+  /// and exact commitments that are negative, above capacity or left on an
+  /// idle worker.
   void save_state(util::ByteWriter& w) const { core::snapshot::save(w, *this); }
   void load_state(util::ByteReader& r) { core::snapshot::load(r, *this); }
 
@@ -133,11 +139,12 @@ class WorkerPool {
     return core::snapshot::section(
         "WorkerPool", &P::after_load, field("next_id", &P::next_id_),
         field("workers", &P::workers_),
-        // Serialized rather than recomputed: its value depends on the
-        // join/leave history's summation order, so a recompute could
-        // differ in final ulps and break the bit-determinism of resumed
-        // coarse-stepping runs.
-        field("capacity_sum", &P::capacity_sum_, core::snapshot::kFinite));
+        // A NaN's bits: what a build that kept a float capacity sum here
+        // wrote cannot match it, so its snapshots are refused.
+        core::snapshot::expect("exact_format",
+                               [](const P&) { return kExactFormat; }),
+        core::snapshot::via("exact_committed", &P::exact_committed_words,
+                            &P::set_exact_committed));
   }
 
  private:
@@ -159,8 +166,16 @@ class WorkerPool {
   void compact();
   void after_load();
 
+  static constexpr std::uint64_t kExactFormat = 0x7ff8'6578'6163'7431;
+  /// Each alive worker's exact commitment in id order (the snapshot field).
+  static std::vector<core::ExactResources::Words> exact_committed_words(
+      const WorkerPool& pool);
+  static void set_exact_committed(
+      WorkerPool& pool, std::vector<core::ExactResources::Words> words);
+
   core::ResourceVector capacity_;
-  core::ResourceVector capacity_sum_;
+  core::ExactResources committed_total_;
+  core::ExactResources capacity_total_;
   std::map<std::uint64_t, Worker> workers_;
   std::vector<Slot> slots_;
   core::lifecycle::PlacementIndex index_;

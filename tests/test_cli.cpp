@@ -78,18 +78,17 @@ TEST(CliParse, EmptyIsHelp) {
   EXPECT_EQ(parse_options({}).command, "help");
 }
 
-TEST(CliParse, EngineKnobs) {
-  const Options def = parse_options({"run", "--workflow", "uniform"});
-  EXPECT_FALSE(def.coarse_stepping);
-
-  const Options cal = parse_options({"grid", "--coarse-stepping"});
-  EXPECT_TRUE(cal.coarse_stepping);
-}
-
 TEST(CliParse, EngineKnobValidation) {
-  // Engine knobs only make sense on simulating commands.
-  EXPECT_THROW(parse_options({"list", "--coarse-stepping"}),
-               std::invalid_argument);
+  // --coarse-stepping is gone: the accounting it skipped is O(1) per event.
+  for (const char* command : {"run", "grid", "tenants", "list"}) {
+    try {
+      (void)parse_options({command, "--coarse-stepping"});
+      ADD_FAILURE() << command << " accepted --coarse-stepping";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "unknown option '--coarse-stepping'")
+          << command;
+    }
+  }
 }
 
 TEST(CliParse, ResilienceKnobs) {
@@ -789,16 +788,15 @@ std::map<std::string, std::vector<std::string>> flags_read_by_command() {
   std::map<std::string, std::vector<std::string>> reads = {
       {"run",
        {"--workflow", "--policy", "--seed", "--workers", "--no-churn",
-        "--placement", "--interval", "--out", "--trace-log", "--counters-json",
-        "--coarse-stepping"}},
+        "--placement", "--interval", "--out", "--trace-log",
+        "--counters-json"}},
       {"grid",
        {"--workflows", "--policies", "--replications", "--out", "--seed",
-        "--workers", "--no-churn", "--placement", "--interval",
-        "--coarse-stepping"}},
+        "--workers", "--no-churn", "--placement", "--interval"}},
       {"tenants",
        {"--tenants", "--arbiter", "--weights", "--offsets", "--misreport",
         "--policy", "--seed", "--workers", "--no-churn", "--placement",
-        "--interval", "--coarse-stepping"}},
+        "--interval"}},
       {"proto",
        {"--workflow", "--policy", "--seed", "--workers", "--counters-json",
         "--transport", "--listen", "--backoff-base", "--backoff-cap",
@@ -838,7 +836,6 @@ const std::map<std::string, FlagSample>& flag_samples() {
       {"--out", {"o.csv", {}}},
       {"--trace-log", {"t.csv", {}}},
       {"--counters-json", {"c.json", {}}},
-      {"--coarse-stepping", {"", {}}},
       {"--deadline-quantile", {"0.9", {}}},
       {"--speculation", {"", {}}},
       {"--storm-threshold", {"4", {}}},
@@ -873,7 +870,7 @@ const std::map<std::string, FlagSample>& flag_samples() {
 // rejected for its scope, naming the flag.
 TEST(CliParse, ScopeMatrixMatchesWhatEachCommandReads) {
   const auto reads = flags_read_by_command();
-  ASSERT_EQ(flag_samples().size(), 37u);
+  ASSERT_EQ(flag_samples().size(), 36u);
   for (const auto& [command, flags] : reads) {
     for (const std::string& flag : flags) {
       EXPECT_EQ(flag_samples().count(flag), 1u) << command << " " << flag;

@@ -94,7 +94,36 @@ TEST(DriveLoopStall, LostPoolOverTcp) {
   EXPECT_TRUE(report.sockets);
   // The sockets outlive the agents: both connections are still up.
   EXPECT_EQ(report.endpoints_established, 2u);
+  EXPECT_EQ(report.endpoints_idle + report.endpoints_connecting +
+                report.endpoints_hello_sent,
+            0u);
   EXPECT_TRUE(report.backoff_failed_connects.empty());
+}
+
+// A proxy that never forwards a byte: every worker connects and sends its
+// hello, and no welcome ever comes back. The report counts them all as
+// mid-handshake, none established or in backoff.
+TEST(DriveLoopStall, WorkersMidHandshakeOverTcp) {
+  const auto tasks = light_tasks(6);
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 1);
+  tora::proto::net::TcpTransportConfig tcp;
+  tcp.handshake_timeout = 1e9;  // neither side gives up on the handshake
+  tora::proto::net::WireFaultPlan blackhole;
+  blackhole.latency_steps = std::size_t{1} << 40;
+  TcpProtocolRuntime runtime(tasks, alloc, 3, kCapacity, tcp, {}, blackhole);
+  const StallReport report = expect_stall([&] { runtime.run(); });
+  EXPECT_TRUE(report.sockets);
+  EXPECT_EQ(report.endpoints_hello_sent, 3u);
+  EXPECT_EQ(report.endpoints_idle, 0u);
+  EXPECT_EQ(report.endpoints_connecting, 0u);
+  EXPECT_EQ(report.endpoints_established, 0u);
+  EXPECT_TRUE(report.backoff_failed_connects.empty());
+  EXPECT_EQ(report.workers_registered, 0u);
+  EXPECT_EQ(report.pending + report.queued + report.running, 6u);
+  EXPECT_NE(report.to_string().find("endpoints 0 idle, 0 connecting, 3 hello "
+                                    "sent, 0 established, 0 in backoff"),
+            std::string::npos)
+      << report.to_string();
 }
 
 TEST(DriveLoopStall, DiskThatStaysFullReportsDegradedStorage) {

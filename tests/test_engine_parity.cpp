@@ -217,50 +217,4 @@ TEST(EngineParitySnapshot, SnapshotsResumeAcrossEngines) {
   }
 }
 
-// --------------------------------------------------- coarse vs fine step
-
-// Coarse stepping must change nothing observable except the two utilization
-// integrals, which may differ only in accumulated floating-point dust
-// (different summation order over identical intervals). The scenario is
-// built to actually exercise coarse stretches: sparse submits leave long
-// churn-only idle gaps between tasks.
-TEST(EngineParityCoarse, CoarseSteppingOnlyPerturbsIntegralDust) {
-  const tora::workloads::Workload wl =
-      tora::workloads::make_workload("uniform", 7);
-  SimConfig cfg = paper_config();
-  cfg.submit_interval_s = 300.0;  // long idle churn stretches between tasks
-  cfg.churn.mean_interarrival_s = 15.0;
-  cfg.churn.mean_lifetime_s = 200.0;
-
-  SimConfig fine = cfg;
-  fine.coarse_stepping = false;
-  SimConfig coarse = cfg;
-  coarse.coarse_stepping = true;
-  const RunCapture f =
-      run_captured(wl.tasks, "greedy_bucketing", fine, QueueEngine::Calendar);
-  const RunCapture c = run_captured(wl.tasks, "greedy_bucketing", coarse,
-                                    QueueEngine::Calendar);
-
-  // Everything task- and event-visible is bit-identical.
-  EXPECT_EQ(f.event_hash, c.event_hash);
-  EXPECT_EQ(f.event_count, c.event_count);
-  EXPECT_DOUBLE_EQ(f.result.makespan_s, c.result.makespan_s);
-  EXPECT_EQ(f.result.tasks_completed, c.result.tasks_completed);
-  EXPECT_EQ(f.result.tasks_fatal, c.result.tasks_fatal);
-  EXPECT_EQ(f.result.evictions, c.result.evictions);
-  EXPECT_EQ(f.result.total_joins, c.result.total_joins);
-  EXPECT_EQ(f.result.total_leaves, c.result.total_leaves);
-  EXPECT_EQ(f.result.events_processed, c.result.events_processed);
-
-  // The integrals agree to relative dust.
-  for (tora::core::ResourceKind k : tora::core::kAllResources) {
-    const double scale =
-        std::max(1.0, std::abs(f.result.capacity_integral[k]));
-    EXPECT_NEAR(f.result.capacity_integral[k], c.result.capacity_integral[k],
-                1e-9 * scale);
-    EXPECT_NEAR(f.result.committed_integral[k], c.result.committed_integral[k],
-                1e-9 * scale);
-  }
-}
-
 }  // namespace

@@ -58,55 +58,55 @@ struct PinnedCell {
 
 // clang-format off
 const PinnedCell kSimCells[] = {
-    {"normal", "whole_machine", {0.25145116532008799, 0.060912489554470331, 0.061026143512024573}, 6479.4048891135453, 2179, 1000, 0, 60, {2687942.510366987, 11009812522.463179, 11009812522.463179}},
-    {"normal", "max_seen", {0.5664565608619172, 0.54303545363558159, 0.53338540129122469}, 5517.5406183748737, 2228, 1000, 0, 82, {1212161.3201110726, 1248877918.7582929, 1274293749.6348286}},
-    {"normal", "min_waste", {0.65620307237981701, 0.57947060653193749, 0.57669384005041602}, 5514.0913646728741, 2408, 1000, 0, 85, {1040701.6461830892, 1164720404.9186199, 1173274642.0662551}},
-    {"normal", "max_throughput", {0.58459654059395982, 0.52760166356050575, 0.53334441588819115}, 5546.7079121174957, 2724, 1000, 0, 93, {1156111.9217602452, 1266277708.3712089, 1255945203.7593553}},
-    {"normal", "quantized_bucketing", {0.44475538527449709, 0.41420573621913515, 0.4105807470061566}, 6026.6322616037805, 3111, 1000, 0, 114, {1515844.1199489441, 1611186605.3840005, 1629336030.5206282}},
-    {"normal", "greedy_bucketing", {0.59260575670975357, 0.56830145528980103, 0.56835116537501207}, 5748.8432259673555, 2804, 1000, 0, 98, {1141575.6584813662, 1181476392.1487005, 1183305576.909055}},
-    {"normal", "exhaustive_bucketing", {0.55993830200237094, 0.51419300664907219, 0.51430817826632802}, 5748.8432259673555, 2916, 1000, 0, 114, {1218970.70655399, 1316159658.6244349, 1317031740.1126859}},
-    {"uniform", "whole_machine", {0.28186230998406198, 0.069011569404133805, 0.070231488916323984}, 6506.4313131448789, 2181, 1000, 0, 62, {2727444.8138894094, 11171613957.691021, 11171613957.691021}},
-    {"uniform", "max_seen", {0.54472039377025328, 0.5125934721775478, 0.52085714082508439}, 5270.1410764258962, 2202, 1000, 0, 71, {1417720.9607603436, 1507210402.9847109, 1509455381.0843673}},
-    {"uniform", "min_waste", {0.5251411740382157, 0.48340971699727942, 0.4606629823677369}, 5258.2226301460287, 2473, 1000, 0, 88, {1465511.4418626553, 1592993067.2564919, 1699978195.8799014}},
-    {"uniform", "max_throughput", {0.51308799201956357, 0.47702009536086204, 0.48176080131821902}, 5539.1799215688088, 3225, 1000, 0, 120, {1493913.8566687773, 1608440277.1583405, 1622520602.8027539}},
-    {"uniform", "quantized_bucketing", {0.42150677033933243, 0.39141339133300701, 0.3913569380069658}, 5418.9816095894903, 3137, 1000, 0, 106, {1819854.1198538919, 1955777443.9316711, 1993654130.2293243}},
-    {"uniform", "greedy_bucketing", {0.48378974382295092, 0.46249893841707201, 0.45970351102591667}, 5355.6059920506223, 2873, 1000, 0, 103, {1586298.2057706327, 1661803878.8503308, 1701759711.2942693}},
-    {"uniform", "exhaustive_bucketing", {0.5262396132204028, 0.51565901191270858, 0.49520505260045306}, 5318.4119884545398, 2595, 1000, 0, 93, {1461121.2310957687, 1496893219.5946329, 1583798928.1227922}},
-    {"exponential", "whole_machine", {0.12528488376480848, 0.038085544437353673, 0.03761606126709946}, 6506.4313131448789, 2181, 1000, 0, 62, {2727444.8138894094, 11171613957.691021, 11171613957.691021}},
-    {"exponential", "max_seen", {0.16921835546311309, 0.1915531173748814, 0.16274104575564974}, 6562.5092544589497, 2258, 1000, 0, 70, {2010180.1636689843, 2208757265.693224, 2561724364.2035012}},
-    {"exponential", "min_waste", {0.3376968169909863, 0.32140397920611752, 0.31028850292311067}, 5369.0424746367971, 2662, 1000, 0, 100, {1017794.7009479931, 1325009013.9333849, 1356106502.3145914}},
-    {"exponential", "max_throughput", {0.24557041409132607, 0.23824929960347674, 0.21673704577860506}, 5703.8214006423614, 3198, 1000, 0, 121, {1397552.9042245648, 1783600438.4390926, 1943482434.7589765}},
-    {"exponential", "quantized_bucketing", {0.20921403981560477, 0.16714933655666092, 0.15573525110938743}, 5707.2673279374685, 3173, 1000, 0, 104, {1630175.9270179961, 2519460083.3211675, 2670619712.8817339}},
-    {"exponential", "greedy_bucketing", {0.307935637551013, 0.32399191975790398, 0.31055740958842976}, 5866.1239415446153, 3704, 1000, 0, 148, {1107143.6772364611, 1307932992.5707526, 1353256573.4073017}},
-    {"exponential", "exhaustive_bucketing", {0.3282701954883962, 0.33268485878900467, 0.32720977779832594}, 5656.0714658099741, 3464, 1000, 0, 141, {1040254.8972649322, 1283734267.7044184, 1286646906.5886991}},
-    {"bimodal", "whole_machine", {0.25237556670271938, 0.060965287457726884, 0.060808748756725199}, 6809.4243579997947, 2185, 1000, 0, 64, {2790025.7357635824, 11427945413.687634, 11427945413.687634}},
-    {"bimodal", "max_seen", {0.49877240688656882, 0.48548490026756752, 0.5011303603246845}, 5342.3161950033482, 2207, 1000, 0, 80, {1422831.8317686303, 1442583263.5562494, 1393910659.5463972}},
-    {"bimodal", "min_waste", {0.5864494512969467, 0.55155649384985639, 0.5577482348548779}, 5402.044184017569, 3123, 1000, 0, 131, {1202981.8211844231, 1260690033.4083369, 1242250928.8959136}},
-    {"bimodal", "max_throughput", {0.58388553097848872, 0.54651246143504628, 0.55656599410632812}, 5486.5861144322025, 3144, 1000, 0, 128, {1202439.0437129457, 1267992628.0878277, 1237883767.9407814}},
-    {"bimodal", "quantized_bucketing", {0.42536411218343251, 0.42486518163226789, 0.38117355289180765}, 5655.0397071408506, 3048, 1000, 0, 108, {1656443.4823219993, 1637214913.6143661, 1819169015.1820493}},
-    {"bimodal", "greedy_bucketing", {0.48408075968038333, 0.47390173183015682, 0.46544802152483811}, 5609.4288599174542, 3119, 1000, 0, 111, {1449444.3709049462, 1462770191.9458742, 1483868082.0920422}},
-    {"bimodal", "exhaustive_bucketing", {0.49102457252521253, 0.4887456378545893, 0.47102078323531232}, 5476.0813327178776, 3063, 1000, 0, 121, {1429538.0050078698, 1427891887.3123107, 1475151904.3021429}},
-    {"trimodal", "whole_machine", {0.31598489979860239, 0.076896763738338536, 0.076950299441168712}, 6479.4048891135453, 2179, 1000, 0, 60, {2687942.510366987, 11009812522.463179, 11009812522.463179}},
-    {"trimodal", "max_seen", {0.4891961275564124, 0.47093154167346551, 0.47983245000605768}, 6610.3746009811712, 2223, 1000, 0, 62, {1743832.8204582327, 1801843299.9808626, 1769339282.4902651}},
-    {"trimodal", "min_waste", {0.53265548178092381, 0.49778310994211467, 0.50009821486274575}, 6131.8047372360043, 2612, 1000, 0, 73, {1592279.2071713367, 1695388733.5611537, 1688728525.73769}},
-    {"trimodal", "max_throughput", {0.54760963732174528, 0.52460559269023022, 0.49588711829573467}, 6148.7418134603022, 2739, 1000, 0, 81, {1560685.8239213766, 1619807556.8495359, 1714288322.5411537}},
-    {"trimodal", "quantized_bucketing", {0.43713212820221653, 0.38518141755649166, 0.38279675900981219}, 6221.9274452498557, 2930, 1000, 0, 98, {1938980.8968544675, 2188326753.9042091, 2203717402.8190193}},
-    {"trimodal", "greedy_bucketing", {0.5563053976890292, 0.47161066983874922, 0.46002539406398896}, 5867.2773530101576, 3013, 1000, 0, 97, {1534472.8998256682, 1803625690.5936306, 1848261276.9708667}},
-    {"trimodal", "exhaustive_bucketing", {0.57750220733837365, 0.4958644567036396, 0.51754433300222558}, 5561.0085807791138, 2817, 1000, 0, 93, {1473522.264374645, 1706624897.567981, 1639874808.2090149}},
-    {"colmena_xtb", "whole_machine", {0.13179114868116068, 0.0041481293784223407, 0.00015270421699742096}, 13666.741825290159, 2792, 1228, 0, 102, {5709251.184440475, 23385092851.468185, 23385092851.468185}},
-    {"colmena_xtb", "max_seen", {0.50108798475842153, 0.11984330656495455, 0.0045646767628518365}, 6791.6295020268917, 2747, 1228, 0, 150, {1530111.8946077581, 852431002.95567536, 826638437.58765006}},
-    {"colmena_xtb", "min_waste", {0.53389092190824738, 0.11487761660996391, 0.0048512870905132672}, 7100.8085167178915, 2892, 1228, 0, 138, {1428382.7697524542, 847972718.47185469, 740409908.14630032}},
-    {"colmena_xtb", "max_throughput", {0.5150901334215694, 0.11974644326205831, 0.0053330903630364451}, 7131.2765331444571, 3598, 1228, 0, 178, {1473564.9302423885, 878726892.73517001, 740872563.425946}},
-    {"colmena_xtb", "quantized_bucketing", {0.43751169120948746, 0.10692178435780561, 0.0047436696039776629}, 7427.0887591915853, 3750, 1228, 0, 180, {1707682.2609144973, 899254199.54215991, 748360876.41218209}},
-    {"colmena_xtb", "greedy_bucketing", {0.58096498668257723, 0.53242754372107481, 0.045458521268902242}, 7100.8085167178915, 3106, 1228, 0, 149, {1294135.3440996492, 179661942.54976884, 77521597.287680611}},
-    {"colmena_xtb", "exhaustive_bucketing", {0.6017763237682191, 0.56772428133045327, 0.050173189240377988}, 6791.6295020268917, 2910, 1228, 0, 140, {1256271.6891011908, 168696268.05780688, 69963012.004603639}},
-    {"topeft", "whole_machine", {0.049553831091734515, 0.0075436664554122002, 0.0046691894531249913}, 23138.352466620159, 9724, 4569, 0, 179, {10157241.859683082, 41604062657.261902, 41604062657.261902}},
-    {"topeft", "max_seen", {0.2596107747692763, 0.46413599151477569, 0.36605977181411176}, 23055.999527396831, 9704, 4569, 0, 155, {1935888.1834528972, 678999897.80950367, 533546003.92970878}},
-    {"topeft", "min_waste", {0.62200157717457993, 0.52964920022903006, 0.48218538616965184}, 23153.630573259419, 10120, 4569, 0, 241, {818137.88817692397, 607438457.17727411, 416099659.1182366}},
-    {"topeft", "max_throughput", {0.58871455680433149, 0.52185745856702515, 0.47369354494244004}, 23153.630573259419, 10399, 4569, 0, 235, {861830.79850498738, 615342864.98892725, 422830328.53075463}},
-    {"topeft", "quantized_bucketing", {0.26034195311368019, 0.44629196994942205, 0.39894267434984887}, 23418.651478051088, 12513, 4569, 0, 258, {1924995.0960642945, 705748250.39248109, 489741077.12049836}},
-    {"topeft", "greedy_bucketing", {0.61567764984629603, 0.78073145075471451, 0.91656780043795705}, 23153.630573259419, 10166, 4569, 0, 233, {822883.28502716008, 404416095.96675789, 212967143.27305281}},
-    {"topeft", "exhaustive_bucketing", {0.60130119912294944, 0.68201000042491311, 0.82056703633877448}, 23510.140500695295, 11025, 4569, 0, 250, {841011.68902503618, 462181076.88351756, 237506283.35171941}},
+    {"normal", "whole_machine", {0.25145116532008799, 0.060912489554470331, 0.061026143512024573}, 6479.4048891135453, 2179, 1000, 0, 60, {2687942.5103669195, 11009812522.462902, 11009812522.462902}},
+    {"normal", "max_seen", {0.5664565608619172, 0.54303545363558159, 0.53338540129122469}, 5517.5406183748737, 2228, 1000, 0, 82, {1212161.320111078, 1248877918.7583072, 1274293749.6348238}},
+    {"normal", "min_waste", {0.65620307237981701, 0.57947060653193749, 0.57669384005041602}, 5514.0913646728741, 2408, 1000, 0, 85, {1040701.6461831373, 1164720404.9186127, 1173274642.066287}},
+    {"normal", "max_throughput", {0.58459654059395982, 0.52760166356050575, 0.53334441588819115}, 5546.7079121174957, 2724, 1000, 0, 93, {1156111.921760219, 1266277708.3712077, 1255945203.7593575}},
+    {"normal", "quantized_bucketing", {0.44475538527449709, 0.41420573621913515, 0.4105807470061566}, 6026.6322616037805, 3111, 1000, 0, 114, {1515844.1199489252, 1611186605.3840315, 1629336030.520646}},
+    {"normal", "greedy_bucketing", {0.59260575670975357, 0.56830145528980103, 0.56835116537501207}, 5748.8432259673555, 2804, 1000, 0, 98, {1141575.6584813746, 1181476392.1487126, 1183305576.9090757}},
+    {"normal", "exhaustive_bucketing", {0.55993830200237094, 0.51419300664907219, 0.51430817826632802}, 5748.8432259673555, 2916, 1000, 0, 114, {1218970.7065540184, 1316159658.6244378, 1317031740.1127477}},
+    {"uniform", "whole_machine", {0.28186230998406198, 0.069011569404133805, 0.070231488916323984}, 6506.4313131448789, 2181, 1000, 0, 62, {2727444.8138896017, 11171613957.691809, 11171613957.691809}},
+    {"uniform", "max_seen", {0.54472039377025328, 0.5125934721775478, 0.52085714082508439}, 5270.1410764258962, 2202, 1000, 0, 71, {1417720.9607603464, 1507210402.9847498, 1509455381.0844066}},
+    {"uniform", "min_waste", {0.5251411740382157, 0.48340971699727942, 0.4606629823677369}, 5258.2226301460287, 2473, 1000, 0, 88, {1465511.4418626423, 1592993067.2566001, 1699978195.8801186}},
+    {"uniform", "max_throughput", {0.51308799201956357, 0.47702009536086204, 0.48176080131821902}, 5539.1799215688088, 3225, 1000, 0, 120, {1493913.856668738, 1608440277.1583772, 1622520602.802806}},
+    {"uniform", "quantized_bucketing", {0.42150677033933243, 0.39141339133300701, 0.3913569380069658}, 5418.9816095894903, 3137, 1000, 0, 106, {1819854.119853837, 1955777443.9316869, 1993654130.2294047}},
+    {"uniform", "greedy_bucketing", {0.48378974382295092, 0.46249893841707201, 0.45970351102591667}, 5355.6059920506223, 2873, 1000, 0, 103, {1586298.2057706607, 1661803878.850309, 1701759711.2945054}},
+    {"uniform", "exhaustive_bucketing", {0.5262396132204028, 0.51565901191270858, 0.49520505260045306}, 5318.4119884545398, 2595, 1000, 0, 93, {1461121.2310956332, 1496893219.5947125, 1583798928.1229258}},
+    {"exponential", "whole_machine", {0.12528488376480848, 0.038085544437353673, 0.03761606126709946}, 6506.4313131448789, 2181, 1000, 0, 62, {2727444.8138896017, 11171613957.691809, 11171613957.691809}},
+    {"exponential", "max_seen", {0.16921835546311309, 0.1915531173748814, 0.16274104575564974}, 6562.5092544589497, 2258, 1000, 0, 70, {2010180.163669018, 2208757265.6931705, 2561724364.2035456}},
+    {"exponential", "min_waste", {0.3376968169909863, 0.32140397920611752, 0.31028850292311067}, 5369.0424746367971, 2662, 1000, 0, 100, {1017794.7009480081, 1325009013.9333732, 1356106502.3145971}},
+    {"exponential", "max_throughput", {0.24557041409132607, 0.23824929960347674, 0.21673704577860506}, 5703.8214006423614, 3198, 1000, 0, 121, {1397552.9042245767, 1783600438.439153, 1943482434.7589657}},
+    {"exponential", "quantized_bucketing", {0.20921403981560477, 0.16714933655666092, 0.15573525110938743}, 5707.2673279374685, 3173, 1000, 0, 104, {1630175.9270179814, 2519460083.3212028, 2670619712.8817697}},
+    {"exponential", "greedy_bucketing", {0.307935637551013, 0.32399191975790398, 0.31055740958842976}, 5866.1239415446153, 3704, 1000, 0, 148, {1107143.6772364564, 1307932992.5707622, 1353256573.4073045}},
+    {"exponential", "exhaustive_bucketing", {0.3282701954883962, 0.33268485878900467, 0.32720977779832594}, 5656.0714658099741, 3464, 1000, 0, 141, {1040254.8972649269, 1283734267.7044115, 1286646906.5886936}},
+    {"bimodal", "whole_machine", {0.25237556670271938, 0.060965287457726884, 0.060808748756725199}, 6809.4243579997947, 2185, 1000, 0, 64, {2790025.7357636243, 11427945413.687805, 11427945413.687805}},
+    {"bimodal", "max_seen", {0.49877240688656882, 0.48548490026756752, 0.5011303603246845}, 5342.3161950033482, 2207, 1000, 0, 80, {1422831.8317686156, 1442583263.556258, 1393910659.546404}},
+    {"bimodal", "min_waste", {0.5864494512969467, 0.55155649384985639, 0.5577482348548779}, 5402.044184017569, 3123, 1000, 0, 131, {1202981.8211843984, 1260690033.408348, 1242250928.8958945}},
+    {"bimodal", "max_throughput", {0.58388553097848872, 0.54651246143504628, 0.55656599410632812}, 5486.5861144322025, 3144, 1000, 0, 128, {1202439.0437129159, 1267992628.087857, 1237883767.9408028}},
+    {"bimodal", "quantized_bucketing", {0.42536411218343251, 0.42486518163226789, 0.38117355289180765}, 5655.0397071408506, 3048, 1000, 0, 108, {1656443.482321925, 1637214913.6144068, 1819169015.1820157}},
+    {"bimodal", "greedy_bucketing", {0.48408075968038333, 0.47390173183015682, 0.46544802152483811}, 5609.4288599174542, 3119, 1000, 0, 111, {1449444.3709049067, 1462770191.9458296, 1483868082.0920663}},
+    {"bimodal", "exhaustive_bucketing", {0.49102457252521253, 0.4887456378545893, 0.47102078323531232}, 5476.0813327178776, 3063, 1000, 0, 121, {1429538.0050078398, 1427891887.312319, 1475151904.3021235}},
+    {"trimodal", "whole_machine", {0.31598489979860239, 0.076896763738338536, 0.076950299441168712}, 6479.4048891135453, 2179, 1000, 0, 60, {2687942.5103669195, 11009812522.462902, 11009812522.462902}},
+    {"trimodal", "max_seen", {0.4891961275564124, 0.47093154167346551, 0.47983245000605768}, 6610.3746009811712, 2223, 1000, 0, 62, {1743832.8204582555, 1801843299.9808908, 1769339282.4902122}},
+    {"trimodal", "min_waste", {0.53265548178092381, 0.49778310994211467, 0.50009821486274575}, 6131.8047372360043, 2612, 1000, 0, 73, {1592279.2071712594, 1695388733.5609796, 1688728525.7376258}},
+    {"trimodal", "max_throughput", {0.54760963732174528, 0.52460559269023022, 0.49588711829573467}, 6148.7418134603022, 2739, 1000, 0, 81, {1560685.8239213307, 1619807556.8493447, 1714288322.5409975}},
+    {"trimodal", "quantized_bucketing", {0.43713212820221653, 0.38518141755649166, 0.38279675900981219}, 6221.9274452498557, 2930, 1000, 0, 98, {1938980.8968544742, 2188326753.9041553, 2203717402.818881}},
+    {"trimodal", "greedy_bucketing", {0.5563053976890292, 0.47161066983874922, 0.46002539406398896}, 5867.2773530101576, 3013, 1000, 0, 97, {1534472.899825662, 1803625690.593564, 1848261276.9707825}},
+    {"trimodal", "exhaustive_bucketing", {0.57750220733837365, 0.4958644567036396, 0.51754433300222558}, 5561.0085807791138, 2817, 1000, 0, 93, {1473522.2643745372, 1706624897.5679083, 1639874808.20887}},
+    {"colmena_xtb", "whole_machine", {0.13179114868116068, 0.0041481293784223407, 0.00015270421699742096}, 13666.741825290159, 2792, 1228, 0, 102, {5709251.184440611, 23385092851.468742, 23385092851.468742}},
+    {"colmena_xtb", "max_seen", {0.50108798475842153, 0.11984330656495455, 0.0045646767628518365}, 6791.6295020268917, 2747, 1228, 0, 150, {1530111.8946077786, 852431002.955649, 826638437.5876226}},
+    {"colmena_xtb", "min_waste", {0.53389092190824738, 0.11487761660996391, 0.0048512870905132672}, 7100.8085167178915, 2892, 1228, 0, 138, {1428382.7697524012, 847972718.4718242, 740409908.1462485}},
+    {"colmena_xtb", "max_throughput", {0.5150901334215694, 0.11974644326205831, 0.0053330903630364451}, 7131.2765331444571, 3598, 1228, 0, 178, {1473564.930242432, 878726892.735165, 740872563.4259332}},
+    {"colmena_xtb", "quantized_bucketing", {0.43751169120948746, 0.10692178435780561, 0.0047436696039776629}, 7427.0887591915853, 3750, 1228, 0, 180, {1707682.2609145502, 899254199.5421869, 748360876.4121836}},
+    {"colmena_xtb", "greedy_bucketing", {0.58096498668257723, 0.53242754372107481, 0.045458521268902242}, 7100.8085167178915, 3106, 1228, 0, 149, {1294135.3440996462, 179661942.5497718, 77521597.28767979}},
+    {"colmena_xtb", "exhaustive_bucketing", {0.6017763237682191, 0.56772428133045327, 0.050173189240377988}, 6791.6295020268917, 2910, 1228, 0, 140, {1256271.6891012632, 168696268.05781767, 69963012.00460166}},
+    {"topeft", "whole_machine", {0.049553831091734515, 0.0075436664554122002, 0.0046691894531249913}, 23138.352466620159, 9724, 4569, 0, 179, {10157241.859683098, 41604062657.26197, 41604062657.26197}},
+    {"topeft", "max_seen", {0.2596107747692763, 0.46413599151477569, 0.36605977181411176}, 23055.999527396831, 9704, 4569, 0, 155, {1935888.183452928, 678999897.8095043, 533546003.9296979}},
+    {"topeft", "min_waste", {0.62200157717457993, 0.52964920022903006, 0.48218538616965184}, 23153.630573259419, 10120, 4569, 0, 241, {818137.8881769269, 607438457.1772699, 416099659.11823714}},
+    {"topeft", "max_throughput", {0.58871455680433149, 0.52185745856702515, 0.47369354494244004}, 23153.630573259419, 10399, 4569, 0, 235, {861830.7985049835, 615342864.9889337, 422830328.5307537}},
+    {"topeft", "quantized_bucketing", {0.26034195311368019, 0.44629196994942205, 0.39894267434984887}, 23418.651478051088, 12513, 4569, 0, 258, {1924995.0960642844, 705748250.3924773, 489741077.1205039}},
+    {"topeft", "greedy_bucketing", {0.61567764984629603, 0.78073145075471451, 0.91656780043795705}, 23153.630573259419, 10166, 4569, 0, 233, {822883.2850271546, 404416095.96675944, 212967143.27305186}},
+    {"topeft", "exhaustive_bucketing", {0.60130119912294944, 0.68201000042491311, 0.82056703633877448}, 23510.140500695295, 11025, 4569, 0, 250, {841011.689025042, 462181076.88352245, 237506283.35171968}},
 };
 // clang-format on
 
