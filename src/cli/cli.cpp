@@ -239,6 +239,10 @@ int cmd_fsck(const Options& opts, std::ostream& out) {
       snap = "sealed, unsupported version " + std::to_string(*version) +
              " (this build reads " +
              std::to_string(rec::snapshot_version()) + ")";
+    } else if (const auto older = rec::older_container_version(*bytes)) {
+      snap = "OLDER FORMAT: container version " + std::to_string(*older) +
+             ", CRC-32 seal (this build reads version " +
+             std::to_string(rec::snapshot_version()) + ", CRC-32C)";
     } else {
       snap = "CORRUPT (seal check failed)";
     }
@@ -285,6 +289,10 @@ int cmd_fsck(const Options& opts, std::ostream& out) {
         header_ok = header.u64() == epoch;
       }
       if (!header_ok) journal += ", BAD epoch header";
+      if (r.records.empty() && !r.mid_corruption &&
+          rec::older_format_journal(*bytes, epoch)) {
+        journal = "OLDER FORMAT: CRC-32 frames (this build reads CRC-32C)";
+      }
     }
     table.add_row({std::to_string(epoch), snap, journal});
   }

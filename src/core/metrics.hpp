@@ -507,6 +507,9 @@ struct TransportCounters {
   // Session layer.
   std::size_t handshakes_ok = 0;
   std::size_t handshakes_rejected = 0;  ///< bad hello: garbage/version/token
+  /// Handshakes of another transport version (a v1 peer's 16-digit seal, or
+  /// a v= other than ours), refused by either endpoint.
+  std::size_t version_mismatches = 0;
   std::size_t sessions_resumed = 0;
   std::size_t frames_replayed = 0;  ///< unacked frames re-sent on resume
 
@@ -536,6 +539,7 @@ struct TransportCounters {
         {"reconnects", &C::reconnects},
         {"handshakes_ok", &C::handshakes_ok},
         {"handshakes_rejected", &C::handshakes_rejected},
+        {"version_mismatches", &C::version_mismatches},
         {"sessions_resumed", &C::sessions_resumed},
         {"frames_replayed", &C::frames_replayed},
         {"frames_sent", &C::frames_sent},

@@ -10,17 +10,21 @@ namespace tora::core::recovery {
 namespace {
 
 constexpr std::size_t kFrameOverhead = 4 + 1 + 4;  // len + type + crc
+/// A complete epoch frame: the header every journal opens with.
+constexpr std::size_t kEpochFrameSize = kFrameOverhead + 16;
 
-std::uint32_t record_crc(RecordType type, std::string_view payload) {
-  const char type_byte = static_cast<char>(type);
-  return util::crc32(payload, util::crc32({&type_byte, 1}));
+/// The CRC-32C of a frame's type byte and payload: the `1 + len` bytes that
+/// follow its length field.
+std::uint32_t frame_crc(std::string_view bytes, std::size_t at,
+                        std::uint32_t len) {
+  return util::crc32c(bytes.substr(at + 4, 1 + std::size_t{len}));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
+void put_u32(char* out, std::uint32_t v) {
+  out[0] = static_cast<char>(v & 0xff);
+  out[1] = static_cast<char>((v >> 8) & 0xff);
+  out[2] = static_cast<char>((v >> 16) & 0xff);
+  out[3] = static_cast<char>((v >> 24) & 0xff);
 }
 
 std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
@@ -75,17 +79,18 @@ JournalWriter::JournalWriter(std::unique_ptr<AppendHandle> out,
 }
 
 void JournalWriter::append(RecordType type, std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameOverhead + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.push_back(static_cast<char>(type));
-  frame += payload;
-  put_u32(frame, record_crc(type, payload));
-  out_->append(frame);
-  bytes_written_ += frame.size();
+  frame_.resize(kFrameOverhead + payload.size());
+  char* at = frame_.data();
+  put_u32(at, static_cast<std::uint32_t>(payload.size()));
+  at[4] = static_cast<char>(type);
+  payload.copy(at + 5, payload.size());
+  put_u32(at + 5 + payload.size(),
+          util::crc32c({at + 4, 1 + payload.size()}));
+  out_->append(frame_);
+  bytes_written_ += frame_.size();
   if (counters_) {
     ++counters_->journal_records;
-    counters_->journal_bytes += frame.size();
+    counters_->journal_bytes += frame_.size();
   }
 }
 
@@ -100,10 +105,10 @@ JournalReadResult read_journal(std::string_view bytes) {
   while (bytes.size() - at >= kFrameOverhead) {
     const std::uint32_t len = get_u32(bytes, at);
     if (bytes.size() - at < kFrameOverhead + len) break;  // cut mid-payload
+    if (get_u32(bytes, at + 5 + len) != frame_crc(bytes, at, len)) break;
     const auto type_byte = static_cast<std::uint8_t>(bytes[at + 4]);
     const RecordType type = static_cast<RecordType>(type_byte);
     const std::string_view payload = bytes.substr(at + 5, len);
-    if (get_u32(bytes, at + 5 + len) != record_crc(type, payload)) break;
     if (!is_record_type(type_byte)) {
       // A tear cannot produce a valid CRC, so an intact frame of no known
       // type is a crafted or buggy body, wherever it sits: refuse.
@@ -125,14 +130,32 @@ JournalReadResult read_journal(std::string_view bytes) {
          ++probe) {
       const std::uint32_t len = get_u32(bytes, probe);
       if (len > bytes.size() - probe - kFrameOverhead) continue;
-      const RecordType type = static_cast<RecordType>(bytes[probe + 4]);
-      const std::string_view payload = bytes.substr(probe + 5, len);
-      if (get_u32(bytes, probe + 5 + len) == record_crc(type, payload)) {
+      if (get_u32(bytes, probe + 5 + len) == frame_crc(bytes, probe, len)) {
         out.mid_corruption = true;
       }
     }
   }
   return out;
+}
+
+bool older_format_journal(std::string_view bytes, std::uint64_t epoch) {
+  if (bytes.size() < kEpochFrameSize + kFrameOverhead) return false;
+  if (get_u32(bytes, 0) != 16 ||
+      bytes[4] != static_cast<char>(RecordType::Epoch)) {
+    return false;
+  }
+  util::ByteReader header(bytes.substr(5, 8));
+  if (header.u64() != epoch) return false;
+  if (get_u32(bytes, kEpochFrameSize - 4) == frame_crc(bytes, 0, 16)) {
+    return false;
+  }
+  const std::uint32_t len = get_u32(bytes, kEpochFrameSize);
+  if (len > bytes.size() - kEpochFrameSize - kFrameOverhead) return false;
+  if (!is_record_type(static_cast<std::uint8_t>(bytes[kEpochFrameSize + 4]))) {
+    return false;
+  }
+  return get_u32(bytes, kEpochFrameSize + 5 + len) !=
+         frame_crc(bytes, kEpochFrameSize, len);
 }
 
 }  // namespace tora::core::recovery

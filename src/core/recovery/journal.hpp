@@ -72,13 +72,16 @@ struct JournalRecord {
 
 /// Appends CRC-framed records to an AppendHandle. Framing per record:
 ///
-///   [u32 payload_len][u8 type][payload][u32 crc32(type + payload)]
+///   [u32 payload_len][u8 type][payload][u32 crc32c(type + payload)]
 ///
-/// all little-endian. The CRC covers the type byte and payload, so a record
-/// whose frame arrived intact but whose bytes were mangled is rejected, and
-/// a record cut anywhere — inside the frame or the payload — fails either
-/// the length check or the CRC. append() is buffered; sync() is the
-/// durability barrier (the storage contract loses unsynced bytes on crash).
+/// all little-endian. The CRC-32C (util::crc32c) covers the type byte and
+/// payload, so a record whose frame arrived intact but whose bytes were
+/// mangled is rejected, and a record cut anywhere — inside the frame or the
+/// payload — fails either the length check or the CRC. append() builds each
+/// frame in one reused buffer with one CRC call; it is buffered, and sync()
+/// is the durability barrier (the storage contract loses unsynced bytes on
+/// crash). Builds before snapshot container version 3 sealed the same
+/// frames with CRC-32; see older_format_journal().
 class JournalWriter {
  public:
   explicit JournalWriter(std::unique_ptr<AppendHandle> out,
@@ -94,6 +97,7 @@ class JournalWriter {
   std::unique_ptr<AppendHandle> out_;
   RecoveryCounters* counters_;
   std::size_t bytes_written_ = 0;
+  std::string frame_;  ///< the frame being appended, reused across records
 };
 
 /// Result of scanning a journal byte string.
@@ -117,5 +121,15 @@ struct JournalReadResult {
 /// corresponding input was never acted on durably). Never throws on bad
 /// bytes; `torn` reports whether anything was dropped.
 JournalReadResult read_journal(std::string_view bytes);
+
+/// True when `bytes` have the shape of journal-<epoch> as builds before
+/// CRC-32C framing wrote it: a complete epoch frame for `epoch`, then a
+/// complete frame of a known record type, neither carrying the CRC-32C of
+/// its bytes. read_journal() sees such a journal as torn at byte 0;
+/// recovery refuses it as an older format instead. A journal of this build
+/// takes this shape only when two frames are damaged (a tear truncates and
+/// never leaves a complete frame behind), and one holding only its epoch
+/// record never does: that case stays a torn tail in either format.
+bool older_format_journal(std::string_view bytes, std::uint64_t epoch);
 
 }  // namespace tora::core::recovery

@@ -52,6 +52,12 @@ void RecoveryLog::refuse(const std::string& object, const std::string& why) {
   throw StorageError(EBADMSG, StorageOp::Salvage, object, why);
 }
 
+void RecoveryLog::refuse_format(const std::string& object,
+                                const std::string& format) {
+  if (counters_) ++counters_->salvage_refusals;
+  throw FormatError(object, format);
+}
+
 RecoveryLog::ScanResult RecoveryLog::scan() {
   std::vector<std::uint64_t> snapshot_epochs;
   std::vector<std::uint64_t> journal_epochs;
@@ -79,6 +85,8 @@ RecoveryLog::ScanResult RecoveryLog::scan() {
   ScanResult out;
   bool found = false;
   std::size_t skipped = 0;
+  // The newest snapshot in a container version before CRC-32C seals.
+  std::optional<std::pair<std::uint64_t, std::uint32_t>> older;
   for (std::uint64_t epoch : snapshot_epochs) {
     std::optional<std::string> file;
     try {
@@ -88,6 +96,8 @@ RecoveryLog::ScanResult RecoveryLog::scan() {
     }
     auto body = file ? open_snapshot(*file) : std::nullopt;
     if (!body) {
+      const auto version = file ? older_container_version(*file) : std::nullopt;
+      if (version && !older) older.emplace(epoch, *version);
       if (counters_) ++counters_->torn_snapshots_discarded;
       ++skipped;
       continue;
@@ -102,6 +112,15 @@ RecoveryLog::ScanResult RecoveryLog::scan() {
     // if snapshots were written but every one is damaged and journal-0 is
     // long purged, replaying from nothing would be a silent wrong rebuild.
     if (!snapshot_epochs.empty() && !has_journal(0)) {
+      // An older build's snapshots, not damaged ones of ours: name the
+      // format. (With journal-0 present, the genesis replay below meets the
+      // older journal and names it there.) A snapshot whose own journal
+      // this build reads is one of ours with a flipped version field.
+      if (older && !journal_is_ours(older->first)) {
+        refuse_format(snapshot_name(older->first),
+                      "snapshot container version " +
+                          std::to_string(older->second) + " (CRC-32 seal)");
+      }
       refuse(snapshot_name(snapshot_epochs.front()),
              "every snapshot generation is damaged and no genesis journal "
              "remains");
@@ -128,6 +147,10 @@ RecoveryLog::ScanResult RecoveryLog::scan() {
       break;  // legal: crash between snapshot commit and journal open
     }
     JournalReadResult r = read_journal(*bytes);
+    if (r.records.empty() && !r.mid_corruption &&
+        older_format_journal(*bytes, e)) {
+      refuse_format(jname, "journal with CRC-32 frames");
+    }
     if (r.mid_corruption) {
       refuse(jname,
              "mid-file corruption: intact records follow a damaged one");
@@ -160,6 +183,16 @@ RecoveryLog::ScanResult RecoveryLog::scan() {
     }
   }
   return out;
+}
+
+bool RecoveryLog::journal_is_ours(std::uint64_t epoch) const {
+  std::optional<std::string> bytes;
+  try {
+    bytes = storage_.read_file(journal_name(epoch));
+  } catch (const StorageError&) {
+    return false;
+  }
+  return bytes && !read_journal(*bytes).records.empty();
 }
 
 void RecoveryLog::open_journal(std::uint64_t epoch, std::uint64_t tick) {

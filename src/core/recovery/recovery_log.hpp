@@ -91,7 +91,10 @@ class JournalObserver {
 /// tail (truncated, as before). Damage that makes durable history
 /// unreachable — both generations bad, a sealed journal torn or corrupted
 /// mid-file, a gap in the chain — raises a typed
-/// StorageError{EBADMSG, Salvage} instead of a silent wrong rebuild.
+/// StorageError{EBADMSG, Salvage} instead of a silent wrong rebuild. A
+/// directory an older build wrote (CRC-32 seals: snapshot container
+/// versions 1–2 and their journals) raises the FormatError subtype naming
+/// the object and its format, never a fallback or a genesis restart.
 class RecoveryLog {
  public:
   /// `crashes` (optional) arms the two snapshot-rotation crash points.
@@ -170,6 +173,10 @@ class RecoveryLog {
   /// Removes every orphaned `snapshot-*.tmp` (counted in tmp_files_swept).
   void sweep_tmp();
   [[noreturn]] void refuse(const std::string& object, const std::string& why);
+  [[noreturn]] void refuse_format(const std::string& object,
+                                  const std::string& format);
+  /// journal-<epoch> exists and holds at least one record this build reads.
+  bool journal_is_ours(std::uint64_t epoch) const;
 
   Storage& storage_;
   RecoveryCounters* counters_;

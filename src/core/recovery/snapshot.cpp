@@ -11,7 +11,10 @@ namespace tora::core::recovery {
 namespace {
 
 constexpr std::string_view kMagic = "TORASNAP";
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
+/// Versions 1 and 2 sealed the container with CRC-32, which this build
+/// does not compute: it recognises them by their header alone.
+constexpr std::uint32_t kFirstCrc32cVersion = 3;
 
 /// The allocator section as it sits in a body. save_allocator fills one
 /// from the allocator; load_allocator decodes one whose post-load step
@@ -167,16 +170,15 @@ void load_allocator(TaskAllocator& allocator, util::ByteReader& r) {
 }
 
 std::string seal_snapshot(std::string_view body) {
+  const auto append_u32 = [](std::string& out, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
   std::string out;
   out.reserve(kMagic.size() + 4 + body.size() + 4);
   out += kMagic;
-  util::ByteWriter w;
-  w.u32(kVersion);
-  out += w.bytes();
+  append_u32(out, kVersion);
   out += body;
-  util::ByteWriter crc;
-  crc.u32(util::crc32(out));
-  out += crc.bytes();
+  append_u32(out, util::crc32c(out));
   return out;
 }
 
@@ -188,16 +190,35 @@ std::optional<std::string> open_snapshot(std::string_view file) {
 
 std::uint32_t snapshot_version() noexcept { return kVersion; }
 
-std::optional<std::uint32_t> sealed_version(std::string_view file) {
+namespace {
+
+/// The version field of a file that starts with the magic.
+std::optional<std::uint32_t> header_version(std::string_view file) {
   const std::size_t overhead = kMagic.size() + 4 + 4;
   if (file.size() < overhead) return std::nullopt;
   if (file.substr(0, kMagic.size()) != kMagic) return std::nullopt;
-  util::ByteReader tail(file.substr(file.size() - 4));
-  if (tail.u32() != util::crc32(file.substr(0, file.size() - 4))) {
-    return std::nullopt;
-  }
   util::ByteReader head(file.substr(kMagic.size(), 4));
   return head.u32();
+}
+
+}  // namespace
+
+std::optional<std::uint32_t> sealed_version(std::string_view file) {
+  const auto version = header_version(file);
+  if (!version) return std::nullopt;
+  util::ByteReader tail(file.substr(file.size() - 4));
+  if (tail.u32() != util::crc32c(file.substr(0, file.size() - 4))) {
+    return std::nullopt;
+  }
+  return version;
+}
+
+std::optional<std::uint32_t> older_container_version(std::string_view file) {
+  const auto version = header_version(file);
+  if (!version || *version == 0 || *version >= kFirstCrc32cVersion) {
+    return std::nullopt;
+  }
+  return version;
 }
 
 }  // namespace tora::core::recovery

@@ -35,20 +35,28 @@ void save_allocator(const TaskAllocator& allocator, util::ByteWriter& w);
 void load_allocator(TaskAllocator& allocator, util::ByteReader& r);
 
 /// Snapshot container: `"TORASNAP" [u32 version] body [u32 crc]` with the
-/// trailing CRC-32 covering everything before it. seal wraps a body;
-/// open validates magic, version and CRC and returns the body, or nullopt
-/// for anything invalid (torn, truncated, corrupted, wrong version) — a bad
-/// snapshot is an expected recovery input, not an exception.
+/// trailing CRC-32C (util::crc32c) covering everything before it. seal
+/// wraps a body; open validates magic, version and CRC and returns the
+/// body, or nullopt for anything invalid (torn, truncated, corrupted, wrong
+/// version) — a bad snapshot is an expected recovery input, not an
+/// exception.
 std::string seal_snapshot(std::string_view body);
 std::optional<std::string> open_snapshot(std::string_view file);
 
-/// The container version this build writes and reads.
+/// The container version this build writes and reads (3: the first sealed
+/// with CRC-32C).
 std::uint32_t snapshot_version() noexcept;
 
-/// The version of a sealed snapshot whose CRC holds, whatever its version
-/// (nullopt when the magic or CRC does not): what `tora fsck` reports for a
-/// snapshot open_snapshot refuses only for its version.
+/// The version of a sealed snapshot whose CRC-32C holds, whatever its
+/// version (nullopt when the magic or CRC does not): what `tora fsck`
+/// reports for a snapshot open_snapshot refuses only for its version.
 std::optional<std::uint32_t> sealed_version(std::string_view file);
+
+/// The version of a container written before CRC-32C seals (1 or 2, sealed
+/// with CRC-32, which this build does not compute), read from its header
+/// alone; nullopt for anything else. Recovery refuses such a snapshot as an
+/// older format (FormatError) instead of counting it as torn.
+std::optional<std::uint32_t> older_container_version(std::string_view file);
 
 }  // namespace tora::core::recovery
 

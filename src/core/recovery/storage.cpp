@@ -75,6 +75,13 @@ StorageError::StorageError(int code, StorageOp op, std::string object,
       op_(op),
       object_(std::move(object)) {}
 
+FormatError::FormatError(std::string object, std::string format)
+    : StorageError(EBADMSG, StorageOp::Salvage, std::move(object),
+                   "written in an older format: " + format +
+                       "; this build reads snapshot container version 3 "
+                       "and journals sealed with CRC-32C"),
+      format_(std::move(format)) {}
+
 // ---------------------------------------------------------------------------
 // MemStorage
 

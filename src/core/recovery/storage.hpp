@@ -53,6 +53,23 @@ class StorageError : public std::runtime_error {
   std::string object_;
 };
 
+/// A recovery-directory object written in a format this build does not
+/// read: a snapshot container or journal sealed with the CRC-32 of builds
+/// before container version 3. Refused by name (EBADMSG, op Salvage, like
+/// every salvage refusal) instead of being read as damage, which would fall
+/// back past its snapshots or read its journal as a tear at byte 0 and
+/// restart the manager from nothing.
+class FormatError : public StorageError {
+ public:
+  FormatError(std::string object, std::string format);
+
+  /// The format found, e.g. "snapshot container version 2 (CRC-32 seal)".
+  const std::string& format() const noexcept { return format_; }
+
+ private:
+  std::string format_;
+};
+
 /// Append-only handle to one storage object. Writes are BUFFERED until
 /// sync(): a crash between append() and sync() may lose the unsynced tail
 /// (that is the torn-tail case the journal reader tolerates).

@@ -10,9 +10,9 @@ namespace tora::core::replication {
 
 namespace {
 
-/// 'R' + body + u32 crc32(body), little-endian.
+/// 'R' + body + u32 crc32c(body), little-endian.
 std::string seal(std::string body) {
-  const std::uint32_t crc = util::crc32(body);
+  const std::uint32_t crc = util::crc32c(body);
   std::string out;
   out.reserve(1 + body.size() + 4);
   out.push_back('R');
@@ -88,7 +88,7 @@ std::optional<ReplicationFrame> decode_frame(std::string_view bytes) {
         static_cast<unsigned char>(bytes[bytes.size() - 4 + i]));
   };
   const std::uint32_t crc = b(0) | b(1) << 8 | b(2) << 16 | b(3) << 24;
-  if (crc != util::crc32(body)) return std::nullopt;
+  if (crc != util::crc32c(body)) return std::nullopt;
   try {
     util::ByteReader r(body);
     ReplicationFrame f;

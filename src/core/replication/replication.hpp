@@ -59,7 +59,7 @@ struct ReplicationFrame {
 };
 
 /// CRC-framed codec, binary-safe through Channel lines and TCP frames.
-/// Layout: 'R' [u8 op] [fields...] [u32 crc32(op + fields)], little-endian;
+/// Layout: 'R' [u8 op] [fields...] [u32 crc32c(op + fields)], little-endian;
 /// the leading 'R' cannot collide with the session layer's "tora!" control
 /// prefix or the text protocol's message names.
 std::string encode_open_fresh();

@@ -1,6 +1,7 @@
 #include "proto/manager.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -980,9 +981,73 @@ void ProtocolManager::begin_replay(
   replay_handled_ = 0;
 }
 
+namespace {
+
+/// One journal record's payload, read field by field. A short payload,
+/// trailing bytes or a field the replay cannot apply refuse the record
+/// with a typed StorageError (EBADMSG, op Salvage, naming the record type),
+/// like every other salvage refusal.
+class RecordPayload {
+ public:
+  explicit RecordPayload(const core::recovery::JournalRecord& rec)
+      : rec_(rec) {}
+
+  std::uint32_t u32() {
+    need(4);
+    util::ByteReader r(std::string_view(rec_.payload).substr(pos_, 4));
+    pos_ += 4;
+    return r.u32();
+  }
+  std::uint64_t u64() {
+    need(8);
+    util::ByteReader r(std::string_view(rec_.payload).substr(pos_, 8));
+    pos_ += 8;
+    return r.u64();
+  }
+  std::string str() {
+    const std::uint32_t n = u32();
+    need(n);
+    std::string out = rec_.payload.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
+  /// Refuses a payload with bytes left over.
+  void end() const {
+    if (pos_ != rec_.payload.size()) refuse("trailing bytes in the payload");
+  }
+
+  [[noreturn]] void refuse(const std::string& why) const {
+    throw core::recovery::StorageError(
+        EBADMSG, core::recovery::StorageOp::Salvage,
+        std::string("journal ") + core::recovery::to_string(rec_.type) +
+            " record",
+        why);
+  }
+
+ private:
+  void need(std::size_t n) const {
+    if (rec_.payload.size() - pos_ < n) refuse("payload too short");
+  }
+
+  const core::recovery::JournalRecord& rec_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
+
 void ProtocolManager::replay_record(
     const core::recovery::JournalRecord& rec) {
   if (recovery_counters_) ++recovery_counters_->records_replayed;
+  try {
+    apply_record(rec);
+  } catch (const core::recovery::StorageError&) {
+    replaying_ = false;
+    throw;
+  }
+}
+
+void ProtocolManager::apply_record(const core::recovery::JournalRecord& rec) {
+  RecordPayload p(rec);
   switch (rec.type) {
     case RecordType::Epoch:
       break;
@@ -991,12 +1056,10 @@ void ProtocolManager::replay_record(
       core_.start();
       break;
     case RecordType::Tick: {
-      util::ByteReader r(rec.payload);
+      const std::uint64_t tick = p.u64();
+      p.end();
+      if (tick != tick_ + 1) p.refuse("tick out of sequence");
       ++tick_;
-      if (r.u64() != tick_) {
-        replaying_ = false;
-        throw std::runtime_error("recovery journal: tick out of sequence");
-      }
       replay_liveness_pending_ = true;
       replay_dispatch_pending_ = true;
       replay_handled_ = 0;
@@ -1008,14 +1071,10 @@ void ProtocolManager::replay_record(
       break;
     }
     case RecordType::Input: {
-      util::ByteReader r(rec.payload);
-      const std::uint32_t link = r.u32();
-      const std::string line = r.str();
-      if (link >= links_.size()) {
-        replaying_ = false;
-        throw std::runtime_error(
-            "recovery journal: input from an unknown link");
-      }
+      const std::uint32_t link = p.u32();
+      const std::string line = p.str();
+      p.end();
+      if (link >= links_.size()) p.refuse("input from an unknown link");
       if (handle_line(link, line)) ++replay_handled_;
       if (recovery_counters_) ++recovery_counters_->inputs_replayed;
       break;
@@ -1025,19 +1084,17 @@ void ProtocolManager::replay_record(
       replay_liveness_pending_ = false;
       break;
     case RecordType::Backpressure: {
-      util::ByteReader r(rec.payload);
-      std::fill(bp_sample_.begin(), bp_sample_.end(), 0);
-      const std::uint32_t count = r.u32();
+      std::vector<char> sample(bp_sample_.size(), 0);
+      const std::uint32_t count = p.u32();
       for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t link = r.u32();
-        if (link >= bp_sample_.size()) {
-          replaying_ = false;
-          throw std::runtime_error(
-              "recovery journal: backpressure sample beyond the link "
-              "table");
+        const std::uint32_t link = p.u32();
+        if (link >= sample.size()) {
+          p.refuse("backpressure sample beyond the link table");
         }
-        bp_sample_[link] = 1;
+        sample[link] = 1;
       }
+      p.end();
+      std::copy(sample.begin(), sample.end(), bp_sample_.begin());
       bp_sampled_this_tick_ = true;
       break;
     }
@@ -1045,11 +1102,10 @@ void ProtocolManager::replay_record(
       dispatch_queued();
       replay_dispatch_pending_ = false;
       break;
-    case RecordType::TermBump: {
-      util::ByteReader r(rec.payload);
-      term_ = r.u64();
+    case RecordType::TermBump:
+      term_ = p.u64();
+      p.end();
       break;
-    }
     case RecordType::CategoryInterned:
     case RecordType::TaskSubmitted:
     case RecordType::AllocationCommitted:

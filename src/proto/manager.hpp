@@ -205,7 +205,10 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   /// with wire sends suppressed; finish_replay() runs the interrupted
   /// tick's missing phases with sends enabled and leaves replay mode — the
   /// promotion step, returning what that tick's pump() would have.
-  /// recover() is exactly this sequence over a RecoveryLog scan.
+  /// recover() is exactly this sequence over a RecoveryLog scan. A record
+  /// replay cannot apply (a short payload or trailing bytes, a tick out of
+  /// sequence, an unknown link) refuses with a typed
+  /// core::recovery::StorageError{EBADMSG, Salvage}.
   void begin_replay(const std::optional<std::string>& snapshot);
   void replay_record(const core::recovery::JournalRecord& rec);
   std::size_t finish_replay();
@@ -308,6 +311,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   void note_malformed(std::size_t link_index, const std::string& line);
   void touch(std::uint64_t worker_id);
   void check_liveness();
+  /// replay_record()'s body: applies `rec`, refusing what it cannot apply.
+  void apply_record(const core::recovery::JournalRecord& rec);
   /// Decode + dispatch one polled wire line (the pump drain body, shared
   /// with journal replay). Returns true for a handled non-heartbeat line.
   bool handle_line(std::size_t link_index, const std::string& line);

@@ -56,12 +56,12 @@ struct Message {
 
 /// Encodes a message as one line of space-separated `key=value` tokens with
 /// a leading verb and an integrity checksum, e.g.
-///   `dispatch crc=f00..ba1 worker=3 task=17 attempt=1 category=proc
+///   `dispatch crc=3f0a9c1e worker=3 task=17 attempt=1 category=proc
 ///    cores=1 memory=512 disk=64 time=0`
 /// Category values are URL-%-escaped so spaces/equals survive. The `crc`
-/// token (FNV-1a over the line with the token spliced out, 16 hex digits)
-/// sits directly after the verb so that corruption OR truncation of the
-/// variable-length tail is always detectable.
+/// token (CRC-32C over the line with the token spliced out, 8 hex digits;
+/// proto/checksum.hpp) sits directly after the verb so that corruption OR
+/// truncation of the variable-length tail is always detectable.
 std::string encode(const Message& msg);
 
 /// Parses one encoded line. Returns nullopt on any malformed input

@@ -175,8 +175,10 @@ bool ManagerEndpoint::handle_hello(Conn& conn, const std::string& frame,
   };
   if (frame.size() > cfg_.session.max_hello_bytes) return reject();
   const auto hello = decode_hello(frame);
-  if (!hello) return reject();
-  if (hello->version != cfg_.session.version) return reject();
+  if (!hello || hello->version != cfg_.session.version) {
+    if (hello || sealed_by_v1(frame)) ++counters_.version_mismatches;
+    return reject();
+  }
   if (hello->worker_id >= sessions_.size()) return reject();
   Session& s = *sessions_[hello->worker_id];
 
@@ -481,8 +483,12 @@ bool WorkerEndpoint::handle_frame(std::string frame) {
 
 bool WorkerEndpoint::handle_welcome(const std::string& frame) {
   const auto welcome = decode_welcome(frame);
-  if (!welcome || welcome->version != cfg_.session.version ||
-      welcome->token == 0) {
+  if (welcome ? welcome->version != cfg_.session.version
+              : sealed_by_v1(frame)) {
+    ++counters_.version_mismatches;
+    return false;
+  }
+  if (!welcome || welcome->token == 0) {
     ++counters_.corrupt_control_frames;
     return false;
   }

@@ -16,7 +16,7 @@ namespace tora::proto::net {
 /// frames are binary (journal payloads and snapshot bodies carry arbitrary
 /// bytes), so each sealed frame rides the line protocol hex-encoded — the
 /// line framing stays byte-clean and a corrupted line simply fails the
-/// sealed frame's CRC on decode.
+/// sealed frame's CRC-32C on decode.
 
 /// Lowercase hex of `bytes` (binary-safe line payload).
 std::string hex_encode(std::string_view bytes);

@@ -16,6 +16,13 @@ constexpr std::string_view kHelloVerb = "tora!hello";
 constexpr std::string_view kWelcomeVerb = "tora!welcome";
 constexpr std::string_view kAckVerb = "tora!ack";
 
+/// Versions travel as decimal u64 text but are u32 values: a larger `v` is
+/// malformed, not a version that wraps around to a valid one.
+constexpr std::uint64_t kMaxVersion = 0xFFFFFFFFu;
+
+/// The token length transport version 1 sealed lines with (FNV-1a).
+constexpr std::size_t kV1CrcHexDigits = 16;
+
 // Heartbeat application frames start with the heartbeat verb; the session
 // queue only needs to classify them, never parse them.
 constexpr std::string_view kHeartbeatVerb = "heartbeat ";
@@ -142,6 +149,7 @@ std::optional<HelloFrame> decode_hello(std::string_view frame) {
   ControlFields::Slot slots[] = {
       {"v", &v}, {"worker", &worker}, {"token", &token}, {"rx", &rx}};
   if (!ControlFields::parse(frame, kHelloVerb, slots)) return std::nullopt;
+  if (v > kMaxVersion) return std::nullopt;
   HelloFrame h;
   h.version = static_cast<std::uint32_t>(v);
   h.worker_id = worker;
@@ -155,7 +163,7 @@ std::optional<WelcomeFrame> decode_welcome(std::string_view frame) {
   ControlFields::Slot slots[] = {
       {"v", &v}, {"token", &token}, {"rx", &rx}, {"resume", &resume}};
   if (!ControlFields::parse(frame, kWelcomeVerb, slots)) return std::nullopt;
-  if (resume > 1) return std::nullopt;
+  if (v > kMaxVersion || resume > 1) return std::nullopt;
   WelcomeFrame w;
   w.version = static_cast<std::uint32_t>(v);
   w.token = token;
@@ -169,6 +177,22 @@ std::optional<AckFrame> decode_ack(std::string_view frame) {
   ControlFields::Slot slots[] = {{"rx", &rx}};
   if (!ControlFields::parse(frame, kAckVerb, slots)) return std::nullopt;
   return AckFrame{rx};
+}
+
+bool sealed_by_v1(std::string_view frame) noexcept {
+  if (!is_control_frame(frame)) return false;
+  const std::size_t pos = frame.find(kCrcToken);
+  if (pos == std::string_view::npos) return false;
+  const std::string_view tail = frame.substr(pos + kCrcToken.size());
+  if (tail.size() < kV1CrcHexDigits ||
+      (tail.size() > kV1CrcHexDigits && tail[kV1CrcHexDigits] != ' ')) {
+    return false;
+  }
+  for (std::size_t i = 0; i < kV1CrcHexDigits; ++i) {
+    const char c = tail[i];
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
+  }
+  return true;
 }
 
 // ------------------------------------------------------------- send queue

@@ -20,18 +20,26 @@ namespace tora::proto::net {
 ///
 /// Control frames share the line framing with application messages but use
 /// a reserved `tora!` verb prefix (the application codec can never emit or
-/// accept it) and the same spliced-in FNV-1a checksum discipline:
+/// accept it) and the same spliced-in CRC-32C checksum discipline
+/// (proto/checksum.hpp):
 ///
-///   tora!hello crc=<16hex> v=1 worker=3 token=0 rx=0
-///   tora!welcome crc=<16hex> v=1 token=9f..2 rx=17 resume=1
-///   tora!ack crc=<16hex> rx=42
+///   tora!hello crc=<8hex> v=2 worker=3 token=0 rx=0
+///   tora!welcome crc=<8hex> v=2 token=9f..2 rx=17 resume=1
+///   tora!ack crc=<8hex> rx=42
 ///
 /// hello.token = 0 requests a fresh session; a nonzero token asks to resume
 /// the session it names. `rx` advertises how many application frames the
 /// sender has received in the session so far, which is exactly what the
 /// peer needs to rewind its replay buffer to the first unreceived frame.
+///
+/// Transport version 2 is the first sealed with CRC-32C. Version 1 sealed
+/// every line with a 16-digit FNV-1a token, which no version 2 decoder
+/// accepts; sealed_by_v1() recognises such a handshake by its token, and
+/// both endpoints refuse it as a version mismatch (counted in
+/// TransportCounters::version_mismatches), as they do a v= other than
+/// their own.
 
-inline constexpr std::uint32_t kTransportVersion = 1;
+inline constexpr std::uint32_t kTransportVersion = 2;
 
 /// Session-layer tuning. All windows counted in frames or in the caller's
 /// monotone `now` unit (the lockstep harness passes pump rounds, the CLI
@@ -84,11 +92,18 @@ std::string encode_welcome(const WelcomeFrame& w);
 std::string encode_ack(const AckFrame& a);
 
 /// Strict decoders: nullopt on anything malformed — wrong verb, missing
-/// field, bad number, failed checksum. Truncation anywhere breaks the
-/// checksum, so fuzzed prefixes can never parse.
+/// field, bad number, a version above 2^32 - 1, failed checksum.
+/// Truncation anywhere breaks the checksum, so fuzzed prefixes can never
+/// parse.
 std::optional<HelloFrame> decode_hello(std::string_view frame);
 std::optional<WelcomeFrame> decode_welcome(std::string_view frame);
 std::optional<AckFrame> decode_ack(std::string_view frame);
+
+/// True when `frame` is a control frame sealed by a transport version 1
+/// peer: its verb, then ` crc=` and 16 lowercase hex digits (the FNV-1a
+/// token), then a field or the end. Recognised by shape alone; nothing is
+/// decoded from it.
+bool sealed_by_v1(std::string_view frame) noexcept;
 
 // ------------------------------------------------------------- send queue
 

@@ -5,21 +5,25 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace tora::util {
 
 namespace {
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
-/// Slicing-by-8 tables: table 0 is the classic bytewise table; table k maps
-/// a byte to its CRC contribution k bytes further down the stream, so eight
-/// lookups advance the CRC by eight bytes.
+/// Slicing-by-8 tables for CRC-32C: table 0 is the classic bytewise table;
+/// table k maps a byte to its CRC contribution k bytes further down the
+/// stream, so eight lookups advance the CRC by eight bytes.
 constexpr CrcTables make_crc_tables() {
   CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      c = (c & 1u) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
     }
     t[0][i] = c;
   }
@@ -39,9 +43,48 @@ std::uint32_t load_le32(const unsigned char* p) noexcept {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+/// Little-endian store of the low `sizeof(T)` bytes of `v`.
+template <typename T>
+void store_le(char* at, T v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      at[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    }
+  }
+}
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42_raw(
+    const unsigned char* p, std::size_t n, std::uint32_t c) noexcept {
+  std::uint64_t c64 = c;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    c64 = _mm_crc32_u64(c64, word);
+  }
+  c = static_cast<std::uint32_t>(c64);
+  for (; n > 0; ++p, --n) c = _mm_crc32_u8(c, *p);
+  return c;
+}
+#endif
+
+bool detect_sse42() noexcept {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2") != 0;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
-std::uint32_t crc32(std::string_view data, std::uint32_t seed) noexcept {
+namespace detail {
+
+std::uint32_t crc32c_portable(std::string_view data,
+                              std::uint32_t seed) noexcept {
   static constexpr CrcTables kT = make_crc_tables();
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   std::size_t n = data.size();
@@ -57,19 +100,40 @@ std::uint32_t crc32(std::string_view data, std::uint32_t seed) noexcept {
   return c ^ 0xFFFFFFFFu;
 }
 
+std::uint32_t crc32c_sse42(std::string_view data,
+                           std::uint32_t seed) noexcept {
+#if defined(__x86_64__)
+  return crc32c_sse42_raw(reinterpret_cast<const unsigned char*>(data.data()),
+                          data.size(), seed ^ 0xFFFFFFFFu) ^
+         0xFFFFFFFFu;
+#else
+  return crc32c_portable(data, seed);
+#endif
+}
+
+}  // namespace detail
+
+bool crc32c_hardware() noexcept {
+  static const bool kHardware = detect_sse42();
+  return kHardware;
+}
+
+std::uint32_t crc32c(std::string_view data, std::uint32_t seed) noexcept {
+  return crc32c_hardware() ? detail::crc32c_sse42(data, seed)
+                           : detail::crc32c_portable(data, seed);
+}
+
+char* ByteWriter::extend(std::size_t n) {
+  const std::size_t at = out_.size();
+  out_.resize(at + n);
+  return out_.data() + at;
+}
+
 void ByteWriter::u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
 
-void ByteWriter::u32(std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-  out_.append(b, sizeof(b));
-}
+void ByteWriter::u32(std::uint32_t v) { store_le(extend(sizeof v), v); }
 
-void ByteWriter::u64(std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-  out_.append(b, sizeof(b));
-}
+void ByteWriter::u64(std::uint64_t v) { store_le(extend(sizeof v), v); }
 
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 

@@ -7,14 +7,28 @@
 
 namespace tora::util {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
-/// continuing from `seed` (pass the previous result to checksum a stream in
-/// pieces). Computed eight bytes at a time (slicing-by-8); the values are
-/// those of the bytewise definition on every host. Used by the recovery
-/// journal to detect torn or corrupted records; the protocol's per-line FNV
-/// hash stays separate (different failure model: wire corruption vs.
-/// partial disk writes).
-std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0) noexcept;
+/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) over `data`,
+/// continuing from `seed`: `crc32c(b, crc32c(a)) == crc32c(a + b)`, so a
+/// stream checksums in pieces without being joined first. The one integrity
+/// seal of tora's bytes: wire lines (proto/checksum.hpp), journal frames,
+/// snapshot containers and replication frames. Uses the SSE4.2 `crc32`
+/// instruction when the CPU reports it (checked once per process) and a
+/// slicing-by-8 table everywhere else; both give the bytewise definition's
+/// value on every host.
+std::uint32_t crc32c(std::string_view data, std::uint32_t seed = 0) noexcept;
+
+/// True when crc32c() runs on the SSE4.2 instruction: whenever the CPU
+/// reports SSE4.2, never otherwise. Nothing else chooses the path.
+bool crc32c_hardware() noexcept;
+
+namespace detail {
+/// The two paths crc32c() selects between, for differential tests. The
+/// hardware one may only be called when crc32c_hardware() is true.
+std::uint32_t crc32c_portable(std::string_view data,
+                              std::uint32_t seed = 0) noexcept;
+std::uint32_t crc32c_sse42(std::string_view data,
+                           std::uint32_t seed = 0) noexcept;
+}  // namespace detail
 
 /// Little-endian binary encoder for the recovery snapshot/journal formats.
 /// Explicit byte order keeps the files portable across hosts (a manager may
@@ -22,6 +36,7 @@ std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0) noexcept;
 class ByteWriter {
  public:
   void u8(std::uint8_t v);
+  /// Fixed-width values are stored in place at the end of the buffer.
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   /// Doubles travel as their IEEE-754 bit pattern; the value round-trips
@@ -35,6 +50,9 @@ class ByteWriter {
   std::size_t size() const noexcept { return out_.size(); }
 
  private:
+  /// Grows the buffer by `n` bytes and returns where they start.
+  char* extend(std::size_t n);
+
   std::string out_;
 };
 

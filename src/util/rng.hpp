@@ -96,10 +96,12 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept;
 /// FNV-1a's 64-bit offset basis: the state hash64 starts from.
 inline constexpr std::uint64_t kHash64Seed = 0xcbf29ce484222325ull;
 
-/// Stable 64-bit FNV-1a hash of a string, used to derive labeled RNG streams
-/// and as the wire protocol's line checksum. `seed` continues a previous
-/// result, so `hash64(b, hash64(a)) == hash64(a + b)`: a string in pieces
-/// hashes without being joined first.
+/// Stable 64-bit FNV-1a hash of a string. It names things: labeled RNG
+/// streams, the allocator-config digest, printed state fingerprints. It is
+/// not an integrity seal; wire lines, journal frames and snapshots are
+/// sealed with util::crc32c. `seed` continues a previous result, so
+/// `hash64(b, hash64(a)) == hash64(a + b)`: a string in pieces hashes
+/// without being joined first.
 std::uint64_t hash64(std::string_view s,
                      std::uint64_t seed = kHash64Seed) noexcept;
 

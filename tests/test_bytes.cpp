@@ -1,6 +1,7 @@
-// Differential tests of util/bytes against the previous implementations:
-// the one-table-lookup-per-byte CRC-32 and the push_back-per-byte
-// ByteWriter are kept below as references.
+// Differential tests of util/bytes against reference implementations: a
+// one-table-lookup-per-byte CRC-32C checks both of crc32c's paths (the
+// SSE4.2 instruction and the slicing-by-8 table), and a push_back-per-byte
+// writer checks ByteWriter's in-place stores.
 
 #include "util/bytes.hpp"
 
@@ -19,18 +20,19 @@ namespace {
 
 using tora::util::ByteReader;
 using tora::util::ByteWriter;
-using tora::util::crc32;
+using tora::util::crc32c;
+namespace detail = tora::util::detail;
 using tora::util::Rng;
 
 namespace reference {
 
-std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0) {
+std::uint32_t crc32c(std::string_view data, std::uint32_t seed = 0) {
   static const auto kTable = [] {
     std::vector<std::uint32_t> table(256);
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        c = (c & 1u) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
       }
       table[i] = c;
     }
@@ -58,9 +60,15 @@ std::string random_bytes(Rng& rng, std::size_t n) {
 }
 
 TEST(Crc32, CheckValue) {
-  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(crc32(""), 0u);
-  EXPECT_EQ(crc32("", 0xDEADBEEFu), 0xDEADBEEFu);
+  // The CRC-32C check value (RFC 3720, appendix B.4).
+  EXPECT_EQ(crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(crc32c(""), 0u);
+  EXPECT_EQ(crc32c("", 0xDEADBEEFu), 0xDEADBEEFu);
+  EXPECT_EQ(detail::crc32c_portable("123456789"), 0xE3069283u);
+  if (tora::util::crc32c_hardware()) {
+    EXPECT_EQ(detail::crc32c_sse42("123456789"), 0xE3069283u);
+    EXPECT_EQ(detail::crc32c_sse42("", 0xDEADBEEFu), 0xDEADBEEFu);
+  }
 }
 
 TEST(Crc32, SlicingMatchesBytewiseReference) {
@@ -71,11 +79,42 @@ TEST(Crc32, SlicingMatchesBytewiseReference) {
     for (std::size_t offset = 0; offset < 8; ++offset) {
       const std::string_view data = std::string_view(buf).substr(offset, len);
       const auto seed = static_cast<std::uint32_t>(rng());
-      ASSERT_EQ(crc32(data, seed), reference::crc32(data, seed))
+      ASSERT_EQ(detail::crc32c_portable(data, seed),
+                reference::crc32c(data, seed))
           << "len " << len << " offset " << offset;
-      ASSERT_EQ(crc32(data), reference::crc32(data));
+      ASSERT_EQ(crc32c(data, seed), reference::crc32c(data, seed))
+          << "len " << len << " offset " << offset;
+      ASSERT_EQ(crc32c(data), reference::crc32c(data));
     }
   }
+}
+
+TEST(Crc32, HardwareMatchesPortable) {
+  if (!tora::util::crc32c_hardware()) {
+    GTEST_SKIP() << "this CPU does not report SSE4.2";
+  }
+  Rng rng(0x55E42ull);
+  const std::string buf = random_bytes(rng, 400);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view data = std::string_view(buf).substr(offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(detail::crc32c_sse42(data, seed),
+                detail::crc32c_portable(data, seed))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+// No option, flag or variable picks the path: the CPU does.
+TEST(Crc32, HardwarePathFollowsTheCpu) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(tora::util::crc32c_hardware(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(tora::util::crc32c_hardware());
+#endif
 }
 
 TEST(Crc32, ContinuesAcrossPieces) {
@@ -84,7 +123,10 @@ TEST(Crc32, ContinuesAcrossPieces) {
     const std::string s = random_bytes(rng, rng.uniform_int(0, 200));
     const std::size_t cut = rng.uniform_int(0, s.size());
     const std::string_view v(s);
-    EXPECT_EQ(crc32(v.substr(cut), crc32(v.substr(0, cut))), crc32(v));
+    EXPECT_EQ(crc32c(v.substr(cut), crc32c(v.substr(0, cut))), crc32c(v));
+    EXPECT_EQ(detail::crc32c_portable(
+                  v.substr(cut), detail::crc32c_portable(v.substr(0, cut))),
+              crc32c(v));
   }
 }
 

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "core/recovery/recovery_log.hpp"
+#include "oracles/v1_formats.hpp"
 #include "proto/net/replication.hpp"
 #include "sim/event.hpp"
 #include "util/bytes.hpp"
@@ -503,15 +504,15 @@ TEST(CliRun, FsckReportsFallbackOnCorruptSnapshot) {
 
 TEST(CliRun, FsckNamesAnUnsupportedSnapshotVersion) {
   const std::string root = build_recovery_dir("fsck_version");
-  // Reseal generation 1's snapshot as container version 1: a valid CRC over
-  // another version is a skew, not corruption.
+  // Reseal generation 1's snapshot as container version 4: a valid CRC-32C
+  // over another version is a skew, not corruption.
   std::string sealed = "TORASNAP";
   tora::util::ByteWriter version;
-  version.u32(1);
+  version.u32(4);
   sealed += version.bytes();
-  sealed += "body written by an older build";
+  sealed += "body written by a newer build";
   tora::util::ByteWriter crc;
-  crc.u32(tora::util::crc32(sealed));
+  crc.u32(tora::util::crc32c(sealed));
   sealed += crc.bytes();
   {
     std::ofstream f(root + "/snapshot-1", std::ios::binary | std::ios::trunc);
@@ -520,10 +521,44 @@ TEST(CliRun, FsckNamesAnUnsupportedSnapshotVersion) {
   std::ostringstream out, err;
   run_cli({"fsck", root}, out, err);
   const std::string s = out.str();
-  EXPECT_NE(s.find("sealed, unsupported version 1 (this build reads 2)"),
+  EXPECT_NE(s.find("sealed, unsupported version 4 (this build reads 3)"),
             std::string::npos)
       << s;
   EXPECT_EQ(s.find("CORRUPT (seal check failed)"), std::string::npos) << s;
+}
+
+// A directory an older build wrote (CRC-32 seals) is named as such, object
+// by object, and the scan refuses it by format instead of falling back.
+TEST(CliRun, FsckNamesAnOlderFormatDirectory) {
+  const std::string root = ::testing::TempDir() + "fsck_older_format";
+  {
+    rec::FileStorage storage(root);
+    for (const std::string& obj : storage.list()) storage.remove(obj);
+    namespace v1 = tora::oracles::v1;
+    std::string tick;
+    v1::put_le(tick, 1, 8);
+    storage.write_file_durable("snapshot-1", v1::snapshot_container("body"));
+    for (std::uint64_t e : {0, 1}) {
+      storage.write_file_durable(
+          rec::RecoveryLog::journal_name(e),
+          v1::epoch_frame(e, 4 * e) + v1::journal_frame(0x03, tick));
+    }
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"fsck", root}, out, err), 1) << out.str();
+  const std::string s = out.str();
+  EXPECT_NE(s.find("OLDER FORMAT: container version 2, CRC-32 seal (this "
+                   "build reads version 3, CRC-32C)"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find("OLDER FORMAT: CRC-32 frames (this build reads CRC-32C)"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find("UNRECOVERABLE"), std::string::npos) << s;
+  EXPECT_NE(s.find("written in an older format: journal with CRC-32 frames"),
+            std::string::npos)
+      << s;
+  EXPECT_EQ(s.find("CORRUPT"), std::string::npos) << s;
 }
 
 TEST(CliRun, FsckReportsUnrecoverableDamage) {

@@ -1,6 +1,8 @@
 // Differential tests of the wire codec against the previous implementation:
 // the std::map / ostringstream / snprintf / stod codec is kept below as
-// `reference`, verbatim apart from its namespace, and the fixed-field codec
+// `reference`, verbatim apart from its namespace and its seal (transport
+// version 2's 8-digit CRC-32C token in place of the 16-digit FNV-1a one),
+// and the fixed-field codec
 // must write the same bytes and read the same messages from them. The only
 // allowed differences are the strict field rules: integer fields parse
 // exactly, resource values and runtimes are finite and non-negative,
@@ -24,6 +26,7 @@
 
 #include "proto/checksum.hpp"
 #include "proto/message.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -152,7 +155,7 @@ void put_resources(std::ostringstream& oss, const core::ResourceVector& r) {
 }
 
 constexpr std::string_view kCrcToken = " crc=";
-constexpr std::size_t kCrcHexDigits = 16;
+constexpr std::size_t kCrcHexDigits = 8;
 
 bool crc_ok(std::string_view line) {
   const std::size_t pos = line.find(kCrcToken);
@@ -162,7 +165,7 @@ bool crc_ok(std::string_view line) {
   const std::size_t sp = hex.find(' ');
   if (sp != std::string_view::npos) hex = hex.substr(0, sp);
   if (hex.size() != kCrcHexDigits) return false;
-  std::uint64_t want = 0;
+  std::uint32_t want = 0;
   const auto [end, ec] =
       std::from_chars(hex.data(), hex.data() + hex.size(), want, 16);
   if (ec != std::errc{} || end != hex.data() + hex.size()) return false;
@@ -170,7 +173,7 @@ bool crc_ok(std::string_view line) {
   content.reserve(line.size());
   content.append(line.substr(0, pos));
   content.append(line.substr(value_at + hex.size()));
-  return util::hash64(content) == want;
+  return util::crc32c(content) == want;
 }
 
 std::string encode(const proto::Message& msg) {
@@ -205,8 +208,8 @@ std::string encode(const proto::Message& msg) {
   const std::string fields = oss.str();
   std::string line(to_string(msg.type));
   char crc[kCrcHexDigits + 1];
-  std::snprintf(crc, sizeof(crc), "%016llx",
-                static_cast<unsigned long long>(util::hash64(line + fields)));
+  std::snprintf(crc, sizeof(crc), "%08x",
+                static_cast<unsigned>(util::crc32c(line + fields)));
   line.append(kCrcToken);
   line.append(crc);
   line.append(fields);
@@ -526,8 +529,8 @@ std::vector<std::string> field_tokens(const std::string& line) {
 TEST(CodecDifferential, TokenRulesMatchTheReference) {
   Rng rng(0x70CE45ull);
   static const std::vector<std::string> kOddTokens = {
-      "zz=1", "crc=x", "crc=0123456789abcdef", "worker2=3", "x=", "novalue",
-      "=5",   "",      "category=%4",          "outcome=maybe"};
+      "zz=1", "crc=x", "crc=0123456789abcdef", "crc=01234567", "worker2=3",
+      "x=",   "novalue", "=5", "", "category=%4", "outcome=maybe"};
   std::size_t accepted = 0, rejected = 0;
   for (int iter = 0; iter < 30000; ++iter) {
     const auto type = static_cast<MsgType>(rng.uniform_int(0, 5));

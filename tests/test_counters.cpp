@@ -119,6 +119,7 @@ TransportCounters filled_transport(std::size_t k) {
   c.reconnects = 6 * k;
   c.handshakes_ok = 7 * k;
   c.handshakes_rejected = 8 * k;
+  c.version_mismatches = 22 * k;
   c.sessions_resumed = 9 * k;
   c.frames_replayed = 10 * k;
   c.frames_sent = 11 * k;
@@ -277,6 +278,7 @@ TEST(CounterJson, PrintsEverySectionInFieldOrder) {
     "reconnects": 6,
     "handshakes_ok": 7,
     "handshakes_rejected": 8,
+    "version_mismatches": 22,
     "sessions_resumed": 9,
     "frames_replayed": 10,
     "frames_sent": 11,

@@ -8,9 +8,10 @@
 // storms, the arbitrated multi-tenant pass under each arbiter, and the
 // manager's backoff deferrals and admission gate under chaos. Only decoded
 // results are pinned, never byte layouts. A change that moves these values
-// on purpose re-baselines the tables below and says why. One more cell pins
-// a count of work instead of a result: the predict calls of a 20k-task run
-// under the deterministic policies, which repeat exactly.
+// on purpose re-baselines the tables below and says why. Two more cells pin
+// counts of work instead of results, which repeat exactly: the predict
+// calls of a 20k-task run under the deterministic policies, and the wire
+// and journal bytes of the TopEFT run under exhaustive_bucketing.
 
 #include <gtest/gtest.h>
 
@@ -197,6 +198,42 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PinnedProto>& info) {
       return std::string(info.param.policy);
     });
+
+// --- the byte path ----------------------------------------------------------
+
+// Bytes, not results: the same TopEFT seed 1 run under exhaustive_bucketing
+// (perfbench's proto_topeft pass at one seed) moves exactly this many wire
+// bytes (every line plus its newline, both directions) and journal bytes
+// (every frame), on every host and build, so the counts gate the byte path
+// where wall time cannot. Per task: 379.89 wire bytes, 8.33 journal records
+// and 579.70 journal bytes. A build that seals lines with the 16-digit
+// FNV-1a token of transport version 1 moves 88,952 more wire bytes (8 per
+// line: 1,824,656) and 46,016 more journal bytes (8 per journaled input
+// line: 2,694,664) with the same 38,082 journal records.
+TEST(PinnedBytePath, TopEftSeed1BytesPerTask) {
+  const tora::exp::ExperimentConfig cfg;
+  const auto workload = tora::workloads::make_topeft(1);
+  tora::core::recovery::MemStorage storage;
+  tora::core::recovery::RecoveryConfig recovery;
+  recovery.snapshot_every_ticks = 4;
+  tora::proto::RecoverableProtocolRuntime runtime(
+      workload.tasks,
+      [&] {
+        return std::make_unique<tora::core::TaskAllocator>(
+            tora::core::make_allocator(tora::core::kExhaustiveBucketing,
+                                       cfg.policy_seed,
+                                       cfg.sim.worker_capacity,
+                                       cfg.registry));
+      },
+      35, cfg.sim.worker_capacity, tora::proto::ChaosConfig{}, storage,
+      recovery);
+  const auto r = runtime.run();
+  ASSERT_EQ(workload.tasks.size(), 4569u);
+  ASSERT_EQ(r.tasks_completed, 4569u);
+  EXPECT_EQ(r.bytes, 1735704u);
+  EXPECT_EQ(r.recovery.journal_records, 38082u);
+  EXPECT_EQ(r.recovery.journal_bytes, 2648648u);
+}
 
 // --- work at the paper's §VII scale -----------------------------------------
 

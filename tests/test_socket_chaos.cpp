@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/recovery/storage.hpp"
 #include "core/registry.hpp"
 #include "core/task.hpp"
+#include "oracles/v1_formats.hpp"
 #include "proto/manager.hpp"
 #include "proto/net/endpoint.hpp"
 #include "proto/net/fault_proxy.hpp"
@@ -416,6 +418,76 @@ struct EndpointStateProbe {
   bool operator==(const EndpointStateProbe&) const = default;
 };
 
+// A worker of another transport version is refused and counted as a
+// version mismatch: a version 1 hello (16-digit FNV-1a seal, which no
+// version 2 decoder accepts) and a well-sealed hello that says v=1.
+TEST(TcpFuzz, OtherVersionHellosAreRefusedAsVersionMismatches) {
+  TcpTransportConfig cfg;
+  cfg.handshake_timeout = 1.0;
+  ManagerEndpoint mgr_ep(1, cfg);
+  const std::string hellos[] = {
+      tora::oracles::v1::sealed_line("tora!hello",
+                                     " v=1 worker=0 token=0 rx=0"),
+      tora::proto::net::encode_hello(tora::proto::net::HelloFrame{1, 0, 0, 0}),
+  };
+  double now = 0.0;
+  std::size_t sent = 0;
+  for (const std::string& hello : hellos) {
+    RawClient client(mgr_ep.port());
+    ASSERT_TRUE(client.connected());
+    for (int i = 0; i < 20; ++i) mgr_ep.pump_io(now, 0);
+    client.send(hello + "\n");
+    ++sent;
+    now += 0.1;
+    for (int i = 0; i < 50; ++i) mgr_ep.pump_io(now, 0);
+    const tora::core::TransportCounters& c = mgr_ep.counters();
+    EXPECT_EQ(c.version_mismatches, sent) << hello;
+    EXPECT_EQ(c.handshakes_rejected, sent) << hello;
+    EXPECT_EQ(c.handshakes_ok, 0u) << hello;
+    EXPECT_EQ(mgr_ep.connections(), 0u) << hello;
+  }
+  // Garbage is rejected but is no version mismatch.
+  RawClient client(mgr_ep.port());
+  for (int i = 0; i < 20; ++i) mgr_ep.pump_io(now, 0);
+  client.send("tora!hello crc=0123 v=2 worker=0 token=0 rx=0\n");
+  for (int i = 0; i < 50; ++i) mgr_ep.pump_io(now, 0);
+  EXPECT_EQ(mgr_ep.counters().version_mismatches, sent);
+  EXPECT_EQ(mgr_ep.counters().handshakes_rejected, sent + 1);
+}
+
+// A worker that reaches a transport version 1 manager gets a welcome it
+// cannot decode: it counts a version mismatch, not a corrupt frame, and
+// does not establish the session.
+TEST(TcpFuzz, WorkerRefusesAVersionOneWelcome) {
+  tora::proto::net::TcpListener listener("127.0.0.1", 0);
+  TcpTransportConfig cfg;
+  cfg.port = listener.port();
+  WorkerEndpoint worker(0, cfg);
+  std::optional<Fd> conn;
+  for (int i = 0; i < 100000 && !conn; ++i) {
+    worker.pump_io(0.0, 0);
+    conn = listener.accept();
+  }
+  ASSERT_TRUE(conn);
+  std::string hello;
+  for (int i = 0; i < 100000 && hello.find('\n') == std::string::npos; ++i) {
+    worker.pump_io(0.0, 0);
+    io::recv_some(conn->get(), hello, 4096);
+  }
+  ASSERT_EQ(hello.rfind("tora!hello crc=", 0), 0u) << hello;
+  std::string welcome = tora::oracles::v1::sealed_line(
+                            "tora!welcome", " v=1 token=5 rx=0 resume=0") +
+                        "\n";
+  for (int i = 0; i < 1000 && !welcome.empty(); ++i) {
+    const auto r = io::send_some(conn->get(), welcome);
+    if (r.status == io::IoStatus::Ok) welcome.erase(0, r.bytes);
+  }
+  for (int i = 0; i < 200; ++i) worker.pump_io(0.0, 0);
+  EXPECT_EQ(worker.counters().version_mismatches, 1u);
+  EXPECT_EQ(worker.counters().corrupt_control_frames, 0u);
+  EXPECT_FALSE(worker.established());
+}
+
 TEST(TcpFuzz, GarbageHellosNeverMutateManagerState) {
   TcpTransportConfig cfg;
   cfg.handshake_timeout = 1.0;
@@ -428,8 +500,9 @@ TEST(TcpFuzz, GarbageHellosNeverMutateManagerState) {
   ProtocolManager manager(tasks, alloc, mgr_ep.links());
   manager.start();
 
+  constexpr std::uint32_t kVersion = tora::proto::net::kTransportVersion;
   const std::string valid = tora::proto::net::encode_hello(
-      tora::proto::net::HelloFrame{1, 0, 0, 0});
+      tora::proto::net::HelloFrame{kVersion, 0, 0, 0});
 
   std::vector<std::string> attacks;
   // Every strict prefix of a valid hello, framed (broken crc => reject).
@@ -450,13 +523,13 @@ TEST(TcpFuzz, GarbageHellosNeverMutateManagerState) {
                     "\n");
   // Out-of-range worker id.
   attacks.push_back(tora::proto::net::encode_hello(
-                        tora::proto::net::HelloFrame{1, 999, 0, 0}) +
+                        tora::proto::net::HelloFrame{kVersion, 999, 0, 0}) +
                     "\n");
   // Impossible resume claim: token nobody minted, absurd rx. (The endpoint
   // answers with a FRESH session rather than rejecting — livelock safety —
   // but the fuzz invariant holds: no app frame crossed, rx stays 0.)
   attacks.push_back(tora::proto::net::encode_hello(
-                        tora::proto::net::HelloFrame{1, 0, 0xabcdef, 1000}) +
+                        tora::proto::net::HelloFrame{kVersion, 0, 0xabcdef, 1000}) +
                     "\n");
 
   const std::string manager_before = manager.snapshot_body();

@@ -15,6 +15,7 @@
 
 #include "core/metrics.hpp"
 #include "proto/net/frame.hpp"
+#include "proto/checksum.hpp"
 #include "proto/net/session.hpp"
 #include "proto/net/socket.hpp"
 #include "util/io.hpp"
@@ -31,6 +32,7 @@ using tora::proto::net::encode_hello;
 using tora::proto::net::encode_welcome;
 using tora::proto::net::FrameReader;
 using tora::proto::net::HelloFrame;
+using tora::proto::net::kTransportVersion;
 using tora::proto::net::is_control_frame;
 using tora::proto::net::ReconnectBackoff;
 using tora::proto::net::SendBuffer;
@@ -191,16 +193,53 @@ TEST(SessionCodec, WelcomeAndAckRoundTrip) {
 // Handshake frames are a wire format peers of other versions read: their
 // bytes, checksum included, must not change.
 TEST(SessionCodec, HandshakeBytesArePinned) {
-  EXPECT_EQ(encode_hello(HelloFrame{1, 3, 12345, 6}),
-            "tora!hello crc=f11423fa06fdd70e v=1 worker=3 token=12345 rx=6");
-  EXPECT_EQ(encode_welcome(WelcomeFrame{1, 0x9f00000000000002ull, 17, true}),
-            "tora!welcome crc=3dd15d646f4acc57 v=1 "
+  EXPECT_EQ(encode_hello(HelloFrame{2, 3, 12345, 6}),
+            "tora!hello crc=738b4666 v=2 worker=3 token=12345 rx=6");
+  EXPECT_EQ(encode_welcome(WelcomeFrame{2, 0x9f00000000000002ull, 17, true}),
+            "tora!welcome crc=f08d35ca v=2 "
             "token=11457157452030541826 rx=17 resume=1");
-  EXPECT_EQ(encode_ack(AckFrame{42}), "tora!ack crc=20334a2fd8e500ce rx=42");
+  EXPECT_EQ(encode_ack(AckFrame{42}), "tora!ack crc=ee7d1702 rx=42");
+}
+
+/// A control line with a valid seal around `fields`.
+std::string sealed_control(std::string_view verb, std::string_view fields) {
+  std::string line;
+  tora::proto::open_line(line, verb);
+  line += fields;
+  tora::proto::seal_line(line, verb.size());
+  return line;
+}
+
+// `v` is a u32: a decimal above 2^32 - 1 is a malformed frame, not a
+// version that wraps around to 1 or 2.
+TEST(SessionCodec, HelloVersionAbove32BitsIsMalformed) {
+  for (const char* v : {"4294967296", "4294967297", "4294967298",
+                        "18446744073709551615"}) {
+    const std::string line = sealed_control(
+        "tora!hello", std::string(" v=") + v + " worker=0 token=0 rx=0");
+    EXPECT_FALSE(decode_hello(line)) << line;
+  }
+  const auto top = decode_hello(
+      sealed_control("tora!hello", " v=4294967295 worker=0 token=0 rx=0"));
+  ASSERT_TRUE(top);
+  EXPECT_EQ(top->version, 0xFFFFFFFFu);
+}
+
+TEST(SessionCodec, WelcomeVersionAbove32BitsIsMalformed) {
+  for (const char* v : {"4294967296", "4294967297", "4294967298",
+                        "18446744073709551615"}) {
+    const std::string line = sealed_control(
+        "tora!welcome", std::string(" v=") + v + " token=5 rx=0 resume=0");
+    EXPECT_FALSE(decode_welcome(line)) << line;
+  }
+  const auto top = decode_welcome(
+      sealed_control("tora!welcome", " v=4294967295 token=5 rx=0 resume=0"));
+  ASSERT_TRUE(top);
+  EXPECT_EQ(top->version, 0xFFFFFFFFu);
 }
 
 TEST(SessionCodec, EveryTruncationOfAValidHelloIsRejected) {
-  const std::string wire = encode_hello(HelloFrame{1, 3, 12345, 6});
+  const std::string wire = encode_hello(HelloFrame{kTransportVersion, 3, 12345, 6});
   for (std::size_t len = 0; len < wire.size(); ++len) {
     EXPECT_FALSE(decode_hello(wire.substr(0, len)))
         << "truncation at byte " << len << " parsed";
@@ -208,7 +247,7 @@ TEST(SessionCodec, EveryTruncationOfAValidHelloIsRejected) {
 }
 
 TEST(SessionCodec, SingleByteCorruptionIsRejected) {
-  const std::string wire = encode_hello(HelloFrame{1, 3, 12345, 6});
+  const std::string wire = encode_hello(HelloFrame{kTransportVersion, 3, 12345, 6});
   for (std::size_t at = 0; at < wire.size(); ++at) {
     std::string bad = wire;
     bad[at] = static_cast<char>(bad[at] ^ 0x01);
@@ -217,7 +256,7 @@ TEST(SessionCodec, SingleByteCorruptionIsRejected) {
 }
 
 TEST(SessionCodec, UnknownDuplicateAndMissingFieldsAreRejected) {
-  EXPECT_FALSE(decode_hello("tora!hello v=1 worker=0 token=0 rx=0"));  // no crc
+  EXPECT_FALSE(decode_hello("tora!hello v=2 worker=0 token=0 rx=0"));  // no crc
   EXPECT_FALSE(decode_ack(encode_hello(HelloFrame{})));  // wrong verb
   EXPECT_FALSE(decode_hello("garbage"));
   EXPECT_FALSE(decode_hello(""));
