@@ -1,5 +1,6 @@
-// Engine scaling headline: the calendar queue vs the legacy binary heap on
-// a queue-storm shaped like the paper's large dynamic workflows — one
+// Engine scaling headline: the calendar queue vs the binary heap it replaced
+// (the test oracle tests/oracles/heap_queue.hpp) on a queue-storm shaped
+// like the paper's large dynamic workflows — one
 // million task submissions spread over the run plus ten thousand workers'
 // churn events, then a sustained hold pattern (every pop schedules a
 // successor, the steady state of a simulation where each attempt finish
@@ -8,11 +9,9 @@
 // O(log n) levels of cache-missing sift dominate and the calendar's
 // banded O(1) routing pays off.
 //
-// Both engines consume the identical push schedule and must pop the
+// Both queues consume the identical push schedule and must pop the
 // bit-identical (time, seq) sequence — an FNV checksum over every popped
-// event gates the binary. A second section runs a full Simulation under
-// both engines and compares final serialized states, so the headline
-// number is backed by an end-to-end parity check.
+// event gates the binary.
 //
 // Emits BENCH_events.json (uploaded by the Release CI job) and, when given
 // a committed baseline, enforces a 3x regression guard on the calendar
@@ -31,23 +30,18 @@
 #include <string>
 #include <vector>
 
-#include "core/registry.hpp"
+#include "oracles/heap_queue.hpp"
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/simulation.hpp"
-#include "util/bytes.hpp"
 #include "util/rng.hpp"
-#include "workloads/workload.hpp"
 
 #include "guard.hpp"
 
 namespace {
 
-using tora::sim::BinaryHeapQueue;
+using tora::oracles::BinaryHeapQueue;
 using tora::sim::CalendarQueue;
 using tora::sim::Event;
 using tora::sim::EventKind;
-using tora::sim::QueueEngine;
 using tora::util::Rng;
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -124,49 +118,6 @@ StormResult run_storm(const StormShape& s) {
   return r;
 }
 
-struct SimSection {
-  double heap_wall_s = 0.0;
-  double calendar_wall_s = 0.0;
-  std::uint64_t events = 0;
-  bool states_match = false;
-};
-
-/// End-to-end cross-check: one full simulated workflow per engine; final
-/// serialized states must be byte-identical.
-SimSection run_sim_section(std::size_t workers) {
-  SimSection out;
-  const tora::workloads::Workload wl =
-      tora::workloads::make_workload("exponential", 7);
-  std::string states[2];
-  double walls[2] = {0.0, 0.0};
-  const QueueEngine engines[2] = {QueueEngine::Heap, QueueEngine::Calendar};
-  for (int i = 0; i < 2; ++i) {
-    tora::sim::SimConfig cfg;
-    cfg.engine = engines[i];
-    cfg.churn.initial_workers = workers;
-    cfg.churn.min_workers = workers / 2;
-    cfg.churn.max_workers = workers * 2;
-    cfg.churn.mean_interarrival_s = 30.0;
-    cfg.churn.mean_lifetime_s = 600.0;
-    cfg.submit_interval_s = 2.0;
-    auto alloc = tora::core::make_allocator("greedy_bucketing", 7);
-    tora::sim::Simulation sim(wl.tasks, alloc, cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto result = sim.run();
-    walls[i] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    out.events = result.events_processed;
-    tora::util::ByteWriter w;
-    sim.save_state(w);
-    states[i] = w.take();
-  }
-  out.heap_wall_s = walls[0];
-  out.calendar_wall_s = walls[1];
-  out.states_match = states[0] == states[1];
-  return out;
-}
-
 struct ScaleRow {
   StormShape shape;
   StormResult heap, calendar;
@@ -220,12 +171,6 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  const SimSection sim = run_sim_section(smoke ? 8 : 16);
-  std::cout << "simulation cross-check: " << sim.events << " events, states "
-            << (sim.states_match ? "match" : "MISMATCH") << " (heap "
-            << sim.heap_wall_s << " s, calendar " << sim.calendar_wall_s
-            << " s)\n";
-  if (!sim.states_match) all_match = false;
   if (!all_match) return 1;
   if (smoke) {
     std::cout << "smoke parity OK\n";
@@ -253,9 +198,6 @@ int main(int argc, char** argv) {
         << "\n";
   }
   out << "  ],\n"
-      << "  \"sim_events\": " << sim.events << ",\n"
-      << "  \"sim_states_match\": " << (sim.states_match ? "true" : "false")
-      << ",\n"
       << "  \"speedup_at_max_scale\": " << speedup << ",\n"
       << "  \"guard_events_per_s\": " << guard << "\n"
       << "}\n";

@@ -143,8 +143,8 @@ int cmd_plot(const Options& opts, std::ostream& out) {
 }
 
 // fsck --events FILE: validate a canonical sim event-frame snapshot (the
-// engine-shared format of sim/event.hpp) with the typed SnapshotError
-// detail surfaced verbatim. Exit 1 on any violation.
+// format of sim/event.hpp) with the typed SnapshotError detail surfaced
+// verbatim. Exit 1 on any violation.
 int cmd_fsck_events(const Options& opts, std::ostream& out) {
   std::ifstream in(opts.fsck_events_path, std::ios::binary);
   if (!in) {

@@ -31,6 +31,13 @@ ExactResources::ExactResources(const ResourceVector& v, std::string_view what) {
   }
 }
 
+bool ExactResources::holds(const ResourceVector& v) noexcept {
+  for (ResourceKind k : kAllResources) {
+    if (!(v[k] >= 0.0 && v[k] <= kMaxValue)) return false;
+  }
+  return true;
+}
+
 ResourceVector ExactResources::value() const noexcept {
   ResourceVector out;
   for (ResourceKind k : kAllResources) {

@@ -44,6 +44,10 @@ class ExactResources {
   explicit ExactResources(const ResourceVector& v,
                           std::string_view what = "resource amount");
 
+  /// True iff every dimension of `v` is in [0, kMaxValue]: the checked
+  /// conversion accepts it.
+  static bool holds(const ResourceVector& v) noexcept;
+
   /// Each dimension rounded to the nearest double: a function of the exact
   /// value alone, so of no summation order.
   ResourceVector value() const noexcept;

@@ -142,6 +142,12 @@ class MultiTenantCore {
   std::size_t running_count(TenantId t) const {
     return state_[t].running_count;
   }
+  /// The Running tasks of every tenant.
+  std::size_t running_total() const noexcept {
+    std::size_t n = 0;
+    for (const TenantState& s : state_) n += s.running_count;
+    return n;
+  }
   const Arbiter& arbiter() const noexcept { return *arbiter_; }
 
  private:

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "core/exact_resources.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -56,7 +57,9 @@ ProtocolManager::ProtocolManager(
       bp_sample_(links_.size(), 0),
       deadlines_(cfg.resilience),
       reliability_(cfg.resilience),
-      storms_(cfg.resilience) {
+      storms_(cfg.resilience),
+      spec_(cfg.resilience, core::resilience::Speculation::Clock::Ticks,
+            res_counters_) {
   cfg_.resilience.validate();
   for (const auto& link : links_) {
     if (!link) throw std::invalid_argument("ProtocolManager: null link");
@@ -159,7 +162,13 @@ std::size_t ProtocolManager::pump() {
 bool ProtocolManager::handle_line(std::size_t link_index,
                                   const std::string& line) {
   const auto msg = decode(line);
-  if (!msg) {
+  // A worker capacity the registry cannot account for (a dimension above
+  // the exact totals' per-worker bound, which the simulator puts on every
+  // worker) is refused like a line that does not decode: it neither
+  // registers nor updates the worker.
+  const bool announces = msg && (msg->type == MsgType::WorkerReady ||
+                                 msg->type == MsgType::Heartbeat);
+  if (!msg || (announces && !core::ExactResources::holds(msg->resources))) {
     note_malformed(link_index, line);
     return false;
   }
@@ -167,7 +176,7 @@ bool ProtocolManager::handle_line(std::size_t link_index,
     // Liveness traffic, not workflow progress: callers use pump()'s
     // return value to detect stalls, so heartbeats stay uncounted.
     ++chaos_.heartbeats;
-    on_heartbeat(*msg);
+    on_announce(*msg);
     return false;
   }
   touch(msg->worker_id);
@@ -190,21 +199,30 @@ void ProtocolManager::touch(std::uint64_t worker_id) {
   if (it != workers_.end()) it->second.last_seen_tick = tick_;
 }
 
-void ProtocolManager::on_heartbeat(const Message& msg) {
+void ProtocolManager::on_announce(const Message& msg) {
+  const bool ready = msg.type == MsgType::WorkerReady;
+  // Worker ids equal link indices (the runtime assigns both); an
+  // announcement from an unknown id is a protocol violation.
   if (msg.worker_id >= links_.size()) {
-    util::log_warn("manager: heartbeat from unknown worker ", msg.worker_id);
+    util::log_warn("manager: ", ready ? "ready" : "heartbeat",
+                   " from unknown worker ", msg.worker_id);
     return;
   }
   if (is_quarantined(msg.worker_id)) return;
-  auto it = workers_.find(msg.worker_id);
-  if (it != workers_.end()) {
+  if (auto it = workers_.find(msg.worker_id); it != workers_.end()) {
     it->second.last_seen_tick = tick_;
+    if (ready) {
+      // A duplicated announcement must not reset `committed`, or the
+      // manager would over-admit against the phantom free capacity.
+      it->second.capacity = msg.resources;
+      refresh(msg.worker_id, it->second);
+    }
     return;
   }
-  // The heartbeat carries capacity exactly for this case: a worker whose
+  // A heartbeat carries capacity exactly for this case: a worker whose
   // announcement was lost, or one spuriously declared dead, re-registers
   // without a round-trip. A convicted worker whose sentence elapsed
-  // re-registers here too — on probation until it delivers a result.
+  // re-registers too — on probation until it delivers a result.
   if (cfg_.resilience.reliability &&
       reliability_.probationary(msg.worker_id, static_cast<double>(tick_))) {
     ++res_counters_.probation_admissions;
@@ -245,34 +263,9 @@ void ProtocolManager::refresh(std::uint64_t wid, const WorkerState& ws) {
 
 void ProtocolManager::handle(const Message& msg) {
   switch (msg.type) {
-    case MsgType::WorkerReady: {
-      // Worker ids equal link indices (the runtime assigns both); a ready
-      // message from an unknown id is a protocol violation.
-      if (msg.worker_id >= links_.size()) {
-        util::log_warn("manager: ready from unknown worker ", msg.worker_id);
-        break;
-      }
-      if (is_quarantined(msg.worker_id)) break;
-      if (auto it = workers_.find(msg.worker_id); it != workers_.end()) {
-        // A duplicated announcement must not reset `committed`, or the
-        // manager would over-admit against the phantom free capacity.
-        it->second.capacity = msg.resources;
-        it->second.last_seen_tick = tick_;
-        refresh(msg.worker_id, it->second);
-        break;
-      }
-      if (cfg_.resilience.reliability &&
-          reliability_.probationary(msg.worker_id,
-                                    static_cast<double>(tick_))) {
-        ++res_counters_.probation_admissions;
-      }
-      WorkerState ws;
-      ws.capacity = msg.resources;
-      ws.link = links_[msg.worker_id];
-      ws.last_seen_tick = tick_;
-      add_worker(msg.worker_id, std::move(ws));
+    case MsgType::WorkerReady:
+      on_announce(msg);
       break;
-    }
     case MsgType::TaskResult:
       on_result(msg);
       break;
@@ -283,30 +276,26 @@ void ProtocolManager::handle(const Message& msg) {
           core_.entry(msg.task_id).phase ==
               core::lifecycle::TaskPhase::Running) {
         const auto& entry = core_.entry(msg.task_id);
-        const ProtoTaskState& st = proto_states_[msg.task_id];
-        if (st.spec_active && msg.worker_id == st.spec_worker &&
-            msg.worker_id != entry.running_on) {
-          // Only the speculative duplicate was evicted: cancel it (the
-          // insurance premium, not the ledger); the primary attempt is
-          // untouched.
-          cancel_speculation(msg.task_id);
+        const double now = static_cast<double>(tick_);
+        const core::resilience::Duplicate* copy = spec_.find(msg.task_id);
+        if (copy && msg.worker_id == copy->worker) {
+          // Only the speculative duplicate was evicted: the insurance
+          // premium, not the ledger; the primary attempt is untouched.
+          spec_.duplicate_lost(*this, msg.task_id, now);
           break;
         }
         release(entry.running_on, entry.alloc);
         ++chaos_.protocol_evictions;
         ++chaos_.redispatches;
         core_.charge_eviction(msg.task_id, 1.0);
-        storms_.on_eviction(static_cast<double>(tick_));
+        storms_.on_eviction(now);
         if (cfg_.resilience.reliability) {
           reliability_.on_offense(entry.running_on);
         }
-        if (st.spec_active && workers_.count(st.spec_worker) != 0) {
-          // A duplicate is alive elsewhere: it takes over as the primary
-          // attempt — no requeue, the eviction charge above is the only
-          // cost of the handover.
-          promote_speculation(msg.task_id);
-        } else {
-          cancel_speculation(msg.task_id);
+        // A duplicate alive elsewhere takes over as the primary attempt: no
+        // requeue, the eviction charge above is the only cost of the
+        // handover.
+        if (!spec_.primary_lost(*this, msg.task_id, now)) {
           core_.requeue_front(msg.task_id);
         }
       }
@@ -325,6 +314,7 @@ void ProtocolManager::on_result(const Message& msg) {
   }
   const auto& entry = core_.entry(msg.task_id);
   ProtoTaskState& st = proto_states_[msg.task_id];
+  const double now = static_cast<double>(tick_);
   // Idempotency gate: accept a result only for the attempt currently in
   // flight, from the worker it was dispatched to — or from its speculative
   // duplicate (same attempt id, different worker). Anything else is a
@@ -333,24 +323,23 @@ void ProtocolManager::on_result(const Message& msg) {
   const bool current = entry.phase == core::lifecycle::TaskPhase::Running &&
                        msg.attempt == entry.attempts;
   const bool from_primary = current && entry.running_on == msg.worker_id;
-  const bool from_duplicate = current && !from_primary && st.spec_active &&
-                              st.spec_worker == msg.worker_id;
+  const core::resilience::Duplicate* copy = spec_.find(msg.task_id);
+  const bool from_duplicate =
+      current && !from_primary && copy && copy->worker == msg.worker_id;
   if (!from_primary && !from_duplicate) {
     ++chaos_.stale_or_duplicate_results;
     return;
   }
   if (from_duplicate) {
-    // First result wins: the duplicate beat the primary. The abandoned
-    // primary attempt is speculative waste (never the eviction ledger —
-    // nothing was evicted), and its late result will fail the gate above
-    // once the duplicate is promoted below.
-    release(entry.running_on, entry.alloc);
-    core_.charge_speculation(msg.task_id, 1.0);
-    promote_speculation(msg.task_id);
-  } else if (st.spec_active) {
-    // The primary won with a duplicate still in flight: cancel it (its
+    // First result wins: the duplicate beat the primary and is promoted.
+    // The abandoned primary is speculative waste (never the eviction ledger
+    // — nothing was evicted), and its late result will fail the gate above.
+    spec_.duplicate_delivered(*this, msg.task_id, entry.running_on,
+                              static_cast<double>(st.dispatch_tick), now);
+  } else {
+    // The primary won: a duplicate still in flight is cancelled (its
     // capacity frees now; its late result will be stale).
-    cancel_speculation(msg.task_id);
+    spec_.primary_delivered(*this, msg.task_id, now);
   }
   if (WorkerState* ws = release(msg.worker_id, entry.alloc)) {
     ws->consecutive_failures = 0;
@@ -410,6 +399,7 @@ void ProtocolManager::check_liveness() {
   // top of it only amplifies the churn).
   const double widen =
       storms_.degraded() ? cfg_.resilience.degraded_deadline_widen : 1.0;
+  const double now = static_cast<double>(tick_);
   for (std::size_t t = 0; t < core_.task_count(); ++t) {
     const auto& entry = core_.entry(t);
     if (entry.phase != core::lifecycle::TaskPhase::Running) continue;
@@ -424,14 +414,14 @@ void ProtocolManager::check_liveness() {
     }
     const bool timed_out =
         static_cast<double>(tick_ - st.dispatch_tick) > limit;
-    const bool spec_timed_out =
-        st.spec_active && static_cast<double>(tick_ - st.spec_tick) > limit;
+    const core::resilience::Duplicate* copy = spec_.find(t);
+    const bool spec_timed_out = copy && now - copy->start > limit;
     if (spec_timed_out && !timed_out) {
       // The duplicate hung while the primary is still within its window:
       // cancel it and penalize its worker like any other timeout.
-      const std::uint64_t sw = st.spec_worker;
+      const std::uint64_t sw = copy->worker;
       ++chaos_.attempt_timeouts;
-      cancel_speculation(t);
+      spec_.duplicate_lost(*this, t, now);
       if (cfg_.resilience.reliability) reliability_.on_offense(sw);
       auto sit = workers_.find(sw);
       if (sit != workers_.end() &&
@@ -446,15 +436,13 @@ void ProtocolManager::check_liveness() {
     const std::uint64_t wid = entry.running_on;
     WorkerState* ws = release(wid, entry.alloc);
     if (cfg_.resilience.reliability) reliability_.on_offense(wid);
-    if (st.spec_active && !spec_timed_out &&
-        workers_.count(st.spec_worker) != 0) {
-      // The primary timed out but its duplicate is fresh: the duplicate
-      // becomes the primary instead of abandoning the attempt. Timeouts
-      // charge neither ledger, exactly like the legacy path.
+    // A duplicate that hung too is cancelled with the primary; a fresh one
+    // becomes the primary instead of abandoning the attempt. Timeouts
+    // charge neither ledger, exactly like the legacy path.
+    if (spec_timed_out) spec_.duplicate_lost(*this, t, now);
+    if (spec_.primary_lost(*this, t, now)) {
       ++chaos_.redispatches;
-      promote_speculation(t);
     } else {
-      cancel_speculation(t);
       requeue_infra(t);
     }
     if (ws && ++ws->consecutive_failures >= cfg_.worker_failure_limit) {
@@ -498,33 +486,28 @@ void ProtocolManager::requeue_infra(std::uint64_t task_id) {
 }
 
 void ProtocolManager::remove_worker(std::uint64_t worker_id, bool quarantine) {
+  const double now = static_cast<double>(tick_);
   for (std::size_t t = 0; t < core_.task_count(); ++t) {
     const auto& entry = core_.entry(t);
     if (entry.phase != core::lifecycle::TaskPhase::Running) continue;
-    ProtoTaskState& st = proto_states_[t];
     if (entry.running_on == worker_id) {
       // The attempt died with the worker: charge it as an eviction (the
-      // allocation was fine, the infrastructure was not).
+      // allocation was fine, the infrastructure was not). A speculative
+      // duplicate alive elsewhere takes over as the primary attempt instead
+      // of a requeue; the handover itself costs nothing.
       ++chaos_.protocol_evictions;
       core_.charge_eviction(t, 1.0);
-      storms_.on_eviction(static_cast<double>(tick_));
-      if (st.spec_active && st.spec_worker != worker_id &&
-          workers_.count(st.spec_worker) != 0) {
-        // A speculative duplicate is alive elsewhere: it takes over as the
-        // primary attempt instead of a requeue. Exactly one eviction charge
-        // for the lost primary; the handover itself costs nothing.
+      storms_.on_eviction(now);
+      if (spec_.primary_lost(*this, t, now)) {
         ++chaos_.redispatches;
-        promote_speculation(t);
       } else {
-        cancel_speculation(t);
         requeue_infra(t);
       }
-    } else if (st.spec_active && st.spec_worker == worker_id) {
+    } else if (const core::resilience::Duplicate* copy = spec_.find(t);
+               copy && copy->worker == worker_id) {
       // Only the duplicate died with the worker: speculative waste, never
       // the eviction ledger — the primary attempt is untouched.
-      core_.charge_speculation(t, 1.0);
-      ++res_counters_.speculations_cancelled;
-      st.spec_active = false;
+      spec_.duplicate_lost(*this, t, now);
     }
   }
   if (workers_.erase(worker_id) != 0) {
@@ -635,17 +618,14 @@ void ProtocolManager::dispatch_queued() {
   // number of in-flight attempts; every dispatch into a collapsing pool or
   // a saturated pipe is likely eviction fodder / backlog fuel. Storage
   // degradation caps at ZERO: hold everything, keep serving what is
-  // already in flight from memory. The cap and the Running count are
-  // sampled once per pass; commit counts what the pass adds. The tenancy
-  // core's running counts are the Running tasks: task_dispatched raises
-  // them and every exit from Running lowers them.
+  // already in flight from memory. The cap and inflight() are sampled
+  // once per pass; commit counts what the pass adds (the pass launches no
+  // duplicate: maybe_speculate runs after it).
   gate_cap_.reset();
   gate_inflight_ = 0;
   if (storage_.degraded || storms_.degraded() || transport_overloaded()) {
     gate_cap_ = storage_.degraded ? 0 : cfg_.resilience.degraded_inflight_cap;
-    for (core::tenancy::TenantId t = 0; t < core_.tenant_count(); ++t) {
-      gate_inflight_ += core_.running_count(t);
-    }
+    gate_inflight_ = inflight();
   }
   core_.dispatch_pass(*this);
   maybe_speculate();
@@ -670,24 +650,27 @@ std::optional<std::uint64_t> ProtocolManager::place(
 
 void ProtocolManager::commit(std::uint64_t task_id, std::uint64_t wid,
                              const ResourceVector& alloc) {
-  // Bind the resources and put the dispatch on the wire. The machine
-  // already stamped the attempt id (entry.attempts).
-  WorkerState& ws = bind(wid, alloc);
+  // The machine already stamped the attempt id (entry.attempts).
+  send_dispatch(task_id, wid, alloc);
   proto_states_[task_id].dispatch_tick = tick_;
   ++gate_inflight_;
-  if (!replaying_) {
-    Message m;
-    m.type = MsgType::TaskDispatch;
-    m.worker_id = wid;
-    m.task_id = task_id;
-    m.attempt = core_.entry(task_id).attempts;
-    m.category = tasks_[task_id].category;
-    m.resources = alloc;
-    ws.link->to_worker.send(encode(m));
-  }
   // Counted even during replay: the crashed manager sent the message, so
   // the reconstructed counter must include it.
   ++dispatches_;
+}
+
+void ProtocolManager::send_dispatch(std::uint64_t task_id, std::uint64_t wid,
+                                    const ResourceVector& alloc) {
+  WorkerState& ws = bind(wid, alloc);
+  if (replaying_) return;
+  Message m;
+  m.type = MsgType::TaskDispatch;
+  m.worker_id = wid;
+  m.task_id = task_id;
+  m.attempt = core_.entry(task_id).attempts;
+  m.category = tasks_[task_id].category;
+  m.resources = alloc;
+  ws.link->to_worker.send(encode(m));
 }
 
 bool ProtocolManager::may_place(const ResourceVector& floor) const {
@@ -711,56 +694,26 @@ ResourceVector ProtocolManager::pool_capacity() const {
 }
 
 void ProtocolManager::maybe_speculate() {
-  const auto& res = cfg_.resilience;
-  // Gates: feature on, pool not degraded (a storm makes every duplicate
-  // eviction fodder too), and churn actually observed — a calm run never
-  // spends a cycle on insurance.
-  if (!res.speculation || storms_.degraded() || !churn_evidence()) return;
+  // The scan runs every tick; a calm run never spends a cycle on insurance.
+  const bool degraded = storms_.degraded();
+  const bool churn = churn_evidence();
+  if (!spec_.armed(degraded, churn)) return;
+  const double now = static_cast<double>(tick_);
   for (std::size_t t = 0; t < core_.task_count(); ++t) {
     const auto& entry = core_.entry(t);
     if (entry.phase != core::lifecycle::TaskPhase::Running) continue;
-    ProtoTaskState& st = proto_states_[t];
-    if (st.spec_active) continue;
-    auto threshold = deadlines_.straggler_threshold(core_.category_of(t));
-    if (!threshold) continue;  // no evidence for this category yet
-    if (static_cast<double>(tick_ - st.dispatch_tick) <= *threshold) continue;
+    const auto gate =
+        spec_.gate(t, core_.category_of(t),
+                   static_cast<double>(proto_states_[t].dispatch_tick), now,
+                   degraded, churn, deadlines_);
+    if (!gate.passed) continue;
     const auto wid = place_worker(entry.alloc, entry.running_on);
     if (!wid) continue;
-    WorkerState& ws = bind(*wid, entry.alloc);
-    st.spec_active = true;
-    st.spec_worker = *wid;
-    st.spec_tick = tick_;
-    ++res_counters_.speculations_launched;
-    if (!replaying_) {
-      // The duplicate carries the SAME wire attempt id: whichever worker
-      // answers first passes the idempotency gate, the other is stale.
-      Message m;
-      m.type = MsgType::TaskDispatch;
-      m.worker_id = *wid;
-      m.task_id = t;
-      m.attempt = entry.attempts;
-      m.category = tasks_[t].category;
-      m.resources = entry.alloc;
-      ws.link->to_worker.send(encode(m));
-    }
+    // The duplicate carries the SAME wire attempt id: whichever worker
+    // answers first passes the idempotency gate, the other is stale.
+    send_dispatch(t, *wid, entry.alloc);
+    spec_.launch(t, *wid, now);
   }
-}
-
-void ProtocolManager::cancel_speculation(std::uint64_t task_id) {
-  ProtoTaskState& st = proto_states_[task_id];
-  if (!st.spec_active) return;
-  release(st.spec_worker, core_.entry(task_id).alloc);
-  core_.charge_speculation(task_id, 1.0);
-  ++res_counters_.speculations_cancelled;
-  st.spec_active = false;
-}
-
-void ProtocolManager::promote_speculation(std::uint64_t task_id) {
-  ProtoTaskState& st = proto_states_[task_id];
-  core_.rebind_running(task_id, st.spec_worker);
-  st.dispatch_tick = st.spec_tick;
-  st.spec_active = false;
-  ++res_counters_.speculations_promoted;
 }
 
 // ------------------------------------------------------------- recovery
@@ -939,14 +892,15 @@ void ProtocolManager::after_load() {
               " is beyond the link table (snapshot from a different "
               "deployment?)");
     }
+    // >= 0, not > 0: the wire lets a worker announce a zero dimension,
+    // and a restore must accept every registry the live manager holds (and
+    // nothing it refuses on the wire).
+    if (!core::ExactResources::holds(ws.capacity)) {
+      throw core::SnapshotError("ManagerWorker", "capacity",
+                                "must be within [0, 2^40]");
+    }
     for (ResourceKind k : core::kManagedResources) {
-      // >= 0, not > 0: the wire lets a worker announce a zero dimension,
-      // and a restore must accept every registry the live manager holds.
       const double cap = ws.capacity[k];
-      if (!std::isfinite(cap) || !(cap >= 0.0)) {
-        throw core::SnapshotError("ManagerWorker", "capacity",
-                                  "must be finite and >= 0");
-      }
       // Releases subtract without clamping, so a fully released worker can
       // keep a few ulps of dust on either side of zero. The check is
       // negated so that NaN fails too.
@@ -961,6 +915,13 @@ void ProtocolManager::after_load() {
     ws.link = links_[wid];
     add_worker(wid, std::move(ws));
   }
+  spec_.check_table([this](std::uint64_t task_id,
+                           const core::resilience::Duplicate& copy) {
+    return task_id < core_.task_count() &&
+           core_.entry(task_id).phase == core::lifecycle::TaskPhase::Running &&
+           copy.worker != core_.entry(task_id).running_on &&
+           registered(copy.worker) && copy.start <= static_cast<double>(tick_);
+  });
 }
 
 void ProtocolManager::begin_replay(

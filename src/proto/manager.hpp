@@ -12,6 +12,7 @@
 #include "core/recovery/crash.hpp"
 #include "core/recovery/recovery_log.hpp"
 #include "core/resilience/resilience.hpp"
+#include "core/resilience/speculation.hpp"
 #include "core/task.hpp"
 #include "core/task_allocator.hpp"
 #include "core/tenancy/multi_tenant_core.hpp"
@@ -66,7 +67,8 @@ namespace tora::proto {
 /// with sends enabled. An attached CrashMonitor injects deterministic
 /// ManagerCrash exceptions at the named pump/snapshot boundaries.
 class ProtocolManager : private core::lifecycle::RuntimeHooks,
-                        private core::lifecycle::DispatchDriver {
+                        private core::lifecycle::DispatchDriver,
+                        private core::resilience::SpeculationDriver {
   /// Drives the worker registry and place_worker directly: the differential
   /// placement test (tests/test_placement_index.cpp).
   friend struct PlacementTestPeer;
@@ -137,6 +139,19 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
     return c;
   }
 
+  /// The speculation machine (diagnostics and invariant tests).
+  const core::resilience::Speculation& speculation() const noexcept {
+    return spec_;
+  }
+
+  /// What the degraded-mode gate counts: Running tasks plus live duplicates.
+  std::size_t inflight() const noexcept {
+    return core_.running_total() + spec_.live();
+  }
+
+  /// True while worker `wid` is registered.
+  bool registered(std::uint64_t wid) const { return workers_.count(wid) != 0; }
+
   /// Tenant 0's lifecycle machine (parity tests and diagnostics; the whole
   /// machine at single-tenant).
   const core::lifecycle::DispatchCore& core() const noexcept {
@@ -168,7 +183,9 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   std::string snapshot_body() const { return core::snapshot::to_bytes(*this); }
 
   /// The body's field list. The placement index is derived: the post-load
-  /// step rebinds each worker's link and re-registers it.
+  /// step rebinds each worker's link and re-registers it. Speculation
+  /// precedes the task states: its format mark refuses their count, which a
+  /// build with the manager's own speculation fields wrote there.
   static constexpr auto fields() {
     using M = ProtocolManager;
     using core::snapshot::field, core::snapshot::kSameSize;
@@ -176,6 +193,7 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
         "ProtocolManager", &M::after_load, field("core", &M::core_),
         field("tick", &M::tick_), field("dispatches", &M::dispatches_),
         field("started", &M::started_), field("workers", &M::workers_),
+        field("speculation", &M::spec_),
         field("proto_states", &M::proto_states_, kSameSize),
         field("quarantined", &M::quarantined_, kSameSize),
         field("malformed_logged", &M::malformed_logged_, kSameSize),
@@ -249,12 +267,6 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
     std::size_t dispatch_tick = 0;
     std::size_t backoff_until = 0;  ///< not dispatchable before this tick
     std::size_t infra_failures = 0;  ///< consecutive, for backoff growth
-    /// Speculative duplicate of the in-flight attempt (same wire attempt id,
-    /// different worker). Not a core-lifecycle attempt: it exists only here
-    /// and on its worker until promoted to primary or cancelled.
-    bool spec_active = false;
-    std::uint64_t spec_worker = 0;
-    std::size_t spec_tick = 0;  ///< when the duplicate was dispatched
 
     static constexpr auto fields() {
       using P = ProtoTaskState;
@@ -262,10 +274,7 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
       return core::snapshot::section(
           "ProtoTask", field("dispatch_tick", &P::dispatch_tick),
           field("backoff_until", &P::backoff_until),
-          field("infra_failures", &P::infra_failures),
-          field("spec_active", &P::spec_active),
-          field("spec_worker", &P::spec_worker),
-          field("spec_tick", &P::spec_tick));
+          field("infra_failures", &P::infra_failures));
     }
   };
 
@@ -306,7 +315,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   void refresh(std::uint64_t wid, const WorkerState& ws);
 
   void handle(const Message& msg);
-  void on_heartbeat(const Message& msg);
+  /// A ready or heartbeat line: registers the worker, or refreshes it.
+  void on_announce(const Message& msg);
   void on_result(const Message& msg);
   void note_malformed(std::size_t link_index, const std::string& line);
   void touch(std::uint64_t worker_id);
@@ -362,6 +372,29 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   bool defer(std::uint64_t task_id) override;
   bool may_place(const core::ResourceVector& floor) const override;
   core::ResourceVector pool_capacity() const override;
+
+  // SpeculationDriver: a copy binds its worker in the registry. A promoted
+  // one keeps the wire attempt id, so the idempotency gate now expects its
+  // worker; timeouts and the straggler scan count from its dispatch tick.
+  void charge_copy(std::uint64_t task_id, double scale) override {
+    core_.charge_speculation(task_id, scale);
+  }
+  void free_copy(std::uint64_t task_id, std::uint64_t wid) override {
+    release(wid, core_.entry(task_id).alloc);
+  }
+  bool copy_worker_alive(std::uint64_t wid) const override {
+    return registered(wid);
+  }
+  void promote_copy(std::uint64_t task_id,
+                    const core::resilience::Duplicate& copy) override {
+    core_.rebind_running(task_id, copy.worker);
+    proto_states_[task_id].dispatch_tick = static_cast<std::size_t>(copy.start);
+  }
+
+  /// Binds `alloc` on worker `wid` and, unless replaying, sends it the
+  /// dispatch of the task's current attempt (a duplicate's too).
+  void send_dispatch(std::uint64_t task_id, std::uint64_t wid,
+                     const core::ResourceVector& alloc);
   /// Requeues a Running task after an infrastructure failure, applying
   /// capped exponential backoff. No-op unless the task is Running.
   void requeue_infra(std::uint64_t task_id);
@@ -404,12 +437,6 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   /// Duplicates straggling Running attempts onto second workers (runs at
   /// the end of dispatch_queued, so replay's DispatchDone marker covers it).
   void maybe_speculate();
-  /// Cancels a task's live duplicate: frees its capacity, charges the
-  /// speculative-waste column (never the eviction ledger). No-op if none.
-  void cancel_speculation(std::uint64_t task_id);
-  /// The duplicate takes over as the primary attempt (same attempt id, so
-  /// the idempotency gate now expects its worker).
-  void promote_speculation(std::uint64_t task_id);
 
   std::vector<DuplexLinkPtr> links_;
   LivenessConfig cfg_;
@@ -429,9 +456,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   std::vector<char> bp_sample_;
   bool bp_sampled_this_tick_ = false;
   /// The degraded-mode admission gate's per-pass sample (dispatch_queued):
-  /// the in-flight cap (none while not degraded) and the Running count (the
-  /// tenancy core's running counts), which each commit of the pass raises.
-  /// Transient, like bp_sample_.
+  /// the in-flight cap (none while not degraded) and inflight(), which each
+  /// commit of the pass raises. Transient, like bp_sample_.
   std::optional<std::size_t> gate_cap_;
   std::size_t gate_inflight_ = 0;
   std::size_t tick_ = 0;
@@ -466,6 +492,7 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks,
   core::resilience::DeadlineTracker deadlines_;
   core::resilience::ReliabilityTracker reliability_;
   core::resilience::StormDetector storms_;
+  core::resilience::Speculation spec_;
   core::ResilienceCounters res_counters_;
 };
 

@@ -82,7 +82,7 @@ std::size_t CalendarQueue::bucket_index(const Rung& r, SimTime t) {
 }
 
 Event CalendarQueue::pop() {
-  if (size_ == 0) throw std::logic_error("EventQueue: pop on empty queue");
+  if (size_ == 0) throw std::logic_error("CalendarQueue: pop on empty queue");
   ensure_active();
   const Event e = active_.back();
   active_.pop_back();
@@ -92,7 +92,7 @@ Event CalendarQueue::pop() {
 }
 
 const Event& CalendarQueue::peek() {
-  if (size_ == 0) throw std::logic_error("EventQueue: peek on empty queue");
+  if (size_ == 0) throw std::logic_error("CalendarQueue: peek on empty queue");
   ensure_active();
   return active_.back();
 }

@@ -47,7 +47,7 @@ namespace tora::sim {
 ///
 /// Snapshots use the shared canonical frame (see event.hpp): saving sorts
 /// the whole population, loading re-bins it, so save → load → save is
-/// byte-stable and interchangeable with the legacy heap's snapshots.
+/// byte-stable and equal to any other writer of the same frame.
 class CalendarQueue {
  public:
   CalendarQueue();

@@ -7,9 +7,9 @@ namespace tora::sim::detail {
 
 void validate_push_time(SimTime time) {
   if (!std::isfinite(time)) {
-    throw std::invalid_argument("EventQueue: non-finite time");
+    throw std::invalid_argument("event queue: non-finite time");
   }
-  if (time < 0.0) throw std::invalid_argument("EventQueue: negative time");
+  if (time < 0.0) throw std::invalid_argument("event queue: negative time");
 }
 
 void save_events_canonical(util::ByteWriter& w, std::uint64_t next_seq,
@@ -22,10 +22,10 @@ void save_events_canonical(util::ByteWriter& w, std::uint64_t next_seq,
 void EventFrame::after_load() {
   for (const Event& e : events) {
     if (e.seq >= next_seq) {
-      throw SnapshotError("Event", "seq",
-                          "seq " + std::to_string(e.seq) +
-                              " must be below next_seq " +
-                              std::to_string(next_seq));
+      throw core::SnapshotError("Event", "seq",
+                                "seq " + std::to_string(e.seq) +
+                                    " must be below next_seq " +
+                                    std::to_string(next_seq));
     }
   }
 }

@@ -22,7 +22,6 @@ enum class EventKind {
   StormBegin,     ///< churn burst: a fraction of the pool is evicted at once
   StormEnd,       ///< the burst window closes (joins resume)
   SpecCheck,      ///< is task `a`'s attempt a straggler? (epoch-validated)
-  SpecFinish,     ///< speculative duplicate of `a` on `b` ends (token in epoch)
   DeadlineKill,   ///< adaptive deadline for task `a`'s attempt expires
 };
 
@@ -48,52 +47,33 @@ struct Event {
   }
 };
 
-/// True when `x` pops strictly before `y` under the engine's total order:
+/// True when `x` pops strictly before `y` under the queue's total order:
 /// ascending time, insertion sequence breaking ties (FIFO).
 inline bool event_before(const Event& x, const Event& y) noexcept {
   if (x.time != y.time) return x.time < y.time;
   return x.seq < y.seq;
 }
 
-/// Which event-queue implementation drives the simulation. Both pop the
-/// identical (time, seq) order and share one canonical snapshot format, so
-/// the choice is invisible to everything but the wall clock.
-enum class QueueEngine : std::uint8_t {
-  Heap,      ///< legacy binary heap (the differential baseline)
-  Calendar,  ///< banded calendar/ladder queue (the default)
-};
-
-/// Malformed event-queue snapshots (truncated payloads, unknown kinds,
-/// non-finite times, a tie-break counter that does not dominate the
-/// restored sequences) are refused with the snapshot-wide typed error.
-using SnapshotError = core::SnapshotError;
-
 namespace detail {
 
 /// Throws std::invalid_argument unless `time` is a finite, non-negative
 /// clock value. NaN/Inf would silently poison any comparison-based ordering
-/// (every comparison with NaN is false), so both engines reject them at the
+/// (every comparison with NaN is false), so the queue rejects them at the
 /// push boundary.
 void validate_push_time(SimTime time);
 
-/// Writes the shared canonical snapshot frame: `next_seq`, the event count,
-/// then every record sorted ascending by (time, seq). Both engines emit this
-/// frame, so snapshots are byte-identical across engines for identical
-/// logical content and can be restored into either one. `events` is taken by
-/// value because the canonical order is imposed here, whatever the caller's
-/// internal layout was.
+/// Writes the canonical snapshot frame: `next_seq`, the event count, then
+/// every record sorted ascending by (time, seq), whatever the caller's
+/// layout (the binary-heap oracle in tests/ writes the same bytes).
 void save_events_canonical(util::ByteWriter& w, std::uint64_t next_seq,
                            std::vector<Event> events);
 
-/// Reads a save_events_canonical frame, validating every field: the count
-/// must fit the remaining bytes (checked BEFORE reserving, so a forged count
-/// cannot balloon memory), kinds must be known, times finite and
+/// A save_events_canonical frame: the tie-break counter, then the events.
+/// Load validates every field: the count must fit the remaining bytes
+/// (before anything is reserved), kinds must be known, times finite and
 /// non-negative, and `next_seq` must exceed every restored seq (a poisoned
-/// tie-breaker would silently break FIFO determinism on the next push).
-/// Throws SnapshotError on any violation. Record order is not assumed:
-/// engines re-normalize on load.
-///
-/// The frame's field list: the tie-break counter, then the events.
+/// tie-breaker would break FIFO determinism on the next push). Record order
+/// is not assumed: a queue re-normalizes on load.
 struct EventFrame {
   std::uint64_t next_seq = 0;
   std::vector<Event> events;

@@ -4,7 +4,7 @@
 #include <iosfwd>
 
 #include "core/resources.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/event.hpp"
 
 namespace tora::sim {
 
@@ -19,8 +19,7 @@ class SimObserver {
   /// Raw engine hook: fired for every event the engine dispatches, in pop
   /// order, before the event's handler runs. This is the event stream
   /// itself (time, kind, payload, seq) rather than a lifecycle
-  /// interpretation of it — differential harnesses record it to assert two
-  /// engines pop bit-identical sequences.
+  /// interpretation of it — the pop-order oracle in tests/ checks it.
   virtual void on_event(const Event& /*e*/) {}
 
   virtual void on_task_submitted(SimTime /*t*/, std::uint64_t /*task*/) {}

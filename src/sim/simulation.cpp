@@ -44,12 +44,12 @@ Simulation::Simulation(std::vector<core::tenancy::TenantInput> tenants,
             *this),
       tasks_(core_.tasks()),
       rng_(config.seed),
-      events_(config.engine),
       pool_(config.worker_capacity),
       timing_(core_.task_count()),
       deadlines_(config.resilience),
       storms_(config.resilience),
-      spec_(core_.task_count()),
+      spec_(config.resilience, core::resilience::Speculation::Clock::Seconds,
+            res_counters_),
       deadline_strikes_(core_.task_count(), 0),
       tenant_committed_(core_.tenant_count()),
       tenant_makespan_(core_.tenant_count(), 0.0) {
@@ -250,9 +250,6 @@ void Simulation::handle(const Event& e) {
     case EventKind::SpecCheck:
       on_spec_check(e);
       break;
-    case EventKind::SpecFinish:
-      on_spec_finish(e);
-      break;
     case EventKind::DeadlineKill:
       on_deadline_kill(e);
       break;
@@ -296,45 +293,27 @@ void Simulation::on_worker_leave(std::uint64_t worker_id) {
 // Preemptive eviction (HTCondor-style): running attempts are cancelled and
 // requeued with the same allocation. Their cost goes to the core's eviction
 // ledger, never into the paper's waste metric (the algorithm did not cause
-// the failure). The resilience layer changes two things, both config-gated:
-// a lost speculative DUPLICATE is charged to the speculative column instead
-// (the primary attempt elsewhere keeps running — the eviction ledger counts
-// only primary attempts), and a lost PRIMARY whose live duplicate survives
-// is promoted instead of requeued.
+// the failure). Speculation changes two things: a lost DUPLICATE is
+// charged to the speculative column instead (the primary elsewhere keeps
+// running and gets its straggler check again), and a lost PRIMARY whose
+// duplicate lives elsewhere is replaced by it instead of requeued.
 void Simulation::evict_worker(std::uint64_t worker_id) {
   const Worker& w = pool_.worker(worker_id);
   scratch_victims_.assign(w.running_tasks().begin(), w.running_tasks().end());
   for (std::uint64_t task_id : scratch_victims_) {
-    SpecState& sp = spec_[task_id];
-    if (sp.active && !sp.promoted && sp.worker == worker_id) {
-      // The duplicate died with the worker; the primary is untouched.
-      core_.charge_speculation(task_id, now_ - sp.start);
-      ++res_counters_.speculations_cancelled;
-      sp.active = false;
-      ++sp.token;
+    const core::resilience::Duplicate* copy = spec_.find(task_id);
+    if (copy && copy->worker == worker_id) {
+      spec_.duplicate_lost(*this, task_id, now_);
+      arm_spec_check(task_id);
       continue;
     }
     const double elapsed = now_ - timing_[task_id].attempt_start;
     core_.charge_eviction(task_id, elapsed);
-    ++timing_[task_id].epoch;  // invalidates the in-flight AttemptFinish
+    ++timing_[task_id].epoch;  // invalidates the attempt's pending events
     storms_.on_eviction(now_);
-    if (sp.active && !sp.promoted && sp.worker != worker_id) {
-      // The primary died but its duplicate survives elsewhere: promote it
-      // to primary instead of losing the progress to a requeue.
-      core_.rebind_running(task_id, sp.worker);
-      timing_[task_id].attempt_start = sp.start;
-      timing_[task_id].attempt_runtime = sp.runtime;
-      sp.promoted = true;
-      ++res_counters_.speculations_promoted;
-      if (observer_) observer_->on_task_evicted(now_, task_id, worker_id);
-      continue;
+    if (!spec_.primary_lost(*this, task_id, now_)) {
+      core_.requeue_front(task_id);
     }
-    if (sp.active) {  // a promoted duplicate died with the worker
-      sp.active = false;
-      sp.promoted = false;
-      ++sp.token;
-    }
-    core_.requeue_front(task_id);
     if (observer_) observer_->on_task_evicted(now_, task_id, worker_id);
   }
   pool_.remove_worker(worker_id);
@@ -356,10 +335,10 @@ void Simulation::dispatch() {
 
 std::optional<std::uint64_t> Simulation::place(std::uint64_t,
                                                const ResourceVector& alloc) {
-  // Degraded mode's in-flight cap, on live pool occupancy: a held probe is
-  // counted and the task stays queued in order.
+  // Degraded mode's in-flight cap: a held probe is counted and the task
+  // stays queued in order.
   if (storms_.degraded() &&
-      pool_.running_attempts() >= config_.resilience.degraded_inflight_cap) {
+      inflight() >= config_.resilience.degraded_inflight_cap) {
     ++res_counters_.dispatches_held;
     return std::nullopt;
   }
@@ -382,113 +361,80 @@ void Simulation::commit(std::uint64_t task_id, std::uint64_t worker_id,
   // The enforcement model decides how long this attempt runs: the full
   // duration when the allocation covers the demand, otherwise until the
   // consumption ramp crosses the allocation (or the wall-time limit).
-  const double runtime = attempt_runtime(spec, alloc, core_.managed(),
-                                         config_.monitor_interval_s);
-  timing_[task_id].attempt_runtime = runtime;
-  events_.push(now_ + runtime, EventKind::AttemptFinish, task_id, worker_id,
-               timing_[task_id].epoch);
-  schedule_resilience_events(task_id);
+  timing_[task_id].attempt_runtime = attempt_runtime(
+      spec, alloc, core_.managed(), config_.monitor_interval_s);
+  arm(task_id, worker_id);
 }
 
-double Simulation::deadline_widen() const noexcept {
-  return storms_.degraded() ? config_.resilience.degraded_deadline_widen : 1.0;
-}
-
-void Simulation::schedule_resilience_events(std::uint64_t task_id) {
-  const auto& res = config_.resilience;
-  if (!res.enabled()) return;
-  const core::CategoryId cat = core_.category_of(task_id);
+void Simulation::arm(std::uint64_t task_id, std::uint64_t worker_id) {
   const TimingState& t = timing_[task_id];
-  if (res.speculation) {
-    if (const auto thr = deadlines_.straggler_threshold(cat)) {
-      events_.push(t.attempt_start + *thr, EventKind::SpecCheck, task_id, 0,
-                   t.epoch);
-    }
+  events_.push(t.attempt_start + t.attempt_runtime, EventKind::AttemptFinish,
+               task_id, worker_id, t.epoch);
+  if (!config_.resilience.enabled()) return;
+  arm_spec_check(task_id);
+  // The adaptive deadline, when the enforcement model would let the attempt
+  // outlive it; everything else finishes (or is killed) first anyway.
+  if (!config_.resilience.deadlines ||
+      !deadlines_.adaptive(core_.category_of(task_id))) {
+    return;
   }
-  if (res.deadlines && deadlines_.adaptive(cat)) {
-    double eff = deadlines_.deadline(cat, 0.0, deadline_widen());
-    for (std::uint32_t s = 0; s < deadline_strikes_[task_id]; ++s) eff *= 2.0;
-    // Only watch attempts the enforcement model would let outlive the
-    // deadline; everything else finishes (or is killed) first anyway.
-    if (eff < t.attempt_runtime) {
-      events_.push(t.attempt_start + eff, EventKind::DeadlineKill, task_id, 0,
-                   t.epoch);
-    }
+  const double eff = deadline(task_id);
+  if (eff < t.attempt_runtime) {
+    events_.push(std::max(now_, t.attempt_start + eff),
+                 EventKind::DeadlineKill, task_id, 0, t.epoch);
   }
 }
 
-void Simulation::cancel_speculation(std::uint64_t task_id) {
-  SpecState& sp = spec_[task_id];
-  if (!sp.active || sp.promoted) return;
-  pool_.finish(sp.worker, task_id, core_.entry(task_id).alloc);
-  core_.charge_speculation(task_id, now_ - sp.start);
-  ++res_counters_.speculations_cancelled;
-  sp.active = false;
-  ++sp.token;
+void Simulation::arm_spec_check(std::uint64_t task_id) {
+  if (!config_.resilience.speculation) return;
+  if (const auto thr =
+          deadlines_.straggler_threshold(core_.category_of(task_id))) {
+    const TimingState& t = timing_[task_id];
+    events_.push(std::max(now_, t.attempt_start + *thr), EventKind::SpecCheck,
+                 task_id, 0, t.epoch);
+  }
+}
+
+double Simulation::deadline(std::uint64_t task_id) {
+  const double widen =
+      storms_.degraded() ? config_.resilience.degraded_deadline_widen : 1.0;
+  double eff = deadlines_.deadline(core_.category_of(task_id), 0.0, widen);
+  for (std::uint32_t s = 0; s < deadline_strikes_[task_id]; ++s) eff *= 2.0;
+  return eff;
 }
 
 void Simulation::on_spec_check(const Event& e) {
   const std::uint64_t task_id = e.a;
-  const auto& res = config_.resilience;
   const auto& entry = core_.entry(task_id);
-  SpecState& sp = spec_[task_id];
-  if (e.epoch != timing_[task_id].epoch || entry.phase != TaskPhase::Running ||
-      sp.active) {
-    return;  // the watched attempt already ended, or a duplicate exists
+  if (e.epoch != timing_[task_id].epoch || entry.phase != TaskPhase::Running) {
+    return;  // the watched attempt already ended
   }
-  // Degraded mode suspends speculation; without churn evidence (no eviction
-  // observed yet) duplicating attempts would only burn capacity.
-  if (!res.speculation || storms_.degraded() || !churn_evidence()) return;
-  const auto thr = deadlines_.straggler_threshold(core_.category_of(task_id));
-  if (!thr) return;
-  const SimTime due = timing_[task_id].attempt_start + *thr;
-  if (due > now_) {
+  const auto gate = spec_.gate(task_id, core_.category_of(task_id),
+                               timing_[task_id].attempt_start, now_,
+                               storms_.degraded(), churn_evidence(),
+                               deadlines_);
+  if (!gate.open) return;
+  if (!gate.passed) {
     // The threshold grew since this check was scheduled; re-arm.
-    events_.push(due, EventKind::SpecCheck, task_id, 0, e.epoch);
+    events_.push(gate.due, EventKind::SpecCheck, task_id, 0, e.epoch);
     return;
   }
   const auto worker =
       pool_.find_worker_for(entry.alloc, config_.placement, entry.running_on);
   if (!worker) return;
-  pool_.start(*worker, task_id, entry.alloc);
-  sp.active = true;
-  sp.promoted = false;
-  sp.worker = *worker;
-  sp.start = now_;
   // Same spec, same allocation, same enforcement model: the duplicate runs
-  // exactly as long as the primary would.
-  sp.runtime = timing_[task_id].attempt_runtime;
-  ++sp.token;
-  events_.push(now_ + sp.runtime, EventKind::SpecFinish, task_id, *worker,
-               sp.token);
-  ++res_counters_.speculations_launched;
+  // exactly as long as the primary would, so it matters only once promoted.
+  pool_.start(*worker, task_id, entry.alloc);
+  spec_.launch(task_id, *worker, now_);
 }
 
-void Simulation::on_spec_finish(const Event& e) {
-  const std::uint64_t task_id = e.a;
-  SpecState& sp = spec_[task_id];
-  if (!sp.active || e.epoch != sp.token || e.b != sp.worker) return;  // stale
-  if (!sp.promoted) {
-    // The primary started earlier with the same modeled runtime, so it
-    // always finishes first; only promotion makes this event meaningful.
-    cancel_speculation(task_id);
-    return;
-  }
-  const auto& entry = core_.entry(task_id);
-  if (entry.phase != TaskPhase::Running || entry.running_on != sp.worker) {
-    return;
-  }
-  pool_.finish(sp.worker, task_id, entry.alloc);
-  sp.active = false;
-  sp.promoted = false;
-  ++sp.token;
-  const core::TaskSpec& spec = tasks_[task_id];
-  if (spec.demand.fits_within(entry.alloc, core_.managed())) {
-    complete_task(task_id);
-  } else {
-    fail_attempt(task_id, timing_[task_id].attempt_runtime);
-  }
-  dispatch();
+void Simulation::promote_copy(std::uint64_t task_id,
+                              const core::resilience::Duplicate& copy) {
+  // The copy already holds its worker; it runs the primary's model runtime
+  // from its own start. The lost primary's epoch bump voided the old events.
+  core_.rebind_running(task_id, copy.worker);
+  timing_[task_id].attempt_start = copy.start;
+  arm(task_id, copy.worker);
 }
 
 void Simulation::on_deadline_kill(const Event& e) {
@@ -500,27 +446,26 @@ void Simulation::on_deadline_kill(const Event& e) {
     return;
   }
   if (!churn_evidence()) return;  // calm run: never second-guess the model
-  const core::CategoryId cat = core_.category_of(task_id);
-  if (!deadlines_.adaptive(cat)) return;
-  double eff = deadlines_.deadline(cat, 0.0, deadline_widen());
-  for (std::uint32_t s = 0; s < deadline_strikes_[task_id]; ++s) eff *= 2.0;
-  const SimTime due = timing_[task_id].attempt_start + eff;
+  if (!deadlines_.adaptive(core_.category_of(task_id))) return;
+  const SimTime due = timing_[task_id].attempt_start + deadline(task_id);
   if (due > now_) {
     // The deadline widened (storm) since this kill was scheduled; re-arm.
     events_.push(due, EventKind::DeadlineKill, task_id, 0, e.epoch);
     return;
   }
-  // The attempt outlived its adaptive deadline: kill and requeue with the
-  // same allocation. Like the protocol's attempt timeout this is an
-  // infrastructure loss — charged to neither the waste metric nor the
-  // eviction ledger. Each strike doubles the task's next deadline so a task
-  // genuinely longer than its category's quantile still terminates.
-  cancel_speculation(task_id);
+  // The attempt outlived its adaptive deadline: kill it, and requeue with
+  // the same allocation unless a live duplicate takes over. Like the
+  // protocol's attempt timeout this is an infrastructure loss — charged to
+  // neither the waste metric nor the eviction ledger. Each strike doubles
+  // the task's next deadline so a task genuinely longer than its category's
+  // quantile still terminates.
   pool_.finish(entry.running_on, task_id, entry.alloc);
   ++timing_[task_id].epoch;
   ++deadline_strikes_[task_id];
   ++res_counters_.adaptive_deadlines_used;
-  core_.requeue_front(task_id);
+  if (!spec_.primary_lost(*this, task_id, now_)) {
+    core_.requeue_front(task_id);
+  }
   dispatch();
 }
 
@@ -548,7 +493,7 @@ void Simulation::on_attempt_finish(const Event& e) {
     return;  // stale: the attempt was evicted before it finished
   }
   // The primary delivered first: the duplicate (if any) lost the race.
-  cancel_speculation(task_id);
+  spec_.primary_delivered(*this, task_id, now_);
   pool_.finish(e.b, task_id, entry.alloc);
   const core::TaskSpec& spec = tasks_[task_id];
   if (spec.demand.fits_within(entry.alloc, core_.managed())) {
@@ -606,6 +551,18 @@ void Simulation::load_state(util::ByteReader& r) {
         "Simulation: load_state must precede the first step()/run()");
   }
   core::snapshot::load(r, *this);
+}
+
+void Simulation::after_load() {
+  spec_.check_table([this](std::uint64_t task_id,
+                           const core::resilience::Duplicate& copy) {
+    return task_id < core_.task_count() &&
+           core_.entry(task_id).phase == TaskPhase::Running &&
+           copy.worker != core_.entry(task_id).running_on &&
+           pool_.alive(copy.worker) &&
+           pool_.worker(copy.worker).running_tasks().count(task_id) != 0 &&
+           copy.start <= now_;
+  });
 }
 
 std::vector<core::TenantOutcome> Simulation::tenant_outcomes() const {

@@ -9,11 +9,12 @@
 #include "core/lifecycle/dispatch_core.hpp"
 #include "core/metrics.hpp"
 #include "core/resilience/resilience.hpp"
+#include "core/resilience/speculation.hpp"
 #include "core/resources.hpp"
 #include "core/task.hpp"
 #include "core/task_allocator.hpp"
 #include "core/tenancy/multi_tenant_core.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/calendar_queue.hpp"
 #include "sim/observer.hpp"
 #include "sim/worker_pool.hpp"
 #include "util/rng.hpp"
@@ -61,13 +62,6 @@ struct SimConfig {
   enum class SignificanceMode { TaskId, Constant };
   SignificanceMode significance = SignificanceMode::TaskId;
 
-  /// Which event-queue implementation drives the run (docs/engine.md).
-  /// Calendar is the default: O(1) amortized operations with batch-friendly
-  /// locality. Heap is the legacy binary heap, kept as the differential
-  /// baseline. Pop order, results, and snapshot bytes are identical across
-  /// engines; only the wall clock differs.
-  QueueEngine engine = QueueEngine::Calendar;
-
   /// Churn-adaptive resilience layer (core/resilience/): adaptive deadlines,
   /// speculative re-dispatch and storm degradation. Default-off; every
   /// feature is additionally gated on churn evidence (at least one eviction
@@ -97,8 +91,7 @@ struct SimResult {
   std::size_t total_leaves = 0;
   std::size_t peak_workers = 0;
   /// Events the engine dispatched over the run (the denominator of the
-  /// events/s throughput headline). Identical across engines for the same
-  /// scenario.
+  /// events/s throughput headline).
   std::uint64_t events_processed = 0;
   /// Time-integrals over the run: Σ committed[k]·dt and Σ capacity[k]·dt
   /// across the alive pool, one term per event from the pool's exact
@@ -150,7 +143,8 @@ struct SimResult {
 /// and per-attempt epochs that invalidate stale finish events. It is the
 /// core's hooks sink and its dispatch driver.
 class Simulation final : private core::lifecycle::RuntimeHooks,
-                         private core::lifecycle::DispatchDriver {
+                         private core::lifecycle::DispatchDriver,
+                         private core::resilience::SpeculationDriver {
  public:
   /// `tasks` must outlive the simulation; ids must equal the index order
   /// produced by the workload generators (0-based, dense). Single-tenant
@@ -200,19 +194,21 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
   /// (policy name and config hash are validated; mismatch throws).
   void load_state(util::ByteReader& r);
 
+  /// Speculation precedes the events: its format mark refuses the event
+  /// frame a build with the simulator's own speculation state wrote there.
   static constexpr auto fields() {
     using S = Simulation;
     using core::snapshot::field, core::snapshot::kNonNegative,
         core::snapshot::kSameSize, core::snapshot::kFixedSize;
     return core::snapshot::section(
-        "Simulation", field("started", &S::started_),
+        "Simulation", &S::after_load, field("started", &S::started_),
         field("finished", &S::finished_), field("core", &S::core_),
-        field("rng", &S::rng_), field("events", &S::events_),
-        field("pool", &S::pool_), field("timing", &S::timing_, kSameSize),
+        field("rng", &S::rng_), field("speculation", &S::spec_),
+        field("events", &S::events_), field("pool", &S::pool_),
+        field("timing", &S::timing_, kSameSize),
         field("now", &S::now_, kNonNegative), field("result", &S::result_),
         field("deadlines", &S::deadlines_), field("storms", &S::storms_),
         field("storm_active", &S::storm_active_),
-        field("spec", &S::spec_, kSameSize),
         field("deadline_strikes", &S::deadline_strikes_, kFixedSize),
         field("res_counters", &S::res_counters_),
         field("tenant_committed", &S::tenant_committed_,
@@ -233,6 +229,20 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
 
   /// The worker pool (diagnostics; the integral oracle in tests/ walks it).
   const WorkerPool& pool() const noexcept { return pool_; }
+
+  /// The pending events (diagnostics; the pop-order oracle in tests/ reads
+  /// what a finished run left queued).
+  const CalendarQueue& events() const noexcept { return events_; }
+
+  /// The speculation machine (diagnostics and invariant tests).
+  const core::resilience::Speculation& speculation() const noexcept {
+    return spec_;
+  }
+
+  /// What the degraded-mode cap counts: Running tasks plus live duplicates.
+  std::size_t inflight() const noexcept {
+    return core_.running_total() + spec_.live();
+  }
 
   /// The tenant facade (multi-tenant diagnostics and reporting).
   const core::tenancy::MultiTenantCore& tenants() const noexcept {
@@ -265,33 +275,6 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
     }
   };
 
-  /// Speculative-duplicate state, parallel to TimingState. The duplicate is
-  /// not a core-lifecycle attempt: it exists only in the simulator (and the
-  /// worker it occupies) until it is promoted to primary or cancelled.
-  struct SpecState {
-    bool active = false;
-    /// The duplicate took over as the primary attempt (the original was
-    /// evicted); its SpecFinish now carries the attempt outcome.
-    bool promoted = false;
-    std::uint64_t worker = 0;
-    SimTime start = 0.0;
-    SimTime runtime = 0.0;
-    /// Invalidates in-flight SpecFinish/SpecCheck events on cancellation
-    /// (the simulator's epoch pattern, scoped to the duplicate).
-    std::uint64_t token = 0;
-
-    static constexpr auto fields() {
-      using P = SpecState;
-      using core::snapshot::field, core::snapshot::kNonNegative;
-      return core::snapshot::section(
-          "Speculation", field("active", &P::active),
-          field("promoted", &P::promoted), field("worker", &P::worker),
-          field("start", &P::start, kNonNegative),
-          field("runtime", &P::runtime, kNonNegative),
-          field("token", &P::token));
-    }
-  };
-
   // RuntimeHooks.
   void task_fatal(std::uint64_t task_id) override;
   void task_completed(std::uint64_t task_id,
@@ -307,7 +290,27 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
   bool may_place(const core::ResourceVector& floor) const override;
   core::ResourceVector pool_capacity() const override;
 
+  // SpeculationDriver: a copy occupies the pool; a promoted one is re-armed
+  // as commit arms an attempt.
+  void charge_copy(std::uint64_t task_id, double scale) override {
+    core_.charge_speculation(task_id, scale);
+  }
+  void free_copy(std::uint64_t task_id, std::uint64_t worker_id) override {
+    pool_.finish(worker_id, task_id, core_.entry(task_id).alloc);
+  }
+  bool copy_worker_alive(std::uint64_t worker_id) const override {
+    return pool_.alive(worker_id);
+  }
+  void promote_copy(std::uint64_t task_id,
+                    const core::resilience::Duplicate& copy) override;
+
   void bootstrap();
+  /// Refuses a loaded speculation table that does not match the loaded
+  /// tasks and pool.
+  void after_load();
+  /// Pushes the attempt's finish event, straggler check and deadline, from
+  /// timing_'s start and runtime.
+  void arm(std::uint64_t task_id, std::uint64_t worker_id);
   void handle(const Event& e);
   void accumulate_integrals(SimTime t);
   void on_submit(std::uint64_t task_id);
@@ -322,14 +325,16 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
 
   // Resilience layer.
   bool churn_evidence() const noexcept { return core_.evictions() > 0; }
-  double deadline_widen() const noexcept;
+  /// The task's adaptive deadline: widened while degraded, doubled per
+  /// strike.
+  double deadline(std::uint64_t task_id);
   void evict_worker(std::uint64_t worker_id);
-  void cancel_speculation(std::uint64_t task_id);
   void on_spec_check(const Event& e);
-  void on_spec_finish(const Event& e);
   void on_deadline_kill(const Event& e);
   void on_storm_begin();
-  void schedule_resilience_events(std::uint64_t task_id);
+  /// Pushes the attempt's straggler check (at its threshold, or now if
+  /// that has passed) when speculation is on and the threshold known.
+  void arm_spec_check(std::uint64_t task_id);
 
   SimConfig config_;
   core::tenancy::MultiTenantCore core_;
@@ -337,7 +342,7 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
   /// composed copy otherwise).
   std::span<const core::TaskSpec> tasks_;
   util::Rng rng_;
-  EventQueue events_;
+  CalendarQueue events_;
   WorkerPool pool_;
   std::vector<TimingState> timing_;
   SimTime now_ = 0.0;
@@ -354,7 +359,7 @@ class Simulation final : private core::lifecycle::RuntimeHooks,
   // Resilience layer (inert unless config_.resilience enables features).
   core::resilience::DeadlineTracker deadlines_;
   core::resilience::StormDetector storms_;
-  std::vector<SpecState> spec_;
+  core::resilience::Speculation spec_;
   /// Adaptive-deadline kills already suffered per task; each strike doubles
   /// the next effective deadline, so a task longer than its category's
   /// deadline still makes progress.

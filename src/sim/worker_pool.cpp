@@ -33,7 +33,6 @@ std::vector<std::uint64_t> WorkerPool::remove_worker(std::uint64_t id) {
   const auto [w, slot] = locate(id);
   std::vector<std::uint64_t> tasks(w->running_tasks().begin(),
                                    w->running_tasks().end());
-  running_ -= w->running_count();
   committed_total_ -= w->exact_committed();
   capacity_total_ -= core::ExactResources(w->capacity());
   slots_[slot].worker = nullptr;
@@ -50,7 +49,6 @@ void WorkerPool::start(std::uint64_t id, std::uint64_t task_id,
                        const core::ResourceVector& alloc) {
   const auto [w, slot] = locate(id);
   committed_total_ += w->start(task_id, alloc);
-  ++running_;
   refresh(slot);
 }
 
@@ -58,7 +56,6 @@ void WorkerPool::finish(std::uint64_t id, std::uint64_t task_id,
                         const core::ResourceVector& alloc) {
   const auto [w, slot] = locate(id);
   committed_total_ -= w->finish(task_id, alloc);
-  --running_;
   refresh(slot);
 }
 
@@ -157,7 +154,6 @@ void WorkerPool::set_exact_committed(
 void WorkerPool::after_load() {
   slots_.clear();
   index_.reset(0);
-  running_ = 0;
   committed_total_ = {};
   capacity_total_ = {};
   for (auto& [id, worker] : workers_) {
@@ -191,7 +187,6 @@ void WorkerPool::after_load() {
     } catch (const core::ExactRangeError& e) {
       throw core::SnapshotError("WorkerPool", "workers", e.what());
     }
-    running_ += worker.running_count();
     slots_.push_back({id, &worker});
   }
   compact();

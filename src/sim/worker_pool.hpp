@@ -78,7 +78,7 @@ class WorkerPool {
   const Worker& worker(std::uint64_t id) const;
 
   /// Worker::start / Worker::finish on worker `id`, keeping the placement
-  /// index and the running-attempt count in step. Throw std::logic_error
+  /// index and the exact totals in step. Throw std::logic_error
   /// for an id that is not alive and whatever the Worker call throws.
   void start(std::uint64_t id, std::uint64_t task_id,
              const core::ResourceVector& alloc);
@@ -103,9 +103,6 @@ class WorkerPool {
     return index_.admits_any(alloc);
   }
 
-  /// Sum of running attempts across alive workers, kept by start/finish.
-  std::size_t running_attempts() const noexcept { return running_; }
-
   /// The alive workers' summed commitments (live speculative duplicates
   /// included) and capacities, exact. start, finish, add_worker and
   /// remove_worker keep them in O(1) each, and exact sums do not depend on
@@ -125,7 +122,7 @@ class WorkerPool {
   /// Snapshot/restore for simulation resume: the never-reused id counter,
   /// the alive-worker map (each worker's float state) and each worker's
   /// exact commitment, in id order, behind a format mark. The slots,
-  /// placement index, running-attempt count and both totals are derived:
+  /// placement index and both totals are derived:
   /// the post-load step rebuilds them (exact sums, so in any order), after
   /// refusing worker ids that do not ascend strictly below the id counter
   /// and exact commitments that are negative, above capacity or left on an
@@ -180,7 +177,6 @@ class WorkerPool {
   std::vector<Slot> slots_;
   core::lifecycle::PlacementIndex index_;
   std::uint64_t next_id_ = 0;
-  std::size_t running_ = 0;
 };
 
 }  // namespace tora::sim

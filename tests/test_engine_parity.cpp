@@ -1,10 +1,16 @@
-// Engine differential harness: the calendar queue must be invisible.
-// For every paper workflow — plus a chaos scenario stacking storms and the
-// resilience layer on heavy churn — a run driven by the calendar engine
-// must pop the bit-identical event sequence the legacy binary heap pops,
-// reach the identical final serialized state, and report the identical
-// results. Snapshots must also cross over: a run saved under one engine
-// resumes under the other without a bit of divergence.
+// The simulator's pop order, checked without a second engine. The calendar
+// queue replaced a binary heap (tests/oracles/heap_queue.hpp), which pops
+// every pending event in ascending (time, seq) order. A run pops exactly the
+// heap's sequence for the same pushes iff
+//   1. its pops strictly ascend in (time, seq);
+//   2. every event it pushed (seqs 0 .. next_seq - 1) is popped or left
+//      pending exactly once;
+//   3. every event left pending orders after the last pop.
+// An event skipped while it was the earliest would either pop later, out of
+// order, or stay pending behind the last pop. (Handlers push at or after the
+// current time, so a correct queue never holds an event below its last pop.)
+// A snapshot taken mid-run must also resume to the uninterrupted run's final
+// state, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +21,7 @@
 #include "core/registry.hpp"
 #include "sim/observer.hpp"
 #include "sim/simulation.hpp"
+#include "straggler_scenario.hpp"
 #include "util/bytes.hpp"
 #include "workloads/workload.hpp"
 
@@ -22,7 +29,6 @@ namespace {
 
 using tora::core::TaskSpec;
 using tora::sim::Event;
-using tora::sim::QueueEngine;
 using tora::sim::SimConfig;
 using tora::sim::SimObserver;
 using tora::sim::SimResult;
@@ -30,78 +36,50 @@ using tora::sim::Simulation;
 using tora::util::ByteReader;
 using tora::util::ByteWriter;
 
-/// Records the raw pop-order event stream as an FNV-1a fingerprint plus a
-/// count — compact enough to compare hundred-thousand-event runs without
-/// storing them.
-class EventFingerprint final : public SimObserver {
+/// Records the pop sequence and checks conditions 1-3 against it.
+class PopOrderOracle final : public SimObserver {
  public:
   void on_event(const Event& e) override {
-    mix(static_cast<std::uint64_t>(e.time * 1e6));
-    mix(static_cast<std::uint64_t>(e.kind));
-    mix(e.a);
-    mix(e.b);
-    mix(e.epoch);
-    mix(e.seq);
-    ++count_;
+    if (!popped_.empty() && !tora::sim::event_before(last_, e)) {
+      ++out_of_order_;
+    }
+    last_ = e;
+    popped_.push_back(e.seq);
   }
-  std::uint64_t hash() const noexcept { return hash_; }
-  std::uint64_t count() const noexcept { return count_; }
+
+  std::size_t pops() const noexcept { return popped_.size(); }
+
+  /// Conditions 1-3, given what the finished run left queued.
+  void expect_exact(const Simulation& sim) const {
+    EXPECT_EQ(out_of_order_, 0u);
+    ByteWriter w;
+    sim.events().save_state(w);
+    ByteReader r(w.bytes());
+    std::uint64_t next_seq = 0;
+    const std::vector<Event> pending =
+        tora::sim::detail::load_events_canonical(r, next_seq);
+    std::vector<int> seen(next_seq, 0);
+    for (std::uint64_t seq : popped_) {
+      ASSERT_LT(seq, next_seq);
+      ++seen[seq];
+    }
+    for (const Event& e : pending) {
+      ++seen[e.seq];
+      if (!popped_.empty()) {
+        EXPECT_TRUE(tora::sim::event_before(last_, e))
+            << "event " << e.seq << " at " << e.time << " left behind";
+      }
+    }
+    std::size_t not_once = 0;
+    for (int n : seen) not_once += n != 1;
+    EXPECT_EQ(not_once, 0u) << "of " << next_seq << " pushes";
+  }
 
  private:
-  void mix(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xff;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-  std::uint64_t count_ = 0;
+  std::vector<std::uint64_t> popped_;
+  Event last_;
+  std::size_t out_of_order_ = 0;
 };
-
-struct RunCapture {
-  std::uint64_t event_hash = 0;
-  std::uint64_t event_count = 0;
-  std::string final_state;
-  SimResult result;
-};
-
-RunCapture run_captured(const std::vector<TaskSpec>& tasks,
-                        const std::string& policy, SimConfig cfg,
-                        QueueEngine engine) {
-  cfg.engine = engine;
-  auto allocator = tora::core::make_allocator(policy, 7);
-  Simulation sim(tasks, allocator, cfg);
-  EventFingerprint fp;
-  sim.set_observer(&fp);
-  RunCapture cap;
-  cap.result = sim.run();
-  cap.event_hash = fp.hash();
-  cap.event_count = fp.count();
-  ByteWriter w;
-  sim.save_state(w);
-  cap.final_state = w.take();
-  return cap;
-}
-
-void expect_identical(const RunCapture& heap, const RunCapture& cal,
-                      const std::string& label) {
-  EXPECT_EQ(heap.event_count, cal.event_count) << label;
-  EXPECT_EQ(heap.event_hash, cal.event_hash) << label;
-  EXPECT_EQ(heap.final_state, cal.final_state) << label;
-  EXPECT_DOUBLE_EQ(heap.result.makespan_s, cal.result.makespan_s) << label;
-  EXPECT_EQ(heap.result.tasks_completed, cal.result.tasks_completed) << label;
-  EXPECT_EQ(heap.result.tasks_fatal, cal.result.tasks_fatal) << label;
-  EXPECT_EQ(heap.result.evictions, cal.result.evictions) << label;
-  EXPECT_EQ(heap.result.total_joins, cal.result.total_joins) << label;
-  EXPECT_EQ(heap.result.total_leaves, cal.result.total_leaves) << label;
-  EXPECT_EQ(heap.result.events_processed, cal.result.events_processed)
-      << label;
-  EXPECT_EQ(heap.result.committed_integral, cal.result.committed_integral)
-      << label;
-  EXPECT_EQ(heap.result.capacity_integral, cal.result.capacity_integral)
-      << label;
-  EXPECT_GT(heap.result.events_processed, 0u) << label;
-}
 
 SimConfig paper_config() {
   SimConfig cfg;
@@ -115,6 +93,38 @@ SimConfig paper_config() {
   return cfg;
 }
 
+// Storms, adaptive deadlines, speculation and storm-triggered degraded mode
+// on top of fast churn: every event kind (StormBegin/End, SpecCheck,
+// DeadlineKill) with epoch-invalidated stale events. The straggler scenario
+// (straggler_scenario.hpp) adds duplicates that are launched, promoted and
+// re-armed.
+SimConfig chaos_config() {
+  SimConfig cfg = paper_config();
+  cfg.churn.mean_interarrival_s = 20.0;
+  cfg.churn.mean_lifetime_s = 240.0;
+  cfg.churn.storm_interval_s = 400.0;
+  cfg.churn.storm_duration_s = 80.0;
+  cfg.churn.storm_evict_fraction = 0.5;
+  cfg.resilience.deadlines = true;
+  cfg.resilience.speculation = true;
+  cfg.resilience.storm_control = true;
+  cfg.seed = 99;
+  return cfg;
+}
+
+SimResult run_checked(const std::vector<TaskSpec>& tasks,
+                      const std::string& policy, const SimConfig& cfg) {
+  auto allocator = tora::core::make_allocator(policy, 7);
+  Simulation sim(tasks, allocator, cfg);
+  PopOrderOracle oracle;
+  sim.set_observer(&oracle);
+  const SimResult result = sim.run();
+  oracle.expect_exact(sim);
+  EXPECT_EQ(oracle.pops(), result.events_processed);
+  EXPECT_GT(result.events_processed, 0u);
+  return result;
+}
+
 // ------------------------------------------- all seven paper workflows
 
 class EngineParity : public ::testing::TestWithParam<std::string> {};
@@ -122,12 +132,8 @@ class EngineParity : public ::testing::TestWithParam<std::string> {};
 TEST_P(EngineParity, CalendarMatchesHeapBitForBit) {
   const tora::workloads::Workload wl =
       tora::workloads::make_workload(GetParam(), 7);
-  const SimConfig cfg = paper_config();
-  const RunCapture heap =
-      run_captured(wl.tasks, "greedy_bucketing", cfg, QueueEngine::Heap);
-  const RunCapture cal =
-      run_captured(wl.tasks, "greedy_bucketing", cfg, QueueEngine::Calendar);
-  expect_identical(heap, cal, GetParam());
+  const SimResult r = run_checked(wl.tasks, "greedy_bucketing", paper_config());
+  EXPECT_EQ(r.tasks_completed + r.tasks_fatal, wl.tasks.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -139,71 +145,66 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------ chaos scenario
 
-// Storms, adaptive deadlines, speculation and storm-triggered degraded mode
-// on top of fast churn: the full stack of event kinds (StormBegin/End,
-// SpecCheck/SpecFinish, DeadlineKill) with epoch-invalidated stale events —
-// the worst case for any ordering bug.
 TEST(EngineParityChaos, StormAndResilienceRunsMatchBitForBit) {
   const tora::workloads::Workload wl =
       tora::workloads::make_workload("bimodal", 21);
-  SimConfig cfg = paper_config();
-  cfg.churn.mean_interarrival_s = 20.0;
-  cfg.churn.mean_lifetime_s = 240.0;
-  cfg.churn.storm_interval_s = 400.0;
-  cfg.churn.storm_duration_s = 80.0;
-  cfg.churn.storm_evict_fraction = 0.5;
-  cfg.resilience.deadlines = true;
-  cfg.resilience.speculation = true;
-  cfg.resilience.storm_control = true;
-  cfg.seed = 99;
-  const RunCapture heap =
-      run_captured(wl.tasks, "exhaustive_bucketing", cfg, QueueEngine::Heap);
-  const RunCapture cal = run_captured(wl.tasks, "exhaustive_bucketing", cfg,
-                                      QueueEngine::Calendar);
-  expect_identical(heap, cal, "chaos");
-  EXPECT_GT(heap.result.evictions, 0u);  // the scenario actually stormed
+  const SimResult chaos =
+      run_checked(wl.tasks, "exhaustive_bucketing", chaos_config());
+  EXPECT_GT(chaos.evictions, 0u);
+  EXPECT_GT(chaos.resilience.storms_entered, 0u);
+  EXPECT_GT(chaos.resilience.dispatches_held, 0u);
+  // The straggler scenario speculates under storms and degraded mode:
+  // duplicates launched, promoted (and re-armed) and cancelled.
+  const SimResult spec =
+      run_checked(tora::testing::straggler_workload(300), "max_seen",
+                  tora::testing::straggler_config(1, true));
+  EXPECT_GT(spec.resilience.storms_entered, 0u);
+  EXPECT_GT(spec.resilience.speculations_promoted, 0u);
+  EXPECT_GT(spec.resilience.speculations_cancelled, 0u);
+  EXPECT_GT(spec.resilience.adaptive_deadlines_used, 0u);
 }
 
-// ------------------------------------------- cross-engine snapshot resume
+// ------------------------------------------------------ snapshot resume
 
-// A snapshot taken mid-run under one engine must restore into a simulation
-// configured with the OTHER engine and finish bit-identical to the donor
-// engine's uninterrupted run.
-TEST(EngineParitySnapshot, SnapshotsResumeAcrossEngines) {
-  const tora::workloads::Workload wl =
-      tora::workloads::make_workload("uniform", 7);
-  const SimConfig base = paper_config();
-
-  SimConfig heap_cfg = base;
-  heap_cfg.engine = QueueEngine::Heap;
-  auto ref_alloc = tora::core::make_allocator("greedy_bucketing", 7);
-  Simulation reference(wl.tasks, ref_alloc, heap_cfg);
-  (void)reference.run();
-  ByteWriter wref;
-  reference.save_state(wref);
-  const std::string want = wref.take();
-
+// A snapshot taken mid-run restores into a fresh simulation that finishes
+// bit-identical to the uninterrupted run: on a calm paper workflow, on the
+// chaos scenario and on the straggler scenario (live duplicates, storms and
+// deadlines in flight).
+TEST(EngineParitySnapshot, SnapshotsResumeCalendarToCalendar) {
   const struct {
-    QueueEngine donor;
-    QueueEngine resumer;
-  } directions[] = {{QueueEngine::Heap, QueueEngine::Calendar},
-                    {QueueEngine::Calendar, QueueEngine::Heap}};
-  for (const auto& dir : directions) {
-    for (const int prefix : {5, 60}) {
-      SimConfig donor_cfg = base;
-      donor_cfg.engine = dir.donor;
-      auto da = tora::core::make_allocator("greedy_bucketing", 7);
-      Simulation donor(wl.tasks, da, donor_cfg);
+    const char* workflow;
+    std::uint64_t workload_seed;
+    const char* policy;
+    SimConfig cfg;
+  } runs[] = {{"uniform", 7, "greedy_bucketing", paper_config()},
+              {"bimodal", 21, "exhaustive_bucketing", chaos_config()},
+              {"straggly", 0, "max_seen",
+               tora::testing::straggler_config(1, true)}};
+  for (const auto& run : runs) {
+    tora::workloads::Workload wl;
+    if (run.workload_seed == 0) {
+      wl.tasks = tora::testing::straggler_workload(300);
+    } else {
+      wl = tora::workloads::make_workload(run.workflow, run.workload_seed);
+    }
+    auto ref_alloc = tora::core::make_allocator(run.policy, 7);
+    Simulation reference(wl.tasks, ref_alloc, run.cfg);
+    (void)reference.run();
+    ByteWriter wref;
+    reference.save_state(wref);
+    const std::string want = wref.take();
+
+    for (const int prefix : {5, 60, 400}) {
+      auto da = tora::core::make_allocator(run.policy, 7);
+      Simulation donor(wl.tasks, da, run.cfg);
       for (int i = 0; i < prefix && donor.step(); ++i) {
       }
       ByteWriter w;
       donor.save_state(w);
       const std::string saved = w.take();
 
-      SimConfig resume_cfg = base;
-      resume_cfg.engine = dir.resumer;
-      auto ra = tora::core::make_allocator("greedy_bucketing", 7);
-      Simulation resumed(wl.tasks, ra, resume_cfg);
+      auto ra = tora::core::make_allocator(run.policy, 7);
+      Simulation resumed(wl.tasks, ra, run.cfg);
       ByteReader r(saved);
       resumed.load_state(r);
       EXPECT_TRUE(r.done());
@@ -211,8 +212,7 @@ TEST(EngineParitySnapshot, SnapshotsResumeAcrossEngines) {
       ByteWriter wg;
       resumed.save_state(wg);
       EXPECT_EQ(wg.take(), want)
-          << "donor engine " << static_cast<int>(dir.donor) << " prefix "
-          << prefix;
+          << run.workflow << " prefix " << prefix;
     }
   }
 }

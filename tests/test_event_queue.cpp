@@ -1,4 +1,8 @@
-#include "sim/event_queue.hpp"
+// The simulator's event queue (sim::CalendarQueue), with the binary heap it
+// replaced (tests/oracles/heap_queue.hpp) as its differential oracle: the
+// same (time, seq) pop order and the same canonical snapshot bytes.
+
+#include "sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,15 +13,19 @@
 #include <string>
 #include <vector>
 
+#include "oracles/heap_queue.hpp"
 #include "util/bytes.hpp"
 
 namespace {
 
+using tora::core::SnapshotError;
+using tora::oracles::BinaryHeapQueue;
 using tora::sim::Event;
 using tora::sim::EventKind;
-using tora::sim::EventQueue;
-using tora::sim::QueueEngine;
-using tora::sim::SnapshotError;
+using EventQueue = tora::sim::CalendarQueue;
+
+/// Every event kind, for draws.
+constexpr int kKinds = static_cast<int>(EventKind::DeadlineKill) + 1;
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
@@ -104,7 +112,7 @@ TEST(EventQueue, SaveLoadAcceptsEveryEventKind) {
   const EventKind all[] = {
       EventKind::TaskSubmit, EventKind::AttemptFinish, EventKind::WorkerJoin,
       EventKind::WorkerLeave, EventKind::StormBegin,   EventKind::StormEnd,
-      EventKind::SpecCheck,   EventKind::SpecFinish,   EventKind::DeadlineKill};
+      EventKind::SpecCheck,   EventKind::DeadlineKill};
   EventQueue q;
   for (std::size_t i = 0; i < std::size(all); ++i) {
     q.push(static_cast<double>(i), all[i], i);
@@ -139,26 +147,38 @@ TEST(EventQueue, LoadRejectsUnknownEventKind) {
   EXPECT_THROW(restored.load_state(r), SnapshotError);
 }
 
+template <class Queue>
+void expect_rejects_non_finite_times() {
+  Queue q;
+  EXPECT_THROW(
+      q.push(std::numeric_limits<double>::quiet_NaN(), EventKind::TaskSubmit),
+      std::invalid_argument);
+  EXPECT_THROW(
+      q.push(std::numeric_limits<double>::infinity(), EventKind::TaskSubmit),
+      std::invalid_argument);
+  EXPECT_THROW(
+      q.push(-std::numeric_limits<double>::infinity(), EventKind::TaskSubmit),
+      std::invalid_argument);
+  EXPECT_TRUE(q.empty());  // rejected pushes must not land
+  q.push(1.0, EventKind::TaskSubmit, 9);
+  EXPECT_EQ(q.pop().a, 9u);
+}
+
+/// Expects `Queue` to refuse `bytes` with the typed snapshot error.
+template <class Queue>
+void expect_refused(const std::string& bytes) {
+  Queue restored;
+  tora::util::ByteReader r(bytes);
+  EXPECT_THROW(restored.load_state(r), SnapshotError);
+}
+
 // Regression: a NaN time would make every ordering comparison false and
 // silently scramble pop order; Inf would park an event past every bucket
-// edge forever. Both engines must reject non-finite times at the push
-// boundary with a typed error.
+// edge forever. The queue and its oracle reject non-finite times at the
+// push boundary with a typed error.
 TEST(EventQueue, RejectsNonFiniteTimeOnBothEngines) {
-  for (QueueEngine engine : {QueueEngine::Heap, QueueEngine::Calendar}) {
-    EventQueue q(engine);
-    EXPECT_THROW(q.push(std::numeric_limits<double>::quiet_NaN(),
-                        EventKind::TaskSubmit),
-                 std::invalid_argument);
-    EXPECT_THROW(
-        q.push(std::numeric_limits<double>::infinity(), EventKind::TaskSubmit),
-        std::invalid_argument);
-    EXPECT_THROW(q.push(-std::numeric_limits<double>::infinity(),
-                        EventKind::TaskSubmit),
-                 std::invalid_argument);
-    EXPECT_TRUE(q.empty());  // rejected pushes must not land
-    q.push(1.0, EventKind::TaskSubmit, 9);
-    EXPECT_EQ(q.pop().a, 9u);
-  }
+  expect_rejects_non_finite_times<EventQueue>();
+  expect_rejects_non_finite_times<BinaryHeapQueue>();
 }
 
 // A snapshot whose tie-break counter does not dominate the stored sequence
@@ -174,11 +194,8 @@ TEST(EventQueue, LoadRejectsNonDominatingNextSeq) {
   // The first u64 of the frame is next_seq; zero it so every stored seq
   // (0 and 1) violates seq < next_seq.
   for (int i = 0; i < 8; ++i) bytes[i] = 0;
-  for (QueueEngine engine : {QueueEngine::Heap, QueueEngine::Calendar}) {
-    EventQueue restored(engine);
-    tora::util::ByteReader r(bytes);
-    EXPECT_THROW(restored.load_state(r), SnapshotError);
-  }
+  expect_refused<EventQueue>(bytes);
+  expect_refused<BinaryHeapQueue>(bytes);
 }
 
 // A forged event count larger than the remaining payload must be refused
@@ -193,11 +210,8 @@ TEST(EventQueue, LoadRejectsCountExceedingPayload) {
   bytes[8] = 0x40;
   bytes[9] = 0x42;
   bytes[10] = 0x0f;  // ~1e6 little-endian: far more records than bytes
-  for (QueueEngine engine : {QueueEngine::Heap, QueueEngine::Calendar}) {
-    EventQueue restored(engine);
-    tora::util::ByteReader r(bytes);
-    EXPECT_THROW(restored.load_state(r), SnapshotError);
-  }
+  expect_refused<EventQueue>(bytes);
+  expect_refused<BinaryHeapQueue>(bytes);
 }
 
 TEST(EventQueue, LoadRejectsNonFiniteStoredTime) {
@@ -215,17 +229,18 @@ TEST(EventQueue, LoadRejectsNonFiniteStoredTime) {
   EXPECT_THROW(restored.load_state(r), SnapshotError);
 }
 
-// The canonical snapshot frame is engine-agnostic: the same logical content
-// serializes to identical bytes from either engine, and either engine's
-// bytes restore into the other with identical pop order.
+// The canonical snapshot frame depends on the logical content alone: the
+// calendar queue and the heap oracle write identical bytes for the same
+// pending events, and each one's bytes restore into the other with
+// identical pop order.
 TEST(EventQueue, SnapshotsAreByteIdenticalAndCrossLoadableAcrossEngines) {
-  EventQueue heap(QueueEngine::Heap);
-  EventQueue cal(QueueEngine::Calendar);
+  BinaryHeapQueue heap;
+  EventQueue cal;
   std::mt19937_64 rng(20240810);
   std::uniform_real_distribution<double> time_dist(0.0, 500.0);
   for (int i = 0; i < 300; ++i) {
     const double t = (i % 5 == 0) ? 42.0 : time_dist(rng);  // seed time ties
-    const auto kind = static_cast<EventKind>(i % 9);
+    const auto kind = static_cast<EventKind>(i % kKinds);
     heap.push(t, kind, static_cast<std::uint64_t>(i), i + 1, i + 2);
     cal.push(t, kind, static_cast<std::uint64_t>(i), i + 1, i + 2);
   }
@@ -240,9 +255,9 @@ TEST(EventQueue, SnapshotsAreByteIdenticalAndCrossLoadableAcrossEngines) {
   cal.save_state(wc);
   EXPECT_EQ(wh.bytes(), wc.bytes());
 
-  // Cross-load: heap bytes into a calendar engine and vice versa.
-  EventQueue cal_from_heap(QueueEngine::Calendar);
-  EventQueue heap_from_cal(QueueEngine::Heap);
+  // Cross-load: heap bytes into a calendar queue and vice versa.
+  EventQueue cal_from_heap;
+  BinaryHeapQueue heap_from_cal;
   tora::util::ByteReader rh(wh.bytes());
   tora::util::ByteReader rc(wc.bytes());
   cal_from_heap.load_state(rh);
@@ -265,8 +280,8 @@ TEST(EventQueue, RandomizedDifferentialHeapVsCalendar) {
   std::mt19937_64 rng(0xd1ffe7);
   std::uniform_real_distribution<double> time_dist(0.0, 1e6);
   std::uniform_int_distribution<int> burst_dist(1, 8);
-  EventQueue heap(QueueEngine::Heap);
-  EventQueue cal(QueueEngine::Calendar);
+  BinaryHeapQueue heap;
+  EventQueue cal;
   for (int round = 0; round < 2000; ++round) {
     const int action = static_cast<int>(rng() % 3);
     if (action < 2 || heap.empty()) {
@@ -275,7 +290,7 @@ TEST(EventQueue, RandomizedDifferentialHeapVsCalendar) {
       const double t = (rng() % 4 == 0) ? 1000.0 : time_dist(rng);
       const int burst = burst_dist(rng);
       for (int i = 0; i < burst; ++i) {
-        const auto kind = static_cast<EventKind>(rng() % 9);
+        const auto kind = static_cast<EventKind>(rng() % kKinds);
         const std::uint64_t a = rng();
         heap.push(t, kind, a);
         cal.push(t, kind, a);

@@ -388,7 +388,7 @@ TEST(PinnedResilience, SimulatorStormsWithEveryFeature) {
     EXPECT_EQ(r.accounting.awe(kKinds[i]), awe[i]);
   }
   EXPECT_EQ(r.makespan_s, 9599.7113143819734);
-  EXPECT_EQ(r.events_processed, 11447u);
+  EXPECT_EQ(r.events_processed, 11436u);
   EXPECT_EQ(r.tasks_completed, 1000u);
   EXPECT_EQ(r.tasks_fatal, 0u);
   EXPECT_EQ(r.evictions, 1693u);

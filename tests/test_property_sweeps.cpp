@@ -16,7 +16,8 @@
 #include "core/registry.hpp"
 #include "exp/experiment.hpp"
 #include "oracles/greedy_faithful.hpp"
-#include "sim/event_queue.hpp"
+#include "oracles/heap_queue.hpp"
+#include "sim/calendar_queue.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -284,20 +285,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Property: under any seeded interleaving of pushes (with same-timestamp
 // bursts) and pops, the calendar queue pops the bit-identical (time, seq)
-// sequence as the legacy binary heap — including across a snapshot taken
-// mid-drain and restored into BOTH engines (the snapshot frame is
-// engine-agnostic, so each engine must also accept the other's bytes).
+// sequence as the binary-heap oracle — including across a snapshot taken
+// mid-drain and restored into both (the canonical frame depends on the
+// content alone, so each must also accept the other's bytes).
 class EngineDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineDifferential, HeapAndCalendarPopIdenticallyAcrossSnapshot) {
+  using tora::oracles::BinaryHeapQueue;
+  using tora::sim::CalendarQueue;
   using tora::sim::Event;
   using tora::sim::EventKind;
-  using tora::sim::EventQueue;
-  using tora::sim::QueueEngine;
+  constexpr int kLastKind = static_cast<int>(EventKind::DeadlineKill);
 
   Rng rng(GetParam());
-  EventQueue heap(QueueEngine::Heap);
-  EventQueue cal(QueueEngine::Calendar);
+  BinaryHeapQueue heap;
+  CalendarQueue cal;
 
   const auto push_both = [&](double t, EventKind k, std::uint64_t a) {
     heap.push(t, k, a);
@@ -323,7 +325,7 @@ TEST_P(EngineDifferential, HeapAndCalendarPopIdenticallyAcrossSnapshot) {
                            : rng.uniform(0.0, 2e5);
       const int burst = static_cast<int>(rng.uniform_int(1, 6));
       for (int i = 0; i < burst; ++i) {
-        push_both(t, static_cast<EventKind>(rng.uniform_int(0, 8)),
+        push_both(t, static_cast<EventKind>(rng.uniform_int(0, kLastKind)),
                   rng.uniform_int(0, 1 << 20));
       }
     } else {
@@ -336,12 +338,12 @@ TEST_P(EngineDifferential, HeapAndCalendarPopIdenticallyAcrossSnapshot) {
   tora::util::ByteWriter wc;
   heap.save_state(wh);
   cal.save_state(wc);
-  ASSERT_EQ(wh.bytes(), wc.bytes());  // engine-agnostic frame
+  ASSERT_EQ(wh.bytes(), wc.bytes());  // the canonical frame
 
-  EventQueue heap_restored(QueueEngine::Heap);
-  EventQueue cal_restored(QueueEngine::Calendar);
-  tora::util::ByteReader rh(wc.bytes());  // heap engine <- calendar bytes
-  tora::util::ByteReader rc(wh.bytes());  // calendar engine <- heap bytes
+  BinaryHeapQueue heap_restored;
+  CalendarQueue cal_restored;
+  tora::util::ByteReader rh(wc.bytes());  // heap <- calendar bytes
+  tora::util::ByteReader rc(wh.bytes());  // calendar <- heap bytes
   heap_restored.load_state(rh);
   cal_restored.load_state(rc);
 

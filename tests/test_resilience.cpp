@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,7 +24,9 @@
 #include "proto/drive.hpp"
 #include "proto/manager.hpp"
 #include "proto/message.hpp"
+#include "sim/observer.hpp"
 #include "sim/simulation.hpp"
+#include "straggler_scenario.hpp"
 #include "util/bytes.hpp"
 #include "workloads/workload.hpp"
 
@@ -526,6 +529,112 @@ TEST(ResilienceSpeculation, PrimaryTimeoutPromotesFreshDuplicateAndQuarantines) 
   EXPECT_EQ(s.manager.tasks_completed(), 2u);
 }
 
+// The degraded cap counts a live duplicate as an in-flight attempt, as the
+// simulator does: with one Running task and its duplicate in flight, a cap
+// of 2 is full, so the storm's next dispatch is held and counted.
+TEST(ResilienceStorm, ManagerCapCountsALiveDuplicate) {
+  auto cfg = speculation_config();
+  cfg.resilience.storm_control = true;
+  cfg.resilience.storm_enter = 2;
+  cfg.resilience.storm_exit = 1;
+  cfg.resilience.degraded_inflight_cap = 2;
+  Scripted s(3, 3, cfg);
+  const auto beat = [&] {
+    for (std::uint64_t w = 0; w < 3; ++w) s.heartbeat(w);
+  };
+  s.manager.pump();  // tick 1: t0->w0, t1->w1, t2->w2
+  const Message d0 = s.expect_dispatch(0, 0);
+  (void)s.expect_dispatch(1, 1);
+  (void)s.expect_dispatch(2, 2);
+  s.result(d0, Outcome::Success);  // histogram: duration 1 tick
+  s.evict(2, 2);                   // churn evidence; one eviction
+  beat();
+  s.manager.pump();  // tick 2: t2 -> w0 (first fit)
+  (void)s.expect_dispatch(0, 2);
+  beat();
+  s.manager.pump();  // tick 3: t1 (age 2 > 1.5) gets a duplicate on w2
+  ASSERT_EQ(s.manager.resilience().speculations_launched, 1u);
+  (void)s.expect_dispatch(2, 1);
+  s.evict(0, 2);  // the second eviction enters degraded mode
+  beat();
+  s.manager.pump();  // tick 4: t1 and its duplicate fill the cap
+  EXPECT_EQ(s.manager.resilience().storms_entered, 1u);
+  EXPECT_EQ(s.manager.resilience().dispatches_held, 1u);
+  EXPECT_NE(s.manager.core().entry(2).phase,
+            tora::core::lifecycle::TaskPhase::Running);
+  for (const Message& m : s.drain(0)) {
+    EXPECT_NE(m.type, MsgType::TaskDispatch) << "task " << m.task_id;
+  }
+}
+
+/// Learns each promotion at an eviction (the task is still Running when
+/// on_task_evicted fires) and which straggler checks and deadlines pop for
+/// the promoted attempt: its epoch is one above the epoch of the check that
+/// launched the duplicate (an eviction bumps it once).
+class PromotionWatch final : public tora::sim::SimObserver {
+ public:
+  explicit PromotionWatch(const tora::sim::Simulation& sim) : sim_(sim) {}
+
+  struct Promotion {
+    std::uint64_t task;
+    std::uint64_t epoch;
+    bool checked = false;
+    bool deadline = false;
+  };
+  std::vector<Promotion> promotions;
+
+  void on_event(const tora::sim::Event& e) override {
+    // A launch happens only in a straggler check's handler: if the count
+    // moved, the previous event launched a duplicate.
+    const std::size_t launched = sim_.result().resilience.speculations_launched;
+    if (launched != launched_) {
+      launch_epoch_[last_.a] = last_.epoch;
+      launched_ = launched;
+    }
+    last_ = e;
+    for (Promotion& p : promotions) {
+      if (e.a != p.task || e.epoch != p.epoch) continue;
+      p.checked |= e.kind == tora::sim::EventKind::SpecCheck;
+      p.deadline |= e.kind == tora::sim::EventKind::DeadlineKill;
+    }
+  }
+  void on_task_evicted(double, std::uint64_t task, std::uint64_t) override {
+    if (sim_.core().entry(task).phase ==
+            tora::core::lifecycle::TaskPhase::Running &&
+        launch_epoch_.count(task) != 0) {
+      promotions.push_back({task, launch_epoch_[task] + 1});
+    }
+  }
+
+ private:
+  const tora::sim::Simulation& sim_;
+  std::size_t launched_ = 0;
+  tora::sim::Event last_;
+  std::map<std::uint64_t, std::uint64_t> launch_epoch_;
+};
+
+// A duplicate promoted when its primary's worker is evicted becomes the
+// task's attempt from its own start, armed as a dispatch arms one: its
+// straggler check pops (so it can be duplicated in turn), and so does its
+// adaptive deadline where the model lets it outlive one.
+TEST(ResilienceSpeculation, SimulatorArmsAPromotedDuplicate) {
+  const auto tasks = tora::testing::straggler_workload(300);
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
+  tora::sim::Simulation sim(tasks, alloc,
+                            tora::testing::straggler_config(1, false));
+  PromotionWatch watch(sim);
+  sim.set_observer(&watch);
+  const auto r = sim.run();
+  EXPECT_EQ(r.tasks_completed, tasks.size());
+  ASSERT_GT(watch.promotions.size(), 0u);
+  std::size_t deadlines = 0;
+  for (const auto& p : watch.promotions) {
+    EXPECT_TRUE(p.checked) << "task " << p.task << " epoch " << p.epoch;
+    deadlines += p.deadline;
+  }
+  EXPECT_GT(deadlines, 0u);
+}
+
 TEST(ResilienceProbation, ConvictedWorkerIsReadmittedAfterSentence) {
   tora::proto::LivenessConfig cfg;
   cfg.silence_ticks = 30;
@@ -626,9 +735,12 @@ class CheckedTransport final : public tora::proto::Transport {
 };
 
 TEST(ResilienceStorm, ManagerGateCountsTheRunningTasks) {
-  // The degraded admission gate reads the tenancy core's running counts; on
-  // a chaos run that enters storms (the pinned ManagerChaosWithEveryFeature
-  // setup), their sum must equal the Running tasks after every pump.
+  // The degraded admission gate reads the tenancy core's running counts
+  // plus the live duplicates; on a chaos run that enters storms and
+  // speculates (the pinned ManagerChaosWithEveryFeature setup), after every
+  // pump the running counts sum to the Running tasks, the gate's count is
+  // that plus the live duplicates, and every live duplicate is a copy of a
+  // Running task on another registered worker.
   auto workload = tora::workloads::make_workload("trimodal", 11);
   workload.tasks.resize(200);
   tora::proto::ChaosConfig chaos;
@@ -649,9 +761,11 @@ TEST(ResilienceStorm, ManagerGateCountsTheRunningTasks) {
 
   const tora::proto::ProtocolDrive* drive = nullptr;
   std::size_t checks = 0;
+  std::size_t duplicates_seen = 0;
   CheckedTransport transport(8, chaos, [&] {
     if (drive == nullptr) return;
-    const auto& core = drive->manager().tenants();
+    const tora::proto::ProtocolManager& manager = drive->manager();
+    const auto& core = manager.tenants();
     std::size_t counted = 0;
     for (std::uint32_t t = 0; t < core.tenant_count(); ++t) {
       counted += core.running_count(t);
@@ -664,6 +778,16 @@ TEST(ResilienceStorm, ManagerGateCountsTheRunningTasks) {
       }
     }
     EXPECT_EQ(counted, running) << "check " << checks;
+    const auto& table = manager.speculation().table();
+    for (const auto& [task, copy] : table) {
+      const auto& entry = core.entry(task);
+      EXPECT_EQ(entry.phase, tora::core::lifecycle::TaskPhase::Running);
+      EXPECT_TRUE(manager.registered(copy.worker)) << "task " << task;
+      EXPECT_NE(copy.worker, entry.running_on) << "task " << task;
+    }
+    EXPECT_EQ(manager.inflight(), running + table.size()) << "check "
+                                                          << checks;
+    duplicates_seen += table.size();
     ++checks;
   });
   tora::proto::ProtocolDrive run(
@@ -678,6 +802,45 @@ TEST(ResilienceStorm, ManagerGateCountsTheRunningTasks) {
   EXPECT_GT(result.resilience.storms_entered, 0u);
   EXPECT_GT(result.resilience.dispatches_held, 0u);
   EXPECT_GT(checks, 100u);
+  EXPECT_GT(duplicates_seen, 0u);
+}
+
+// The simulator's twin: after every step of the straggler scenario (churn,
+// storms, degraded mode, speculation), the cap's count is the Running tasks
+// plus the live duplicates, and every live duplicate is a copy of a Running
+// task on another live worker, occupying it.
+TEST(ResilienceStorm, SimulatorGateCountsTheRunningTasks) {
+  const auto tasks = tora::testing::straggler_workload(300);
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
+  tora::sim::Simulation sim(tasks, alloc,
+                            tora::testing::straggler_config(1, true));
+  std::size_t steps = 0;
+  std::size_t duplicates_seen = 0;
+  while (sim.step()) {
+    std::size_t running = 0;
+    for (std::uint64_t id = 0; id < tasks.size(); ++id) {
+      running += sim.core().entry(id).phase ==
+                 tora::core::lifecycle::TaskPhase::Running;
+    }
+    const auto& table = sim.speculation().table();
+    for (const auto& [task, copy] : table) {
+      const auto& entry = sim.core().entry(task);
+      ASSERT_EQ(entry.phase, tora::core::lifecycle::TaskPhase::Running);
+      ASSERT_TRUE(sim.pool().alive(copy.worker)) << "task " << task;
+      EXPECT_NE(copy.worker, entry.running_on) << "task " << task;
+      EXPECT_EQ(sim.pool().worker(copy.worker).running_tasks().count(task),
+                1u);
+    }
+    ASSERT_EQ(sim.inflight(), running + table.size()) << "step " << steps;
+    duplicates_seen += table.size();
+    ++steps;
+  }
+  const auto r = sim.result();
+  EXPECT_EQ(r.tasks_completed, tasks.size());
+  EXPECT_GT(r.resilience.storms_entered, 0u);
+  EXPECT_GT(r.resilience.dispatches_held, 0u);
+  EXPECT_GT(duplicates_seen, 0u);
+  EXPECT_GT(steps, 100u);
 }
 
 TEST(ResilienceStorm, StormKnobsAreValidated) {

@@ -365,9 +365,41 @@ TEST_F(SimulationFields, RefusesBadAttemptStartOrRuntime) {
   expect_f64_refused(body_, load_, "Timing", "attempt_runtime", kInf, 3);
 }
 
+// A live duplicate carries its worker and start (it runs the primary's
+// model runtime, so it stores none): a start that is not a clock value, or
+// that lies after the snapshot's clock, and a worker that is not alive are
+// refused.
 TEST_F(SimulationFields, RefusesBadSpeculationStartOrRuntime) {
-  expect_f64_refused(body_, load_, "Speculation", "start", kNaN, 1);
-  expect_f64_refused(body_, load_, "Speculation", "runtime", -1.0, 1);
+  // One category in which every sixth task runs 30x longer: those straggle
+  // past the threshold and get duplicates.
+  std::vector<TaskSpec> tasks = small_workload(60);
+  for (TaskSpec& t : tasks) {
+    t.category = "one";
+    t.duration_s = t.id % 6 == 5 ? 300.0 : 10.0;
+  }
+  const LoadFn load = [&](ByteReader& r) {
+    auto allocator = tora::core::make_allocator(tora::core::kMaxSeen, 3);
+    tora::sim::Simulation fresh(tasks, allocator, config());
+    fresh.load_state(r);
+  };
+  auto allocator = tora::core::make_allocator(tora::core::kMaxSeen, 3);
+  tora::sim::Simulation sim(tasks, allocator, config());
+  for (int i = 0; i < 5000 && sim.speculation().live() == 0 && sim.step();
+       ++i) {
+  }
+  ASSERT_GT(sim.speculation().live(), 0u);
+  ByteWriter w;
+  sim.save_state(w);
+  const std::string body = w.take();
+  ByteReader valid(body);
+  EXPECT_NO_THROW(load(valid));
+  for (double bad : {kNaN, -1.0}) {
+    expect_f64_refused(body, load, "Duplicate", "start", bad);
+  }
+  const Leaf start = find_leaf(body, load, "Duplicate", "start");
+  expect_refused(body, load, start, bits_of(1e12), "Speculation", "table");
+  const Leaf worker = find_leaf(body, load, "Duplicate", "worker");
+  expect_refused(body, load, worker, 1u << 30, "Speculation", "table");
 }
 
 TEST_F(SimulationFields, RefusesBadMakespan) {

@@ -294,6 +294,61 @@ TEST(WireFuzz, ManagerConsumesEdgeLinesOrOnlyCountsThem) {
   EXPECT_GT(refused, 200u);
 }
 
+// A ready or heartbeat line whose capacity the registry cannot account for
+// (a dimension above the exact totals' 2^40, the bound the simulator puts
+// on every worker) is refused like a line that does not decode: counted in
+// malformed_lines, with the body otherwise equal to a twin's that read a
+// known-bad line. It neither registers nor updates the worker. 2^40 itself
+// is accepted.
+TEST(WireFuzz, ManagerRefusesCapacitiesItCannotAccount) {
+  const auto tasks = workload(6);
+  Harness a(tasks), b(tasks);
+  a.manager->start();
+  b.manager->start();
+  const auto announce = [](MsgType type, ResourceVector capacity) {
+    Message m;
+    m.type = type;
+    m.worker_id = 0;
+    m.resources = capacity;
+    return tora::proto::encode(m);
+  };
+  const ResourceVector fine{16.0, 64000.0, 64000.0};
+  ResourceVector huge = fine;
+  huge[tora::core::ResourceKind::DiskMB] = 1e308;
+  const auto refused = [&](const std::string& line) {
+    const std::size_t before = a.manager->chaos().malformed_lines;
+    a.links[0]->to_manager.send(line);
+    b.links[0]->to_manager.send("garbage");
+    a.manager->pump();
+    b.manager->pump();
+    EXPECT_EQ(a.manager->chaos().malformed_lines, before + 1) << line;
+    EXPECT_EQ(a.manager->snapshot_body(), b.manager->snapshot_body()) << line;
+  };
+  refused(announce(MsgType::WorkerReady, huge));
+  refused(announce(MsgType::Heartbeat, huge));
+  EXPECT_EQ(a.manager->workers_known(), 0u);
+  // Registered with a capacity it can hold, the worker keeps it.
+  for (Harness* h : {&a, &b}) {
+    h->links[0]->to_manager.send(announce(MsgType::WorkerReady, fine));
+    h->manager->pump();
+  }
+  ASSERT_EQ(a.manager->workers_known(), 1u);
+  ResourceVector over = fine;
+  over[tora::core::ResourceKind::Cores] = 0x1p40 * (1.0 + 0x1p-52);
+  refused(announce(MsgType::WorkerReady, over));
+  refused(announce(MsgType::Heartbeat, huge));
+  // The bound itself is accepted on the second link.
+  ResourceVector bound = fine;
+  bound[tora::core::ResourceKind::MemoryMB] = 0x1p40;
+  Message ready;
+  ready.type = MsgType::WorkerReady;
+  ready.worker_id = 1;
+  ready.resources = bound;
+  a.links[1]->to_manager.send(tora::proto::encode(ready));
+  a.manager->pump();
+  EXPECT_EQ(a.manager->workers_known(), 2u);
+}
+
 // ---------------------------------------------------------------- journal
 
 /// A payload as the manager writes it.

@@ -130,7 +130,10 @@ TEST(WorkerPool, RunningAttemptsAggregates) {
   pool.start(id0, 1, ResourceVector{1.0, 1.0, 1.0});
   pool.start(id1, 2, ResourceVector{1.0, 1.0, 1.0});
   pool.start(id1, 3, ResourceVector{1.0, 1.0, 1.0});
-  EXPECT_EQ(pool.running_attempts(), 3u);
+  std::size_t running = 0;
+  for (const auto& [id, w] : pool.workers()) running += w.running_count();
+  EXPECT_EQ(running, 3u);
+  EXPECT_EQ(pool.worker(id1).running_count(), 2u);
 }
 
 TEST(WorkerPool, UnknownWorkerThrows) {
